@@ -1,12 +1,22 @@
 """Neural-network operators built on the autograd engine.
 
 Convolution and pooling are implemented with hand-written backward rules
-(im2col / col2im) for speed; normalisation, softmax and losses are
-composed from :class:`~repro.nn.tensor.Tensor` primitives so their
-gradients come straight from the engine.
+for speed; normalisation, softmax and losses are composed from
+:class:`~repro.nn.tensor.Tensor` primitives so their gradients come
+straight from the engine.
+
+Dense convolution is lowered to one GEMM over an im2col patch matrix:
+:func:`im2col` gathers it from the zero-padded input with a memoized
+index (:func:`patch_index`), and :func:`col2im` folds patch gradients
+back in a fixed accumulation order.  The patch matrix is a pure copy,
+so the GEMM operands — and every logit and gradient built on them — do
+not depend on how the matrix is gathered (``docs/PERFORMANCE.md``,
+"Conv lowering").
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -14,9 +24,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .tensor import Tensor, as_tensor
 
 __all__ = [
-    "im2col", "col2im", "conv2d", "conv2d_masked", "conv2d_depthwise",
-    "conv2d_depthwise_masked", "depthwise_windows", "linear", "max_pool2d",
-    "avg_pool2d",
+    "patch_index", "im2col", "col2im", "conv2d", "conv2d_masked",
+    "conv2d_depthwise", "conv2d_depthwise_masked", "depthwise_windows",
+    "linear", "max_pool2d", "avg_pool2d",
     "global_avg_pool2d", "upsample_nearest", "batch_norm2d",
     "batch_norm2d_masked", "dropout",
     "log_softmax",
@@ -31,34 +41,67 @@ def _out_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
 
 
+@functools.lru_cache(maxsize=64)
+def patch_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
+                pad: int) -> np.ndarray:
+    """Gather index of one sample's im2col patch matrix (read-only).
+
+    Entry ``[p, q]`` is the flat offset into a zero-padded (C, Hp, Wp)
+    sample of patch element ``q = (ci, i, j)`` (row-major over C, kh,
+    kw) of output pixel ``p = (oy, ox)``.  Every entry lies in
+    ``[0, C*Hp*Wp)``.  An entry holds as many ``intp`` values as one
+    sample's patch matrix has elements, which bounds the cache.
+    """
+    hp, wp = h + 2 * pad, w + 2 * pad
+    oh, ow = _out_size(h, kh, stride, pad), _out_size(w, kw, stride, pad)
+    corner = np.arange(oh)[:, None] * (stride * wp) + np.arange(ow) * stride
+    offset = (np.arange(c)[:, None, None] * (hp * wp)
+              + np.arange(kh)[:, None] * wp + np.arange(kw))
+    index = corner.reshape(-1, 1) + offset.reshape(1, -1)
+    index.flags.writeable = False
+    return index
+
+
 def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, pad: int) -> np.ndarray:
-    """Unfold ``x`` of shape (N, C, H, W) into (N*oh*ow, C*kh*kw) patches."""
+    """Unfold ``x`` of shape (N, C, H, W) into (N*oh*ow, C*kh*kw) patches.
+
+    Row ``n*oh*ow + oy*ow + ox`` holds the (C, kh, kw) window under output
+    pixel (oy, ox) of sample n, flattened row-major.  The matrix is one
+    ``take`` through :func:`patch_index` from the zero-padded input, so
+    its elements are exact copies of input elements and zeros.
+    """
+    n, c, h, w = x.shape
     kh, kw = kernel
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # windows: (N, C, oh, ow, kh, kw) -> (N, oh, ow, C, kh, kw)
-    n, c, oh, ow = windows.shape[:4]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols)
+        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad:pad + h, pad:pad + w] = x
+        x = padded
+    index = patch_index(c, h, w, kh, kw, stride, pad)
+    return x.reshape(n, -1).take(index, axis=1).reshape(-1, index.shape[1])
 
 
 def col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int],
            kernel: tuple[int, int], stride: int, pad: int) -> np.ndarray:
-    """Fold patch gradients back to an image gradient (inverse of im2col)."""
+    """Fold patch gradients back to an image gradient (adjoint of im2col).
+
+    Each image element sums its patch entries starting from ``+0.0`` in
+    ascending kernel offset (i, j) order — the order the result's
+    rounding is defined by.  The sum runs in a channels-last padded
+    buffer, which follows the patch matrix's (pixel, channel) row order;
+    the result is a fresh C-contiguous (N, C, H, W) array.
+    """
     n, c, h, w = x_shape
     kh, kw = kernel
-    hp, wp = h + 2 * pad, w + 2 * pad
     oh = _out_size(h, kh, stride, pad)
     ow = _out_size(w, kw, stride, pad)
-    cols = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    image = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+    patches = cols.reshape(n, oh, ow, c, kh, kw)
+    image = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
-            image[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i, j]
-    if pad:
-        image = image[:, :, pad:hp - pad, pad:wp - pad]
-    return image
+            image[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
+                patches[..., i, j]
+    return np.ascontiguousarray(
+        image[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2))
 
 
 # ----------------------------------------------------------------------

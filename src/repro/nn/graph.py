@@ -8,10 +8,14 @@ that replays it without any Python module dispatch.
 
 Three properties make it the reward-evaluation fast path:
 
-* **Buffer reuse.**  Every intermediate (im2col patches, GEMM outputs,
-  activations) lives in a shape-keyed :class:`_Arena`; buffers are
-  recycled the moment their last consumer has run and persist across
-  calls, so steady-state evaluation allocates nothing.
+* **Buffer reuse.**  Every intermediate (padded inputs, im2col patches,
+  GEMM outputs, activations) lives in a shape-keyed :class:`_Arena`;
+  buffers are recycled the moment their last consumer has run and
+  persist across calls, so steady-state evaluation allocates nothing.
+  Patches are gathered into their arena buffer with the eager
+  :func:`~repro.nn.functional.im2col`'s memoized index
+  (:func:`~repro.nn.functional.patch_index`), so the conv GEMM operand
+  is byte-identical to the eager one.
 * **Bit-exact by default.**  With ``fuse=False`` every node replays the
   eager op's exact numpy expression (same operands, same order, same
   dtype promotion, same memory layout where reductions could care), so
@@ -45,7 +49,7 @@ import time
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .functional import depthwise_windows
+from .functional import depthwise_windows, patch_index
 from .modules import (AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten,
                       GlobalAvgPool2d, Identity, Linear, MaxPool2d, Module,
                       ReLU, Sigmoid, Tanh, Upsample)
@@ -472,11 +476,13 @@ class GraphExecutor:
             padded[:, :, p:p + h, p:p + w] = x
         else:
             padded = x
-        windows = sliding_window_view(padded, (k, k),
-                                      axis=(2, 3))[:, :, ::s, ::s]
+        # The eager im2col's gather, written straight into the arena
+        # buffer (``clip``: the index is in range by construction, and
+        # ``take`` then fills ``out`` without an intermediate buffer).
+        index = patch_index(c, h, w, k, k, s, p)
         cols = arena.get((n * oh * ow, c * k * k), x.dtype)
-        cols.reshape(n, oh, ow, c, k, k)[...] = windows.transpose(
-            0, 2, 3, 1, 4, 5)
+        padded.reshape(n, -1).take(index, axis=1, mode="clip",
+                                   out=cols.reshape(n, oh * ow, -1))
         if p:
             arena.put(padded)
         if node.fused_weight is not None:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn import Tensor, check_gradients
 from repro.nn import functional as F
@@ -25,6 +26,149 @@ def naive_conv2d(x, w, b, stride, pad):
             if b is not None:
                 out[ni, fi] += b[fi]
     return out
+
+
+def reference_im2col(x, kernel, stride, pad):
+    """Window-view lowering: the exactness reference for ``F.im2col``."""
+    kh, kw = kernel
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    n, c, oh, ow = windows.shape[:4]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
+    return np.ascontiguousarray(cols)
+
+
+def reference_col2im(cols, x_shape, kernel, stride, pad):
+    """NCHW loop fold: the exactness reference for ``F.col2im``."""
+    n, c, h, w = x_shape
+    kh, kw = kernel
+    hp, wp = h + 2 * pad, w + 2 * pad
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    cols = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    image = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            image[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i, j]
+    if pad:
+        image = image[:, :, pad:hp - pad, pad:wp - pad]
+    return image
+
+
+def assert_bitwise_equal(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert actual.tobytes() == expected.tobytes()  # signed zeros too
+
+
+def layouts(x):
+    """``x`` C-contiguous and as a channels-last (NHWC-strided) view."""
+    return [x, np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)]
+
+
+def signed_zero_images(rng, shape, dtype):
+    x = rng.normal(size=shape).astype(dtype)
+    x[:, :, 0, ::2] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pad", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("kernel", [1, 2, 3, 5])
+class TestLoweringMatchesReference:
+    """The gather lowering reproduces the window-view/loop one bit for bit."""
+
+    shape = (3, 7, 9)          # C, H != W
+
+    def test_im2col(self, rng, kernel, stride, pad, dtype):
+        for batch in (1, 3):
+            images = signed_zero_images(rng, (batch, *self.shape), dtype)
+            for x in layouts(images):
+                cols = F.im2col(x, (kernel, kernel), stride, pad)
+                assert cols.flags.c_contiguous
+                assert_bitwise_equal(
+                    cols, reference_im2col(x, (kernel, kernel), stride, pad))
+
+    def test_col2im(self, rng, kernel, stride, pad, dtype):
+        c, h, w = self.shape
+        oh = (h + 2 * pad - kernel) // stride + 1
+        ow = (w + 2 * pad - kernel) // stride + 1
+        for batch in (1, 3):
+            cols = rng.normal(size=(batch * oh * ow, c * kernel * kernel)).astype(dtype)
+            cols[::3, ::2] = -0.0
+            image = F.col2im(cols, (batch, c, h, w), (kernel, kernel), stride, pad)
+            assert image.flags.c_contiguous
+            assert_bitwise_equal(image, reference_col2im(
+                cols, (batch, c, h, w), (kernel, kernel), stride, pad))
+
+    def test_patch_index_in_range(self, kernel, stride, pad, dtype):
+        c, h, w = self.shape
+        index = F.patch_index(c, h, w, kernel, kernel, stride, pad)
+        oh = (h + 2 * pad - kernel) // stride + 1
+        ow = (w + 2 * pad - kernel) // stride + 1
+        assert index.shape == (oh * ow, c * kernel * kernel)
+        assert index.min() >= 0
+        assert index.max() < c * (h + 2 * pad) * (w + 2 * pad)
+
+
+class TestConvOnReferenceLowering:
+    @pytest.mark.parametrize("kernel,stride,pad", [
+        (1, 1, 0), (2, 2, 0), (3, 1, 1), (3, 2, 1), (5, 1, 2), (5, 2, 2)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels_last", [False, True])
+    def test_forward_and_backward_bit_equal(self, monkeypatch, rng, kernel,
+                                            stride, pad, dtype, channels_last):
+        images = signed_zero_images(rng, (3, 3, 7, 9), dtype)
+        x_data = layouts(images)[channels_last]
+        w_data = rng.normal(size=(4, 3, kernel, kernel)).astype(dtype)
+        b_data = rng.normal(size=4).astype(dtype)
+        oh = (7 + 2 * pad - kernel) // stride + 1
+        ow = (9 + 2 * pad - kernel) // stride + 1
+        g = rng.normal(size=(3, 4, oh, ow)).astype(dtype)
+
+        def run():
+            x = Tensor(x_data, requires_grad=True)
+            w = Tensor(w_data, requires_grad=True)
+            b = Tensor(b_data, requires_grad=True)
+            out = F.conv2d(x, w, b, stride=stride, padding=pad)
+            out.backward(g)
+            return out.data, x.grad, w.grad, b.grad
+
+        lowered = run()
+        monkeypatch.setattr(F, "im2col", reference_im2col)
+        monkeypatch.setattr(F, "col2im", reference_col2im)
+        reference = run()
+        for actual, expected in zip(lowered, reference):
+            assert_bitwise_equal(actual, expected)
+            assert actual.strides == expected.strides
+
+
+class TestPatchIndex:
+    def test_read_only(self):
+        index = F.patch_index(2, 5, 6, 3, 3, 1, 1)
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0, 0] = 0
+
+    def test_memoized(self):
+        assert F.patch_index(2, 5, 6, 3, 3, 1, 1) is F.patch_index(2, 5, 6, 3, 3, 1, 1)
+
+    def test_cache_is_bounded(self):
+        maxsize = F.patch_index.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+        for c in range(1, maxsize + 9):
+            F.patch_index(c, 1, 1, 1, 1, 1, 0)
+        assert F.patch_index.cache_info().currsize == maxsize
+
+    def test_rows_are_patches(self):
+        # Row (oy, ox) of a 1-channel 2x2 kernel, stride 1, no padding
+        # reads the 2x2 window whose top-left pixel is (oy, ox).
+        index = F.patch_index(1, 3, 4, 2, 2, 1, 0)
+        assert index[0].tolist() == [0, 1, 4, 5]
+        assert index[5].tolist() == [6, 7, 10, 11]
 
 
 class TestIm2Col:

@@ -213,3 +213,24 @@ class TestUpsample:
         x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
         F.upsample_nearest(x, 2).sum().backward()
         assert np.allclose(x.grad, 4.0)
+
+
+class TestDtypeFlow:
+    """float32 activations become float64 at the first BatchNorm.
+
+    ``var + eps`` (eval) and ``Tensor.mean``'s ``/ float(count)`` (train)
+    combine float32 data with a 0-d float64 array, which NumPy >= 2
+    promotes to float64 (NEP 50); NumPy 1.x kept float32.  The graph
+    executor's dtype replication, the benchmark digests and the committed
+    ``BENCH_reinforce.json`` all assume the float64 flow.
+    """
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_float32_images_give_float64_logits(self, training):
+        rng = make_rng()
+        conv = Conv2d(3, 4, 3, padding=1, rng=rng)
+        model = Sequential(conv, BatchNorm2d(4), ReLU(), GlobalAvgPool2d(),
+                           Linear(4, 2, rng=rng)).train(training)
+        images = Tensor(rng.normal(size=(2, 3, 6, 6)).astype(np.float32))
+        assert conv(images).dtype == np.float32
+        assert model(images).dtype == np.float64
