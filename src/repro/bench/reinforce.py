@@ -1,9 +1,9 @@
 """Microbenchmark: reward fast-path on the synthetic CIFAR-100 scenario.
 
 Runs the same HeadStart layer-pruning job once per evaluation variant —
-reward memoization off, on, the static-graph executor (unfused, and
-fused+mask-batch), plus the compressed masked forward in full mode —
-and reports, per variant:
+eager reward evaluation with memoization off and on, and the
+static-graph executor (unfused, and fused+mask-batch) — and reports,
+per variant:
 
 * reward evaluations *requested* by the REINFORCE loop vs the
   *invocations* that actually hit the masked calibration evaluation
@@ -13,7 +13,7 @@ and reports, per variant:
   from the dense masked forward, measured on float64-cast calibration
   inputs so fusion arithmetic is isolated from input-precision rounding
   (first-class, per the drift contract: 0.0 for dense/cached/unfused
-  graph, ~1e-10 for compressed, ~1e-8 for fused graph —
+  graph, ~1e-8 for fused graph —
   :func:`~repro.bench.schema.validate_bench` fails the report when the
   fused drift exceeds 1e-6 or a bit-exact variant drifts at all);
 * end-to-end layer-pruning wall-clock.
@@ -86,17 +86,17 @@ def _numeric_drift(original, task, options) -> float:
     """Worst |logit| deviation of the variant's masked forward vs dense.
 
     Measured on float64-cast calibration images so the only rounding in
-    play is the variant's own arithmetic (BN-fold, fused ReLU, or the
-    compressed gather), not input-precision noise.  The reference is the
-    dense eager ``channel_mask`` forward with a fixed keep-every-other
-    mask on the first prunable unit — the exact comparison CI's
-    determinism gates make, distilled to one number.
+    play is the variant's own arithmetic (BN-fold, fused ReLU), not
+    input-precision noise.  The reference is the dense eager
+    ``channel_mask`` forward with a fixed keep-every-other mask on the
+    first prunable unit — the exact comparison CI's determinism gates
+    make, distilled to one number.
     """
     from ..nn import Tensor, no_grad
     from ..nn.graph import compile as graph_compile
-    from ..pruning.surgery import channel_mask, compressed_mask
+    from ..pruning.surgery import channel_mask
 
-    if not options.graph and not options.compressed:
+    if not options.graph:
         return 0.0     # dense paths ARE the reference, by construction
     original.eval()    # BN running stats: what every eval path uses
     unit = original.prune_units()[0]
@@ -105,15 +105,11 @@ def _numeric_drift(original, task, options) -> float:
     images = task.train.images.astype(np.float64)
     with channel_mask(unit, mask), no_grad():
         reference = original(Tensor(images)).data
-    if options.compressed:
-        with compressed_mask(unit, mask), no_grad():
-            logits = original(Tensor(images)).data
-    else:
-        executor = graph_compile(original, Tensor(images[:1]),
-                                 fuse=options.fused,
-                                 mask_batch=options.mask_batch)
-        executor.set_mask_unit(unit.conv, unit.bn)
-        logits = executor.masked_logits(images, [mask])[0]
+    executor = graph_compile(original, Tensor(images[:1]),
+                             fuse=options.fused,
+                             mask_batch=options.mask_batch)
+    executor.set_mask_unit(unit.conv, unit.bn)
+    logits = executor.masked_logits(images, [mask])[0]
     return float(np.max(np.abs(logits - reference)))
 
 
@@ -196,13 +192,13 @@ def run_reinforce_bench(quick: bool = False, seed: int = 0) -> dict:
 
     variants: dict[str, dict] = {}
     states: dict[str, dict] = {}
-    plans = [("uncached", EvalOptions(cache=False)),
-             ("cached", EvalOptions())]
-    if not quick:
-        plans.append(("cached_compressed", EvalOptions(compressed=True)))
-    plans += [("graph", EvalOptions(graph=True)),
-              ("graph_fused", EvalOptions(graph=True, fused=True,
-                                          mask_batch=True))]
+    # The dense variants pin graph=False: they are the eager reference
+    # every other variant (and the committed baseline) is compared with.
+    plans = [("uncached", EvalOptions(cache=False, graph=False)),
+             ("cached", EvalOptions(graph=False)),
+             ("graph", EvalOptions(graph=True)),
+             ("graph_fused", EvalOptions(graph=True, fused=True,
+                                         mask_batch=True))]
     for name, options in plans:
         variants[name], states[name] = _run_variant(
             scenario, task, original, options=options)

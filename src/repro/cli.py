@@ -212,47 +212,15 @@ def _journaled_run(runner, args):
 
 
 def _eval_options(args) -> EvalOptions:
-    """The ``--eval-*`` group resolved to an :class:`EvalOptions`.
-
-    The scattered pre-redesign flags (``--cache-size``/``--workers``/
-    ``--task-seconds``/``--task-retries``/``--compressed-eval``) are
-    still honoured with a deprecation notice; an explicit ``--eval-*``
-    spelling wins over its old counterpart.
-    """
-    deprecated: list[str] = []
-
-    def pick(new, old, default, flag):
-        if new is not None:
-            return new
-        if old is not None:
-            deprecated.append(flag)
-            return old
-        return default
-
-    mode = args.eval_mode
-    if mode is None:
-        if args.compressed_eval:
-            deprecated.append("--compressed-eval")
-            mode = "compressed"
-        else:
-            mode = "dense"
-    options = EvalOptions(
-        cache=args.eval_cache,
-        cache_size=pick(args.eval_cache_size, args.cache_size, 256,
-                        "--cache-size"),
-        compressed=mode == "compressed",
-        graph=mode == "graph",
-        fused=args.eval_fused,
-        mask_batch=args.eval_mask_batch,
-        workers=pick(args.eval_workers, args.workers, 0, "--workers"),
-        task_seconds=pick(args.eval_task_seconds, args.task_seconds, None,
-                          "--task-seconds"),
-        task_retries=pick(args.eval_task_retries, args.task_retries, 2,
-                          "--task-retries"))
-    if deprecated:
-        print(f"warning: {', '.join(deprecated)} deprecated; use the "
-              "--eval-* flags (repro prune --help)", file=sys.stderr)
-    return options
+    """The ``--eval-*`` group resolved to an :class:`EvalOptions`."""
+    return EvalOptions(cache=args.eval_cache,
+                       cache_size=args.eval_cache_size,
+                       graph=args.eval_mode == "graph",
+                       fused=args.eval_fused,
+                       mask_batch=args.eval_mask_batch,
+                       workers=args.eval_workers,
+                       task_seconds=args.eval_task_seconds,
+                       task_retries=args.eval_task_retries)
 
 
 def _cmd_prune(args) -> int:
@@ -901,51 +869,49 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluation fast path",
         "how candidate-mask rewards are computed; every knob is "
         "performance-only (see docs/PERFORMANCE.md)")
-    evalgrp.add_argument("--eval-mode",
-                         choices=("dense", "compressed", "graph"),
-                         default=None,
-                         help="dense: eager masked forward (default); "
-                              "compressed: physically skip masked channels "
-                              "(~1e-10 vs dense); graph: static-graph "
-                              "executor with per-layer prefix caching "
-                              "(bit-for-bit identical unless --eval-fused)")
+    # Defaults come from EvalOptions, so they are stated in one place.
+    defaults = EvalOptions()
+    evalgrp.add_argument("--eval-mode", choices=("dense", "graph"),
+                         default=defaults.mode,
+                         help="graph: static-graph executor with per-layer "
+                              "prefix caching, bit-for-bit identical to "
+                              "dense unless --eval-fused; dense: the eager "
+                              "masked forward, graph's reference and "
+                              "fallback (default: %(default)s)")
     evalgrp.add_argument("--eval-cache",
-                         action=argparse.BooleanOptionalAction, default=True,
+                         action=argparse.BooleanOptionalAction,
+                         default=defaults.cache,
                          help="memoize reward evaluations on the exact "
                               "action mask (bit-for-bit identical results; "
                               "--no-eval-cache disables)")
-    evalgrp.add_argument("--eval-cache-size", type=int, default=None,
+    evalgrp.add_argument("--eval-cache-size", type=int,
+                         default=defaults.cache_size,
                          help="eval-cache capacity in distinct masks per "
-                              "layer (0 = unbounded; default 256)")
+                              "layer (0 = unbounded; default %(default)s)")
     evalgrp.add_argument("--eval-fused", action="store_true",
+                         default=defaults.fused,
                          help="graph mode only: fold BatchNorm into conv "
                               "weights and fuse trailing ReLUs (~1e-8 vs "
                               "dense)")
     evalgrp.add_argument("--eval-mask-batch", action="store_true",
+                         default=defaults.mask_batch,
                          help="graph mode only: score each iteration's "
                               "candidate masks in one folded-batch forward")
-    evalgrp.add_argument("--eval-workers", type=int, default=None,
+    evalgrp.add_argument("--eval-workers", type=int,
+                         default=defaults.workers,
                          help="evaluate rewards on this many supervised "
                               "worker processes (0 = in-process serial; "
                               "results are bitwise-identical either way)")
-    evalgrp.add_argument("--eval-task-seconds", type=float, default=None,
+    evalgrp.add_argument("--eval-task-seconds", type=float,
+                         default=defaults.task_seconds,
                          help="wall-clock timeout per pooled evaluation; a "
                               "worker that exceeds it is killed and the "
                               "task retried (default: no timeout)")
-    evalgrp.add_argument("--eval-task-retries", type=int, default=None,
+    evalgrp.add_argument("--eval-task-retries", type=int,
+                         default=defaults.task_retries,
                          help="retries per pooled evaluation before that "
                               "task degrades to in-process serial "
-                              "(default 2)")
-    evalgrp.add_argument("--cache-size", type=int, default=None,
-                         help="deprecated alias of --eval-cache-size")
-    evalgrp.add_argument("--workers", type=int, default=None,
-                         help="deprecated alias of --eval-workers")
-    evalgrp.add_argument("--task-seconds", type=float, default=None,
-                         help="deprecated alias of --eval-task-seconds")
-    evalgrp.add_argument("--task-retries", type=int, default=None,
-                         help="deprecated alias of --eval-task-retries")
-    evalgrp.add_argument("--compressed-eval", action="store_true",
-                         help="deprecated alias of --eval-mode compressed")
+                              "(default %(default)s)")
     prune.add_argument("--out", default=None)
     prune.set_defaults(handler=_cmd_prune)
 

@@ -6,6 +6,12 @@ per-feature-map keep decisions, the reward is ``R(A) = ACC - SPD``
 (Eq. 2-4) measured by masking the unit and evaluating a calibration
 batch, and the returned inception is the best candidate re-scored on the
 full calibration set.
+
+The agent picks the driver's evaluator from ``config.eval``: the static
+graph executor's masked scoring (the default), the eager
+``channel_mask`` forward when the model cannot be traced or
+``graph=False``, and either of them behind a worker pool's ``map`` when
+``workers > 0``.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from ..nn.graph import compile as graph_compile
 from ..nn.modules import Module
 from ..nn.tensor import Tensor
 from ..obs import get_recorder
-from ..pruning.surgery import channel_mask, compressed_mask
+from ..pruning.surgery import channel_mask
 from ..pruning.units import ConvUnit
 from ..training import evaluate
 from .config import HeadStartConfig
@@ -97,12 +103,11 @@ class LayerAgent:
     def _build_graph(self):
         """Compile the model once for this layer, or fall back to eager.
 
-        A model the tracer cannot express (data-dependent control flow,
-        an active compressed-eval gate) raises
-        :class:`~repro.nn.graph.GraphTraceError`; the agent then keeps
-        the eager path and journals nothing — the ``graph/*`` counters
-        are operational, so a fallen-back run still diffs clean against
-        an eager one.
+        A model the tracer cannot express (data-dependent control flow)
+        raises :class:`~repro.nn.graph.GraphTraceError`; the agent then
+        keeps the eager path and journals nothing — the ``graph/*``
+        counters are operational, so a fallen-back run still diffs clean
+        against an eager one.
         """
         rec = get_recorder()
         try:
@@ -120,79 +125,56 @@ class LayerAgent:
                     layer=self.unit.name, nodes=executor.num_nodes)
         return executor
 
-    def _masked_accuracy(self, action: np.ndarray,
-                         full: bool = False) -> float:
+    def _accuracies(self, masks: list[np.ndarray],
+                    full: bool = False) -> list[float]:
+        """Masked calibration accuracy of each mask, in order.
+
+        The graph executor scores one mask per call — the eager path's
+        granularity, so per-evaluation counts and timings compare one
+        to one — unless ``eval.mask_batch`` folds them into one forward.
+        """
         images = self.full_images if full else self.images
         labels = self.full_labels if full else self.labels
-        if self._graph is not None:
-            # Distinct prefix-cache keys: the batch and full calibration
-            # sets feed different boundary activations.
-            key = f"{self.unit.name}@{'full' if full else 'batch'}"
-            return float(self._graph.masked_accuracy(
-                images, labels, [np.asarray(action) > 0.5], key=key)[0])
-        masker = compressed_mask if self.config.eval.compressed \
-            else channel_mask
-        with masker(self.unit, action.astype(bool)):
-            return evaluate(self.model, images, labels)
+        masks = [np.asarray(mask) > 0.5 for mask in masks]
+        if self._graph is None:
+            accuracies = []
+            for mask in masks:
+                with channel_mask(self.unit, mask):
+                    accuracies.append(evaluate(self.model, images, labels))
+            return accuracies
+        # Distinct prefix-cache keys: the batch and full calibration sets
+        # feed different boundary activations.
+        key = f"{self.unit.name}@{'full' if full else 'batch'}"
+        calls = [masks] if self.config.eval.mask_batch \
+            else [[mask] for mask in masks]
+        return [float(accuracy) for call in calls
+                for accuracy in self._graph.masked_accuracy(
+                    images, labels, call, key=key)]
 
-    def _reward(self, action: np.ndarray, original_accuracy: float,
-                full: bool = False) -> float:
-        accuracy = self._masked_accuracy(action, full=full)
-        return compute_reward(accuracy, original_accuracy, action,
-                              self.config.speedup,
-                              acc_weight=self.config.acc_weight,
-                              spd_weight=self.config.spd_weight)
+    def _evaluator(self, original_accuracy: float, full: bool = False):
+        """The driver's list-of-masks -> list-of-rewards callable."""
+        config = self.config
 
-    def _batch_reward_fn(self, original_accuracy: float):
-        """List-of-actions reward evaluator over the graph executor.
+        def rewards(actions: list[np.ndarray]) -> list[float]:
+            return [compute_reward(accuracy, original_accuracy, action,
+                                   config.speedup,
+                                   acc_weight=config.acc_weight,
+                                   spd_weight=config.spd_weight)
+                    for accuracy, action in
+                    zip(self._accuracies(actions, full=full), actions)]
+        return rewards
 
-        Plugs into :attr:`ReinforceDriver.batch_reward_fn`: the driver
-        hands over each iteration's deduped cache misses and the
-        executor scores them through one shared boundary prefix (and,
-        with ``eval.mask_batch``, one folded suffix forward).  Values
-        agree with :meth:`_reward` — both paths run the same suffix
-        kernels per mask.
-        """
-        def batch_rewards(actions: list[np.ndarray]) -> list[float]:
-            masks = [np.asarray(action) > 0.5 for action in actions]
-            accuracies = self._graph.masked_accuracy(
-                self.images, self.labels, masks,
-                key=f"{self.unit.name}@batch")
-            return [compute_reward(float(accuracy), original_accuracy,
-                                   action, self.config.speedup,
-                                   acc_weight=self.config.acc_weight,
-                                   spd_weight=self.config.spd_weight)
-                    for accuracy, action in zip(accuracies, actions)]
-        return batch_rewards
+    def _build_pool(self, evaluate_batch, evaluate_full):
+        """A supervised :class:`~repro.runtime.pool.EvalPool`.
 
-    def _reward_fns(self, original_accuracy: float):
-        """The (iteration, finalist) reward callables, cache-wrapped.
-
-        Each run gets *fresh* caches scoped to this layer's current
-        model state; the batch and full-set rewards never share entries
-        (same mask, different data — different value).  Returns the
-        pair plus the iteration cache (or ``None``) for stats.
-        """
-        reward_fn = lambda action: self._reward(action, original_accuracy)
-        final_fn = lambda action: self._reward(action, original_accuracy,
-                                               full=True)
-        cache = None
-        if self.config.eval.cache:
-            cache = EvalCache(reward_fn, maxsize=self.config.eval.cache_size,
-                              scope=self.unit.name)
-            reward_fn = cache
-        return reward_fn, final_fn, cache
-
-    def _build_pool(self, reward_fn, final_fn, cache):
-        """A supervised :class:`~repro.runtime.pool.EvalPool`, or ``None``.
-
-        The pool gets the *raw* reward function — worker processes keep
-        their own private caches; the parent cache stays authoritative
-        and only ever sees values through the driver's lookup/insert
+        Workers score one action per task with the in-process
+        evaluators (graph or eager — they fork after compilation) and
+        keep private caches; the parent cache stays authoritative and
+        only ever sees values through the driver's lookup/insert
         sequence.  Calibration arrays are moved into shared memory
-        first, so the workers forked by the pool constructor map one
-        copy of the data.  Returns ``(pool, shared, originals)`` for the
-        caller's finally-block to unwind.
+        first, so the forked workers map one copy of the data.  Returns
+        ``(pool, shared, originals)`` for the caller's finally-block to
+        unwind.
         """
         from ..runtime.pool import EvalPool, SharedArrays
         shared = SharedArrays(images=self.images, labels=self.labels,
@@ -204,8 +186,8 @@ class LayerAgent:
         self.labels = shared["labels"]
         self.full_images = shared["full_images"]
         self.full_labels = shared["full_labels"]
-        raw_fn = cache.reward_fn if cache is not None else reward_fn
-        pool = EvalPool({"batch": raw_fn, "final": final_fn},
+        pool = EvalPool({"batch": lambda action: evaluate_batch([action])[0],
+                         "final": lambda action: evaluate_full([action])[0]},
                         workers=self.config.eval.workers,
                         task_seconds=self.config.eval.task_seconds,
                         task_retries=self.config.eval.task_retries,
@@ -221,21 +203,24 @@ class LayerAgent:
         if self.config.eval.graph:
             self._graph = self._build_graph()
         original_accuracy = evaluate(self.model, self.images, self.labels)
-        reward_fn, final_fn, cache = self._reward_fns(original_accuracy)
+        evaluate_batch = self._evaluator(original_accuracy)
+        evaluate_full = self._evaluator(original_accuracy, full=True)
+        # A fresh cache per run, scoped to this layer's current model
+        # state; finalists (full calibration set) are never cached.
+        cache = None
+        if self.config.eval.cache:
+            cache = EvalCache(maxsize=self.config.eval.cache_size,
+                              scope=self.unit.name)
         pool = shared = originals = None
         if self.config.eval.workers > 0:
-            pool, shared, originals = self._build_pool(reward_fn, final_fn,
-                                                       cache)
-        batch_fn = None
-        if self._graph is not None and pool is None:
-            batch_fn = self._batch_reward_fn(original_accuracy)
+            pool, shared, originals = self._build_pool(evaluate_batch,
+                                                       evaluate_full)
+            evaluate_batch = lambda actions: pool.map(actions, fn="batch")
+            evaluate_full = lambda actions: pool.map(actions, fn="final")
         try:
-            driver = ReinforceDriver(
-                self.policy, reward_fn=reward_fn,
-                config=self.config, rng=self.rng,
-                final_reward_fn=final_fn, pool=pool,
-                batch_reward_fn=batch_fn)
-            outcome = driver.run()
+            outcome = ReinforceDriver(
+                self.policy, evaluate_batch, self.config, self.rng,
+                final_evaluate=evaluate_full, cache=cache).run()
         finally:
             if pool is not None:
                 pool.close()
@@ -261,6 +246,5 @@ class LayerAgent:
             iterations=outcome.iterations,
             reward_history=outcome.reward_history,
             loss_history=outcome.loss_history,
-            inception_accuracy=self._masked_accuracy(
-                keep_mask.astype(np.float64)),
+            inception_accuracy=self._accuracies([keep_mask])[0],
             cache_stats=cache_stats)

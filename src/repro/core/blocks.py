@@ -105,28 +105,46 @@ class BlockHeadStart(SteppedEngineBase):
             raise ValueError("model has no droppable residual blocks")
         self.total_blocks = sum(model.blocks_per_group)
         self.forced_keep = self.total_blocks - len(self.droppable)
-        self.policy = HeadStartNetwork(len(self.droppable),
-                                       noise_size=config.noise_size,
-                                       hidden_channels=config.hidden_channels,
-                                       keep_ratio=1.0 / config.speedup,
-                                       rng=self.rng)
+        self.policy = self._new_policy(config, self.rng)
+
+    def _new_policy(self, config: HeadStartConfig,
+                    rng: np.random.Generator) -> HeadStartNetwork:
+        return HeadStartNetwork(len(self.droppable),
+                                noise_size=config.noise_size,
+                                hidden_channels=config.hidden_channels,
+                                keep_ratio=1.0 / config.speedup, rng=rng)
 
     # -- reward ----------------------------------------------------------
-    def _masked_accuracy(self, action: np.ndarray,
-                         full: bool = False) -> float:
+    def _accuracies(self, actions: list[np.ndarray],
+                    full: bool = False) -> list[float]:
+        """Calibration accuracy with each action's blocks bypassed."""
         images = self.full_images if full else self.images
         labels = self.full_labels if full else self.labels
-        with bypass_blocks(self.model, self.droppable, action):
-            return evaluate(self.model, images, labels)
+        accuracies = []
+        for action in actions:
+            with bypass_blocks(self.model, self.droppable, action):
+                accuracies.append(evaluate(self.model, images, labels))
+        return accuracies
 
-    def _reward(self, action: np.ndarray, original_accuracy: float,
-                full: bool = False) -> float:
-        kept_blocks = self.forced_keep + int(np.count_nonzero(action))
-        spd = abs(self.total_blocks / max(kept_blocks, 1)
-                  - self.config.speedup)
-        accuracy = self._masked_accuracy(action, full=full)
-        return self.config.acc_weight * acc_term(accuracy, original_accuracy) \
-            - self.config.spd_weight * spd
+    def _evaluator(self, config: HeadStartConfig, original_accuracy: float,
+                   full: bool = False):
+        """The driver's list-of-actions -> list-of-rewards callable.
+
+        Graph eval does not apply here: block bypass rewires whole
+        residual blocks, which the traced unit-mask split cannot
+        express, so every reward is an eager forward.
+        """
+        def rewards(actions: list[np.ndarray]) -> list[float]:
+            values = []
+            for accuracy, action in zip(self._accuracies(actions, full),
+                                        actions):
+                kept = self.forced_keep + int(np.count_nonzero(action))
+                spd = abs(self.total_blocks / max(kept, 1) - config.speedup)
+                values.append(config.acc_weight
+                              * acc_term(accuracy, original_accuracy)
+                              - config.spd_weight * spd)
+            return values
+        return rewards
 
     # -- keep pattern helpers ----------------------------------------------
     def keep_mask_by_group(self, action: np.ndarray) -> list[list[bool]]:
@@ -151,46 +169,43 @@ class BlockHeadStart(SteppedEngineBase):
                 policy: HeadStartNetwork) -> BlockAgentResult:
         """Train ``policy`` with the shared REINFORCE driver.
 
-        Factored out of :meth:`run` so the stepped protocol can retry
-        with a *fresh* policy/rng pair (reseeded by the retry config)
-        without perturbing the instance-level ones.
+        One ``pruner.run`` span with the ``block/*`` gauges, shared by
+        :meth:`run` and the stepped protocol, which retries with a
+        *fresh* policy/rng pair (reseeded by the retry config) without
+        perturbing the instance-level ones.
         """
-        original_accuracy = evaluate(self.model, self.images, self.labels)
-        reward_fn = lambda action: self._reward(action, original_accuracy)
-        if config.eval.cache:
-            # Block rewards are pure in the action for a fixed model
-            # (bypass_blocks restores the wiring), so the same exact-mask
-            # memoization the layer agent uses applies verbatim.  Graph
-            # eval does not apply here: block bypass rewires whole
-            # residual blocks, which the traced unit-mask split cannot
-            # express.
-            reward_fn = EvalCache(reward_fn, maxsize=config.eval.cache_size,
-                                  scope="blocks")
-        driver = ReinforceDriver(
-            policy, reward_fn=reward_fn,
-            config=config, rng=rng,
-            final_reward_fn=lambda action: self._reward(
-                action, original_accuracy, full=True))
-        outcome = driver.run()
-        action = outcome.action
-        return BlockAgentResult(
-            keep_action=action.astype(bool),
-            probabilities=outcome.probabilities,
-            iterations=outcome.iterations,
-            reward_history=outcome.reward_history,
-            loss_history=outcome.loss_history,
-            inception_accuracy=self._masked_accuracy(action),
-            blocks_per_group=self.blocks_per_group(action))
-
-    def run(self) -> BlockAgentResult:
-        """Train the block policy until the reward stabilises."""
         rec = get_recorder()
         with rec.span("pruner.run", engine="block",
                       droppable=len(self.droppable)):
-            result = self._search(self.config, self.rng, self.policy)
+            original_accuracy = evaluate(self.model, self.images,
+                                         self.labels)
+            # Block rewards are pure in the action for a fixed model
+            # (bypass_blocks restores the wiring), so the layer agent's
+            # exact-mask memoization applies verbatim.
+            cache = EvalCache(maxsize=config.eval.cache_size,
+                              scope="blocks") if config.eval.cache else None
+            outcome = ReinforceDriver(
+                policy, self._evaluator(config, original_accuracy),
+                config, rng,
+                final_evaluate=self._evaluator(config, original_accuracy,
+                                               full=True),
+                cache=cache).run()
+            action = outcome.action
+            result = BlockAgentResult(
+                keep_action=action.astype(bool),
+                probabilities=outcome.probabilities,
+                iterations=outcome.iterations,
+                reward_history=outcome.reward_history,
+                loss_history=outcome.loss_history,
+                inception_accuracy=self._accuracies([action])[0],
+                blocks_per_group=self.blocks_per_group(action))
             rec.gauge("block/kept_blocks", sum(result.blocks_per_group))
             rec.gauge("block/inception_accuracy", result.inception_accuracy)
         return result
+
+    def run(self) -> BlockAgentResult:
+        """Train the block policy until the reward stabilises."""
+        return self._search(self.config, self.rng, self.policy)
 
     # -- stepped protocol (driven by repro.runtime.harness) -----------------
     def steps(self) -> list[StepSpec]:
@@ -201,17 +216,7 @@ class BlockHeadStart(SteppedEngineBase):
     def run_step(self, spec: StepSpec, state: StepState) -> StepOutcome:
         config = state.config_override or self.config
         rng = np.random.default_rng(config.seed)
-        policy = HeadStartNetwork(len(self.droppable),
-                                  noise_size=config.noise_size,
-                                  hidden_channels=config.hidden_channels,
-                                  keep_ratio=1.0 / config.speedup,
-                                  rng=rng)
-        rec = get_recorder()
-        with rec.span("pruner.run", engine="block",
-                      droppable=len(self.droppable)):
-            result = self._search(config, rng, policy)
-            rec.gauge("block/kept_blocks", sum(result.blocks_per_group))
-            rec.gauge("block/inception_accuracy", result.inception_accuracy)
+        result = self._search(config, rng, self._new_policy(config, rng))
         keep = self.keep_mask_by_group(result.keep_action)
         return StepOutcome(
             payload={"keep": [[bool(flag) for flag in group]

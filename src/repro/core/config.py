@@ -9,22 +9,16 @@ iterations; the convergence criterion ("nearly constant loss and
 reward") is the paper's.
 
 Evaluation acceleration lives in one place: :class:`EvalOptions` on
-``HeadStartConfig.eval`` gathers every reward-eval fast-path knob that
-accumulated across PRs 4-6 (memoization, compressed masked forward,
-worker pool) plus the static-graph executor of :mod:`repro.nn.graph`.
-The old flat fields (``eval_cache``/``cache_size``/``compressed_eval``/
-``workers``/``task_seconds``/``task_retries``) still work everywhere —
-construction and attribute reads — but emit :class:`DeprecationWarning`;
-``graph_eval`` is a non-deprecated convenience alias for
-``eval.graph``.  Resume digests are unchanged across spellings:
-:func:`resume_relevant` strips the whole ``eval`` block alongside the
-legacy flat names.
+``HeadStartConfig.eval`` holds every reward-eval knob — memoization,
+the static-graph executor of :mod:`repro.nn.graph` (on by default) and
+the worker pool.  Resume digests ignore all of them:
+:func:`resume_relevant` strips the ``eval`` block, and the flat names
+configs were journaled with before the block existed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 __all__ = ["EvalOptions", "HeadStartConfig", "PERF_FIELDS",
@@ -35,28 +29,14 @@ __all__ = ["EvalOptions", "HeadStartConfig", "PERF_FIELDS",
 #: (:func:`resume_relevant`) so a journaled run may be resumed with
 #: caching toggled or resized — the fast path is bit-for-bit equivalent
 #: by contract (``tests/test_evalcache.py``, ``tests/test_graph.py``),
-#: except ``compressed`` (~1e-10 vs dense) and ``fused`` graph eval
-#: (~1e-8 vs dense); those are still excluded because both paths round
-#: identically often enough for accuracy-based rewards, and flipping
-#: them mid-run is an operator decision, not a config change.  The flat
-#: names cover configs journaled before the ``eval`` block existed, so
-#: old and new spellings hash identically.
+#: except ``fused`` and ``mask_batch`` graph eval (~1e-8 and last-ulp
+#: vs dense), which are still excluded because they round identically
+#: often enough for accuracy-based rewards, and flipping them mid-run
+#: is an operator decision, not a config change.  The flat names are
+#: the spellings configs were journaled with before the ``eval`` block
+#: existed; stripping them keeps those journals hashing equal.
 PERF_FIELDS = ("eval_cache", "cache_size", "compressed_eval",
                "workers", "task_seconds", "task_retries", "eval")
-
-#: Old flat ``HeadStartConfig`` spelling -> :class:`EvalOptions` field.
-#: ``graph_eval`` is an alias, not a deprecation: it is the documented
-#: gate for the static-graph executor.
-_LEGACY_EVAL_FIELDS = {
-    "eval_cache": "cache",
-    "cache_size": "cache_size",
-    "compressed_eval": "compressed",
-    "graph_eval": "graph",
-    "workers": "workers",
-    "task_seconds": "task_seconds",
-    "task_retries": "task_retries",
-}
-_DEPRECATED_EVAL_FIELDS = frozenset(_LEGACY_EVAL_FIELDS) - {"graph_eval"}
 
 
 def resume_relevant(config) -> dict:
@@ -65,8 +45,7 @@ def resume_relevant(config) -> dict:
     Accepts any dataclass; fields named in :data:`PERF_FIELDS` are
     dropped so two runs differing only in evaluation acceleration hash
     equal and may resume each other's journals — including a run
-    journaled with the old flat fields resumed by a config spelling the
-    same knobs as ``eval=EvalOptions(...)``.
+    journaled before the ``eval`` block existed.
     """
     if dataclasses.is_dataclass(config) and not isinstance(config, type):
         fields = dataclasses.asdict(config)
@@ -81,12 +60,12 @@ def resume_relevant(config) -> dict:
 
 @dataclass(frozen=True)
 class EvalOptions:
-    """Every reward-evaluation fast-path knob, in one object.
+    """Every reward-evaluation knob, in one object.
 
     All options are performance-only (:data:`PERF_FIELDS`): they change
     how fast rewards are computed, never which pruning decisions a run
     makes — exactly (``cache``, ``workers``, unfused ``graph``) or to
-    documented drift (``compressed`` ~1e-10, ``fused`` ~1e-8).
+    documented drift (``fused`` ~1e-8, ``mask_batch``).
 
     Attributes
     ----------
@@ -97,18 +76,15 @@ class EvalOptions:
     cache_size:
         LRU bound on distinct masks each per-layer cache retains
         (0 disables the bound).
-    compressed:
-        Evaluate masked rewards with the compressed forward
-        (:func:`repro.pruning.surgery.compressed_mask`) that physically
-        skips dropped channels.  ~1e-10 vs dense; mutually exclusive
-        with ``graph``.
     graph:
         Evaluate rewards through the static-graph executor
         (:func:`repro.nn.compile`): the model is traced once per layer
         agent, masks are applied at the traced unit's boundary, and the
         layers *before* the masked unit are computed once and cached
         across every candidate mask.  Unfused graph eval is bit-for-bit
-        identical to the dense eager path.
+        identical to the eager masked forward, which stays the automatic
+        fallback for untraceable models and the reference that
+        ``graph=False`` selects.
     fused:
         Fold BatchNorm into the preceding conv's weights and absorb
         trailing ReLUs into conv/linear epilogues at trace time
@@ -130,8 +106,7 @@ class EvalOptions:
 
     cache: bool = True
     cache_size: int = 256
-    compressed: bool = False
-    graph: bool = False
+    graph: bool = True
     fused: bool = False
     mask_batch: bool = False
     workers: int = 0
@@ -141,9 +116,6 @@ class EvalOptions:
     def __post_init__(self):
         if self.cache_size < 0:
             raise ValueError("cache_size must be >= 0 (0 means unbounded)")
-        if self.compressed and self.graph:
-            raise ValueError("compressed and graph eval are mutually "
-                             "exclusive (pick --eval-mode)")
         if self.fused and not self.graph:
             raise ValueError("fused eval requires graph eval")
         if self.mask_batch and not self.graph:
@@ -157,12 +129,8 @@ class EvalOptions:
 
     @property
     def mode(self) -> str:
-        """The ``--eval-mode`` name: ``dense``/``compressed``/``graph``."""
-        if self.graph:
-            return "graph"
-        if self.compressed:
-            return "compressed"
-        return "dense"
+        """The ``--eval-mode`` name: ``graph`` or ``dense``."""
+        return "graph" if self.graph else "dense"
 
 
 @dataclass(frozen=True)
@@ -230,11 +198,7 @@ class HeadStartConfig:
     eval:
         Evaluation fast-path settings (:class:`EvalOptions`); accepts
         an ``EvalOptions`` or an equivalent plain dict (the journaled
-        form).  The old flat constructor arguments and attribute reads
-        (``eval_cache``/``cache_size``/``compressed_eval``/``workers``/
-        ``task_seconds``/``task_retries``) still work but are
-        deprecated; ``graph_eval`` is the supported shorthand for
-        ``eval.graph``.
+        form).
     """
 
     speedup: float = 2.0
@@ -280,54 +244,3 @@ class HeadStartConfig:
         elif not isinstance(self.eval, EvalOptions):
             raise TypeError("eval must be an EvalOptions (or its dict form)")
 
-
-def _install_legacy_eval_shims(cls) -> None:
-    """Back-compat for the pre-``EvalOptions`` flat config surface.
-
-    Wraps the generated ``__init__`` so the old keyword arguments are
-    accepted (with a :class:`DeprecationWarning`, merged into ``eval``
-    after any explicit ``eval=`` value), and attaches read properties so
-    ``config.eval_cache`` etc. keep answering.  Installed post-class
-    rather than via ``InitVar`` so :func:`dataclasses.replace` neither
-    requires the legacy names nor re-triggers the warning.
-    """
-    dataclass_init = cls.__init__
-
-    def __init__(self, *args, **kwargs):
-        overrides = {}
-        deprecated = []
-        for old, new in _LEGACY_EVAL_FIELDS.items():
-            if old in kwargs:
-                overrides[new] = kwargs.pop(old)
-                if old in _DEPRECATED_EVAL_FIELDS:
-                    deprecated.append(old)
-        if deprecated:
-            warnings.warn(
-                f"HeadStartConfig({', '.join(sorted(deprecated))}) is "
-                "deprecated; pass eval=EvalOptions(...) instead "
-                "(see docs/PERFORMANCE.md)",
-                DeprecationWarning, stacklevel=2)
-        dataclass_init(self, *args, **kwargs)
-        if overrides:
-            object.__setattr__(self, "eval",
-                               dataclasses.replace(self.eval, **overrides))
-
-    __init__.__wrapped__ = dataclass_init
-    cls.__init__ = __init__
-
-    def make_property(old: str, new: str):
-        def getter(self):
-            if old in _DEPRECATED_EVAL_FIELDS:
-                warnings.warn(
-                    f"HeadStartConfig.{old} is deprecated; read "
-                    f"config.eval.{new} instead",
-                    DeprecationWarning, stacklevel=2)
-            return getattr(self.eval, new)
-        getter.__name__ = old
-        return property(getter, doc=f"Alias of ``eval.{new}``.")
-
-    for old, new in _LEGACY_EVAL_FIELDS.items():
-        setattr(cls, old, make_property(old, new))
-
-
-_install_legacy_eval_shims(HeadStartConfig)

@@ -3,10 +3,12 @@
 Near convergence the head-start policy saturates and the same binary
 actions are sampled over and over; every one of those repeats used to
 pay a full masked forward pass over the calibration batch.  An
-:class:`EvalCache` wraps the reward function with an exact-key LRU
-memo: the key is the binary mask itself (``action > 0.5`` as packed
-bytes), so two actions hit the same entry iff they describe the same
-inception.
+:class:`EvalCache` is an exact-key LRU memo of rewards: the key is the
+binary mask itself (``action > 0.5`` as packed bytes), so two actions
+hit the same entry iff they describe the same inception.  The
+:class:`~repro.core.reinforce.ReinforceDriver` consults it through
+:meth:`EvalCache.lookup` / :meth:`EvalCache.insert`; pool workers wrap
+their reward function in one and call it directly.
 
 Determinism contract — what makes the cache journal-safe:
 
@@ -55,17 +57,16 @@ def mask_key(action: np.ndarray) -> bytes:
 
 
 class EvalCache:
-    """Exact-key LRU memo around a deterministic reward function.
+    """Exact-key LRU memo of a deterministic reward function's values.
 
-    Instances are callable with the reward function's signature, so a
-    cache can stand in for the raw function anywhere (the
-    :class:`~repro.core.reinforce.ReinforceDriver` neither knows nor
-    cares whether its ``reward_fn`` is cached).
+    With a ``reward_fn``, instances are callable with its signature and
+    memoize it.  A cache filled only through :meth:`lookup` and
+    :meth:`insert` (the driver's) needs no function.
 
     Parameters
     ----------
     reward_fn:
-        The pure function to memoize (mask -> reward).
+        The pure function :meth:`__call__` memoizes (mask -> reward).
     maxsize:
         LRU bound on distinct masks retained; 0 or negative disables
         bounding (every distinct mask is kept).
@@ -80,7 +81,7 @@ class EvalCache:
         (:mod:`repro.runtime.pool`).
     """
 
-    def __init__(self, reward_fn: Callable[[np.ndarray], float],
+    def __init__(self, reward_fn: Callable[[np.ndarray], float] | None = None,
                  maxsize: int = 256, scope: str = "", emit: bool = True):
         self.reward_fn = reward_fn
         self.maxsize = int(maxsize)
@@ -95,10 +96,9 @@ class EvalCache:
     def lookup(self, action: np.ndarray) -> float | None:
         """Cached value for ``action``, or ``None``; counts the hit/miss.
 
-        A miss is counted here (not at :meth:`insert`) so the hit/miss
-        sequence of a ``lookup``-then-``insert`` caller — the pool's
-        check-submit-merge path — is identical to the plain
-        :meth:`__call__` sequence.
+        A miss is counted here (not at :meth:`insert`) so a
+        ``lookup``-then-``insert`` caller — the driver's scorer — counts
+        exactly what the plain :meth:`__call__` sequence would.
         """
         key = mask_key(action)
         if key in self._store:

@@ -297,7 +297,7 @@ class HeadStartPruner(SteppedEngineBase):
         get_recorder().gauge("pruner/final_accuracy", result.final_accuracy)
 
     def fingerprint(self) -> dict:
-        # Performance knobs (eval cache, compressed forward) do not
+        # Performance knobs (eval cache, graph eval, pool) do not
         # change what a step computes, so they stay out of the resume
         # digest — a journaled run may be resumed with caching toggled.
         return {"engine": "headstart", "config": resume_relevant(self.config),

@@ -5,12 +5,15 @@ agent (actions over residual blocks) run the same loop:
 
 1. sample keep probabilities from the policy conditioned on fresh noise;
 2. draw ``k`` Bernoulli actions plus the greedy thresholded action;
-3. score every action with a caller-supplied reward;
+3. score every action with a caller-supplied evaluator;
 4. step the policy on ``-(1/k) Σ (R(A^s) - b) log p_θ(A^s)``;
 5. stop when the best reward stops improving, and return the best
-   candidate re-scored by an optional finalist criterion.
+   candidate re-scored by an optional finalist evaluator.
 
-The driver owns steps 1-2 and 4-5; callers provide the reward.  The
+The driver owns steps 1-2 and 4-5 and the one scoring path of step 3
+(:meth:`ReinforceDriver._score`: dedup, cache, evaluate the misses).
+Callers provide the :data:`Evaluator` — eager masked forwards, the
+graph executor or a worker pool — and optionally the cache.  The
 candidate pool, exploration floor and count-preserving exchange
 proposals are the miniature-scale stabilisers documented in
 :class:`~repro.core.config.HeadStartConfig`.
@@ -33,7 +36,11 @@ from .evalcache import EvalCache, mask_key
 from .policy import (HeadStartNetwork, bernoulli_log_prob, sample_actions,
                      threshold_action)
 
-__all__ = ["ReinforceOutcome", "ReinforceDriver"]
+__all__ = ["Evaluator", "ReinforceOutcome", "ReinforceDriver"]
+
+#: Rewards (Eq. 4) of a list of binary actions, in order.  Must be
+#: pure for the lifetime of one driver run: same mask, same reward.
+Evaluator = Callable[[list[np.ndarray]], list[float]]
 
 
 @dataclass
@@ -54,48 +61,35 @@ class ReinforceDriver:
     ----------
     policy:
         The head-start network emitting keep probabilities.
-    reward_fn:
-        Maps a binary action vector to its reward (Eq. 4); called for
-        every sampled and greedy action.
+    evaluate:
+        The :data:`Evaluator` scoring sampled, greedy and exchange
+        actions (Eq. 4).  It only ever sees masks the cache could not
+        answer, each at most once per call.
     config:
         Shared hyper-parameters.
     rng:
         Action-sampling randomness (the policy's own init randomness is
         the caller's concern).
-    final_reward_fn:
+    final_evaluate:
         Optional re-scoring of finalist candidates (e.g. on the full
-        calibration set); defaults to ``reward_fn``.
-    pool:
-        Optional :class:`~repro.runtime.pool.EvalPool` scoring candidate
-        batches (function ``"batch"``) and finalists (``"final"``) in
-        worker processes.  Value-neutral: pooled results are merged in
-        submission order and the reward functions are pure, so outcomes
-        are bit-for-bit identical to serial evaluation.  Exchange
-        mutations (one per iteration) stay in-process — a single eval
-        is not worth a round-trip.
-    batch_reward_fn:
-        Optional list-of-actions -> list-of-rewards evaluator used by
-        :meth:`_score_candidates` for the deduped cache misses of each
-        iteration (the graph executor's mask-batch scoring plugs in
-        here).  Must agree with ``reward_fn`` value-for-value; ignored
-        while a ``pool`` is attached (the pool already batches).
+        calibration set); defaults to ``evaluate``.  Never cached.
+    cache:
+        Optional :class:`~repro.core.evalcache.EvalCache` answering
+        repeated masks across iterations.  The caller creates it per
+        run: it is only sound while ``evaluate`` is pure.
     """
 
-    def __init__(self, policy: HeadStartNetwork,
-                 reward_fn: Callable[[np.ndarray], float],
+    def __init__(self, policy: HeadStartNetwork, evaluate: Evaluator,
                  config: HeadStartConfig,
                  rng: np.random.Generator,
-                 final_reward_fn: Callable[[np.ndarray], float] | None = None,
-                 pool=None,
-                 batch_reward_fn: Callable[[list[np.ndarray]],
-                                           list[float]] | None = None):
+                 final_evaluate: Evaluator | None = None,
+                 cache: EvalCache | None = None):
         self.policy = policy
-        self.reward_fn = reward_fn
-        self.final_reward_fn = final_reward_fn or reward_fn
+        self.evaluate = evaluate
+        self.final_evaluate = final_evaluate or evaluate
+        self.cache = cache
         self.config = config
         self.rng = rng
-        self.pool = pool
-        self.batch_reward_fn = batch_reward_fn
         self.optimizer = _policy_optimizer(policy, config)
         # run() restarts from this captured state every time, so calling
         # it twice on one driver yields identical outcomes (no policy
@@ -105,99 +99,37 @@ class ReinforceDriver:
         self._initial_rng_state = copy.deepcopy(rng.bit_generator.state)
 
     # -- candidate scoring ---------------------------------------------------
-    def _score_candidates(self, candidates: list[np.ndarray]) -> np.ndarray:
-        """Rewards for a batch of actions, evaluating each unique mask once.
+    def _score(self, candidates: list[np.ndarray],
+               counter: str = "reinforce/unique_evals") -> np.ndarray:
+        """Rewards for ``candidates``, evaluating each distinct mask once.
 
-        Duplicate masks (common once the policy saturates) share a single
-        reward evaluation; with a memoizing ``reward_fn``
-        (:class:`~repro.core.evalcache.EvalCache`) the dedup also spans
-        iterations.  Unique masks are evaluated in first-appearance
-        order, so the underlying call sequence is a subsequence of the
-        naive one-call-per-candidate loop and the returned rewards are
-        identical to it.
+        Distinct masks are taken in first-appearance order.  With a
+        cache, each is looked up once (counting its hit or miss); the
+        misses go to :attr:`evaluate` in one call, and their rewards are
+        inserted back in the same order.  Rewards equal the naive
+        one-call-per-candidate loop's, whichever evaluator computes
+        them.  Emits ``reinforce/reward_evals`` (every candidate) and
+        ``counter`` (distinct masks).
         """
-        if self.pool is not None:
-            return self._score_candidates_pooled(candidates)
-        if self.batch_reward_fn is not None:
-            return self._score_candidates_batched(candidates)
-        unique: dict[bytes, float] = {}
-        for action in candidates:
-            key = mask_key(action)
-            if key not in unique:
-                unique[key] = float(self.reward_fn(action))
-        rec = get_recorder()
-        rec.counter("reinforce/reward_evals", len(candidates))
-        rec.counter("reinforce/unique_evals", len(unique))
-        return np.array([unique[mask_key(action)] for action in candidates])
-
-    def _score_candidates_batched(self,
-                                  candidates: list[np.ndarray]) -> np.ndarray:
-        """:meth:`_score_candidates` through ``batch_reward_fn``.
-
-        Mirrors the pooled path's cache discipline: the parent cache
-        (when ``reward_fn`` is an :class:`~repro.core.evalcache
-        .EvalCache`) answers every unique mask in first-appearance
-        order — emitting the exact hit/miss counter sequence of the
-        serial path — and only the misses go to the batch evaluator,
-        whose values are inserted back in the same order.
-        """
-        cache = self.reward_fn if isinstance(self.reward_fn, EvalCache) \
-            else None
         unique: dict[bytes, float | None] = {}
         misses: list[np.ndarray] = []
         for action in candidates:
             key = mask_key(action)
             if key in unique:
                 continue
-            value = cache.lookup(action) if cache is not None else None
-            unique[key] = value
-            if value is None:
+            unique[key] = self.cache.lookup(action) \
+                if self.cache is not None else None
+            if unique[key] is None:
                 misses.append(action)
         if misses:
-            for action, value in zip(misses, self.batch_reward_fn(misses)):
+            for action, value in zip(misses, self.evaluate(misses)):
                 value = float(value)
                 unique[mask_key(action)] = value
-                if cache is not None:
-                    cache.insert(action, value)
+                if self.cache is not None:
+                    self.cache.insert(action, value)
         rec = get_recorder()
         rec.counter("reinforce/reward_evals", len(candidates))
-        rec.counter("reinforce/unique_evals", len(unique))
-        return np.array([unique[mask_key(action)] for action in candidates])
-
-    def _score_candidates_pooled(self,
-                                 candidates: list[np.ndarray]) -> np.ndarray:
-        """Pool-backed :meth:`_score_candidates` with identical semantics.
-
-        The parent cache (when ``reward_fn`` is an
-        :class:`~repro.core.evalcache.EvalCache`) is consulted for every
-        unique mask in first-appearance order — the same hit/miss
-        counter sequence the serial path emits — and only the misses go
-        to the pool, whose results are inserted back in submission
-        order.  Rewards, counters and cache state all end up exactly as
-        the serial path would leave them (the one scheduling-visible
-        nuance: with a cache so small it evicts *within* one batch, the
-        eviction events land after the batch instead of interleaved).
-        """
-        cache = self.reward_fn if isinstance(self.reward_fn, EvalCache) \
-            else None
-        unique: dict[bytes, float | None] = {}
-        misses: list[np.ndarray] = []
-        for action in candidates:
-            key = mask_key(action)
-            if key in unique:
-                continue
-            value = cache.lookup(action) if cache is not None else None
-            unique[key] = value
-            if value is None:
-                misses.append(action)
-        for action, value in zip(misses, self.pool.map(misses, fn="batch")):
-            value = float(value)
-            unique[mask_key(action)] = value
-            if cache is not None:
-                cache.insert(action, value)
-        rec = get_recorder()
-        rec.counter("reinforce/reward_evals", len(candidates))
-        rec.counter("reinforce/unique_evals", len(unique))
+        rec.counter(counter, len(unique))
         return np.array([unique[mask_key(action)] for action in candidates])
 
     # -- candidate pool ----------------------------------------------------
@@ -260,7 +192,7 @@ class ReinforceDriver:
             actions = sample_actions(prob_values, config.mc_samples, self.rng,
                                      exploration=config.exploration)
             greedy = threshold_action(prob_values, config.threshold)
-            scored = self._score_candidates([*actions, greedy])
+            scored = self._score([*actions, greedy])
             rewards = scored[:-1]
             greedy_reward = faults.corrupt("reinforce.reward",
                                            float(scored[-1]))
@@ -313,21 +245,16 @@ class ReinforceDriver:
                 base = max(candidates.values(), key=lambda c: c[0])[1]
                 exchange = self._exchange_mutation(base, self.rng)
                 if exchange is not None:
-                    self._remember(candidates, exchange,
-                                   self.reward_fn(exchange))
-                    rec.counter("reinforce/reward_evals")
-                    rec.counter("reinforce/exchange_evals")
+                    reward = self._score([exchange],
+                                         counter="reinforce/exchange_evals")
+                    self._remember(candidates, exchange, float(reward[0]))
 
             if iterations >= config.min_iterations and stall >= config.patience:
                 break
 
         if config.use_best_action and candidates:
             finalists = [action for _, action in candidates.values()]
-            if self.pool is not None and "final" in self.pool.fns:
-                final_rewards = self.pool.map(finalists, fn="final")
-            else:
-                final_rewards = [self.final_reward_fn(action)
-                                 for action in finalists]
+            final_rewards = self.final_evaluate(finalists)
             chosen = finalists[int(np.argmax(final_rewards))]
             rec.counter("reinforce/finalist_evals", len(finalists))
         else:

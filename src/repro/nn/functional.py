@@ -24,12 +24,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .tensor import Tensor, as_tensor
 
 __all__ = [
-    "patch_index", "im2col", "col2im", "conv2d", "conv2d_masked",
-    "conv2d_depthwise", "conv2d_depthwise_masked", "depthwise_windows",
+    "patch_index", "im2col", "col2im", "conv2d",
+    "conv2d_depthwise", "depthwise_windows",
     "linear", "max_pool2d", "avg_pool2d",
     "global_avg_pool2d", "upsample_nearest", "batch_norm2d",
-    "batch_norm2d_masked", "dropout",
-    "log_softmax",
+    "dropout", "log_softmax",
     "softmax", "cross_entropy", "nll_loss", "mse_loss",
 ]
 
@@ -144,61 +143,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return Tensor._make(out, parents, backward)
 
 
-def conv2d_masked(x: Tensor, weight: Tensor, bias: Tensor | None,
-                  keep: np.ndarray, stride: int = 1,
-                  padding: int = 0) -> Tensor:
-    """Convolution computing only the ``keep`` output channels.
-
-    The compressed "masked forward" of the reward fast path: instead of
-    running all filters and multiplying dropped maps by zero, only the
-    kept filter rows enter the GEMM and the dropped channels of the
-    output are exact zeros.  Work in the producing convolution scales
-    with ``len(keep) / out_channels``.
-
-    Each kept channel's reduction runs over the same patch elements in
-    the same order as :func:`conv2d`, so kept outputs agree with the
-    dense result to BLAS rounding (~1e-12); downstream layers see an
-    output identical in shape, with exact zeros where a zeroed-filter
-    dense pass would produce them.
-    """
-    x = as_tensor(x)
-    weight = as_tensor(weight)
-    keep = np.asarray(keep, dtype=np.intp)
-    n, c, h, w = x.shape
-    f, cw, kh, kw = weight.shape
-    if cw != c:
-        raise ValueError(f"conv2d: input has {c} channels, weight expects {cw}")
-    oh = _out_size(h, kh, stride, padding)
-    ow = _out_size(w, kw, stride, padding)
-
-    cols = im2col(x.data, (kh, kw), stride, padding)
-    w_kept = weight.data[keep].reshape(keep.size, -1)
-    out_kept = cols @ w_kept.T
-    if bias is not None:
-        out_kept = out_kept + bias.data[keep]
-    out = np.zeros((cols.shape[0], f), dtype=out_kept.dtype)
-    out[:, keep] = out_kept
-    out = out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(g: np.ndarray) -> None:
-        g_kept = g.transpose(0, 2, 3, 1).reshape(-1, f)[:, keep]
-        if bias is not None and bias.requires_grad:
-            gb = np.zeros_like(bias.data)
-            gb[keep] = g_kept.sum(axis=0)
-            bias._accumulate(gb)
-        if weight.requires_grad:
-            gw = np.zeros_like(weight.data)
-            gw[keep] = (g_kept.T @ cols).reshape(keep.size, cw, kh, kw)
-            weight._accumulate(gw)
-        if x.requires_grad:
-            dcols = g_kept @ w_kept
-            x._accumulate(col2im(dcols, x.shape, (kh, kw), stride, padding))
-
-    return Tensor._make(out, parents, backward)
-
-
 def depthwise_windows(x: np.ndarray, kernel: int, stride: int,
                       pad: int) -> np.ndarray:
     """Sliding ``(N, C, oh, ow, kh, kw)`` windows of a zero-padded input.
@@ -255,64 +199,6 @@ def conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             if padding:
                 dxp = dxp[:, :, padding:hp - padding, padding:wp - padding]
             x._accumulate(dxp)
-
-    return Tensor._make(out, parents, backward)
-
-
-def conv2d_depthwise_masked(x: Tensor, weight: Tensor, bias: Tensor | None,
-                            keep: np.ndarray, stride: int = 1,
-                            padding: int = 0) -> Tensor:
-    """Depthwise convolution computing only the ``keep`` channels.
-
-    Companion of :func:`conv2d_masked` for depthwise layers: only the
-    kept channels' windows enter the reduction, dropped channels of the
-    output are exact zeros.  Kept channels reduce over the same elements
-    in the same order as :func:`conv2d_depthwise`, so they agree with
-    the dense result to rounding.
-    """
-    x = as_tensor(x)
-    weight = as_tensor(weight)
-    keep = np.asarray(keep, dtype=np.intp)
-    n, c, h, w = x.shape
-    f, per_group, kh, kw = weight.shape
-    if f != c or per_group != 1:
-        raise ValueError(
-            f"depthwise conv2d needs weight shape ({c}, 1, k, k); "
-            f"got {tuple(weight.shape)}")
-    windows = depthwise_windows(np.ascontiguousarray(x.data[:, keep]),
-                                kh, stride, padding)
-    out_kept = np.einsum("nchwij,cij->nchw", windows, weight.data[keep, 0])
-    if bias is not None:
-        out_kept = out_kept + bias.data[keep].reshape(1, -1, 1, 1)
-    oh, ow = out_kept.shape[2:]
-    out = np.zeros((n, f, oh, ow), dtype=out_kept.dtype)
-    out[:, keep] = out_kept
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(g: np.ndarray) -> None:
-        g_kept = g[:, keep]
-        if bias is not None and bias.requires_grad:
-            gb = np.zeros_like(bias.data)
-            gb[keep] = g_kept.sum(axis=(0, 2, 3))
-            bias._accumulate(gb)
-        if weight.requires_grad:
-            gw = np.zeros_like(weight.data)
-            gw[keep, 0] = np.einsum("nchw,nchwij->cij", g_kept, windows)
-            weight._accumulate(gw)
-        if x.requires_grad:
-            hp, wp = h + 2 * padding, w + 2 * padding
-            dxp = np.zeros((n, keep.size, hp, wp), dtype=g.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i:i + stride * oh:stride,
-                        j:j + stride * ow:stride] += \
-                        g_kept * weight.data[keep, 0, i, j][None, :, None, None]
-            if padding:
-                dxp = dxp[:, :, padding:hp - padding, padding:wp - padding]
-            dx = np.zeros_like(x.data)
-            dx[:, keep] = dxp
-            x._accumulate(dx)
 
     return Tensor._make(out, parents, backward)
 
@@ -441,46 +327,6 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     inv_std = (var + eps) ** -0.5
     normalised = (x - mean) * inv_std
     return normalised * gamma.reshape(1, -1, 1, 1) + beta.reshape(1, -1, 1, 1)
-
-
-def batch_norm2d_masked(x: Tensor, gamma: Tensor, beta: Tensor,
-                        running_mean: np.ndarray, running_var: np.ndarray,
-                        keep: np.ndarray, eps: float = 1e-5) -> Tensor:
-    """Eval-mode batch norm normalising only the ``keep`` channels.
-
-    Companion of :func:`conv2d_masked`: dropped channels are exact zeros
-    (never touched), kept channels follow the dense eval path's
-    arithmetic operation-for-operation so the results match it to
-    rounding.  Training mode has no masked variant — batch statistics
-    over a masked batch are a different computation, not a fast path.
-    """
-    x = as_tensor(x)
-    keep = np.asarray(keep, dtype=np.intp)
-    column = lambda v: v.reshape(1, -1, 1, 1)
-    # Same ops and dtype promotion as the dense eval path, on the slice.
-    inv_std = ((as_tensor(column(running_var[keep])) + eps) ** -0.5).data
-    normalised = (x.data[:, keep] - column(running_mean[keep])) * inv_std
-    gamma_kept = column(gamma.data[keep])
-    out_kept = normalised * gamma_kept + column(beta.data[keep])
-    out = np.zeros(x.shape, dtype=out_kept.dtype)
-    out[:, keep] = out_kept
-
-    def backward(g: np.ndarray) -> None:
-        g_kept = g[:, keep]
-        if beta.requires_grad:
-            gb = np.zeros_like(beta.data)
-            gb[keep] = g_kept.sum(axis=(0, 2, 3))
-            beta._accumulate(gb)
-        if gamma.requires_grad:
-            gg = np.zeros_like(gamma.data)
-            gg[keep] = (g_kept * normalised).sum(axis=(0, 2, 3))
-            gamma._accumulate(gg)
-        if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            dx[:, keep] = g_kept * (gamma_kept * inv_std)
-            x._accumulate(dx)
-
-    return Tensor._make(out, (x, gamma, beta), backward)
 
 
 def dropout(x: Tensor, p: float, training: bool,

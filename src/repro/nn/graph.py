@@ -1000,12 +1000,6 @@ def compile(model: Module, example_input, *, fuse: bool = True,
     """
     if isinstance(example_input, np.ndarray):
         example_input = Tensor(example_input)
-    for _, module in model.named_modules():
-        if getattr(module, "_eval_keep", None) is not None:
-            raise GraphTraceError(
-                "model has an active compressed-eval gate (_eval_keep); "
-                "the traced kernels read the full weights, so compressed "
-                "and graph evaluation are mutually exclusive")
     tracer, input_vid, output_vid = _trace(model, example_input)
     nodes = tracer.nodes
     alias: dict[int, int] = {}

@@ -179,16 +179,7 @@ class Conv2d(Module):
 
     Parameters mirror the common convention: weight shape is
     ``(out_channels, in_channels, k, k)``.
-
-    ``_eval_keep`` is the compressed-forward gate used by
-    :func:`repro.pruning.surgery.compressed_mask`: when set to an index
-    array of surviving channels, eval-mode forwards compute only those
-    filters (:func:`repro.nn.functional.conv2d_masked`) and emit exact
-    zeros elsewhere.  It is transient reward-evaluation state — never
-    serialised, and an error to leave set during training.
     """
-
-    _eval_keep = None
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, padding: int = 0, bias: bool = True,
@@ -211,19 +202,6 @@ class Conv2d(Module):
         self.bias = Parameter(init.zeros((out_channels,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if self._eval_keep is not None:
-            if self.training:
-                raise RuntimeError(
-                    "compressed channel mask is eval-only; leaving "
-                    "_eval_keep set while training would silently ignore "
-                    "the mask")
-            if self.groups != 1:
-                return F.conv2d_depthwise_masked(
-                    x, self.weight, self.bias, self._eval_keep,
-                    stride=self.stride, padding=self.padding)
-            return F.conv2d_masked(x, self.weight, self.bias,
-                                   self._eval_keep, stride=self.stride,
-                                   padding=self.padding)
         if self.groups != 1:
             return F.conv2d_depthwise(x, self.weight, self.bias,
                                       stride=self.stride,
@@ -258,14 +236,7 @@ class Linear(Module):
 
 
 class BatchNorm2d(Module):
-    """Batch normalisation over the channel axis of NCHW input.
-
-    ``_eval_keep`` mirrors :class:`Conv2d`'s compressed-forward gate:
-    when set, eval-mode forwards normalise only the surviving channels
-    and leave dropped ones at exact zero.
-    """
-
-    _eval_keep = None
+    """Batch normalisation over the channel axis of NCHW input."""
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
         super().__init__()
@@ -278,15 +249,6 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
-        if self._eval_keep is not None:
-            if self.training:
-                raise RuntimeError(
-                    "compressed channel mask is eval-only; leaving "
-                    "_eval_keep set while training would silently ignore "
-                    "the mask")
-            return F.batch_norm2d_masked(x, self.weight, self.bias,
-                                         self.running_mean, self.running_var,
-                                         self._eval_keep, eps=self.eps)
         return F.batch_norm2d(x, self.weight, self.bias,
                               self.running_mean, self.running_var,
                               training=self.training, momentum=self.momentum,

@@ -13,8 +13,7 @@ from .quantization import (QuantizationReport, quantize_weights,
 from .schedule import GradualSchedule, iterative_prune
 from .stats import (LayerStats, ModelStats, compression_ratio, layer_cost,
                     profile_model)
-from .surgery import (channel_mask, compressed_mask, keep_indices,
-                      prune_model, prune_unit)
+from .surgery import channel_mask, keep_indices, prune_model, prune_unit
 from .unstructured import (UnstructuredMasks, magnitude_prune,
                            sparse_execution_time_factor, sparsity_of)
 from .units import Consumer, ConvUnit
@@ -26,8 +25,7 @@ __all__ = [
     "SteppedEngine", "SteppedEngineBase", "SteppedResult",
     "StepSpec", "StepOutcome", "StepState",
     "Consumer", "ConvUnit",
-    "channel_mask", "compressed_mask", "prune_unit", "prune_model",
-    "keep_indices",
+    "channel_mask", "prune_unit", "prune_model", "keep_indices",
     "LayerStats", "ModelStats", "layer_cost", "profile_model",
     "compression_ratio",
     "LayerPruneRecord", "WholeModelResult", "budget_keep_count",

@@ -266,8 +266,8 @@ class SteppedEngineBase:
     def fingerprint(self) -> dict:
         """Jsonable identity for the resume digest (config + engine name).
 
-        Performance knobs (``eval_cache``/``cache_size``/``compressed_eval``)
-        are stripped so a journaled run can resume with caching toggled —
+        Performance knobs (:data:`~repro.core.config.PERF_FIELDS`) are
+        stripped so a journaled run can resume with caching toggled —
         they change how fast a step computes, never what it computes.
         """
         from ..core.config import resume_relevant

@@ -39,8 +39,7 @@ import numpy as np
 from ..nn.modules import BatchNorm2d, Conv2d, Linear, Parameter
 from .units import Consumer, ConvUnit
 
-__all__ = ["channel_mask", "compressed_mask", "prune_unit", "prune_model",
-           "keep_indices"]
+__all__ = ["channel_mask", "prune_unit", "prune_model", "keep_indices"]
 
 
 def keep_indices(keep_mask: np.ndarray) -> np.ndarray:
@@ -106,49 +105,6 @@ def channel_mask(unit: ConvUnit, keep_mask: np.ndarray):
             array = getattr(owner, attr)
             data = array.data if isinstance(array, Parameter) else array
             data[...] = original
-
-
-@contextlib.contextmanager
-def compressed_mask(unit: ConvUnit, keep_mask: np.ndarray):
-    """Temporarily *skip* the unit's masked feature maps during eval.
-
-    The fast-path sibling of :func:`channel_mask`: instead of zeroing
-    the dropped filters (which still pay their share of the GEMM), the
-    unit's convolution and batch norm are switched to the compressed
-    masked forward (:func:`repro.nn.functional.conv2d_masked` /
-    ``batch_norm2d_masked``) that computes kept channels only and emits
-    exact zeros for dropped ones.  Weights are untouched — only the
-    transient ``_eval_keep`` gate is set — so the mask is exactly
-    reversible and nesting with surgery is safe.
-
-    Tied depthwise convolutions and their batch norms get the same gate:
-    their channels are the unit's channels, so the compressed forward
-    skips the dropped ones end-to-end.
-
-    Downstream layers see the same zeros a :func:`channel_mask` pass
-    produces, so the two maskers agree to floating-point rounding
-    (~1e-10; asserted by ``tests/test_evalcache.py``).  Eval mode only:
-    a training forward under this mask raises.
-    """
-    keep_mask = np.asarray(keep_mask).astype(bool)
-    if keep_mask.shape != (unit.conv.out_channels,):
-        raise ValueError(
-            f"mask length {keep_mask.size} != {unit.conv.out_channels} maps")
-    kept = np.flatnonzero(keep_mask)
-    gated = [unit.conv]
-    if unit.bn is not None:
-        gated.append(unit.bn)
-    for tie in unit.tied:
-        gated.append(tie.conv)
-        if tie.bn is not None:
-            gated.append(tie.bn)
-    for module in gated:
-        module._eval_keep = kept
-    try:
-        yield
-    finally:
-        for module in gated:
-            module._eval_keep = None
 
 
 def _shrink_consumer(consumer: Consumer, kept: np.ndarray,

@@ -39,12 +39,12 @@ __all__ = ["ENGINE_KINDS", "SERVE_SCENARIOS", "run_chaos",
 
 #: Engine kinds the matrix covers: one per stepped-engine implementation,
 #: plus a fast-path column (``headstart-cached``) that reruns the HeadStart
-#: scenario with the reward eval-cache and compressed masked forward on —
-#: the kill/resume contract must hold identically on the fast path — a
-#: worker-kill column (``headstart-pool``) that runs the scenario with a
-#: 2-process evaluation pool whose workers are SIGKILLed on their first
-#: task in the killed *and* resumed phases: the pool must degrade to
-#: serial (journaled), and the degraded resume must still match the
+#: scenario on the default ``EvalOptions()`` (reward eval-cache and graph
+#: eval on) — the kill/resume contract must hold identically on the fast
+#: path — a worker-kill column (``headstart-pool``) that runs the scenario
+#: with a 2-process evaluation pool whose workers are SIGKILLed on their
+#: first task in the killed *and* resumed phases: the pool must degrade
+#: to serial (journaled), and the degraded resume must still match the
 #: healthy parallel baseline bit-for-bit — and a graph-executor column
 #: (``headstart-graph``) whose baseline runs the *dense eager* path while
 #: the killed and resumed phases run under ``--eval-mode graph``
@@ -85,21 +85,21 @@ def _make_runner(kind: str, task, seed: int,
     model = build_model(model_name, num_classes=4, input_size=12,
                         width_multiplier=0.25,
                         rng=np.random.default_rng(seed))
-    # The plain column pins the slow path (no memoization) so the matrix
-    # keeps covering it; the -cached column turns on the whole fast path;
-    # the -pool column shards reward evaluations across worker processes;
-    # the -graph column keeps the cache on and flips only the executor
-    # between phases (graph eval is a PERF_FIELD, so the digest matches).
-    cached = kind == "headstart-cached"
+    # The plain column (and every non-HeadStart kind) pins the eager slow
+    # path with no memoization so the matrix keeps covering it; the
+    # -cached column runs the library defaults (cache + graph eval); the
+    # -pool column shards eager reward evaluations across worker
+    # processes; the -graph column keeps the cache on and flips only the
+    # executor between phases, from its eager baseline to graph (graph
+    # eval is a PERF_FIELD, so the digest matches).
     pooled = kind == "headstart-pool"
     graphed = kind == "headstart-graph"
+    options = EvalOptions() if kind == "headstart-cached" else EvalOptions(
+        cache=pooled or graphed, graph=graphed and graph,
+        workers=2 if pooled else 0)
     config = HeadStartConfig(
         speedup=2.0, max_iterations=6, min_iterations=3,
-        patience=3, eval_batch=16, seed=seed, mc_samples=2,
-        eval=EvalOptions(cache=cached or pooled or graphed,
-                         compressed=cached,
-                         graph=graphed and graph,
-                         workers=2 if pooled else 0))
+        patience=3, eval_batch=16, seed=seed, mc_samples=2, eval=options)
     if kind in ("headstart", "headstart-cached", "headstart-pool",
                 "headstart-graph", "headstart-googlenet"):
         engine = HeadStartPruner(

@@ -147,7 +147,7 @@ class ResumableRunner:
         # shape *how* failures are handled, not what a successful step
         # computes, so a resume may tighten or relax them.  Engine
         # fingerprints likewise strip performance knobs (eval cache,
-        # compressed forward — see repro.core.config.PERF_FIELDS): the
+        # graph eval, pool — see repro.core.config.PERF_FIELDS): the
         # reward cache is per-run, in-memory state that never enters the
         # journal, so a resume may toggle it freely.
         return config_digest(self.engine.fingerprint(),

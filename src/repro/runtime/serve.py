@@ -59,8 +59,8 @@ Job specs are flat JSON objects; every field is optional (see
 (``headstart``, ``block``, ``amc``, or a metric kind like ``li17``);
 ``workers``/``task_seconds``/``task_retries`` thread through to the
 evaluation pool (:mod:`repro.runtime.pool`); ``eval_mode``
-(``dense``/``compressed``/``graph``) picks the reward evaluation path
-(:class:`repro.core.EvalOptions`).  Unknown or mistyped fields are
+(``graph``, the :class:`repro.core.EvalOptions` default, or ``dense``)
+picks the reward evaluation path.  Unknown or mistyped fields are
 rejected at submission with the offending names (and a did-you-mean
 hint), never silently dropped.
 """
@@ -81,6 +81,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..core.config import EvalOptions
 from ..obs import Recorder, get_recorder, use_recorder
 from .errors import RunInterrupted
 from .faults import SimulatedCrash
@@ -112,7 +113,7 @@ SPEC_DEFAULTS: dict = {
     "workers": 0,
     "task_seconds": None,
     "task_retries": 2,
-    "eval_mode": "dense",       # dense | compressed | graph
+    "eval_mode": EvalOptions().mode,    # graph | dense
     "collapse_ratio": None,     # None -> engine-appropriate default
 }
 
@@ -213,8 +214,7 @@ def build_job_runner(spec: dict, workers: int | None = None,
     cooperative-drain hook (likewise outside the resume digest).
     """
     from ..core import (AMCConfig, AMCLitePruner, BlockHeadStart,
-                        EvalOptions, FinetuneConfig, HeadStartConfig,
-                        HeadStartPruner)
+                        FinetuneConfig, HeadStartConfig, HeadStartPruner)
     from ..data import make_cifar100_like
     from ..models import build_model
     from ..pruning import build_engine
@@ -240,11 +240,10 @@ def build_job_runner(spec: dict, workers: int | None = None,
                         lr=0.05, seed=seed))
     kind = spec["engine"]
     mode = spec["eval_mode"]
-    if mode not in ("dense", "compressed", "graph"):
-        raise ValueError(f"unknown eval_mode {mode!r} (expected dense, "
-                         "compressed or graph)")
-    eval_options = EvalOptions(compressed=mode == "compressed",
-                               graph=mode == "graph",
+    if mode not in ("dense", "graph"):
+        raise ValueError(f"unknown eval_mode {mode!r} (expected dense or "
+                         "graph)")
+    eval_options = EvalOptions(graph=mode == "graph",
                                workers=int(spec["workers"]),
                                task_seconds=spec["task_seconds"],
                                task_retries=int(spec["task_retries"]))

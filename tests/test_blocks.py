@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import BlockHeadStart, HeadStartConfig, bypass_blocks
+from repro.core import BlockHeadStart, EvalOptions, HeadStartConfig, \
+    bypass_blocks
 from repro.nn import Tensor, no_grad
 from repro.models import ResNet
+from repro.obs import Recorder, use_recorder
 from repro.training import evaluate
 
 
@@ -118,3 +120,18 @@ class TestBlockHeadStart:
         r2 = BlockHeadStart(resnet_copy, *calibration,
                             quick_config(seed=4)).run()
         assert np.array_equal(r1.keep_action, r2.keep_action)
+
+    def test_cache_is_bit_for_bit_neutral(self, resnet_copy, calibration):
+        """The driver's eval cache changes nothing the block search does."""
+        recorder = Recorder()
+        with use_recorder(recorder):
+            cached = BlockHeadStart(resnet_copy, *calibration,
+                                    quick_config(seed=4)).run()
+        assert recorder.counters["evalcache/hits"] > 0
+        plain = BlockHeadStart(
+            resnet_copy, *calibration,
+            quick_config(seed=4, eval=EvalOptions(cache=False))).run()
+        assert np.array_equal(cached.keep_action, plain.keep_action)
+        assert cached.reward_history == plain.reward_history
+        assert cached.loss_history == plain.loss_history
+        assert cached.inception_accuracy == plain.inception_accuracy

@@ -1,12 +1,13 @@
-"""Fast-path lockdown: eval cache, batched scoring, compressed forward.
+"""Fast-path lockdown: eval cache, the driver's one scorer, bit-exactness.
 
 Three contracts, each enforced here:
 
 1. :class:`repro.core.evalcache.EvalCache` memoizes on the exact binary
    mask with LRU bounds and accurate counters.
-2. The compressed masked forward (``compressed_mask``) equals the dense
-   zeroing mask (``channel_mask``) to 1e-10 on full-model forwards —
-   conv-only, conv+BN and residual topologies.
+2. :meth:`ReinforceDriver._score` is the one path from masks to
+   rewards: whichever evaluator computes the misses (per-mask eager
+   calls, one batch call, a pool's ``map``), rewards, ``reinforce/*``
+   and ``evalcache/*`` counters and cache contents are identical.
 3. A cached pruning run is *bit-for-bit* identical to an uncached one
    at the same seed: same journal payloads, same final accuracy, same
    state dict — and the resume digest ignores the performance knobs.
@@ -19,21 +20,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import EvalCache, HeadStartConfig, HeadStartNetwork, mask_key
+from repro.core import (EvalCache, EvalOptions, HeadStartConfig,
+                        HeadStartNetwork, mask_key)
 from repro.core.config import PERF_FIELDS, resume_relevant
 from repro.core.reinforce import ReinforceDriver
-from repro.models import lenet, vgg16, ResNet
-from repro.nn import Tensor, no_grad
 from repro.obs import Recorder, use_recorder
-from repro.pruning import channel_mask, compressed_mask
 from repro.runtime import ResumableRunner
 from repro.runtime.journal import RunJournal, config_digest
-
-
-def forward(model, x):
-    model.eval()
-    with no_grad():
-        return model(Tensor(x)).data.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -114,81 +107,6 @@ class TestEvalCache:
 
 
 # ---------------------------------------------------------------------------
-# 2. Compressed masked forward == dense zeroing mask
-# ---------------------------------------------------------------------------
-
-def _random_mask(rng, size):
-    mask = rng.random(size) > 0.5
-    mask[rng.integers(size)] = True               # never prune everything
-    return mask
-
-
-def _assert_maskers_agree(model_fn, rng, image_size=12, tol=1e-10):
-    dense_model, fast_model = model_fn(), model_fn()
-    x = rng.normal(size=(4, 3, image_size, image_size)).astype(np.float64)
-    for index in range(len(dense_model.prune_units())):
-        dense_unit = dense_model.prune_units()[index]
-        fast_unit = fast_model.prune_units()[index]
-        mask = _random_mask(rng, dense_unit.num_maps)
-        with channel_mask(dense_unit, mask):
-            dense = forward(dense_model, x)
-        with compressed_mask(fast_unit, mask):
-            fast = forward(fast_model, x)
-        assert np.allclose(dense, fast, atol=tol, rtol=0.0), \
-            f"unit #{index} ({dense_unit.name}) diverged"
-
-
-class TestCompressedForwardEquivalence:
-    def test_lenet_conv_only(self, rng):
-        _assert_maskers_agree(
-            lambda: lenet(num_classes=6, input_size=12,
-                          rng=np.random.default_rng(5)), rng)
-
-    def test_vgg_conv_bn(self, rng):
-        _assert_maskers_agree(
-            lambda: vgg16(num_classes=6, input_size=12,
-                          width_multiplier=0.125,
-                          rng=np.random.default_rng(6)), rng)
-
-    def test_resnet_residual(self, rng):
-        _assert_maskers_agree(
-            lambda: ResNet((2, 2, 2), num_classes=6, width_multiplier=0.5,
-                           rng=np.random.default_rng(8)), rng,
-            image_size=16)
-
-    def test_dropped_channels_exactly_zero(self, rng):
-        model = vgg16(num_classes=6, input_size=12, width_multiplier=0.125,
-                      rng=np.random.default_rng(9))
-        unit = model.prune_units()[0]
-        mask = _random_mask(rng, unit.num_maps)
-        x = Tensor(rng.normal(size=(2, 3, 12, 12)))
-        model.eval()
-        with compressed_mask(unit, mask), no_grad():
-            conv_out = unit.conv(x)
-        assert np.all(conv_out.data[:, ~mask] == 0.0)
-
-    def test_training_forward_raises(self, rng):
-        model = vgg16(num_classes=6, input_size=12, width_multiplier=0.125,
-                      rng=np.random.default_rng(10))
-        unit = model.prune_units()[0]
-        mask = np.ones(unit.num_maps, dtype=bool)
-        model.train()
-        with compressed_mask(unit, mask):
-            with pytest.raises(RuntimeError, match="eval-only"):
-                model(Tensor(rng.normal(size=(1, 3, 12, 12))))
-
-    def test_gate_reset_on_exception(self, rng):
-        model = vgg16(num_classes=6, input_size=12, width_multiplier=0.125,
-                      rng=np.random.default_rng(12))
-        unit = model.prune_units()[0]
-        with pytest.raises(ValueError):
-            with compressed_mask(unit, np.ones(unit.num_maps, dtype=bool)):
-                raise ValueError("boom")
-        assert unit.conv._eval_keep is None
-        assert unit.bn._eval_keep is None
-
-
-# ---------------------------------------------------------------------------
 # 3. Cached run == uncached run, bit for bit
 # ---------------------------------------------------------------------------
 
@@ -217,7 +135,8 @@ class TestCachedRunBitForBit:
                                                  trained_lenet):
         runs = {}
         for label, cached in (("uncached", False), ("cached", True)):
-            pruner = _pruner(tiny_task, trained_lenet, eval_cache=cached)
+            pruner = _pruner(tiny_task, trained_lenet,
+                             eval=EvalOptions(cache=cached))
             runner = ResumableRunner(engine=pruner)
             report = runner.run(tmp_path / label)
             runs[label] = (pruner, report)
@@ -235,9 +154,11 @@ class TestCachedRunBitForBit:
             assert np.array_equal(base_state[key], fast_state[key]), key
 
     def test_resume_digest_ignores_perf_knobs(self, tiny_task, trained_lenet):
-        plain = _pruner(tiny_task, trained_lenet, eval_cache=False)
-        tuned = _pruner(tiny_task, trained_lenet, eval_cache=True,
-                        cache_size=7, compressed_eval=True)
+        plain = _pruner(tiny_task, trained_lenet,
+                        eval=EvalOptions(cache=False, graph=False))
+        tuned = _pruner(tiny_task, trained_lenet,
+                        eval=EvalOptions(cache_size=7, fused=True,
+                                         mask_batch=True, workers=2))
         assert config_digest(plain.fingerprint()) \
             == config_digest(tuned.fingerprint())
         # ... while semantic fields still change it.
@@ -255,31 +176,110 @@ class TestCachedRunBitForBit:
 
 
 # ---------------------------------------------------------------------------
-# Driver regressions: batched scoring and repeatable run()
+# The driver's scorer, and repeatable run()
 # ---------------------------------------------------------------------------
 
-def _driver(reward_fn, seed=0, **overrides):
+def _per_mask(fn):
+    """A per-action reward as the driver's list -> list evaluator."""
+    return lambda actions: [fn(action) for action in actions]
+
+
+def _driver(reward_fn, seed=0, cache=None, **overrides):
     defaults = dict(speedup=2.0, max_iterations=10, min_iterations=4,
                     patience=4, mc_samples=3, seed=seed)
     defaults.update(overrides)
     config = HeadStartConfig(**defaults)
     rng = np.random.default_rng(config.seed)
     policy = HeadStartNetwork(8, keep_ratio=1.0 / config.speedup, rng=rng)
-    return ReinforceDriver(policy, reward_fn, config, rng)
+    return ReinforceDriver(policy, _per_mask(reward_fn), config, rng,
+                           cache=cache)
 
 
 def _count_reward(action):
     return -abs(int(action.sum()) - action.size / 2)
 
 
+class _PoolStandIn:
+    """In-process stand-in for :class:`repro.runtime.pool.EvalPool`."""
+
+    def __init__(self, fns):
+        self.fns = fns
+
+    def map(self, actions, fn="batch"):
+        return [self.fns[fn](action) for action in actions]
+
+
+def _evaluator(kind, fn, seen):
+    """The three evaluator shapes the agents hand the driver."""
+    def record(actions):
+        seen.append([mask_key(action) for action in actions])
+        return actions
+
+    if kind == "eager":             # one masked forward per mask
+        return lambda actions: [fn(action) for action in record(actions)]
+    if kind == "batch":             # one call scoring the whole list
+        return lambda actions: list(np.array(
+            [fn(action) for action in record(actions)]))
+    pool = _PoolStandIn({"batch": fn})
+    return lambda actions: pool.map(record(actions), fn="batch")
+
+
+class TestScorer:
+    @pytest.mark.parametrize("kind", ["eager", "batch", "pool"])
+    def test_evaluators_score_identically(self, kind):
+        def reward(action):
+            # Distinct per mask, so a mis-merged reward would show.
+            return float(np.dot(action, np.arange(1, action.size + 1))
+                         / 37.0) - abs(action.sum() - 4)
+
+        def run(kind):
+            seen, finals = [], []
+            cache = EvalCache(maxsize=6, scope="probe")
+            config = HeadStartConfig(speedup=2.0, max_iterations=10,
+                                     min_iterations=10, patience=10,
+                                     mc_samples=4, seed=7)
+            rng = np.random.default_rng(config.seed)
+            policy = HeadStartNetwork(8, keep_ratio=0.5, rng=rng)
+            driver = ReinforceDriver(
+                policy, _evaluator(kind, reward, seen), config, rng,
+                final_evaluate=_evaluator(kind, reward, finals),
+                cache=cache)
+            recorder = Recorder()
+            with use_recorder(recorder):
+                outcome = driver.run()
+            counters = {name: value
+                        for name, value in recorder.counters.items()
+                        if name.startswith(("reinforce/", "evalcache/"))}
+            return outcome, counters, cache, seen, finals
+
+        reference, ref_counters, ref_cache, _, _ = run("eager")
+        outcome, counters, cache, seen, finals = run(kind)
+        assert outcome.reward_history == reference.reward_history
+        assert outcome.loss_history == reference.loss_history
+        assert np.array_equal(outcome.action, reference.action)
+        assert counters == ref_counters
+        assert counters["evalcache/evictions"] > 0    # LRU is exercised
+        assert list(cache._store.items()) == list(ref_cache._store.items())
+        # The evaluator only ever sees cache misses, each once per call;
+        # finalists are scored uncached, in one call.
+        assert all(len(set(call)) == len(call) for call in seen)
+        assert sum(map(len, seen)) == counters["evalcache/misses"]
+        assert len(finals) == 1
+        assert len(finals[0]) == counters["reinforce/finalist_evals"]
+
+
 class TestDriverRegressions:
     def test_batched_scoring_deduplicates(self):
-        probe = CountingReward(_count_reward)
-        driver = _driver(probe)
+        calls = []
+        driver = _driver(_count_reward)
+        driver.evaluate = lambda actions: calls.append(
+            [mask_key(action) for action in actions]) or [
+            _count_reward(action) for action in actions]
         actions = [np.array([1.0, 0.0]), np.array([1.0, 0.0]),
                    np.array([0.0, 1.0])]
-        rewards = driver._score_candidates(actions)
-        assert probe.calls == 2                   # two unique masks
+        rewards = driver._score(actions)
+        # One call with the two unique masks, in first-appearance order.
+        assert calls == [[mask_key(actions[0]), mask_key(actions[2])]]
         assert list(rewards) == [_count_reward(a) for a in actions]
 
     def test_run_twice_identical(self):
@@ -295,8 +295,8 @@ class TestDriverRegressions:
         assert first.loss_history == second.loss_history
 
     def test_run_twice_identical_with_cache(self):
-        cache = EvalCache(_count_reward, maxsize=32)
-        driver = _driver(cache, seed=11)
+        driver = _driver(_count_reward, seed=11,
+                         cache=EvalCache(maxsize=32))
         plain = _driver(_count_reward, seed=11)
         assert np.array_equal(driver.run().action, plain.run().action)
         first = driver.run()

@@ -11,8 +11,9 @@ The graph executor's whole contract is *it changes nothing but speed*:
   ``channel_mask`` forward bitwise, surgered (physically pruned) models
   retrace and still match, and mask-batch scoring equals the per-mask
   loop;
-* the ``EvalOptions`` redesign keeps every old spelling working
-  (deprecation-warned) with unchanged resume digests.
+* graph eval is the ``EvalOptions`` default, the CLI takes its defaults
+  from it, resume digests ignore every eval knob, and an untraceable
+  model falls back to the eager path with identical results.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.models import available_models, build_model
 from repro.nn import Tensor, no_grad
 from repro.nn.graph import GraphTraceError
 from repro.nn.graph import compile as graph_compile
-from repro.pruning.surgery import channel_mask, compressed_mask, prune_unit
+from repro.pruning.surgery import channel_mask, prune_unit
 
 #: Small enough to keep resnet110/vgg19 cheap, big enough to exercise
 #: every stage transition.
@@ -162,52 +163,20 @@ class TestMaskedScenarios:
         got = executor.masked_accuracy(images, labels, [mask], key="t")
         assert float(got[0]) == dense
 
-    def test_compressed_gate_refuses_compilation(self, trained_lenet):
-        model = trained_lenet
-        model.eval()
-        unit = model.prune_units()[0]
-        mask = np.ones(unit.num_maps, dtype=bool)
-        x = Tensor(np.zeros((1, 3, 12, 12), dtype=np.float32))
-        with compressed_mask(unit, mask):
-            with pytest.raises(GraphTraceError, match="compressed"):
-                graph_compile(model, x)
-
 
 class TestEvalOptions:
     def test_validation_rejects_incoherent_combinations(self):
         from repro.core import EvalOptions
 
         with pytest.raises(ValueError):
-            EvalOptions(compressed=True, graph=True)
+            EvalOptions(graph=False, fused=True)       # fused needs graph
         with pytest.raises(ValueError):
-            EvalOptions(fused=True)           # fused requires graph
-        with pytest.raises(ValueError):
-            EvalOptions(mask_batch=True)      # mask_batch requires graph
+            EvalOptions(graph=False, mask_batch=True)  # so does mask_batch
         with pytest.raises(ValueError):
             EvalOptions(workers=-1)
-        assert EvalOptions(graph=True, fused=True).mode == "graph"
-        assert EvalOptions(compressed=True).mode == "compressed"
-        assert EvalOptions().mode == "dense"
-
-    def test_legacy_kwargs_warn_and_land_in_eval(self):
-        from repro.core import HeadStartConfig
-
-        with pytest.warns(DeprecationWarning, match="compressed_eval"):
-            config = HeadStartConfig(speedup=2.0, compressed_eval=True,
-                                     cache_size=64)
-        assert config.eval.compressed is True
-        assert config.eval.cache_size == 64
-
-    def test_legacy_reads_warn_but_graph_eval_alias_does_not(self):
-        from repro.core import EvalOptions, HeadStartConfig
-
-        config = HeadStartConfig(speedup=2.0,
-                                 eval=EvalOptions(graph=True, workers=3))
-        with pytest.warns(DeprecationWarning, match="workers"):
-            assert config.workers == 3
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert config.graph_eval is True    # non-deprecated alias
+        assert EvalOptions(fused=True, mask_batch=True).mode == "graph"
+        assert EvalOptions().mode == "graph"
+        assert EvalOptions(graph=False).mode == "dense"
 
     def test_old_and_new_spellings_share_a_resume_digest(self):
         from repro.core import EvalOptions, HeadStartConfig
@@ -215,13 +184,15 @@ class TestEvalOptions:
 
         new = HeadStartConfig(speedup=2.0, seed=5,
                               eval=EvalOptions(cache=False, workers=4))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = HeadStartConfig(speedup=2.0, seed=5, eval_cache=False,
-                                  workers=4)
-        dense = HeadStartConfig(speedup=2.0, seed=5)
+        # A config journaled before the eval block: flat knob names.
+        old = dataclasses.asdict(new)
+        del old["eval"]
+        old.update(eval_cache=False, cache_size=256, compressed_eval=False,
+                   workers=4, task_seconds=None, task_retries=2)
+        dense = HeadStartConfig(speedup=2.0, seed=5,
+                                eval=EvalOptions(graph=False))
         graph = HeadStartConfig(speedup=2.0, seed=5,
-                                eval=EvalOptions(graph=True, fused=True,
+                                eval=EvalOptions(fused=True,
                                                  mask_batch=True))
         assert resume_relevant(new) == resume_relevant(old)
         # Every eval knob is performance-only: digests ignore all of it.
@@ -258,45 +229,44 @@ class TestCliEvalFlags:
         options = self._parse(["--eval-mode", "graph", "--eval-fused",
                                "--eval-mask-batch", "--eval-workers", "2"])
         assert options.graph and options.fused and options.mask_batch
-        assert options.workers == 2 and not options.compressed
+        assert options.workers == 2
 
-    def test_defaults_are_cached_dense(self):
-        options = self._parse([])
-        assert options.mode == "dense" and options.cache
+    def test_defaults_come_from_eval_options(self):
+        from repro.core import EvalOptions
 
-    def test_deprecated_flags_still_work(self, capsys):
-        options = self._parse(["--compressed-eval", "--cache-size", "32"])
-        assert options.compressed and options.cache_size == 32
-        assert "deprecated" in capsys.readouterr().err
-
-    def test_new_flags_win_over_deprecated(self):
-        options = self._parse(["--compressed-eval", "--eval-mode", "graph"])
-        assert options.graph and not options.compressed
+        assert self._parse([]) == EvalOptions()
+        assert self._parse(["--eval-mode", "dense"]) \
+            == EvalOptions(graph=False)
 
 
-class TestBatchedScoring:
-    def test_batched_scorer_matches_serial_driver(self):
-        from repro.core import HeadStartConfig
-        from repro.core.policy import HeadStartNetwork
-        from repro.core.reinforce import ReinforceDriver
+class TestAgentFallback:
+    def test_untraceable_model_falls_back_to_eager(self, monkeypatch,
+                                                   lenet_copy, calibration):
+        import repro.core.agent as agent_module
+        from repro.core import HeadStartConfig, LayerAgent
+        from repro.obs import Recorder, use_recorder
 
-        def reward(mask):
-            return float(np.sum(mask)) / mask.size
+        def run():
+            config = HeadStartConfig(speedup=2.0, max_iterations=4,
+                                     min_iterations=3, patience=3,
+                                     eval_batch=16, seed=0, mc_samples=2)
+            unit = lenet_copy.prune_units()[0]
+            recorder = Recorder()
+            with use_recorder(recorder):
+                result = LayerAgent(lenet_copy, unit, *calibration,
+                                    config).run()
+            return result, recorder.counters
 
-        def batch_reward(masks):
-            return [reward(m) for m in masks]
+        graph, graph_counters = run()
+        assert graph_counters["graph/compiled"] == 1
 
-        config = HeadStartConfig(speedup=2.0, max_iterations=6,
-                                 min_iterations=3, patience=4,
-                                 mc_samples=3, seed=3)
+        def untraceable(*args, **kwargs):
+            raise GraphTraceError("data-dependent control flow")
 
-        def driver(batch_fn):
-            rng = np.random.default_rng(config.seed)
-            policy = HeadStartNetwork(8, keep_ratio=1.0 / config.speedup,
-                                      rng=rng)
-            return ReinforceDriver(policy, reward, config, rng,
-                                   batch_reward_fn=batch_fn)
-
-        a, b = driver(None).run(), driver(batch_reward).run()
-        assert np.array_equal(a.action, b.action)
-        assert a.reward_history == b.reward_history
+        monkeypatch.setattr(agent_module, "graph_compile", untraceable)
+        eager, eager_counters = run()
+        assert eager_counters["graph/fallbacks"] == 1
+        assert "graph/compiled" not in eager_counters
+        np.testing.assert_array_equal(eager.keep_mask, graph.keep_mask)
+        assert eager.reward_history == graph.reward_history
+        assert eager.inception_accuracy == graph.inception_accuracy

@@ -18,7 +18,7 @@ import copy
 import numpy as np
 import pytest
 
-from repro.core import HeadStartConfig, LayerAgent
+from repro.core import EvalOptions, HeadStartConfig, LayerAgent
 from repro.runtime import (EvalPool, FaultPlan, PoolTaskError, SharedArrays,
                            StepBudget, inject, take_degradations)
 from repro.runtime import watchdog
@@ -204,7 +204,7 @@ class TestEndToEnd:
             config = HeadStartConfig(speedup=2.0, max_iterations=4,
                                      min_iterations=3, patience=3,
                                      eval_batch=16, seed=0, mc_samples=2,
-                                     eval_cache=True, workers=workers)
+                                     eval=EvalOptions(workers=workers))
             unit = model.prune_units()[0]
             return LayerAgent(model, unit, *calibration, config).run()
 

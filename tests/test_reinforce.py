@@ -7,6 +7,11 @@ from repro.core import HeadStartConfig, HeadStartNetwork
 from repro.core.reinforce import ReinforceDriver, ReinforceOutcome
 
 
+def per_mask(fn):
+    """A per-action reward as the driver's list -> list evaluator."""
+    return lambda actions: [fn(action) for action in actions]
+
+
 def make_driver(reward_fn, num_maps=8, final_reward_fn=None, **overrides):
     defaults = dict(speedup=2.0, max_iterations=12, min_iterations=4,
                     patience=4, mc_samples=2, seed=0)
@@ -15,8 +20,9 @@ def make_driver(reward_fn, num_maps=8, final_reward_fn=None, **overrides):
     rng = np.random.default_rng(config.seed)
     policy = HeadStartNetwork(num_maps, keep_ratio=1.0 / config.speedup,
                               rng=rng)
-    return ReinforceDriver(policy, reward_fn, config, rng,
-                           final_reward_fn=final_reward_fn)
+    final = per_mask(final_reward_fn) if final_reward_fn else None
+    return ReinforceDriver(policy, per_mask(reward_fn), config, rng,
+                           final_evaluate=final)
 
 
 def count_reward(action):

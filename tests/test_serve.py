@@ -152,6 +152,17 @@ class TestServeDaemon:
         assert kinds.count("job_quarantined") == 1
         assert queue.history_problems() == []
 
+    def test_removed_eval_mode_fails_naming_accepted_values(self, tmp_path):
+        queue = JobQueue(tmp_path, max_attempts=1)
+        job_id = queue.submit({"engine": "headstart",
+                               "eval_mode": "compressed"})
+        assert ServeDaemon(tmp_path, max_attempts=1).run(once=True) == 1
+        failure = json.loads((tmp_path / "quarantined"
+                              / f"{job_id}.failure.json").read_text())
+        assert failure["kind"] == "ValueError"
+        assert "'compressed'" in failure["message"]
+        assert "expected dense or graph" in failure["message"]
+
     def test_max_jobs_bounds_a_drain(self, tmp_path):
         queue = JobQueue(tmp_path)
         queue.submit(dict(QUICK_SPEC))
