@@ -26,12 +26,12 @@ Subcommands cover the experiment lifecycle on synthetic tasks:
   run journals, and daemon mode claims and runs jobs (resuming any a
   dead daemon left behind); per-job runs shard reward evaluations
   across the supervised process pool (``--workers``);
-* ``fleet``   — fleet-wide observability over a serve queue root:
-  ``status [--watch]`` (merged gauges + daemon health), ``tail``
-  (merged event timeline), ``report`` (per-daemon swimlane HTML/MD),
-  ``slo --check`` (multi-window burn-rate gate), ``export --prom``
-  (Prometheus text format) and ``trace`` (per-daemon Chrome trace of
-  one job across takeovers).
+* ``fleet``   — fleet-wide observability over a serve queue root, each
+  view one point-in-time read: ``status [--watch]`` (merged gauges +
+  daemon health), ``tail`` (merged event timeline), ``report``
+  (per-daemon swimlane HTML/MD), ``slo --check`` (multi-window
+  burn-rate gate) and ``trace`` (per-daemon Chrome trace of one job
+  across takeovers).
 
 Every command is deterministic under ``--seed``; ``train``, ``prune``
 and ``fps`` accept ``--metrics-dir`` to stream observability events
@@ -620,11 +620,9 @@ def _cmd_fleet_tail(args) -> int:
 
 def _cmd_fleet_report(args) -> int:
     view = obs.FleetView(args.root)
-    out = args.out or str(
-        view.root / f"fleet-report.{'md' if args.format == 'md' else 'html'}")
-    path = obs.write_fleet_report(
-        args.root, out, fmt=args.format,
-        slo_result=_fleet_slo_result(view, args.slo))
+    path = obs.write_page(
+        args.out or view.root / f"fleet-report.{args.format}", args.format,
+        *obs.fleet_report(view, _fleet_slo_result(view, args.slo)))
     print(f"wrote {path}")
     return 0
 
@@ -641,21 +639,11 @@ def _cmd_fleet_slo(args) -> int:
     return 0
 
 
-def _cmd_fleet_export(args) -> int:
-    view = obs.FleetView(args.root)
-    text = obs.write_prometheus(view.snapshot(), args.prom,
-                                slo_result=_fleet_slo_result(view,
-                                                             args.slo))
-    samples = sum(1 for line in text.splitlines()
-                  if line and not line.startswith("#"))
-    print(f"wrote {args.prom} ({samples} samples, schema ok)")
-    return 0
-
-
 def _cmd_fleet_trace(args) -> int:
     from pathlib import Path
 
-    view = obs.FleetView(args.root)
+    # Reads only this job's stream: a missing root or job is the
+    # loader's typed MetricsError.
     run_dir = Path(args.root) / "runs" / args.job
     events = obs.load_metrics(run_dir)
     out = args.out or str(run_dir / "fleet.trace.json")
@@ -1014,9 +1002,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(handler=_cmd_serve)
 
     fleet = commands.add_parser(
-        "fleet", help="fleet-wide observability over a serve queue: "
-                      "merged status, live tail, swimlane report, SLO "
-                      "burn rates, Prometheus export")
+        "fleet", help="fleet-wide observability over a serve queue, each "
+                      "a point-in-time read: merged status, live tail, "
+                      "swimlane report, SLO burn rates, per-job trace")
     fleet_sub = fleet.add_subparsers(dest="fleet_cmd", required=True)
 
     fleet_root = argparse.ArgumentParser(add_help=False)
@@ -1067,13 +1055,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="exit 1 when any objective is burning "
                            "(CI gate); exit 2 on invalid SLO files")
     fslo.set_defaults(handler=_cmd_fleet, fleet_handler=_cmd_fleet_slo)
-
-    fexport = fleet_sub.add_parser(
-        "export", parents=[fleet_root, fleet_slo],
-        help="write the fleet snapshot in Prometheus text format")
-    fexport.add_argument("--prom", required=True, metavar="OUT",
-                         help="output .prom file (schema-validated)")
-    fexport.set_defaults(handler=_cmd_fleet, fleet_handler=_cmd_fleet_export)
 
     ftrace = fleet_sub.add_parser(
         "trace", parents=[fleet_root],

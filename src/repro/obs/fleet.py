@@ -4,8 +4,9 @@ A running fleet leaves its whole story on disk under one directory:
 ``serve.jsonl`` (queue transitions, every record timestamped and job-
 tagged), ``health/<daemon>.json`` (per-daemon live status), active
 lease files, and one ``runs/<job>/`` directory per job with its journal
-and trace-stamped ``metrics.jsonl``.  :class:`FleetView` joins those
-sources — read-only, torn-line tolerant — into:
+and trace-stamped ``metrics.jsonl``.  :class:`FleetView` reads each of
+those sources once, at construction — read-only, torn-line tolerant —
+so every answer it gives comes from one point-in-time snapshot:
 
 * a **merged event timeline** (``events()``): queue transitions plus
   per-run mark events, each row normalised to
@@ -16,8 +17,10 @@ sources — read-only, torn-line tolerant — into:
   recovery / drain / quarantine / lease-loss / breaker totals,
   degraded-step counts, live-daemon counts (``repro fleet status``);
 * **SLO samples** (``slo_samples()``): the ``(ts, value)`` series the
-  burn-rate evaluator (:mod:`repro.obs.slo`) and the Prometheus
-  exporter (:mod:`repro.obs.promexport`) consume.
+  burn-rate evaluator (:mod:`repro.obs.slo`) consumes.
+
+:func:`fleet_report` turns a view into the title, headline and sections
+that :mod:`repro.obs.report` renders as Markdown or HTML.
 
 Everything is computed from files; a FleetView needs no daemon alive
 and never writes into the queue, so it is safe to point at a fleet
@@ -27,25 +30,24 @@ files being replaced) — exactly the moment an operator needs it.
 
 from __future__ import annotations
 
-import html as _html
-import json
 from pathlib import Path
 
 from .sink import METRICS_FILENAME, read_events_report
 
 __all__ = ["FleetError", "FleetView", "percentile", "daemon_swimlanes",
-           "format_event", "render_status", "render_fleet_markdown",
-           "render_fleet_html", "write_fleet_report"]
-
-#: serve.jsonl record kinds that return a job to ``pending`` (the
-#: moments a queue-wait clock starts ticking).
-_PENDING_KINDS = ("job_submitted", "job_retry", "job_recovered",
-                  "job_drained")
+           "format_event", "render_status", "fleet_report"]
 
 #: record kinds that end a daemon's ownership of a job (the moments a
 #: swimlane interval closes).
 _SETTLE_KINDS = ("job_complete", "job_retry", "job_quarantined",
                  "job_drained", "job_lease_lost")
+
+#: serve.jsonl record kind -> the lifetime total it counts towards.
+_TOTALS = {"job_submitted": "submitted", "job_claimed": "claims",
+           "job_complete": "completions", "job_retry": "retries",
+           "job_recovered": "recoveries", "job_drained": "drains",
+           "job_quarantined": "quarantines", "job_lease_lost": "lease_lost",
+           "breaker_open": "breaker_opens"}
 
 
 class FleetError(RuntimeError):
@@ -67,48 +69,60 @@ def percentile(values, q: float) -> float | None:
 
 
 def _summary(values) -> dict:
-    """count/p50/p99/max/sum summary of a value list (zeros when empty)."""
+    """count/p50/p99/max summary of a value list (None when empty)."""
     values = list(values)
     return {"count": len(values),
             "p50": percentile(values, 50.0),
             "p99": percentile(values, 99.0),
-            "max": max(values) if values else None,
-            "sum": float(sum(values))}
+            "max": max(values) if values else None}
 
 
 class FleetView:
-    """Read-only join of one serve queue's on-disk observability.
+    """Read-only, point-in-time join of one serve queue's on-disk state.
+
+    ``serve.jsonl``, every run journal and every metrics stream are read
+    once, here; the methods only derive from that snapshot, so a view
+    of a live fleet never mixes reads taken at different moments.
 
     Parameters
     ----------
     root:
-        The queue directory (the ``repro serve`` root).  Raising
-        :class:`FleetError` on a directory that is not a queue keeps
-        ``repro fleet`` from silently reporting an empty fleet for a
-        typo'd path.
+        The queue directory (the ``repro serve`` root).  It must hold
+        every directory a :class:`~repro.runtime.serve.JobQueue`
+        creates; :class:`FleetError` otherwise, so ``repro fleet``
+        neither reports an empty fleet for a typo'd path nor creates
+        queue directories in it.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        if not (self.root / "serve.jsonl").exists() \
-                and not (self.root / "pending").is_dir():
-            raise FleetError(f"no serve queue at {self.root} "
-                             "(expected serve.jsonl or pending/)")
         # Lazy import: runtime.serve itself imports repro.obs, so the
         # obs package cannot import it at module load time.
-        from ..runtime.serve import JobQueue
-        self.queue = JobQueue(self.root, daemon_id="fleet-view")
-
-    # -- raw sources --------------------------------------------------------
-    def records(self) -> list[dict]:
-        """All intact ``serve.jsonl`` records (torn tail dropped)."""
-        if not self.queue.journal.exists():
-            return []
-        return self.queue.journal.read()
-
-    def daemons(self) -> list[dict]:
-        """Per-daemon health rows, liveness-checked, torn reads skipped."""
-        return self.queue.daemons()
+        from ..runtime.serve import _DIRS, _STATES, JobQueue, fold_jobs
+        missing = [sub for sub in _DIRS if not (self.root / sub).is_dir()]
+        if missing:
+            raise FleetError(f"no serve queue at {self.root} (missing "
+                             f"{missing[0]}/)")
+        # Every directory the queue would create exists: constructing
+        # it writes nothing.
+        queue = JobQueue(self.root, daemon_id="fleet-view")
+        self._records = queue.journal.read() if queue.journal.exists() \
+            else []
+        history = fold_jobs(self._records)
+        self._states = {state: queue._jobs(state) for state in _STATES}
+        state_of = {job_id: state for state, job_ids in self._states.items()
+                    for job_id in job_ids}
+        self._jobs = {job_id: _job_row(job_id, entry, state_of.get(job_id),
+                                       queue._progress(job_id))
+                      for job_id, entry in history.items()}
+        self._daemons = queue.daemons()
+        leases = [queue.read_lease(path.stem) for path in
+                  (self.root / "active").glob("job-*.lease")]
+        self._leases = {"count": len(leases),
+                        "live": sum(1 for lease in leases if lease is not None
+                                    and queue.lease_live(lease))}
+        self._marks = _run_marks(self.root)
+        self._problems = queue.history_problems(history)
 
     def run_marks(self) -> list[dict]:
         """Mark events from every job's metrics stream, normalised.
@@ -118,169 +132,57 @@ class FleetView:
         counters stay in the per-run streams where ``repro metrics``
         and ``repro report`` already render them.
         """
-        rows = []
-        for stream in sorted(
-                (self.root / "runs").glob(f"*/{METRICS_FILENAME}")):
-            try:
-                events, _ = read_events_report(stream)
-            except Exception:  # torn / vanished mid-read: skip the run
-                continue
-            job_id = stream.parent.name
-            for record in events:
-                if record.get("event") != "mark":
-                    continue
-                rows.append({"ts": float(record.get("t", 0.0)),
-                             "kind": f"mark:{record.get('name')}",
-                             "job": job_id,
-                             "daemon": record.get("origin"),
-                             "trace_id": record.get("trace_id"),
-                             "detail": _attr_detail(record.get("attrs"))})
-        return rows
+        return self._marks
 
     # -- the merged timeline ------------------------------------------------
-    def events(self, include_runs: bool = True) -> list[dict]:
+    def events(self) -> list[dict]:
         """The merged fleet timeline, sorted on the shared clock."""
-        rows = []
-        for record in self.records():
-            kind = record.get("record")
-            rows.append({"ts": float(record.get("ts", 0.0)),
-                         "kind": kind,
-                         "job": record.get("job"),
-                         "daemon": record.get("daemon"),
-                         "trace_id": record.get("trace_id"),
-                         "detail": _record_detail(record)})
-        if include_runs:
-            rows.extend(self.run_marks())
-        traces = self.trace_ids()
+        rows = [{"ts": float(record.get("ts", 0.0)),
+                 "kind": record.get("record"),
+                 "job": record.get("job"),
+                 "daemon": record.get("daemon"),
+                 "trace_id": record.get("trace_id"),
+                 "detail": _record_detail(record)}
+                for record in self._records]
+        rows.extend(dict(row) for row in self._marks)
         for row in rows:
-            if row["trace_id"] is None and row["job"] in traces:
-                row["trace_id"] = traces[row["job"]]
+            if row["trace_id"] is None and row["job"] in self._jobs:
+                row["trace_id"] = self._jobs[row["job"]]["trace_id"]
         rows.sort(key=lambda row: row["ts"])
         return rows
-
-    def trace_ids(self) -> dict[str, str]:
-        """job id -> trace id minted at submission."""
-        traces = {}
-        for record in self.records():
-            if record.get("record") == "job_submitted" \
-                    and record.get("trace_id"):
-                traces[record["job"]] = record["trace_id"]
-        return traces
 
     # -- per-job join -------------------------------------------------------
     def jobs(self) -> dict[str, dict]:
         """Per-job lifecycle join: state, trace, attempts, latencies."""
-        states: dict[str, str] = {}
-        for state in ("pending", "active", "done", "failed", "quarantined"):
-            for job_id in self.queue._jobs(state):
-                states[job_id] = state
-        jobs: dict[str, dict] = {}
-        for record in self.records():
-            job_id = record.get("job")
-            if not job_id:
-                continue
-            info = jobs.setdefault(job_id, {
-                "job": job_id, "trace_id": None, "state": states.get(job_id),
-                "submitted_ts": None, "completed_ts": None, "claims": [],
-                "daemons": [], "queue_waits": [], "retries": 0,
-                "recoveries": 0, "drains": 0, "quarantined": False,
-                "pending_since": None, "result": None})
-            kind = record.get("record")
-            ts = float(record.get("ts", 0.0))
-            if kind == "job_submitted":
-                info["submitted_ts"] = ts
-                info["pending_since"] = ts
-                info["trace_id"] = record.get("trace_id")
-            elif kind == "job_claimed":
-                daemon = record.get("daemon")
-                info["claims"].append({"ts": ts, "daemon": daemon})
-                if daemon and daemon not in info["daemons"]:
-                    info["daemons"].append(daemon)
-                if info["pending_since"] is not None:
-                    info["queue_waits"].append(
-                        max(0.0, ts - info["pending_since"]))
-                    info["pending_since"] = None
-            elif kind == "job_complete":
-                info["completed_ts"] = ts
-                info["result"] = record.get("result")
-            elif kind == "job_retry":
-                info["retries"] += 1
-                info["pending_since"] = ts
-            elif kind == "job_recovered":
-                info["recoveries"] += 1
-                info["pending_since"] = ts
-            elif kind == "job_drained":
-                info["drains"] += 1
-                info["pending_since"] = ts
-            elif kind == "job_quarantined":
-                info["quarantined"] = True
-        for job_id, info in jobs.items():
-            info["attempts"] = len(info["claims"])
-            done = info["completed_ts"]
-            submitted = info["submitted_ts"]
-            info["latency_s"] = (done - submitted) \
-                if done is not None and submitted is not None else None
-            last_claim = info["claims"][-1]["ts"] if info["claims"] else None
-            info["wall_s"] = (done - last_claim) \
-                if done is not None and last_claim is not None else None
-            progress = self.queue._progress(job_id)
-            info["steps_done"] = progress.get("steps_done", 0)
-            info["degraded_steps"] = progress.get("degraded", 0)
-        return jobs
+        return self._jobs
 
     # -- gauges -------------------------------------------------------------
     def gauges(self) -> dict:
         """Fleet-level derived gauges from the joined sources."""
-        jobs = self.jobs()
-        counts = {state: len(self.queue._jobs(state))
-                  for state in ("pending", "active", "done", "failed",
-                                "quarantined")}
-        totals = {"submitted": 0, "claims": 0, "completions": 0,
-                  "retries": 0, "recoveries": 0, "drains": 0,
-                  "quarantines": 0, "lease_lost": 0, "breaker_opens": 0}
-        kind_to_total = {"job_submitted": "submitted",
-                         "job_claimed": "claims",
-                         "job_complete": "completions",
-                         "job_retry": "retries",
-                         "job_recovered": "recoveries",
-                         "job_drained": "drains",
-                         "job_quarantined": "quarantines",
-                         "job_lease_lost": "lease_lost",
-                         "breaker_open": "breaker_opens"}
-        for record in self.records():
-            key = kind_to_total.get(record.get("record"))
+        jobs = self._jobs.values()
+        counts = {state: len(job_ids)
+                  for state, job_ids in self._states.items()}
+        totals = dict.fromkeys(_TOTALS.values(), 0)
+        for record in self._records:
+            key = _TOTALS.get(record.get("record"))
             if key:
                 totals[key] += 1
-        daemons = self.daemons()
-        leases = list((self.root / "active").glob("job-*.lease"))
-        live_leases = 0
-        for path in leases:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    lease = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if self.queue.lease_live(lease):
-                live_leases += 1
-        queue_waits = [wait for info in jobs.values()
-                       for wait in info["queue_waits"]]
-        latencies = [info["latency_s"] for info in jobs.values()
-                     if info["latency_s"] is not None]
-        walls = [info["wall_s"] for info in jobs.values()
-                 if info["wall_s"] is not None]
         return {
             "queue_depth": counts["pending"],
             "in_flight": counts["active"],
             "states": counts,
             "totals": totals,
-            "daemons_total": len(daemons),
-            "daemons_live": sum(1 for row in daemons if row.get("live")),
-            "leases": {"count": len(leases), "live": live_leases},
-            "claim_latency_s": _summary(queue_waits),
-            "job_latency_s": _summary(latencies),
-            "job_wall_s": _summary(walls),
-            "degraded_steps": sum(info["degraded_steps"]
-                                  for info in jobs.values()),
+            "daemons_total": len(self._daemons),
+            "daemons_live": sum(1 for row in self._daemons
+                                if row.get("live")),
+            "leases": self._leases,
+            "claim_latency_s": _summary(wait for info in jobs
+                                        for _, wait in info["queue_waits"]),
+            "job_latency_s": _summary(info["latency_s"] for info in jobs
+                                      if info["latency_s"] is not None),
+            "job_wall_s": _summary(info["wall_s"] for info in jobs
+                                   if info["wall_s"] is not None),
+            "degraded_steps": sum(info["degraded_steps"] for info in jobs),
         }
 
     # -- SLO sample series --------------------------------------------------
@@ -292,43 +194,64 @@ class FleetView:
         ``failure_rate``: per settle, 1.0 for a retry/quarantine, 0.0
         for a completion (the burn-rate evaluator averages these).
         """
-        latency: list[tuple[float, float]] = []
-        queue_wait: list[tuple[float, float]] = []
-        failures: list[tuple[float, float]] = []
-        jobs = self.jobs()
-        for info in jobs.values():
-            if info["latency_s"] is not None:
-                latency.append((info["completed_ts"], info["latency_s"]))
-        pending_since: dict[str, float] = {}
-        for record in self.records():
-            kind = record.get("record")
-            job_id = record.get("job")
-            ts = float(record.get("ts", 0.0))
-            if kind in _PENDING_KINDS:
-                pending_since[job_id] = ts
-            elif kind == "job_claimed" and job_id in pending_since:
-                queue_wait.append(
-                    (ts, max(0.0, ts - pending_since.pop(job_id))))
-            if kind == "job_complete":
-                failures.append((ts, 0.0))
-            elif kind in ("job_retry", "job_quarantined"):
-                failures.append((ts, 1.0))
-        return {"job_latency_seconds": sorted(latency),
-                "queue_wait_seconds": sorted(queue_wait),
-                "failure_rate": sorted(failures)}
+        jobs = self._jobs.values()
+        settles = {"job_complete": 0.0, "job_retry": 1.0,
+                   "job_quarantined": 1.0}
+        return {"job_latency_seconds": sorted(
+                    (info["completed_ts"], info["latency_s"])
+                    for info in jobs if info["latency_s"] is not None),
+                "queue_wait_seconds": sorted(
+                    pair for info in jobs for pair in info["queue_waits"]),
+                "failure_rate": sorted(
+                    (float(record.get("ts", 0.0)),
+                     settles[record.get("record")])
+                    for record in self._records
+                    if record.get("record") in settles)}
 
-    # -- one-call snapshot --------------------------------------------------
-    def snapshot(self, events_tail: int = 20) -> dict:
-        """Everything ``repro fleet status``/``export`` needs, one dict."""
-        events = self.events()
+    def snapshot(self) -> dict:
+        """Everything ``repro fleet status`` renders, one dict."""
         return {"root": str(self.root),
                 "gauges": self.gauges(),
-                "daemons": self.daemons(),
-                "jobs": self.jobs(),
-                "events_tail": events[-events_tail:],
-                "clock": {"first_ts": events[0]["ts"] if events else None,
-                          "last_ts": events[-1]["ts"] if events else None},
-                "history_problems": self.queue.history_problems()}
+                "daemons": self._daemons,
+                "history_problems": self._problems}
+
+
+def _job_row(job_id: str, entry: dict, state: str | None,
+             progress: dict) -> dict:
+    """One :meth:`FleetView.jobs` row: a ``fold_jobs`` entry joined with
+    the job's directory state and run-journal progress."""
+    done = entry["completed_ts"]
+    submitted = entry["submitted_ts"]
+    claimed = entry["claimed_ts"]
+    return {**entry, "job": job_id, "state": state,
+            "attempts": entry["claims"],
+            "latency_s": done - submitted
+            if done is not None and submitted is not None else None,
+            "wall_s": done - claimed
+            if done is not None and claimed is not None else None,
+            "steps_done": progress.get("steps_done", 0),
+            "degraded_steps": progress.get("degraded", 0)}
+
+
+def _run_marks(root: Path) -> list[dict]:
+    """Mark events from every ``runs/<job>/`` metrics stream under root."""
+    rows = []
+    for stream in sorted((root / "runs").glob(f"*/{METRICS_FILENAME}")):
+        try:
+            events, _ = read_events_report(stream)
+        except Exception:  # torn / vanished mid-read: skip the run
+            continue
+        job_id = stream.parent.name
+        for record in events:
+            if record.get("event") != "mark":
+                continue
+            rows.append({"ts": float(record.get("t", 0.0)),
+                         "kind": f"mark:{record.get('name')}",
+                         "job": job_id,
+                         "daemon": record.get("origin"),
+                         "trace_id": record.get("trace_id"),
+                         "detail": _attr_detail(record.get("attrs"))})
+    return rows
 
 
 # -- detail formatting -------------------------------------------------------
@@ -398,7 +321,7 @@ def daemon_swimlanes(events, width: int = 60) -> list[dict]:
     def column(ts: float) -> int:
         return min(width - 1, int((ts - t_min) / span * width))
 
-    intervals: dict[str, list[tuple[float, float, str]]] = {}
+    intervals: dict[str, list[tuple[float, float]]] = {}
     open_claims: dict[tuple[str, str], float] = {}
     points: dict[str, list[tuple[float, str]]] = {}
     for row in stamped:
@@ -413,7 +336,7 @@ def daemon_swimlanes(events, width: int = 60) -> list[dict]:
             started = open_claims.pop((daemon, job), None)
             if started is not None:
                 intervals.setdefault(daemon, []).append(
-                    (started, row["ts"], "run"))
+                    (started, row["ts"]))
         if kind in ("breaker_open", "job_quarantined"):
             points.setdefault(daemon, []).append((row["ts"], "!"))
         elif kind == "job_lease_lost":
@@ -421,19 +344,17 @@ def daemon_swimlanes(events, width: int = 60) -> list[dict]:
     # A SIGKILLed daemon never settles: close its claim at the fleet's
     # last clock tick so the takeover gap stays visible.
     for (daemon, job), started in open_claims.items():
-        intervals.setdefault(daemon, []).append((started, t_max, "run"))
+        intervals.setdefault(daemon, []).append((started, t_max))
     lanes = []
     daemons = sorted(set(intervals) | set(points))
     for daemon in daemons:
         strip = ["·"] * width
-        for started, ended, _ in intervals.get(daemon, []):
+        for started, ended in intervals.get(daemon, []):
             for col in range(column(started), column(ended) + 1):
                 strip[col] = "█"
         for ts, glyph in points.get(daemon, []):
             strip[column(ts)] = glyph
-        lanes.append({"daemon": daemon, "strip": "".join(strip),
-                      "jobs": sorted({job for (d, job) in open_claims
-                                      if d == daemon})})
+        lanes.append({"daemon": daemon, "strip": "".join(strip)})
     return lanes
 
 
@@ -487,203 +408,59 @@ def render_status(snapshot: dict, slo_result: dict | None = None) -> str:
     return "\n".join(lines)
 
 
-_CSS = """
-body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
-       margin: 2rem auto; max-width: 70rem; color: #1a1a2e; }
-h1, h2 { border-bottom: 1px solid #ddd; padding-bottom: .3rem; }
-table { border-collapse: collapse; margin: 1rem 0; font-size: .9rem; }
-th, td { border: 1px solid #ccc; padding: .3rem .6rem; text-align: left; }
-th { background: #f0f0f5; }
-pre.lane { font-family: ui-monospace, monospace; font-size: .85rem;
-           background: #f7f7fb; padding: .6rem; overflow-x: auto; }
-.burning { color: #b00020; font-weight: 600; }
-.ok { color: #1b5e20; font-weight: 600; }
-"""
+def fleet_report(view: FleetView, slo_result: dict | None = None) -> tuple:
+    """``(title, headline, sections)`` of a fleet report.
 
-
-def _fleet_sections(view: "FleetView",
-                    slo_result: dict | None = None) -> dict:
-    """The joined data the Markdown and HTML renderers share."""
-    snapshot = view.snapshot(events_tail=30)
+    :func:`repro.obs.report.write_page` renders them as Markdown or
+    HTML: gauges, the SLO verdict (when objectives are given), daemon
+    swimlanes, per-job attempts and latencies, and the event tail.
+    """
+    gauges = view.gauges()
     events = view.events()
-    return {"snapshot": snapshot,
-            "events": events,
-            "lanes": daemon_swimlanes(events),
-            "slo": slo_result}
-
-
-def render_fleet_markdown(view: "FleetView",
-                          slo_result: dict | None = None) -> str:
-    """Self-contained Markdown fleet report."""
-    data = _fleet_sections(view, slo_result)
-    snapshot = data["snapshot"]
-    gauges = snapshot["gauges"]
-    out = [f"# Fleet report — `{snapshot['root']}`", ""]
-    out.append("## Gauges")
-    out.append("")
-    out.append("| gauge | value |")
-    out.append("|---|---|")
-    for state, count in gauges["states"].items():
-        out.append(f"| jobs {state} | {count} |")
-    for key, value in gauges["totals"].items():
-        out.append(f"| {key} | {value} |")
-    out.append(f"| daemons live | {gauges['daemons_live']}"
-               f"/{gauges['daemons_total']} |")
-    out.append(f"| degraded steps | {gauges['degraded_steps']} |")
+    jobs = view.jobs()
+    headline = [f"Queue root: {view.root}"]
+    gauge_rows = [[f"jobs {state}", str(count)]
+                  for state, count in gauges["states"].items()]
+    gauge_rows += [[key, str(value)]
+                   for key, value in gauges["totals"].items()]
+    gauge_rows += [["daemons live",
+                    f"{gauges['daemons_live']}/{gauges['daemons_total']}"],
+                   ["degraded steps", str(gauges["degraded_steps"])]]
     for label, key in (("claim latency", "claim_latency_s"),
                        ("job latency", "job_latency_s"),
                        ("job wall", "job_wall_s")):
-        summary = gauges[key]
-        out.append(f"| {label} p50/p99 | {_fmt_seconds(summary['p50'])} / "
-                   f"{_fmt_seconds(summary['p99'])} |")
-    if data["slo"] is not None:
-        out.append("")
-        out.append("## SLO")
-        out.append("")
-        out.append("overall: **" + ("OK" if data["slo"]["ok"]
-                                    else "BURNING") + "**")
-        out.append("")
-        out.append("| objective | metric | status | worst burn | windows |")
-        out.append("|---|---|---|---|---|")
-        for objective in data["slo"]["objectives"]:
-            windows = ", ".join(
-                f"{w['seconds']:.0f}s: {w['burn_rate']:.2f}"
-                for w in objective["windows"])
-            out.append(
-                f"| {objective['name']} | {objective['metric']} | "
-                f"{'burning' if objective['burning'] else 'ok'} | "
-                f"{objective['worst_burn']:.2f} | {windows} |")
-    out.append("")
-    out.append("## Daemon swimlanes")
-    out.append("")
-    if data["lanes"]:
-        out.append("```")
-        for lane in data["lanes"]:
-            out.append(f"{lane['daemon']:<28} {lane['strip']}")
-        out.append("```")
-        out.append("")
-        out.append("`█` owning a job · `!` breaker/quarantine · "
-                   "`x` lease lost · `·` idle")
-    else:
-        out.append("*(no daemon activity journaled)*")
-    out.append("")
-    out.append("## Jobs")
-    out.append("")
-    out.append("| job | trace | state | attempts | daemons | steps "
-               "| queue wait | latency |")
-    out.append("|---|---|---|---|---|---|---|---|")
-    for job_id in sorted(snapshot["jobs"]):
-        info = snapshot["jobs"][job_id]
-        waits = info["queue_waits"]
-        out.append(
-            f"| {job_id} | `{info['trace_id'] or '-'}` | {info['state']} | "
-            f"{info['attempts']} | {', '.join(info['daemons']) or '-'} | "
-            f"{info['steps_done']} | "
-            f"{_fmt_seconds(max(waits) if waits else None)} | "
-            f"{_fmt_seconds(info['latency_s'])} |")
-    out.append("")
-    out.append("## Event tail")
-    out.append("")
-    out.append("```")
-    for row in snapshot["events_tail"]:
-        out.append(format_event(row))
-    out.append("```")
-    out.append("")
-    return "\n".join(out)
-
-
-def render_fleet_html(view: "FleetView",
-                      slo_result: dict | None = None) -> str:
-    """Self-contained HTML fleet report (no external assets)."""
-    data = _fleet_sections(view, slo_result)
-    snapshot = data["snapshot"]
-    gauges = snapshot["gauges"]
-    esc = _html.escape
-    parts = ["<!DOCTYPE html><html><head><meta charset='utf-8'>",
-             f"<title>Fleet report — {esc(snapshot['root'])}</title>",
-             f"<style>{_CSS}</style></head><body>",
-             f"<h1>Fleet report — <code>{esc(snapshot['root'])}</code></h1>"]
-    parts.append("<h2>Gauges</h2><table><tr><th>gauge</th><th>value</th>"
-                 "</tr>")
-    for state, count in gauges["states"].items():
-        parts.append(f"<tr><td>jobs {esc(state)}</td><td>{count}</td></tr>")
-    for key, value in gauges["totals"].items():
-        parts.append(f"<tr><td>{esc(key)}</td><td>{value}</td></tr>")
-    parts.append(f"<tr><td>daemons live</td><td>{gauges['daemons_live']}"
-                 f"/{gauges['daemons_total']}</td></tr>")
-    parts.append(f"<tr><td>degraded steps</td>"
-                 f"<td>{gauges['degraded_steps']}</td></tr>")
-    for label, key in (("claim latency", "claim_latency_s"),
-                       ("job latency", "job_latency_s"),
-                       ("job wall", "job_wall_s")):
-        summary = gauges[key]
-        parts.append(f"<tr><td>{label} p50 / p99</td>"
-                     f"<td>{_fmt_seconds(summary['p50'])} / "
-                     f"{_fmt_seconds(summary['p99'])}</td></tr>")
-    parts.append("</table>")
-    if data["slo"] is not None:
-        ok = data["slo"]["ok"]
-        parts.append("<h2>SLO</h2>")
-        parts.append(f"<p>overall: <span class='{'ok' if ok else 'burning'}'"
-                     f">{'OK' if ok else 'BURNING'}</span></p>")
-        parts.append("<table><tr><th>objective</th><th>metric</th>"
-                     "<th>status</th><th>worst burn</th><th>windows</th>"
-                     "</tr>")
-        for objective in data["slo"]["objectives"]:
-            windows = ", ".join(
-                f"{w['seconds']:.0f}s: {w['burn_rate']:.2f}"
-                for w in objective["windows"])
-            cls = "burning" if objective["burning"] else "ok"
-            parts.append(
-                f"<tr><td>{esc(objective['name'])}</td>"
-                f"<td>{esc(objective['metric'])}</td>"
-                f"<td class='{cls}'>"
-                f"{'burning' if objective['burning'] else 'ok'}</td>"
-                f"<td>{objective['worst_burn']:.2f}</td>"
-                f"<td>{esc(windows)}</td></tr>")
-        parts.append("</table>")
-    parts.append("<h2>Daemon swimlanes</h2>")
-    if data["lanes"]:
-        lane_text = "\n".join(f"{lane['daemon']:<28} {lane['strip']}"
-                              for lane in data["lanes"])
-        parts.append(f"<pre class='lane'>{esc(lane_text)}</pre>")
-        parts.append("<p><code>█</code> owning a job · <code>!</code> "
-                     "breaker/quarantine · <code>x</code> lease lost · "
-                     "<code>·</code> idle</p>")
-    else:
-        parts.append("<p><em>no daemon activity journaled</em></p>")
-    parts.append("<h2>Jobs</h2><table><tr><th>job</th><th>trace</th>"
-                 "<th>state</th><th>attempts</th><th>daemons</th>"
-                 "<th>steps</th><th>queue wait</th><th>latency</th></tr>")
-    for job_id in sorted(snapshot["jobs"]):
-        info = snapshot["jobs"][job_id]
-        waits = info["queue_waits"]
-        parts.append(
-            f"<tr><td>{esc(job_id)}</td>"
-            f"<td><code>{esc(info['trace_id'] or '-')}</code></td>"
-            f"<td>{esc(str(info['state']))}</td><td>{info['attempts']}</td>"
-            f"<td>{esc(', '.join(info['daemons']) or '-')}</td>"
-            f"<td>{info['steps_done']}</td>"
-            f"<td>{_fmt_seconds(max(waits) if waits else None)}</td>"
-            f"<td>{_fmt_seconds(info['latency_s'])}</td></tr>")
-    parts.append("</table>")
-    parts.append("<h2>Event tail</h2>")
-    tail = "\n".join(format_event(row) for row in snapshot["events_tail"])
-    parts.append(f"<pre class='lane'>{esc(tail)}</pre>")
-    parts.append("</body></html>")
-    return "".join(parts)
-
-
-def write_fleet_report(root: str | Path, out_path: str | Path,
-                       fmt: str = "html",
-                       slo_result: dict | None = None) -> Path:
-    """Render and write a fleet report; returns the output path."""
-    view = FleetView(root)
-    if fmt == "md":
-        text = render_fleet_markdown(view, slo_result)
-    else:
-        text = render_fleet_html(view, slo_result)
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(text, encoding="utf-8")
-    return out_path
+        gauge_rows.append([f"{label} p50/p99",
+                           f"{_fmt_seconds(gauges[key]['p50'])} / "
+                           f"{_fmt_seconds(gauges[key]['p99'])}"])
+    sections = [("Gauges", ["gauge", "value"], gauge_rows)]
+    if slo_result is not None:
+        headline.append("SLO: " + ("OK" if slo_result["ok"] else "BURNING"))
+        sections.append((
+            "SLO", ["objective", "metric", "status", "worst burn", "windows"],
+            [[objective["name"], objective["metric"],
+              "burning" if objective["burning"] else "ok",
+              f"{objective['worst_burn']:.2f}",
+              ", ".join(f"{w['seconds']:.0f}s: {w['burn_rate']:.2f}"
+                        for w in objective["windows"])]
+             for objective in slo_result["objectives"]]))
+    lanes = [f"{lane['daemon']:<28} {lane['strip']}"
+             for lane in daemon_swimlanes(events)]
+    sections.append(("Daemon swimlanes", "\n".join(
+        lanes + ["", "█ owning a job, ! breaker/quarantine, x lease lost, "
+                 "· idle"]) if lanes else "(no daemon activity journaled)"))
+    job_rows = []
+    for job_id in sorted(jobs):
+        info = jobs[job_id]
+        waits = [wait for _, wait in info["queue_waits"]]
+        job_rows.append([
+            job_id, f"`{info['trace_id'] or '-'}`", str(info["state"]),
+            str(info["attempts"]), ", ".join(info["daemons"]) or "-",
+            str(info["steps_done"]),
+            _fmt_seconds(max(waits) if waits else None),
+            _fmt_seconds(info["latency_s"])])
+    sections.append(("Jobs", ["job", "trace", "state", "attempts", "daemons",
+                              "steps", "queue wait", "latency"], job_rows))
+    sections.append(("Event tail",
+                     "\n".join(format_event(row) for row in events[-30:])))
+    return (f"Fleet report — {view.root.absolute().name}", headline,
+            sections)

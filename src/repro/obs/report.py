@@ -19,6 +19,12 @@ other file from the run:
 * mark annotations (degradations, rollbacks) on the timeline.
 
 CLI: ``repro report <run-dir> [--format html|md] [--out FILE]``.
+
+The page writers are shared: :func:`markdown_page` and
+:func:`html_page` render any title, headline lines and sections
+(``(title, header, rows)`` tables or ``(title, text)`` preformatted
+blocks), so the fleet report (:func:`repro.obs.fleet.fleet_report`)
+goes through the same two writers as the run report.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from pathlib import Path
 from .summary import load_metrics_report, slowest_spans, summarize
 
 __all__ = ["collect_report_data", "render_markdown", "render_html",
-           "write_run_report"]
+           "write_run_report", "markdown_page", "html_page", "write_page"]
 
 _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 
@@ -334,12 +340,17 @@ def _headline(data) -> list[str]:
     return lines
 
 
-def render_markdown(data) -> str:
-    """Render report data as a GitHub-flavoured Markdown document."""
-    out = [f"# Run report — {Path(data['run_dir']).name}", ""]
-    out.extend(f"- {line}" for line in _headline(data))
-    for title, header, rows in _assemble(data):
-        out.extend(["", f"## {title}", ""])
+def markdown_page(title: str, headline, sections) -> str:
+    """A GitHub-flavoured Markdown document: title, headline bullets,
+    then each table or preformatted section."""
+    out = [f"# {title}", ""]
+    out.extend(f"- {line}" for line in headline)
+    for section in sections:
+        out.extend(["", f"## {section[0]}", ""])
+        if len(section) == 2:
+            out.extend(["```", section[1], "```"])
+            continue
+        _, header, rows = section
         out.append("| " + " | ".join(header) + " |")
         out.append("|" + "|".join("---" for _ in header) + "|")
         out.extend("| " + " | ".join(row) + " |" for row in rows)
@@ -363,19 +374,23 @@ ul.headline { background: #f4f6ff; border-left: 4px solid #4361ee;
 """
 
 
-def render_html(data) -> str:
-    """Render report data as one self-contained HTML page."""
+def html_page(title: str, headline, sections) -> str:
+    """The same document as one self-contained, fully escaped HTML page."""
     esc = _html.escape
     parts = ["<!DOCTYPE html>", "<html lang=\"en\"><head>",
              "<meta charset=\"utf-8\">",
-             f"<title>Run report — {esc(Path(data['run_dir']).name)}</title>",
+             f"<title>{esc(title)}</title>",
              f"<style>{_CSS}</style>", "</head><body>",
-             f"<h1>Run report — {esc(Path(data['run_dir']).name)}</h1>",
+             f"<h1>{esc(title)}</h1>",
              "<ul class=\"headline\">"]
-    parts.extend(f"<li>{esc(line)}</li>" for line in _headline(data))
+    parts.extend(f"<li>{esc(line)}</li>" for line in headline)
     parts.append("</ul>")
-    for title, header, rows in _assemble(data):
-        parts.append(f"<h2>{esc(title)}</h2>")
+    for section in sections:
+        parts.append(f"<h2>{esc(section[0])}</h2>")
+        if len(section) == 2:
+            parts.append(f"<pre>{esc(section[1])}</pre>")
+            continue
+        _, header, rows = section
         parts.append("<table><thead><tr>"
                      + "".join(f"<th>{esc(h)}</th>" for h in header)
                      + "</tr></thead><tbody>")
@@ -388,6 +403,33 @@ def render_html(data) -> str:
     return "\n".join(parts)
 
 
+def write_page(out_path: str | Path, fmt: str, title: str, headline,
+               sections) -> Path:
+    """Render a page as ``fmt`` (``"html"`` or ``"md"``) and write it."""
+    if fmt not in ("html", "md"):
+        raise ValueError(f"unknown report format {fmt!r} (html or md)")
+    page = html_page if fmt == "html" else markdown_page
+    out_path = Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.write_text(page(title, headline, sections), encoding="utf-8")
+    return out_path
+
+
+def _run_page(data) -> tuple:
+    return (f"Run report — {Path(data['run_dir']).name}", _headline(data),
+            _assemble(data))
+
+
+def render_markdown(data) -> str:
+    """Render run report data as a GitHub-flavoured Markdown document."""
+    return markdown_page(*_run_page(data))
+
+
+def render_html(data) -> str:
+    """Render run report data as one self-contained HTML page."""
+    return html_page(*_run_page(data))
+
+
 def write_run_report(run_dir: str | Path, out_path: str | Path | None = None,
                      metrics_dir: str | Path | None = None,
                      fmt: str = "html", top: int = 5) -> Path:
@@ -396,12 +438,7 @@ def write_run_report(run_dir: str | Path, out_path: str | Path | None = None,
     ``fmt`` is ``"html"`` or ``"md"``; the default output path is
     ``<run_dir>/report.<fmt>``.
     """
-    if fmt not in ("html", "md"):
-        raise ValueError(f"unknown report format {fmt!r} (html or md)")
     data = collect_report_data(run_dir, metrics_dir=metrics_dir, top=top)
-    render = render_html if fmt == "html" else render_markdown
-    out_path = Path(out_path) if out_path is not None \
-        else Path(run_dir) / f"report.{fmt}"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(render(data), encoding="utf-8")
-    return out_path
+    return write_page(out_path if out_path is not None
+                      else Path(run_dir) / f"report.{fmt}",
+                      fmt, *_run_page(data))

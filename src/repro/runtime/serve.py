@@ -88,7 +88,7 @@ from .faults import SimulatedCrash
 from .journal import RunJournal
 
 __all__ = ["SPEC_DEFAULTS", "DEFAULT_LEASE_SECONDS", "DEFAULT_MAX_ATTEMPTS",
-           "JobQueue", "ServeDaemon", "build_job_runner"]
+           "JobQueue", "ServeDaemon", "build_job_runner", "fold_jobs"]
 
 #: Every legal job-spec field with its default.  Unknown fields fail the
 #: job at submit time (a typo silently ignored would prune the wrong
@@ -127,7 +127,14 @@ DEFAULT_LEASE_SECONDS = 30.0
 DEFAULT_MAX_ATTEMPTS = 3
 
 _STATES = ("pending", "active", "done", "failed", "quarantined")
+#: Every directory a :class:`JobQueue` creates under its root.
+_DIRS = (*_STATES, "runs", "health")
 _HOSTNAME = socket.gethostname()
+
+#: serve.jsonl record kinds that return a job to ``pending`` (the
+#: moments a queue-wait clock starts ticking).
+_PENDING_KINDS = ("job_submitted", "job_retry", "job_recovered",
+                  "job_drained")
 
 #: serve.jsonl state machine: record kind -> legal preceding kinds for
 #: the same job (``job_submitted`` must come first; ``job_lease_lost``
@@ -199,6 +206,55 @@ def _resolve_spec(spec: dict) -> dict:
     resolved = dict(SPEC_DEFAULTS)
     resolved.update(spec)
     return resolved
+
+
+def fold_jobs(records) -> dict[str, dict]:
+    """Per-job fold of ``serve.jsonl`` records, in journal order.
+
+    Pure, so the queue (attempt accounting, recovery, history checks,
+    ``--status``) and :class:`repro.obs.FleetView` (gauges, SLO
+    samples, reports) share one reading of the same records.  Each
+    entry holds the job's record ``kinds`` in order, its submit-time
+    ``trace_id``, ``claims`` (count), the last claimant ``daemon`` and
+    every distinct claimant in ``daemons``, burned ``failures``
+    (retries + crash recoveries), ``queue_waits`` as ``(claim ts,
+    seconds pending)`` pairs, and the ``submitted_ts`` /
+    ``claimed_ts`` (last claim) / ``completed_ts`` stamps.
+    """
+    jobs: dict[str, dict] = {}
+    pending_since: dict[str, float] = {}
+    for record in records:
+        job_id = record.get("job")
+        if not job_id:
+            continue
+        entry = jobs.setdefault(job_id, {
+            "kinds": [], "trace_id": None, "claims": 0, "daemon": None,
+            "daemons": [], "failures": 0, "queue_waits": [],
+            "submitted_ts": None, "claimed_ts": None,
+            "completed_ts": None})
+        kind = record.get("record")
+        ts = float(record.get("ts", 0.0))
+        entry["kinds"].append(kind)
+        if kind in _PENDING_KINDS:
+            pending_since[job_id] = ts
+        if kind == "job_submitted":
+            entry["trace_id"] = record.get("trace_id")
+            entry["submitted_ts"] = ts
+        elif kind == "job_claimed":
+            daemon = record.get("daemon")
+            entry["claims"] += 1
+            entry["daemon"] = daemon
+            entry["claimed_ts"] = ts
+            if daemon and daemon not in entry["daemons"]:
+                entry["daemons"].append(daemon)
+            if job_id in pending_since:
+                entry["queue_waits"].append(
+                    (ts, max(0.0, ts - pending_since.pop(job_id))))
+        elif kind in ("job_retry", "job_recovered"):
+            entry["failures"] += 1
+        elif kind == "job_complete":
+            entry["completed_ts"] = ts
+    return jobs
 
 
 def build_job_runner(spec: dict, workers: int | None = None,
@@ -323,7 +379,7 @@ class JobQueue:
         self.daemon_id = daemon_id or f"{_HOSTNAME}-{os.getpid()}"
         self.lease_seconds = float(lease_seconds)
         self.max_attempts = int(max_attempts)
-        for sub in (*_STATES, "runs", "health"):
+        for sub in _DIRS:
             (self.root / sub).mkdir(parents=True, exist_ok=True)
         self.journal = RunJournal(self.root / "serve.jsonl")
 
@@ -432,27 +488,9 @@ class JobQueue:
 
     # -- history ------------------------------------------------------------
     def _job_history(self) -> dict[str, dict]:
-        """Per-job view of ``serve.jsonl``: claims, failures, records."""
-        history: dict[str, dict] = {}
-        if not self.journal.exists():
-            return history
-        for record in self.journal.read():
-            job_id = record.get("job")
-            if not job_id:
-                continue
-            entry = history.setdefault(
-                job_id, {"claims": 0, "failures": 0, "records": [],
-                         "daemon": None, "trace": None})
-            kind = record.get("record")
-            entry["records"].append(kind)
-            if kind == "job_submitted":
-                entry["trace"] = record.get("trace_id")
-            elif kind == "job_claimed":
-                entry["claims"] += 1
-                entry["daemon"] = record.get("daemon")
-            elif kind in ("job_retry", "job_recovered"):
-                entry["failures"] += 1
-        return history
+        """:func:`fold_jobs` over a fresh read of ``serve.jsonl``."""
+        return fold_jobs(self.journal.read() if self.journal.exists()
+                         else [])
 
     def trace_id_for(self, job_id: str) -> str | None:
         """The causal trace id minted at submit time, or ``None``.
@@ -464,14 +502,14 @@ class JobQueue:
         causal timeline.
         """
         entry = self._job_history().get(job_id)
-        return entry["trace"] if entry else None
+        return entry["trace_id"] if entry else None
 
     def failures(self, job_id: str) -> int:
         """Burned attempts so far: journaled retries + crash recoveries."""
         entry = self._job_history().get(job_id)
         return entry["failures"] if entry else 0
 
-    def history_problems(self) -> list[str]:
+    def history_problems(self, history: dict | None = None) -> list[str]:
         """Validate ``serve.jsonl`` against the queue state machine.
 
         Returns human-readable problems: illegal record transitions,
@@ -479,11 +517,14 @@ class JobQueue:
         quarantined jobs missing their failure record, and orphaned
         lease files.  Empty means the fleet's history is well-formed —
         the chaos scenarios and the two-daemon race test gate on this.
+        ``history`` is a :func:`fold_jobs` result to check instead of a
+        fresh read (a FleetView passes the one it already folded).
         """
         problems = []
-        history = self._job_history()
+        if history is None:
+            history = self._job_history()
         for job_id in sorted(history):
-            records = [kind for kind in history[job_id]["records"]
+            records = [kind for kind in history[job_id]["kinds"]
                        if kind != "job_lease_lost"]
             if records[:1] != ["job_submitted"]:
                 problems.append(
@@ -500,14 +541,14 @@ class JobQueue:
                         f"{previous} -> {kind}")
                 previous = kind
         for job_id in self._jobs("done"):
-            completions = history.get(job_id, {"records": []})[
-                "records"].count("job_complete")
+            completions = history.get(job_id, {"kinds": []})[
+                "kinds"].count("job_complete")
             if completions != 1:
                 problems.append(f"{job_id}: in done/ with {completions} "
                                 "job_complete record(s)")
         for job_id in self._jobs("quarantined"):
             if "job_quarantined" not in history.get(
-                    job_id, {"records": []})["records"]:
+                    job_id, {"kinds": []})["kinds"]:
                 problems.append(f"{job_id}: in quarantined/ without a "
                                 "job_quarantined record")
         active = set(self._jobs("active"))
@@ -614,9 +655,7 @@ class JobQueue:
         if attempt >= self.max_attempts:
             self.quarantine(job_id, failure, attempts=attempt)
             return "quarantined"
-        source = self._state_dir("active") / f"{job_id}.json"
-        source.rename(self._state_dir("pending") / f"{job_id}.json")
-        self.release_lease(job_id)
+        self._settle(job_id, "pending")
         self.journal.append({"record": "job_retry", "job": job_id,
                              "attempt": attempt, **failure,
                              "daemon": self.daemon_id, "ts": time.time()})
@@ -639,9 +678,7 @@ class JobQueue:
     def requeue_drained(self, job_id: str,
                         interruption: RunInterrupted) -> None:
         """Return a drained job to ``pending`` (progress journaled)."""
-        source = self._state_dir("active") / f"{job_id}.json"
-        source.rename(self._state_dir("pending") / f"{job_id}.json")
-        self.release_lease(job_id)
+        self._settle(job_id, "pending")
         self.journal.append({"record": "job_drained", "job": job_id,
                              "reason": interruption.reason,
                              "steps_done": interruption.steps_done,

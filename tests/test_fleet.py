@@ -1,14 +1,15 @@
-"""Fleet observability: trace correlation, FleetView, SLOs, Prometheus.
+"""Fleet observability: trace correlation, FleetView, SLOs, reports.
 
 Covers the observability layer stacked on the serve queue
-(:mod:`repro.obs.fleet`, :mod:`repro.obs.slo`,
-:mod:`repro.obs.promexport`) plus the cross-daemon correlation
-contract from :mod:`repro.runtime.serve`: every metrics record a
-daemon emits while running a job carries the job's submit-time
-``trace_id`` and the daemon's ``origin``, so a takeover (daemon A
-crashes mid-job, daemon B resumes into the same stream) stitches into
-one causal timeline that the Chrome-trace exporter renders as two
-process rows of a single trace.
+(:mod:`repro.obs.fleet`, :mod:`repro.obs.slo`, and the fleet report
+rendered through :mod:`repro.obs.report`) — including that a
+FleetView is a read-only, point-in-time snapshot — plus the
+cross-daemon correlation contract from :mod:`repro.runtime.serve`:
+every metrics record a daemon emits while running a job carries the
+job's submit-time ``trace_id`` and the daemon's ``origin``, so a
+takeover (daemon A crashes mid-job, daemon B resumes into the same
+stream) stitches into one causal timeline that the Chrome-trace
+exporter renders as two process rows of a single trace.
 """
 
 import json
@@ -165,6 +166,12 @@ class TestTornReads:
     def test_fleetview_rejects_a_non_queue_root(self, tmp_path):
         with pytest.raises(obs.FleetError, match="no serve queue"):
             obs.FleetView(tmp_path / "nowhere")
+        # A lone serve.jsonl is not a queue either — and the view must
+        # not turn it into one by creating the queue directories.
+        (tmp_path / "serve.jsonl").write_text("")
+        with pytest.raises(obs.FleetError, match="no serve queue"):
+            obs.FleetView(tmp_path)
+        assert [path.name for path in tmp_path.iterdir()] == ["serve.jsonl"]
 
     def test_metrics_error_on_directory_shaped_stream(self, tmp_path):
         stream = tmp_path / obs.METRICS_FILENAME
@@ -223,6 +230,23 @@ class TestFleetView:
             == [0.0] * len(jobs)
         for series in samples.values():
             assert series == sorted(series)
+
+    def test_view_is_a_snapshot(self, tmp_path):
+        """Every answer comes from the read taken at construction: a job
+        submitted afterwards shows in no view method."""
+        queue, jobs = run_fleet(tmp_path)
+        view = obs.FleetView(tmp_path)
+        before = (view.events(), view.jobs(), view.gauges(),
+                  view.slo_samples())
+        late = queue.submit({"engine": "li17", "seed": 9})
+        after = (view.events(), view.jobs(), view.gauges(),
+                 view.slo_samples())
+        assert after == before
+        assert late not in view.jobs()
+        assert all(row["job"] != late for row in view.events())
+        assert view.gauges()["totals"]["submitted"] == len(jobs)
+        assert view.gauges()["queue_depth"] == 0
+        assert obs.FleetView(tmp_path).gauges()["queue_depth"] == 1
 
     def test_percentile(self):
         assert obs.fleet.percentile([], 50.0) is None
@@ -362,62 +386,6 @@ class TestSLO:
         assert window["burn_rate"] == pytest.approx(2.0)
 
 
-class TestPrometheus:
-    def test_export_is_schema_valid_and_complete(self, tmp_path):
-        run_fleet(tmp_path)
-        view = obs.FleetView(tmp_path)
-        slo = {"objectives": [{"name": "lat",
-                               "metric": "job_latency_seconds",
-                               "threshold_seconds": 3600.0, "budget": 0.5,
-                               "windows_seconds": [300.0]}]}
-        text = obs.render_prometheus(
-            view.snapshot(), obs.evaluate_slo(slo, view.slo_samples()))
-        assert obs.validate_prometheus(text) == []
-        for family in ("repro_fleet_jobs", "repro_fleet_daemons",
-                       "repro_fleet_jobs_completed_total",
-                       "repro_fleet_job_latency_seconds",
-                       "repro_fleet_slo_burn_rate",
-                       "repro_fleet_slo_burning"):
-            assert f"# TYPE {family} " in text
-        assert 'repro_fleet_jobs{state="done"} 2' in text
-        assert 'quantile="0.99"' in text
-
-    def test_write_validates_and_writes(self, tmp_path):
-        run_fleet(tmp_path, seeds=(4,))
-        out = tmp_path / "fleet.prom"
-        text = obs.write_prometheus(obs.FleetView(tmp_path).snapshot(), out)
-        assert out.read_text(encoding="utf-8") == text
-
-    def test_validator_catches_broken_pages(self):
-        cases = (
-            ("metric_without_type 1\n", "no TYPE"),
-            ("# TYPE m gauge\nm abc\n", "bad sample value"),
-            ("# TYPE m gauge\nm{x=unquoted} 1\n", "bad label pair"),
-            ("# TYPE m gauge\nm 1\n# TYPE m gauge\nm 2\n",
-             "after its samples"),
-            ("# TYPE m spinner\nm 1\n", "unknown TYPE"),
-            ("# HELP m a\n# HELP m b\n# TYPE m gauge\nm 1\n",
-             "duplicate HELP"),
-            ("# TYPE m gauge\n!!! not a sample\n", "unparsable"),
-        )
-        for page, pattern in cases:
-            problems = obs.validate_prometheus(page)
-            assert any(pattern in problem for problem in problems), \
-                (page, problems)
-
-    def test_summary_children_resolve_to_their_family(self):
-        page = ("# TYPE lat summary\n"
-                'lat{quantile="0.5"} 1.5\n'
-                "lat_sum 3\nlat_count 2\n")
-        assert obs.validate_prometheus(page) == []
-        assert obs.validate_prometheus("lat_sum 3\n") != []
-
-    def test_label_escaping_round_trips(self):
-        page = ('# TYPE m gauge\n'
-                'm{path="C:\\\\run \\"x\\",y"} 1\n')
-        assert obs.validate_prometheus(page) == []
-
-
 class TestFleetCli:
     def test_status_and_tail(self, tmp_path, capsys):
         queue, jobs = run_fleet(tmp_path)
@@ -432,6 +400,29 @@ class TestFleetCli:
         assert "job_submitted" in out and "job_complete" in out
         assert f"trace={queue.trace_id_for(jobs[0])}" in out
 
+    def test_commands_never_write_into_the_root(self, tmp_path, capsys):
+        root = tmp_path / "queue"
+        run_fleet(root)
+        (root / obs.SLO_FILENAME).write_text(json.dumps({"objectives": [
+            {"name": "lat", "metric": "job_latency_seconds",
+             "threshold_seconds": 3600.0, "budget": 0.5}]}))
+
+        def listing():
+            return sorted((str(path.relative_to(root)), path.is_dir(),
+                           path.stat().st_size, path.stat().st_mtime_ns)
+                          for path in root.rglob("*"))
+
+        before = listing()
+        out = tmp_path / "out"
+        for argv in (["status"], ["tail"], ["slo", "--check"],
+                     ["report", "--format", "md", "--out",
+                      str(out / "r.md")],
+                     ["report", "--out", str(out / "r.html")],
+                     ["trace", "job-0001", "--out", str(out / "t.json")]):
+            assert cli_main(["fleet", argv[0], str(root), *argv[1:]]) == 0
+            assert listing() == before, argv
+        capsys.readouterr()
+
     def test_missing_root_is_a_typed_error(self, tmp_path, capsys):
         assert cli_main(["fleet", "status",
                          str(tmp_path / "nowhere")]) == 2
@@ -439,15 +430,24 @@ class TestFleetCli:
         assert err.startswith("error:") and "no serve queue" in err
 
     def test_report_markdown_and_html(self, tmp_path, capsys):
-        run_fleet(tmp_path)
-        for fmt, needle in (("md", "## Daemon swimlanes"),
-                            ("html", "<h2>Daemon swimlanes</h2>")):
+        # --daemon-id is operator input: the HTML writer must escape it.
+        run_fleet(tmp_path, daemon_id="d<b>1")
+        (tmp_path / obs.SLO_FILENAME).write_text(json.dumps({"objectives": [
+            {"name": "lat", "metric": "job_latency_seconds",
+             "threshold_seconds": 3600.0, "budget": 0.5}]}))
+        texts = {}
+        for fmt, needle, slo in (
+                ("md", "## Daemon swimlanes", "## SLO"),
+                ("html", "<h2>Daemon swimlanes</h2>", "<h2>SLO</h2>")):
             out = tmp_path / f"report.{fmt}"
             assert cli_main(["fleet", "report", str(tmp_path),
                              "--format", fmt, "--out", str(out)]) == 0
-            text = out.read_text(encoding="utf-8")
+            text = texts[fmt] = out.read_text(encoding="utf-8")
             assert needle in text
+            assert slo in text and "job_latency_seconds" in text
             assert "job-0001" in text
+        assert "d<b>1" in texts["md"]
+        assert "d&lt;b&gt;1" in texts["html"] and "<b>" not in texts["html"]
         capsys.readouterr()
 
     def test_slo_check_exit_codes(self, tmp_path, capsys):
@@ -477,15 +477,6 @@ class TestFleetCli:
         # a silent pass.
         assert cli_main(["fleet", "slo", root, "--check"]) == 2
         capsys.readouterr()
-
-    def test_export_prom(self, tmp_path, capsys):
-        run_fleet(tmp_path, seeds=(4,))
-        out = tmp_path / "fleet.prom"
-        assert cli_main(["fleet", "export", str(tmp_path),
-                         "--prom", str(out)]) == 0
-        assert "schema ok" in capsys.readouterr().out
-        assert obs.validate_prometheus(
-            out.read_text(encoding="utf-8")) == []
 
     def test_fleet_trace_over_a_takeover(self, tmp_path, capsys):
         queue = JobQueue(tmp_path, daemon_id="observer")
