@@ -1,9 +1,13 @@
 """Neural-network operators built on the autograd engine.
 
-Convolution and pooling are implemented with hand-written backward rules
-for speed; normalisation, softmax and losses are composed from
+Convolution, pooling and BatchNorm are implemented with hand-written
+backward rules for speed; softmax and losses are composed from
 :class:`~repro.nn.tensor.Tensor` primitives so their gradients come
-straight from the engine.
+straight from the engine.  BatchNorm is one autograd node whose forward
+and backward evaluate the same numpy expressions, in the same order and
+memory layout, as the primitive chain it replaced, so its outputs and
+gradients equal that chain's bit for bit (``docs/PERFORMANCE.md``,
+"BatchNorm").
 
 Dense convolution is lowered to one GEMM over an im2col patch matrix:
 :func:`im2col` gathers it from the zero-padded input with a memoized
@@ -21,14 +25,14 @@ import functools
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, is_grad_enabled
 
 __all__ = [
     "patch_index", "im2col", "col2im", "conv2d",
     "conv2d_depthwise", "depthwise_windows",
     "linear", "max_pool2d", "avg_pool2d",
     "global_avg_pool2d", "upsample_nearest", "batch_norm2d",
-    "dropout", "log_softmax",
+    "batch_norm2d_eval", "dropout", "log_softmax",
     "softmax", "cross_entropy", "nll_loss", "mse_loss",
 ]
 
@@ -306,27 +310,124 @@ def upsample_nearest(x: Tensor, scale: int = 2) -> Tensor:
 # ----------------------------------------------------------------------
 # Normalisation / regularisation
 # ----------------------------------------------------------------------
+_BN_AXES = (0, 2, 3)
+
+
+def _column(v: np.ndarray) -> np.ndarray:
+    return v.reshape(1, -1, 1, 1)
+
+
+def batch_norm2d_eval(x: np.ndarray, running_mean: np.ndarray,
+                      running_var: np.ndarray, weight: np.ndarray,
+                      bias: np.ndarray, eps: float,
+                      alloc=None) -> np.ndarray:
+    """Eval-mode BatchNorm of an NCHW array, computed in its output buffer.
+
+    Computes ``(x - mean) * inv_std * weight + bias`` with ``inv_std =
+    (running_var + eps) ** -0.5``, operation by operation as
+    :func:`batch_norm2d` does with gradients on.  ``eps`` enters as a
+    0-d float64 array, so ``inv_std`` and the output are float64, while
+    ``x - mean`` rounds at ``result_type(x, running_mean)`` (float32 for
+    a float32 input and float32 statistics) before it is widened.
+
+    ``alloc(dtype)`` returns the empty output buffer, shaped and strided
+    like ``x``.  Without it numpy allocates the output (and, when ``x -
+    mean`` is narrower, that difference first), so the result is
+    strided exactly as with gradients on (size-1 axes included).
+    """
+    mean = _column(running_mean)
+    inv_std = (_column(running_var) + np.asarray(eps)) ** -0.5
+    centred_dtype = np.result_type(x, mean)
+    dtype = np.result_type(centred_dtype, inv_std)
+    if alloc is not None:
+        out = alloc(dtype)
+        np.subtract(x, mean, out=out, dtype=centred_dtype)
+        np.multiply(out, inv_std, out=out)
+    elif centred_dtype == dtype:
+        out = np.subtract(x, mean)
+        np.multiply(out, inv_std, out=out)
+    else:
+        out = np.subtract(x, mean) * inv_std
+    np.multiply(out, _column(weight), out=out)
+    np.add(out, _column(bias), out=out)
+    return out
+
+
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                  running_mean: np.ndarray, running_var: np.ndarray,
                  training: bool, momentum: float = 0.1,
                  eps: float = 1e-5) -> Tensor:
     """Batch normalisation over the channel axis of NCHW input.
 
-    Running statistics are updated in place during training.
+    Running statistics are updated in place during training, which
+    needs more than one value per channel (``N*H*W > 1``).  The op is
+    one autograd node with parents ``(x, gamma, beta)``; its backward
+    is the exact gradient of the forward's expressions, evaluated in a
+    fixed order so every gradient is reproducible bit for bit
+    (``docs/PERFORMANCE.md``, "BatchNorm").  In eval mode with nothing
+    to differentiate, the output is :func:`batch_norm2d_eval`.
     """
+    data = x.data
     if training:
-        mean = x.mean(axis=(0, 2, 3), keepdims=True)
-        var = ((x - mean) ** 2).mean(axis=(0, 2, 3), keepdims=True)
+        n, _, h, w = data.shape
+        if n * h * w == 1:
+            raise ValueError(
+                "batch_norm2d: training needs more than one value per "
+                f"channel, got input shape {data.shape}")
+        count = np.asarray(float(n * h * w))
+        mean = data.sum(axis=_BN_AXES, keepdims=True) / count
+        centred = data - mean
+        var = (centred ** 2).sum(axis=_BN_AXES, keepdims=True) / count
         running_mean *= (1.0 - momentum)
-        running_mean += momentum * mean.data.reshape(-1)
+        running_mean += momentum * mean.reshape(-1)
         running_var *= (1.0 - momentum)
-        running_var += momentum * var.data.reshape(-1)
+        running_var += momentum * var.reshape(-1)
+    elif not (is_grad_enabled() and (x.requires_grad or gamma.requires_grad
+                                     or beta.requires_grad)):
+        return Tensor(batch_norm2d_eval(data, running_mean, running_var,
+                                        gamma.data, beta.data, eps))
     else:
-        mean = Tensor(running_mean.reshape(1, -1, 1, 1))
-        var = Tensor(running_var.reshape(1, -1, 1, 1))
-    inv_std = (var + eps) ** -0.5
-    normalised = (x - mean) * inv_std
-    return normalised * gamma.reshape(1, -1, 1, 1) + beta.reshape(1, -1, 1, 1)
+        var = _column(running_var)
+        centred = data - _column(running_mean)
+    var_eps = var + np.asarray(eps)
+    inv_std = var_eps ** -0.5
+    normalised = centred * inv_std
+    weight = _column(gamma.data)
+    out = normalised * weight
+    out += _column(beta.data)
+
+    def backward(g: np.ndarray) -> None:
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=_BN_AXES, keepdims=True)
+                             .astype(beta.dtype, copy=False)
+                             .reshape(beta.shape))
+        if gamma.requires_grad:
+            gamma._accumulate((g * normalised)
+                              .sum(axis=_BN_AXES, keepdims=True)
+                              .astype(gamma.dtype, copy=False)
+                              .reshape(gamma.shape))
+        if not x.requires_grad:
+            return
+        # x receives three terms, each rounded as it is added: through
+        # the centred input, through the variance, through the mean.
+        g_norm = g * weight
+        dx2 = (g_norm * inv_std).astype(centred.dtype, copy=False)
+        x._accumulate(dx2)
+        if not training:
+            return
+        g_var = ((g_norm * centred).sum(axis=_BN_AXES, keepdims=True)
+                 * -0.5 * var_eps ** -1.5 / count)
+        # C order, whatever centred's layout: the sum below reduces in
+        # memory order.
+        dx1 = np.empty(data.shape, dtype=np.result_type(g_var, centred))
+        np.multiply(g_var * 2, centred, out=dx1)
+        x._accumulate(dx1)
+        g_mean = (-dx2.sum(axis=_BN_AXES, keepdims=True)
+                  + -dx1.sum(axis=_BN_AXES, keepdims=True))
+        x._accumulate(np.broadcast_to((g_mean / count).astype(data.dtype),
+                                      data.shape))
+
+    return Tensor._make(out, (x, gamma, beta), backward)
 
 
 def dropout(x: Tensor, p: float, training: bool,

@@ -49,7 +49,7 @@ import time
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .functional import depthwise_windows, patch_index
+from .functional import batch_norm2d_eval, depthwise_windows, patch_index
 from .modules import (AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten,
                       GlobalAvgPool2d, Identity, Linear, MaxPool2d, Module,
                       ReLU, Sigmoid, Tanh, Upsample)
@@ -544,28 +544,18 @@ class GraphExecutor:
         return buf, buf
 
     def _run_bn(self, node: _Node, x: np.ndarray):
-        # Replays the eager eval-mode chain exactly, including its dtype
-        # promotion: ``var + eps`` goes through a 0-d float64 scalar, so
-        # inv_std — and therefore the BN output — is always float64.
+        # The eager eval-mode expression, written into an arena buffer.
         bn = node.module
-        arena = self._arena
-        column = lambda v: v.reshape(1, -1, 1, 1)
-        mean = column(bn.running_mean)
-        inv_std = (column(bn.running_var) + np.asarray(bn.eps)) ** -0.5
-        sub_dtype = np.result_type(x, mean)
-        out_dtype = np.result_type(sub_dtype, inv_std)
-        buf, base = self._alloc_like(x, out_dtype)
-        if sub_dtype == out_dtype:
-            np.subtract(x, mean, out=buf)
-            np.multiply(buf, inv_std, out=buf)
-        else:
-            sub, sub_base = self._alloc_like(x, sub_dtype)
-            np.subtract(x, mean, out=sub)
-            np.multiply(sub, inv_std, out=buf)
-            arena.put(sub_base)
-        np.multiply(buf, column(bn.weight.data), out=buf)
-        np.add(buf, column(bn.bias.data), out=buf)
-        return buf, base
+        bases = []
+
+        def alloc(dtype):
+            buf, base = self._alloc_like(x, dtype)
+            bases.append(base)
+            return buf
+
+        buf = batch_norm2d_eval(x, bn.running_mean, bn.running_var,
+                                bn.weight.data, bn.bias.data, bn.eps, alloc)
+        return buf, bases[0]
 
     def _run_relu(self, node: _Node, x: np.ndarray):
         arena = self._arena

@@ -114,8 +114,9 @@ class ModuleProfiler:
     the batch) and ``bytes`` (input + output activations + parameters at
     FP32, the ``repro.gpusim`` roofline convention).  ``phase=
     "backward"`` events carry ``dur`` only, one per autograd closure the
-    module's forward created (a layer whose forward builds several
-    primitives reports several backward events; totals still add up).
+    module's forward created: one per call for ``Conv2d`` and
+    ``BatchNorm2d`` (each a single hand-written node), three for a
+    biased ``Linear`` (transpose, matmul, bias add); totals add up.
     """
 
     def __init__(self):

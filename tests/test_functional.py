@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.nn import Tensor, check_gradients
+from repro.models import available_models, build_model
+from repro.nn import Tensor, check_gradients, no_grad
+from repro.nn.optim import SGD
 from repro.nn import functional as F
+from repro.nn.tensor import creator_closures
 
 
 def naive_conv2d(x, w, b, stride, pad):
@@ -54,6 +57,26 @@ def reference_col2im(cols, x_shape, kernel, stride, pad):
     if pad:
         image = image[:, :, pad:hp - pad, pad:wp - pad]
     return image
+
+
+def reference_batch_norm2d(x, gamma, beta, running_mean, running_var,
+                           training, momentum=0.1, eps=1e-5):
+    """BatchNorm composed from ``Tensor`` primitives: the exactness
+    reference for ``F.batch_norm2d`` (16 autograd nodes per training
+    call, each gradient coming straight from the engine)."""
+    if training:
+        mean = x.mean(axis=(0, 2, 3), keepdims=True)
+        var = ((x - mean) ** 2).mean(axis=(0, 2, 3), keepdims=True)
+        running_mean *= (1.0 - momentum)
+        running_mean += momentum * mean.data.reshape(-1)
+        running_var *= (1.0 - momentum)
+        running_var += momentum * var.data.reshape(-1)
+    else:
+        mean = Tensor(running_mean.reshape(1, -1, 1, 1))
+        var = Tensor(running_var.reshape(1, -1, 1, 1))
+    inv_std = (var + eps) ** -0.5
+    normalised = (x - mean) * inv_std
+    return normalised * gamma.reshape(1, -1, 1, 1) + beta.reshape(1, -1, 1, 1)
 
 
 def assert_bitwise_equal(actual, expected):
@@ -287,6 +310,171 @@ class TestBatchNorm:
                              Tensor(np.array([1.0, -1.0])),
                              np.zeros(2), np.ones(2), training=True)
         assert np.allclose(out.data.mean(axis=(0, 2, 3)), [1.0, -1.0], atol=1e-6)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_gradients(self, rng, training):
+        x = Tensor(rng.normal(loc=1.0, size=(4, 3, 3, 2)), requires_grad=True)
+        gamma = Tensor(rng.normal(size=3), requires_grad=True)
+        beta = Tensor(rng.normal(size=3), requires_grad=True)
+        stats = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+        # A non-uniform upstream gradient: the sum of a training-mode
+        # output does not depend on x.
+        weights = Tensor(rng.normal(size=x.shape))
+
+        def fn(x, gamma, beta):
+            running_mean, running_var = (s.copy() for s in stats)
+            return F.batch_norm2d(x, gamma, beta, running_mean, running_var,
+                                  training=training) * weights
+
+        check_gradients(fn, [x, gamma, beta])
+
+    def test_one_autograd_node(self, rng):
+        x = Tensor(rng.normal(size=(4, 3, 2, 2)), requires_grad=True)
+        gamma = Tensor(np.ones(3), requires_grad=True)
+        beta = Tensor(np.zeros(3), requires_grad=True)
+        out = F.batch_norm2d(x, gamma, beta, np.zeros(3), np.ones(3),
+                             training=True)
+        assert out._parents == (x, gamma, beta)
+        assert creator_closures(out, (x,)) == [out]
+
+    def test_training_needs_more_than_one_value_per_channel(self):
+        x = Tensor(np.ones((1, 2, 1, 1)))
+        running_mean, running_var = np.zeros(2), np.ones(2)
+        with pytest.raises(ValueError, match=r"\(1, 2, 1, 1\)"):
+            F.batch_norm2d(x, Tensor(np.ones(2)), Tensor(np.zeros(2)),
+                           running_mean, running_var, training=True)
+        assert np.array_equal(running_mean, np.zeros(2))
+        assert np.array_equal(running_var, np.ones(2))
+        out = F.batch_norm2d(x, Tensor(np.ones(2)), Tensor(np.zeros(2)),
+                             running_mean, running_var, training=False)
+        assert out.shape == (1, 2, 1, 1)
+
+
+#: name -> (x requires grad, gamma/beta require grad, x holds a gradient)
+BN_GRAD_CASES = {
+    "all": (True, True, False),
+    "x frozen": (False, True, False),
+    "affine frozen": (True, False, False),
+    "x holds a gradient": (True, True, True),
+    "constants": (False, False, False),
+}
+
+
+def run_batch_norm(op, x_data, affine, stats, training, grad_on,
+                   x_grad=False, affine_grad=False, prior=None,
+                   upstream=None):
+    """One BatchNorm call (and backward): out, grads and running stats."""
+    x = Tensor(x_data, requires_grad=x_grad)
+    gamma, beta = (Tensor(p, requires_grad=affine_grad) for p in affine)
+    if prior is not None:
+        x.grad = prior.copy()
+    running_mean, running_var = (s.copy() for s in stats)
+    if grad_on:
+        out = op(x, gamma, beta, running_mean, running_var, training=training)
+        if out.requires_grad:
+            out.backward(upstream)
+    else:
+        with no_grad():
+            out = op(x, gamma, beta, running_mean, running_var,
+                     training=training)
+    return {"out": out.data, "x.grad": x.grad, "gamma.grad": gamma.grad,
+            "beta.grad": beta.grad, "running_mean": running_mean,
+            "running_var": running_var}
+
+
+class TestBatchNormMatchesReference:
+    """The fused op reproduces the composed chain byte for byte."""
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("param_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8, 4, 12, 12), (3, 16, 6, 6),
+                                       (2, 6, 1, 1), (1, 4, 1, 2)])
+    def test_bytes_dtypes_and_strides(self, rng, shape, x_dtype, param_dtype,
+                                      training):
+        c = shape[1]
+        images = signed_zero_images(rng, shape, x_dtype) * 2.0 + 0.5
+        affine = [rng.normal(size=c).astype(param_dtype) for _ in range(2)]
+        stats = (rng.normal(size=c).astype(param_dtype),
+                 rng.uniform(0.5, 2.0, size=c).astype(param_dtype))
+        prior = rng.normal(size=shape).astype(x_dtype)
+        scenarios = [("no_grad", dict(grad_on=False))]
+        for case, (x_grad, affine_grad, holds) in BN_GRAD_CASES.items():
+            for layout, upstream in zip(("C", "channels-last"),
+                                        layouts(rng.normal(size=shape))):
+                scenarios.append((f"{case}, upstream {layout}", dict(
+                    grad_on=True, x_grad=x_grad, affine_grad=affine_grad,
+                    prior=prior if holds else None, upstream=upstream)))
+        for layout, x_data in zip(("C", "channels-last"), layouts(images)):
+            for name, scenario in scenarios:
+                fused = run_batch_norm(F.batch_norm2d, x_data, affine, stats,
+                                       training, **scenario)
+                chain = run_batch_norm(reference_batch_norm2d, x_data, affine,
+                                       stats, training, **scenario)
+                for key, expected in chain.items():
+                    where = f"{key} (x {layout}, {name})"
+                    actual = fused[key]
+                    if expected is None:
+                        assert actual is None, where
+                        continue
+                    assert actual.dtype == expected.dtype, where
+                    assert actual.strides == expected.strides, where
+                    assert actual.tobytes() == expected.tobytes(), where
+
+    @pytest.mark.parametrize("param_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
+    def test_eval_into_caller_buffer(self, rng, x_dtype, param_dtype):
+        """The graph executor's path: one output buffer from ``alloc``."""
+        images = signed_zero_images(rng, (3, 16, 6, 6), x_dtype)
+        affine = [rng.normal(size=16).astype(param_dtype) for _ in range(2)]
+        stats = (rng.normal(size=16).astype(param_dtype),
+                 rng.uniform(0.5, 2.0, size=16).astype(param_dtype))
+        for x_data in layouts(images):
+            expected = run_batch_norm(reference_batch_norm2d, x_data, affine,
+                                      stats, training=False, grad_on=False)
+            buffers = []
+
+            def alloc(dtype):
+                buffers.append(np.empty_like(x_data, dtype=dtype))
+                return buffers[-1]
+
+            out = F.batch_norm2d_eval(x_data, *stats, *affine, 1e-5, alloc)
+            assert len(buffers) == 1 and out is buffers[0]
+            assert_bitwise_equal(out, expected["out"])
+
+
+class TestBatchNormModelsMatchReference:
+    """Training and eval through whole models, fused vs composed chain."""
+
+    @pytest.mark.parametrize("size", [12, 16])
+    @pytest.mark.parametrize("name", available_models())
+    def test_sgd_steps_then_eval(self, monkeypatch, name, size):
+        def run():
+            model = build_model(name, num_classes=4, input_size=size,
+                                width_multiplier=0.125,
+                                rng=np.random.default_rng(3))
+            data = np.random.default_rng(4)
+            images = Tensor(data.normal(size=(4, 3, size, size))
+                            .astype(np.float32))
+            labels = data.integers(0, 4, size=4)
+            optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9,
+                            weight_decay=5e-4)
+            for _ in range(2):
+                optimizer.zero_grad()
+                F.cross_entropy(model(images), labels).backward()
+                optimizer.step()
+            model.eval()
+            with no_grad():
+                logits = model(images).data
+            return {**model.state_dict(), "logits": logits}
+
+        fused = run()
+        monkeypatch.setattr(F, "batch_norm2d", reference_batch_norm2d)
+        chain = run()
+        assert fused.keys() == chain.keys()
+        for key, expected in chain.items():
+            assert fused[key].dtype == expected.dtype, key
+            assert fused[key].tobytes() == expected.tobytes(), key
 
 
 class TestDropout:

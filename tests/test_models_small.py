@@ -65,6 +65,7 @@ class TestRegistry:
             model = build_model(name, num_classes=4, input_size=16,
                                 width_multiplier=0.125,
                                 rng=np.random.default_rng(0))
+            model.eval()
             with no_grad():
                 out = model(Tensor(np.zeros((1, 3, 16, 16), dtype=np.float32)))
             assert out.shape == (1, 4), name

@@ -218,9 +218,9 @@ class TestUpsample:
 class TestDtypeFlow:
     """float32 activations become float64 at the first BatchNorm.
 
-    ``var + eps`` (eval) and ``Tensor.mean``'s ``/ float(count)`` (train)
-    combine float32 data with a 0-d float64 array, which NumPy >= 2
-    promotes to float64 (NEP 50); NumPy 1.x kept float32.  The graph
+    ``var + eps`` (eval) and the batch mean's division by the count
+    (train) combine float32 data with a 0-d float64 array, which
+    NumPy >= 2 promotes to float64 (NEP 50); NumPy 1.x kept float32.  The graph
     executor's dtype replication, the benchmark digests and the committed
     ``BENCH_reinforce.json`` all assume the float64 flow.
     """
