@@ -20,18 +20,7 @@ Subcommands cover the experiment lifecycle on synthetic tasks:
 * ``report``  — with a run directory, write a self-contained HTML/
   Markdown run report joining the metrics stream with the runtime
   journal; without one, regenerate EXPERIMENTS.md from benchmark
-  records (the legacy mode);
-* ``serve``   — file-backed pruning job queue + daemon: ``--submit``
-  enqueues spec files, ``--status`` shows per-job progress from the
-  run journals, and daemon mode claims and runs jobs (resuming any a
-  dead daemon left behind); per-job runs shard reward evaluations
-  across the supervised process pool (``--workers``);
-* ``fleet``   — fleet-wide observability over a serve queue root, each
-  view one point-in-time read: ``status [--watch]`` (merged gauges +
-  daemon health), ``tail`` (merged event timeline), ``report``
-  (per-daemon swimlane HTML/MD), ``slo --check`` (multi-window
-  burn-rate gate) and ``trace`` (per-daemon Chrome trace of one job
-  across takeovers).
+  records (the legacy mode).
 
 Every command is deterministic under ``--seed``; ``train``, ``prune``
 and ``fps`` accept ``--metrics-dir`` to stream observability events
@@ -343,127 +332,6 @@ def _cmd_prune(args) -> int:
     return 0
 
 
-def _fmt_age(seconds) -> str:
-    if seconds is None:
-        return "-"
-    seconds = float(seconds)
-    if seconds < 90:
-        return f"{seconds:.0f}s"
-    if seconds < 5400:
-        return f"{seconds / 60:.0f}m"
-    return f"{seconds / 3600:.1f}h"
-
-
-def _cmd_serve(args) -> int:
-    import json
-    import os
-    import signal
-
-    from .runtime.serve import JobQueue, ServeDaemon
-
-    queue = JobQueue(args.root, lease_seconds=args.lease_seconds,
-                     max_attempts=args.max_attempts)
-    acted = False
-    for spec_path in args.submit or ():
-        try:
-            with open(spec_path, "r", encoding="utf-8") as handle:
-                spec = json.load(handle)
-            if not isinstance(spec, dict):
-                raise ValueError(f"{spec_path}: job spec must be a JSON "
-                                 "object")
-            job_id = queue.submit(spec)
-        except (OSError, ValueError, json.JSONDecodeError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print(f"submitted {job_id} ({spec_path})")
-        acted = True
-    if args.drain:
-        # Sentinel first (covers daemons on other hosts polling this
-        # queue), then SIGTERM the live same-host daemons so they notice
-        # mid-job instead of at the next claim.
-        queue.request_drain()
-        signalled = 0
-        for daemon in queue.daemons():
-            if not daemon.get("live"):
-                continue
-            try:
-                os.kill(int(daemon["pid"]), signal.SIGTERM)
-                signalled += 1
-            except (OSError, TypeError, ValueError):
-                continue
-        print(f"drain requested; signalled {signalled} live daemon(s)")
-        acted = True
-    if args.status:
-        table = Table(["STATE", "JOB", "ATT", "AGE", "DAEMON", "STEPS",
-                       "RUN"],
-                      title=f"queue at {args.root}")
-        try:
-            # status() joins serve.jsonl with run journals; both readers
-            # drop a torn tail, but a journal corrupted mid-file should
-            # be a typed one-liner, not a traceback.
-            snapshot = queue.status()
-        except JournalError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        for state, jobs in snapshot.items():
-            for job in jobs:
-                run = "complete" if job["complete"] else "in progress"
-                if job.get("degraded"):
-                    run += f" ({job['degraded']} degraded)"
-                if state == "active" and job.get("lease_live") is False:
-                    run += " [lease expired]"
-                failure = job.get("failure")
-                if failure:
-                    run = f"{failure.get('kind')}: " \
-                          f"{failure.get('message', '')[:40]}"
-                table.add_row([state, job["job"], job.get("attempts", 0),
-                               _fmt_age(job.get("age_seconds")),
-                               job.get("daemon") or "-",
-                               job["steps_done"], run])
-        try:
-            print(table.render())
-            daemons = queue.daemons()
-            if daemons:
-                fleet = Table(["DAEMON", "PID", "STATE", "JOB", "DONE",
-                               "QUAR", "UPTIME", "SEEN"],
-                              title="daemons")
-                for info in daemons:
-                    jobs_done = (info.get("jobs") or {})
-                    fleet.add_row([
-                        info.get("daemon", "?"), info.get("pid", "?"),
-                        (info.get("state", "?")
-                         + ("" if info.get("live") else " (gone)")),
-                        info.get("job") or "-",
-                        jobs_done.get("done", 0),
-                        jobs_done.get("quarantined", 0),
-                        _fmt_age(info.get("uptime_seconds")),
-                        _fmt_age(info.get("stale_seconds"))])
-                print(fleet.render())
-        except BrokenPipeError:
-            # `repro serve --status | head` closes stdout early; exit
-            # quietly (redirecting to devnull stops the interpreter's
-            # shutdown flush from raising again).
-            os.dup2(os.open(os.devnull, os.O_WRONLY),
-                    sys.stdout.fileno())
-            return 0
-        acted = True
-    # Submit/status/drain-only invocations exit without running jobs;
-    # anything else (including a bare `repro serve <root>`) runs the
-    # daemon.
-    if acted and not args.once and args.max_jobs is None:
-        return 0
-    daemon = ServeDaemon(args.root, workers=args.workers,
-                         poll_seconds=args.poll_seconds,
-                         max_jobs=args.max_jobs,
-                         daemon_id=args.daemon_id,
-                         lease_seconds=args.lease_seconds,
-                         max_attempts=args.max_attempts,
-                         breaker_threshold=args.breaker_threshold)
-    processed = daemon.run(once=args.once)
-    print(f"processed {processed} job(s)")
-    return 0
-
-
 def _cmd_profile(args) -> int:
     model = _make_model(args)
     stats = profile_model(model, (3, args.image_size, args.image_size))
@@ -552,126 +420,6 @@ def _cmd_report(args) -> int:
                                       args.out or "EXPERIMENTS.md")
     print(f"wrote {path}")
     return 0
-
-
-def _fleet_slo_result(view, slo_path=None):
-    """Evaluated SLOs for a fleet view, or ``None`` when none declared.
-
-    An explicit ``--slo`` path must load (errors propagate); the
-    implicit ``<root>/slo.json`` is only used when present.
-    """
-    from pathlib import Path
-
-    if slo_path is None:
-        implicit = Path(view.root) / obs.SLO_FILENAME
-        if not implicit.exists():
-            return None
-        slo_path = implicit
-    return obs.evaluate_slo(obs.load_slo(slo_path), view.slo_samples())
-
-
-def _cmd_fleet_status(args) -> int:
-    import time as _time
-
-    shown = 0
-    while True:
-        view = obs.FleetView(args.root)
-        print(obs.render_status(view.snapshot(),
-                                slo_result=_fleet_slo_result(view,
-                                                             args.slo)))
-        shown += 1
-        if not args.watch or (args.count is not None and
-                              shown >= args.count):
-            return 0
-        print()
-        try:
-            _time.sleep(args.interval)
-        except KeyboardInterrupt:
-            return 0
-
-
-def _cmd_fleet_tail(args) -> int:
-    import os
-    import time as _time
-
-    seen: set[tuple] = set()
-
-    def emit_new() -> None:
-        view = obs.FleetView(args.root)
-        for row in view.events():
-            key = (row["ts"], row["kind"], row.get("job"),
-                   row.get("daemon"))
-            if key in seen:
-                continue
-            seen.add(key)
-            print(obs.format_event(row), flush=True)
-
-    try:
-        emit_new()
-        while args.follow:
-            _time.sleep(args.interval)
-            emit_new()
-    except KeyboardInterrupt:
-        pass
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0
-
-
-def _cmd_fleet_report(args) -> int:
-    view = obs.FleetView(args.root)
-    path = obs.write_page(
-        args.out or view.root / f"fleet-report.{args.format}", args.format,
-        *obs.fleet_report(view, _fleet_slo_result(view, args.slo)))
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_fleet_slo(args) -> int:
-    from pathlib import Path
-
-    view = obs.FleetView(args.root)
-    slo_path = args.file or Path(args.root) / obs.SLO_FILENAME
-    result = obs.evaluate_slo(obs.load_slo(slo_path), view.slo_samples())
-    print(obs.render_slo(result))
-    if args.check and not result["ok"]:
-        return 1
-    return 0
-
-
-def _cmd_fleet_trace(args) -> int:
-    from pathlib import Path
-
-    # Reads only this job's stream: a missing root or job is the
-    # loader's typed MetricsError.
-    run_dir = Path(args.root) / "runs" / args.job
-    events = obs.load_metrics(run_dir)
-    out = args.out or str(run_dir / "fleet.trace.json")
-    trace = obs.write_chrome_trace(events, out, process_name=args.job,
-                                   split_origins=True)
-    problems = obs.validate_chrome_trace(trace)
-    if problems:
-        for problem in problems:
-            print(f"trace violation: {problem}", file=sys.stderr)
-        return 1
-    origins = sorted({record.get("origin") for record in events
-                      if record.get("origin")})
-    traces = sorted({record.get("trace_id") for record in events
-                     if record.get("trace_id")})
-    print(f"wrote {out} ({len(trace['traceEvents'])} trace events, "
-          f"{len(origins)} daemon row(s), "
-          f"trace id(s): {', '.join(traces) or '-'})")
-    return 0
-
-
-def _cmd_fleet(args) -> int:
-    """Dispatch ``repro fleet <sub>`` with typed one-line errors."""
-    try:
-        return args.fleet_handler(args)
-    except (obs.FleetError, obs.SLOError, obs.MetricsError,
-            JournalError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
 
 
 def _render_metrics_summary(summary: dict, events: list | None = None,
@@ -956,115 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", default="BENCH_reinforce.json",
                        help="where to write the JSON report")
     bench.set_defaults(handler=_cmd_bench)
-
-    serve = commands.add_parser(
-        "serve", help="file-backed pruning job queue: submit specs, show "
-                      "status, or run the claiming daemon")
-    serve.add_argument("root", help="queue directory (created if missing); "
-                                    "holds pending/active/done/failed specs, "
-                                    "per-job run dirs and serve.jsonl")
-    serve.add_argument("--submit", action="append", default=None,
-                       metavar="SPEC",
-                       help="enqueue a JSON job-spec file (repeatable); "
-                            "every field is optional — see "
-                            "repro.runtime.serve.SPEC_DEFAULTS")
-    serve.add_argument("--status", action="store_true",
-                       help="print per-job state (attempts, age, owning "
-                            "daemon, run progress) and fleet health")
-    serve.add_argument("--drain", action="store_true",
-                       help="ask every running daemon to finish its "
-                            "current step, requeue its job, and exit "
-                            "(sentinel file + SIGTERM to live daemons)")
-    serve.add_argument("--once", action="store_true",
-                       help="drain the queue and exit instead of polling "
-                            "forever")
-    serve.add_argument("--max-jobs", type=int, default=None,
-                       help="stop after running this many jobs")
-    serve.add_argument("--poll-seconds", type=float, default=1.0,
-                       help="idle sleep between queue polls (daemon mode)")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="override every job's evaluation-pool width "
-                            "(default: honour each spec's own setting)")
-    serve.add_argument("--daemon-id", default=None,
-                       help="stable identity for leases/health (default: "
-                            "host-pid-n)")
-    # Defaults mirror repro.runtime.serve.DEFAULT_LEASE_SECONDS /
-    # DEFAULT_MAX_ATTEMPTS (kept literal so the parser stays import-light).
-    serve.add_argument("--lease-seconds", type=float, default=30.0,
-                       help="heartbeat lease validity window; another "
-                            "daemon may reclaim a job whose lease expired")
-    serve.add_argument("--max-attempts", type=int, default=3,
-                       help="executions (failures + crash recoveries) "
-                            "before a job is quarantined")
-    serve.add_argument("--breaker-threshold", type=int, default=3,
-                       help="consecutive distinct failed jobs that pause "
-                            "claiming with exponential backoff")
-    serve.set_defaults(handler=_cmd_serve)
-
-    fleet = commands.add_parser(
-        "fleet", help="fleet-wide observability over a serve queue, each "
-                      "a point-in-time read: merged status, live tail, "
-                      "swimlane report, SLO burn rates, per-job trace")
-    fleet_sub = fleet.add_subparsers(dest="fleet_cmd", required=True)
-
-    fleet_root = argparse.ArgumentParser(add_help=False)
-    fleet_root.add_argument("root", help="serve queue directory")
-    fleet_slo = argparse.ArgumentParser(add_help=False)
-    fleet_slo.add_argument("--slo", default=None, metavar="FILE",
-                           help="SLO objectives file (default: "
-                                "<root>/slo.json when present)")
-
-    fstatus = fleet_sub.add_parser(
-        "status", parents=[fleet_root, fleet_slo],
-        help="merged fleet snapshot: queue gauges, latency percentiles, "
-             "per-daemon health, SLO burn state")
-    fstatus.add_argument("--watch", action="store_true",
-                         help="refresh continuously until interrupted")
-    fstatus.add_argument("--interval", type=float, default=2.0,
-                         help="--watch refresh period (default 2s)")
-    fstatus.add_argument("--count", type=int, default=None,
-                         help="--watch: stop after this many refreshes")
-    fstatus.set_defaults(handler=_cmd_fleet, fleet_handler=_cmd_fleet_status)
-
-    ftail = fleet_sub.add_parser(
-        "tail", parents=[fleet_root],
-        help="merged event timeline across every daemon and run "
-             "(torn-line tolerant)")
-    ftail.add_argument("--follow", action="store_true",
-                       help="keep polling for new events until interrupted")
-    ftail.add_argument("--interval", type=float, default=1.0,
-                       help="--follow poll period (default 1s)")
-    ftail.set_defaults(handler=_cmd_fleet, fleet_handler=_cmd_fleet_tail)
-
-    freport = fleet_sub.add_parser(
-        "report", parents=[fleet_root, fleet_slo],
-        help="self-contained HTML/Markdown fleet report with per-daemon "
-             "swimlane timeline")
-    freport.add_argument("--format", choices=("html", "md"), default="html")
-    freport.add_argument("--out", default=None,
-                         help="output file (default "
-                              "<root>/fleet-report.<fmt>)")
-    freport.set_defaults(handler=_cmd_fleet, fleet_handler=_cmd_fleet_report)
-
-    fslo = fleet_sub.add_parser(
-        "slo", parents=[fleet_root],
-        help="evaluate declared objectives with multi-window burn rates")
-    fslo.add_argument("--file", default=None,
-                      help="objectives file (default <root>/slo.json)")
-    fslo.add_argument("--check", action="store_true",
-                      help="exit 1 when any objective is burning "
-                           "(CI gate); exit 2 on invalid SLO files")
-    fslo.set_defaults(handler=_cmd_fleet, fleet_handler=_cmd_fleet_slo)
-
-    ftrace = fleet_sub.add_parser(
-        "trace", parents=[fleet_root],
-        help="Chrome trace of one job's stitched metrics stream, one "
-             "process row per daemon incarnation")
-    ftrace.add_argument("job", help="job id (runs/<job>/ under the root)")
-    ftrace.add_argument("--out", default=None,
-                        help="output file (default "
-                             "<root>/runs/<job>/fleet.trace.json)")
-    ftrace.set_defaults(handler=_cmd_fleet, fleet_handler=_cmd_fleet_trace)
 
     report = commands.add_parser(
         "report", help="run report from a journaled run dir; without one, "

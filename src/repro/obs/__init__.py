@@ -20,13 +20,8 @@ Deeper tooling layered on the same event stream:
 * :mod:`repro.obs.trace` — Chrome trace-event export for
   ``chrome://tracing`` / Perfetto;
 * :mod:`repro.obs.report` — self-contained HTML/Markdown run reports
-  joining metrics with the runtime journal, and the two page writers
-  the fleet report shares;
-* :mod:`repro.obs.diff` — regression-gating diffs of two runs;
-* :mod:`repro.obs.fleet` — point-in-time view over a serve queue root
-  (merged event timeline, gauges, per-daemon swimlane reports);
-* :mod:`repro.obs.slo` — declarative SLOs with multi-window burn-rate
-  evaluation (``repro fleet slo --check``).
+  joining metrics with the runtime journal;
+* :mod:`repro.obs.diff` — regression-gating diffs of two runs.
 
 See ``docs/OBSERVABILITY.md`` for the event schema.
 """
@@ -42,13 +37,9 @@ from .summary import (load_metrics, load_metrics_report, slowest_spans,
 from .trace import (to_chrome_trace, validate_chrome_trace,
                     write_chrome_trace)
 from .report import (collect_report_data, render_html, render_markdown,
-                     write_page, write_run_report)
+                     write_run_report)
 from .diff import (DiffResult, diff_bench_reports, diff_metrics_dirs,
                    diff_sources)
-from .fleet import (FleetError, FleetView, daemon_swimlanes, fleet_report,
-                    format_event, render_status)
-from .slo import (SLO_FILENAME, SLO_METRICS, SLOError, evaluate_slo,
-                  load_slo, render_slo)
 # Imported last: profile depends on .recorder being fully initialised.
 from .profile import (ModuleProfiler, label_modules, module_name,
                       profiler_active)
@@ -64,11 +55,7 @@ __all__ = [
     "summarize", "summarize_dir",
     "to_chrome_trace", "write_chrome_trace", "validate_chrome_trace",
     "collect_report_data", "render_markdown", "render_html",
-    "write_run_report", "write_page",
+    "write_run_report",
     "DiffResult", "diff_metrics_dirs", "diff_bench_reports", "diff_sources",
-    "FleetError", "FleetView", "daemon_swimlanes", "format_event",
-    "render_status", "fleet_report",
-    "SLOError", "SLO_FILENAME", "SLO_METRICS", "load_slo", "evaluate_slo",
-    "render_slo",
     "ModuleProfiler", "label_modules", "module_name", "profiler_active",
 ]

@@ -101,9 +101,10 @@ def _canonical_span_ids(view: list[dict]) -> list[dict]:
     """Renumber span ids by order of appearance (parents remapped too).
 
     Span ids are per-recorder allocation order, so they restart at 1
-    whenever a process picks a run back up — a serve job killed mid-run
-    and resumed by another daemon appends a second id sequence to the
-    same ``metrics.jsonl``.  The *structure* (names, nesting, attrs) is
+    whenever a process picks a run back up — a killed
+    ``repro prune --run-dir ... --metrics-dir ...`` continued with
+    ``--resume`` appends a second id sequence to the same
+    ``metrics.jsonl``.  The *structure* (names, nesting, attrs) is
     what the deterministic view guarantees; renumbering in appearance
     order compares exactly that.  For a single-process run the mapping
     is the identity.  ``span_end`` resolves through the latest mapping

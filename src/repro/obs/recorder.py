@@ -143,31 +143,17 @@ class Recorder:
         ``None`` (aggregates only), a :class:`MetricsSink`, or a path.
         A *directory* path streams to ``<dir>/metrics.jsonl``; any other
         path is used verbatim as the stream file.
-    trace_id:
-        Optional causal-correlation id stamped onto every emitted event.
-        A serve fleet mints one per job at submit time, so spans from
-        every daemon incarnation that ever ran the job (original owner,
-        lease takeover, drain-requeue) share the id and stitch into one
-        causal timeline.  Identity, not behaviour:
-        :func:`repro.obs.schema.deterministic_view` strips it.
-    origin:
-        Optional emitting-process identity (e.g. a serve daemon id)
-        stamped onto every event, so a merged fleet stream can be split
-        back into per-daemon rows.  Stripped alongside ``trace_id``.
     """
 
     enabled = True
 
-    def __init__(self, sink: MetricsSink | str | Path | None = None,
-                 trace_id: str | None = None, origin: str | None = None):
+    def __init__(self, sink: MetricsSink | str | Path | None = None):
         if sink is not None and not isinstance(sink, MetricsSink):
             path = Path(sink)
             if path.suffix != ".jsonl":
                 path = path / METRICS_FILENAME
             sink = MetricsSink(path)
         self.sink = sink
-        self.trace_id = trace_id
-        self.origin = origin
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
         self.series_data: dict[str, list[tuple[int, float]]] = {}
@@ -180,10 +166,6 @@ class Recorder:
     # -- emission ---------------------------------------------------------
     def _emit(self, record: dict) -> None:
         if self.sink is not None:
-            if self.trace_id is not None:
-                record["trace_id"] = self.trace_id
-            if self.origin is not None:
-                record["origin"] = self.origin
             self.sink.emit(record)
 
     # -- spans ------------------------------------------------------------

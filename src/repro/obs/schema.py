@@ -34,14 +34,6 @@ whose occurrence depends on scheduling and injected faults, not on what
 the run computed; the deterministic view drops those too, which is what
 lets a parallel run that lost and requeued a worker still diff clean
 against a serial run.
-
-Every event may also carry two correlation fields stamped by the
-recorder: ``trace_id`` (the per-job causal id minted by the serve queue
-at submit time) and ``origin`` (the emitting daemon's identity).  Both
-are identity — *who* ran the work and under which submission — not
-behaviour, so :func:`deterministic_view` strips them alongside
-``t``/``dur``: a job resumed by a different daemon (or replayed in a
-reference single-process run with no queue at all) still diffs clean.
 """
 
 from __future__ import annotations
@@ -99,9 +91,6 @@ def validate_event(record) -> list[str]:
     if "operational" in record \
             and not isinstance(record["operational"], bool):
         problems.append(f"{kind}.operational must be a boolean")
-    for field in ("trace_id", "origin"):
-        if field in record and not isinstance(record[field], str):
-            problems.append(f"{kind}.{field} must be a string")
     if kind == "op":
         if record.get("phase") not in OP_PHASES:
             problems.append(
@@ -168,15 +157,14 @@ def deterministic_view(records) -> list[dict]:
     """The stream with all wall-clock and scheduling-derived data removed.
 
     Drops events flagged ``timing: true`` or ``operational: true`` and
-    strips the ``t``/``dur`` keys plus the ``trace_id``/``origin``
-    correlation identity; what remains is identical across
-    identically-seeded runs regardless of parallelism, injected faults,
-    or which daemon(s) happened to execute the work.
+    strips the ``t``/``dur`` keys; what remains is identical across
+    identically-seeded runs regardless of parallelism or injected
+    faults.
     """
     view = []
     for record in records:
         if record.get("timing") or record.get("operational"):
             continue
         view.append({k: v for k, v in record.items()
-                     if k not in ("t", "dur", "trace_id", "origin")})
+                     if k not in ("t", "dur")})
     return view

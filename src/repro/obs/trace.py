@@ -14,17 +14,7 @@ the stream are auto-closed at the last seen timestamp so the trace
 stays loadable (Perfetto rejects unbalanced ``B`` events in JSON
 traces).
 
-Fleet runs: a job resumed by a second daemon appends to the *same*
-``metrics.jsonl`` (every event stamped with its emitting daemon's
-``origin``), so the stitched stream interleaves two recorders whose
-span ids both start at 1.  ``split_origins=True`` renders each distinct
-``origin`` as its own trace *process* row on a shared clock — per-row
-span stacks, per-row auto-close of the spans a SIGKILLed daemon never
-ended — which is what lets one Chrome trace show a whole takeover:
-daemon A's row stops mid-span, daemon B's row picks the job up.
-
-CLI: ``repro metrics <run-dir> --trace out.trace.json`` and
-``repro fleet trace <queue-root> <job-id> --out out.trace.json``.
+CLI: ``repro metrics <run-dir> --trace out.trace.json``.
 """
 
 from __future__ import annotations
@@ -47,80 +37,55 @@ def _micros(seconds: float) -> float:
     return round(seconds * 1e6, 3)
 
 
-def to_chrome_trace(events, process_name: str = "repro",
-                    split_origins: bool = False) -> dict:
+def to_chrome_trace(events, process_name: str = "repro") -> dict:
     """Convert a list of metrics events into a Chrome trace object.
 
     Returns ``{"traceEvents": [...], "displayTimeUnit": "ms"}``; dump it
     with ``json.dump`` (or use :func:`write_chrome_trace`) and load the
     file in ``chrome://tracing`` or Perfetto.
-
-    With ``split_origins=True`` each distinct ``origin`` value in the
-    stream (the emitting daemon's identity, stamped by the recorder)
-    becomes its own trace process row — separate span stacks, separate
-    counter tracks, separate auto-close of dangling spans — on one
-    shared clock.  A stitched takeover stream (daemon A killed mid-job,
-    daemon B appends its resumed incarnation to the same file, span ids
-    restarting at 1) renders as two aligned rows of one fleet timeline.
     """
-    trace: list[dict] = []
+    trace: list[dict] = [
+        {"ph": "M", "pid": _PID, "tid": 0, "name": "process_name",
+         "args": {"name": process_name}},
+        {"ph": "M", "pid": _PID, "tid": SPAN_TID, "name": "thread_name",
+         "args": {"name": "spans"}},
+        {"ph": "M", "pid": _PID, "tid": OP_TID, "name": "thread_name",
+         "args": {"name": "ops"}},
+    ]
     t0: float | None = None
-    pids: dict[str, int] = {}
-    last_ts: dict[int, float] = {}
-    counters: dict[tuple[int, str], float] = {}
-    open_spans: dict[int, dict[int, str]] = {}
+    last_ts = 0.0  # for events that carry no wall-clock of their own
+    counters: dict[str, float] = {}
+    open_spans: dict[int, str] = {}
 
-    def pid_for(record) -> int:
-        origin = record.get("origin") if split_origins else None
-        key = origin or ""
-        pid = pids.get(key)
-        if pid is None:
-            pid = len(pids) + 1
-            pids[key] = pid
-            row_name = origin if origin else process_name
-            trace.append({"ph": "M", "pid": pid, "tid": 0,
-                          "name": "process_name",
-                          "args": {"name": row_name}})
-            trace.append({"ph": "M", "pid": pid, "tid": SPAN_TID,
-                          "name": "thread_name", "args": {"name": "spans"}})
-            trace.append({"ph": "M", "pid": pid, "tid": OP_TID,
-                          "name": "thread_name", "args": {"name": "ops"}})
-        return pid
-
-    def rel(pid: int, t: float) -> float:
-        nonlocal t0
+    def rel(t: float) -> float:
+        nonlocal t0, last_ts
         if t0 is None:
             t0 = t
-        ts = _micros(t - t0)
-        last_ts[pid] = max(last_ts.get(pid, 0.0), ts)
-        return ts
-
-    if not split_origins:
-        pid_for({})  # single-process traces always carry their metadata
+        last_ts = max(last_ts, _micros(t - t0))
+        return _micros(t - t0)
 
     for record in events:
         kind = record.get("event")
         name = record.get("name", "?")
         attrs = record.get("attrs") or {}
-        pid = pid_for(record)
         if kind == "span_start":
-            open_spans.setdefault(pid, {})[record.get("span", -1)] = name
-            trace.append({"ph": "B", "pid": pid, "tid": SPAN_TID,
-                          "name": name, "ts": rel(pid, record["t"]),
+            open_spans[record.get("span", -1)] = name
+            trace.append({"ph": "B", "pid": _PID, "tid": SPAN_TID,
+                          "name": name, "ts": rel(record["t"]),
                           "args": dict(attrs)})
         elif kind == "span_end":
-            open_spans.setdefault(pid, {}).pop(record.get("span", -1), None)
-            trace.append({"ph": "E", "pid": pid, "tid": SPAN_TID,
-                          "name": name, "ts": rel(pid, record["t"]),
+            open_spans.pop(record.get("span", -1), None)
+            trace.append({"ph": "E", "pid": _PID, "tid": SPAN_TID,
+                          "name": name, "ts": rel(record["t"]),
                           "args": {"ok": record.get("ok", True)}})
         elif kind == "mark":
-            event = {"ph": "i", "pid": pid, "tid": SPAN_TID,
-                     "name": name, "ts": rel(pid, record["t"]), "s": "p"}
+            event = {"ph": "i", "pid": _PID, "tid": SPAN_TID,
+                     "name": name, "ts": rel(record["t"]), "s": "p"}
             if attrs:
                 event["args"] = dict(attrs)
             trace.append(event)
         elif kind == "op":
-            end = rel(pid, record["t"])
+            end = rel(record["t"])
             dur = _micros(record.get("dur", 0.0))
             args = {"kind": record.get("kind"),
                     "phase": record.get("phase")}
@@ -128,46 +93,36 @@ def to_chrome_trace(events, process_name: str = "repro",
                 if field in record:
                     args[field] = record[field]
             args.update(attrs)
-            trace.append({"ph": "X", "pid": pid, "tid": OP_TID,
+            trace.append({"ph": "X", "pid": _PID, "tid": OP_TID,
                           "name": f"{name} [{record.get('phase')}]",
                           "cat": record.get("kind", "op"),
                           "ts": max(end - dur, 0.0), "dur": dur,
                           "args": args})
         elif kind == "counter":
-            total = counters.get((pid, name), 0) + record.get("value", 0)
-            counters[(pid, name)] = total
-            trace.append({"ph": "C", "pid": pid, "tid": 0, "name": name,
-                          "ts": last_ts.get(pid, 0.0),
-                          "args": {"value": total}})
+            counters[name] = counters.get(name, 0) + record.get("value", 0)
+            trace.append({"ph": "C", "pid": _PID, "tid": 0, "name": name,
+                          "ts": last_ts, "args": {"value": counters[name]}})
         elif kind in ("gauge", "series"):
-            trace.append({"ph": "C", "pid": pid, "tid": 0, "name": name,
-                          "ts": last_ts.get(pid, 0.0),
+            trace.append({"ph": "C", "pid": _PID, "tid": 0, "name": name,
+                          "ts": last_ts,
                           "args": {"value": record.get("value", 0)}})
-    # Auto-close spans a crashed incarnation never ended, innermost
-    # first, per process row (a SIGKILLed daemon's dangling spans must
-    # not steal the successor's E events).
-    for pid in sorted(open_spans):
-        for span_id in sorted(open_spans[pid], reverse=True):
-            trace.append({"ph": "E", "pid": pid, "tid": SPAN_TID,
-                          "name": open_spans[pid][span_id],
-                          "ts": last_ts.get(pid, 0.0),
-                          "args": {"ok": False, "auto_closed": True}})
+    # Auto-close spans a crashed run never ended, innermost first.
+    for span_id in sorted(open_spans, reverse=True):
+        trace.append({"ph": "E", "pid": _PID, "tid": SPAN_TID,
+                      "name": open_spans[span_id], "ts": last_ts,
+                      "args": {"ok": False, "auto_closed": True}})
     return {"traceEvents": trace, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(source, out_path, process_name: str = "repro",
-                       split_origins: bool = False) -> dict:
+def write_chrome_trace(source, out_path) -> dict:
     """Export a run's metrics stream as a Chrome trace JSON file.
 
     ``source`` is a run directory / ``metrics.jsonl`` path or an
     already-loaded list of events.  Returns the trace object written.
-    ``split_origins=True`` renders one process row per emitting daemon
-    (see :func:`to_chrome_trace`).
     """
     if isinstance(source, (str, Path)):
         source = load_metrics(source)
-    trace = to_chrome_trace(source, process_name=process_name,
-                            split_origins=split_origins)
+    trace = to_chrome_trace(source)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8") as handle:

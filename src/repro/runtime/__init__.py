@@ -7,10 +7,9 @@ helpers (:mod:`~repro.runtime.guards`), rollback/retry policy
 (:mod:`~repro.runtime.watchdog`), graceful degradation to metric
 baselines (:mod:`~repro.runtime.fallback`), post-surgery structural
 validation (:mod:`~repro.runtime.validate`), deterministic fault
-injection for tests (:mod:`~repro.runtime.faults`), a supervised
+injection for tests (:mod:`~repro.runtime.faults`) and a supervised
 process pool for parallel reward evaluation
-(:mod:`~repro.runtime.pool`) and a journaled job-queue daemon
-(:mod:`~repro.runtime.serve`).
+(:mod:`~repro.runtime.pool`).
 
 The harness, fallback and validate submodules are loaded lazily:
 low-level training code (``repro.core.reinforce``, ``repro.training``)
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 from . import faults
 from .errors import (AccuracyCollapseError, DivergenceError, JournalError,
-                     JournalWriteError, ResumeMismatchError, RunInterrupted)
+                     JournalWriteError, ResumeMismatchError)
 from .faults import FaultPlan, FaultSpec, SimulatedCrash, inject
 from .guards import (check_accuracy_collapse, require_all_finite,
                      require_finite)
@@ -35,7 +34,7 @@ from .watchdog import BudgetExceededError, StepBudget, StepWatchdog
 
 __all__ = [
     "DivergenceError", "AccuracyCollapseError", "ResumeMismatchError",
-    "JournalError", "JournalWriteError", "RunInterrupted",
+    "JournalError", "JournalWriteError",
     "FaultPlan", "FaultSpec", "SimulatedCrash", "inject", "faults",
     "require_finite", "require_all_finite", "check_accuracy_collapse",
     "RunJournal", "config_digest", "FORMAT_VERSION", "run_overview",
@@ -44,14 +43,12 @@ __all__ = [
     "EvalPool", "PoolTaskError", "SharedArrays", "take_degradations",
     "ResumableRunner", "RunReport", "resume",
     "FallbackChain",
-    "JobQueue", "ServeDaemon",
     "SurgeryInvariantError", "mask_problems", "model_problems",
     "check_masks", "check_model",
 ]
 
 _HARNESS_EXPORTS = ("ResumableRunner", "RunReport", "resume")
 _FALLBACK_EXPORTS = ("FallbackChain",)
-_SERVE_EXPORTS = ("JobQueue", "ServeDaemon")
 _VALIDATE_EXPORTS = ("SurgeryInvariantError", "mask_problems",
                      "model_problems", "check_masks", "check_model")
 
@@ -63,9 +60,6 @@ def __getattr__(name: str):
     if name in _FALLBACK_EXPORTS:
         from . import fallback
         return getattr(fallback, name)
-    if name in _SERVE_EXPORTS:
-        from . import serve
-        return getattr(serve, name)
     if name in _VALIDATE_EXPORTS:
         from . import validate
         return getattr(validate, name)

@@ -9,7 +9,7 @@ journal to reconstruct what went wrong without a debugger.
 from __future__ import annotations
 
 __all__ = ["DivergenceError", "AccuracyCollapseError", "ResumeMismatchError",
-           "JournalError", "JournalWriteError", "RunInterrupted"]
+           "JournalError", "JournalWriteError"]
 
 
 class DivergenceError(RuntimeError):
@@ -94,21 +94,3 @@ class JournalWriteError(DivergenceError):
         self.path = str(path)
         super().__init__("journal.append", detail=f"{path}: {detail}")
 
-
-class RunInterrupted(RuntimeError):
-    """A cooperative stop request ended the run at a step boundary.
-
-    Raised by :class:`~repro.runtime.harness.ResumableRunner` when its
-    ``stop_check`` hook returns a reason (e.g. a serve daemon draining
-    or discovering its job lease was taken over).  Every completed step
-    is already journaled, so the run resumes later exactly as if the
-    process had been killed — except the interruption is clean: leases
-    can be released and health records written on the way out.
-    """
-
-    def __init__(self, reason: str, steps_done: int = 0):
-        self.reason = reason
-        self.steps_done = steps_done
-        super().__init__(
-            f"run interrupted ({reason}) after {steps_done} journaled "
-            f"step(s)")

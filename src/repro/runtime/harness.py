@@ -42,8 +42,7 @@ from ..obs import get_recorder
 from ..pruning.engine import StepOutcome, StepSpec, StepState
 from ..utils.serialization import load_checkpoint, save_checkpoint
 from . import faults, watchdog
-from .errors import (DivergenceError, JournalError, ResumeMismatchError,
-                     RunInterrupted)
+from .errors import DivergenceError, JournalError, ResumeMismatchError
 from .fallback import FallbackChain
 from .guards import check_accuracy_collapse
 from .journal import FORMAT_VERSION, RunJournal, config_digest
@@ -89,13 +88,8 @@ class ResumableRunner:
     per-step :class:`~repro.runtime.watchdog.StepBudget`; ``fallback``
     degrades exhausted steps to metric baselines instead of skipping
     them; ``validate=False`` disables the post-surgery structural
-    invariant checks; ``stop_check`` is polled at every step boundary
-    and, when it returns a truthy reason string, the run raises
-    :class:`~repro.runtime.errors.RunInterrupted` with all completed
-    steps journaled (cooperative drain — a serve daemon uses it to
-    checkpoint and requeue the current job on SIGTERM or lease loss).
-    None of these enter the resume digest — they are operational knobs
-    a resume may legitimately tune.
+    invariant checks.  None of these enter the resume digest — they are
+    operational knobs a resume may legitimately tune.
     """
 
     def __init__(self, model=None, train_set=None, test_set=None, *,
@@ -106,8 +100,7 @@ class ResumableRunner:
                  skip_last: bool = True,
                  budget: StepBudget | None = None,
                  fallback: FallbackChain | None = None,
-                 validate: bool = True,
-                 stop_check=None):
+                 validate: bool = True):
         if engine is None and hasattr(model, "run_step"):
             engine, model = model, None
         if engine is None:
@@ -125,7 +118,6 @@ class ResumableRunner:
         self.budget = budget
         self.fallback = fallback
         self.validate = bool(validate)
-        self.stop_check = stop_check
 
     @property
     def model(self):
@@ -322,14 +314,6 @@ class ResumableRunner:
         take_degradations()
 
         for index in range(start, len(specs)):
-            # Cooperative drain: every completed step is journaled, so
-            # stopping between steps loses nothing — the run resumes
-            # from this exact index.  Raising (rather than returning a
-            # partial report) keeps "the run finished" unambiguous.
-            if self.stop_check is not None:
-                reason = self.stop_check()
-                if reason:
-                    raise RunInterrupted(str(reason), steps_done=index)
             spec = specs[index]
             name = spec.name
             failures: list[dict] = []

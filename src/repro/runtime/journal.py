@@ -19,7 +19,8 @@ surfaces as a structured fault instead of a torn tail.
 
 Appends are safe across processes: each append holds an advisory
 ``fcntl`` lock on the journal for the torn-tail repair *and* the write,
-so a serve daemon and a pool worker (or two daemons sharing a queue)
+so two processes appending to one run's journal (e.g. two
+``repro prune --run-dir ... --resume`` invocations on the same directory)
 can never interleave half-written records or race the repair against
 another writer's append.  Single-writer behaviour is byte-identical —
 the lock adds no bytes and the write path is unchanged.

@@ -238,6 +238,20 @@ class TestMetricsCommand:
         assert main(["metrics", str(tmp_path / "absent")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_metrics_check_typed_errors(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere"
+        assert main(["metrics", str(missing), "--check"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / obs.METRICS_FILENAME).write_text("")
+        assert main(["metrics", str(empty), "--check"]) == 2
+        assert "empty metrics stream" in capsys.readouterr().err
+        shaped = tmp_path / "shaped"
+        (shaped / obs.METRICS_FILENAME).mkdir(parents=True)
+        assert main(["metrics", str(shaped), "--check"]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_metrics_check_fails_on_torn_tail(self, tmp_path, capsys):
         path = tmp_path / "metrics.jsonl"
         path.write_text('{"event":"counter","name":"c","value":1}\n'

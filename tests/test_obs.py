@@ -176,6 +176,12 @@ class TestSinkRoundTrip:
         with pytest.raises(MetricsError, match="no metrics stream"):
             read_events(tmp_path / "absent.jsonl")
 
+    def test_metrics_error_on_directory_shaped_stream(self, tmp_path):
+        stream = tmp_path / obs.METRICS_FILENAME
+        stream.mkdir()
+        with pytest.raises(obs.MetricsError, match="unreadable"):
+            obs.read_events_report(stream)
+
     def test_repair_torn_tail_is_idempotent(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
         path.write_text('{"a":1}\npartial')
