@@ -16,6 +16,14 @@ back in a fixed accumulation order.  The patch matrix is a pure copy,
 so the GEMM operands — and every logit and gradient built on them — do
 not depend on how the matrix is gathered (``docs/PERFORMANCE.md``,
 "Conv lowering").
+
+Max pooling copies no windows: :func:`first_max_pool2d` walks the kernel
+offsets over strided slices of the input and keeps each window's first
+maximum, the element ``argmax`` picks.  Its outputs and gradients equal
+those of the window-copy pool it replaced bit for bit, signed zeros and
+NaN payloads included (``docs/PERFORMANCE.md``, "Pooling").  The graph
+executor's BatchNorm and max-pool nodes call :func:`batch_norm2d_eval`
+and :func:`first_max_pool2d`, so each eval expression exists once.
 """
 
 from __future__ import annotations
@@ -30,7 +38,8 @@ from .tensor import Tensor, as_tensor, is_grad_enabled
 __all__ = [
     "patch_index", "im2col", "col2im", "conv2d",
     "conv2d_depthwise", "depthwise_windows",
-    "linear", "max_pool2d", "avg_pool2d",
+    "linear", "check_max_pool_padding", "first_max_pool2d", "max_pool2d",
+    "avg_pool2d",
     "global_avg_pool2d", "upsample_nearest", "batch_norm2d",
     "batch_norm2d_eval", "dropout", "log_softmax",
     "softmax", "cross_entropy", "nll_loss", "mse_loss",
@@ -218,41 +227,104 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # ----------------------------------------------------------------------
 # Pooling
 # ----------------------------------------------------------------------
+def check_max_pool_padding(kernel: int, padding: int) -> None:
+    """Reject padding that would let a window miss the image entirely."""
+    if not 0 <= padding < kernel:
+        raise ValueError(
+            f"max pooling needs 0 <= padding < kernel, got kernel={kernel}, "
+            f"padding={padding}")
+
+
+def _window_taps(kernel: int, stride: int, oh: int, ow: int) -> list[tuple]:
+    """Index of offset (i, j) of every window, for q = i * kernel + j."""
+    return [(slice(None), slice(None), slice(i, i + stride * oh, stride),
+             slice(j, j + stride * ow, stride))
+            for i in range(kernel) for j in range(kernel)]
+
+
+def first_max_pool2d(x: np.ndarray, kernel: int, stride: int, padding: int,
+                     out: np.ndarray | None = None, return_index: bool = False
+                     ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Max pooling of an NCHW array in which a window's first maximum wins.
+
+    Walks the kernel offsets in row-major order over strided slices of
+    the ``-inf``-padded input.  A later element replaces the running
+    maximum only when it is strictly greater, or when it is the window's
+    first NaN, so each output element is a bit copy of the element
+    ``argmax`` picks from the flattened window: a ±0 tie keeps the first
+    zero's sign and a NaN its payload.  The walk runs in ``x``'s memory
+    order; the result goes to ``out``, a C-contiguous (N, C, oh, ow)
+    array, allocated when not given.
+
+    With ``return_index``, also returns each window's winning offset
+    ``i * kernel + j``, laid out like the walk; otherwise ``None``.
+    """
+    n, c, h, w = x.shape
+    oh = _out_size(h, kernel, stride, padding)
+    ow = _out_size(w, kernel, stride, padding)
+    has_nan = np.isnan(x).any()
+    if padding:
+        padded = np.full_like(x, -np.inf, shape=(n, c, h + 2 * padding,
+                                                  w + 2 * padding))
+        padded[:, :, padding:padding + h, padding:padding + w] = x
+        x = padded
+    taps = _window_taps(kernel, stride, oh, ow)
+    best = x[taps[0]]
+    index = None
+    if return_index:
+        index = np.zeros_like(best, dtype=np.min_scalar_type(len(taps) - 1))
+    for q in range(1, len(taps)):
+        slab = x[taps[q]]
+        take = slab > best
+        if has_nan:
+            take |= np.isnan(slab) & ~np.isnan(best)
+        best = np.where(take, slab, best)
+        if index is not None:
+            # q exceeds every offset recorded so far, so this writes q
+            # exactly where ``take`` holds.
+            np.maximum(index, take * index.dtype.type(q), out=index)
+    if out is None:
+        out = np.empty((n, c, oh, ow), dtype=best.dtype)
+    np.copyto(out, best)
+    return out, index
+
+
 def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None,
                padding: int = 0) -> Tensor:
     """Max pooling over NCHW input.
 
     Padding is filled with ``-inf`` so padded positions never win a
-    window (the convention of every deep-learning framework); with
-    ``padding < kernel`` each window overlaps the image, so the output
-    stays finite.
+    window (the convention of every deep-learning framework).  It must
+    be smaller than the kernel, so every window overlaps the image.  The
+    forward is :func:`first_max_pool2d`; the backward routes each output
+    gradient to its window's winning element, adding the gradients of
+    overlapping windows in ascending window order (``docs/PERFORMANCE.md``,
+    "Pooling").
     """
     stride = stride or kernel
+    check_max_pool_padding(kernel, padding)
     x = as_tensor(x)
-    n, c, h, w = x.shape
-    oh = (h + 2 * padding - kernel) // stride + 1
-    ow = (w + 2 * padding - kernel) // stride + 1
-
-    data = x.data
-    if padding:
-        data = np.pad(data, ((0, 0), (0, 0), (padding, padding),
-                             (padding, padding)), constant_values=-np.inf)
-    windows = sliding_window_view(data, (kernel, kernel), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride].reshape(n, c, oh, ow, kernel * kernel)
-    argmax = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
+    out, index = first_max_pool2d(
+        x.data, kernel, stride, padding,
+        return_index=is_grad_enabled() and x.requires_grad)
 
     def backward(g: np.ndarray) -> None:
-        ni, ci, ohi, owi = np.indices((n, c, oh, ow))
-        rows = ohi * stride + argmax // kernel - padding
-        cols = owi * stride + argmax % kernel - padding
-        dx = np.zeros_like(x.data)
+        n, c, h, w = x.shape
+        dx = np.zeros_like(x.data, shape=(n, c, h + 2 * padding,
+                                          w + 2 * padding))
+        # An input element is offset (i, j) of window (oy, ox), with
+        # descending offsets in ascending windows, so this adds each
+        # element's terms in the order ``np.add.at`` over the windows
+        # would.  The +0.0 fillers leave a sum that starts at +0.0 as it
+        # is.
+        taps = _window_taps(kernel, stride, *g.shape[2:])
+        for q in reversed(range(len(taps))):
+            dx[taps[q]] += np.where(index == q, g, 0.0)
         if padding:
-            valid = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-            np.add.at(dx, (ni[valid], ci[valid], rows[valid], cols[valid]),
-                      g[valid])
-        else:
-            np.add.at(dx, (ni, ci, rows, cols), g)
+            # Laid out as np.zeros_like(x.data) is, size-1 axes included.
+            interior = dx[:, :, padding:padding + h, padding:padding + w]
+            dx = np.empty_like(x.data)
+            dx[...] = interior
         x._accumulate(dx)
 
     return Tensor._make(out, (x,), backward)

@@ -19,7 +19,11 @@ Three properties make it the reward-evaluation fast path:
 * **Bit-exact by default.**  With ``fuse=False`` every node replays the
   eager op's exact numpy expression (same operands, same order, same
   dtype promotion, same memory layout where reductions could care), so
-  executor logits are bit-for-bit identical to ``model(x)``.  With
+  executor logits are bit-for-bit identical to ``model(x)``, signed
+  zeros included.  BatchNorm and max pooling do so by calling the eager
+  op's own function with an arena output buffer
+  (:func:`~repro.nn.functional.batch_norm2d_eval`,
+  :func:`~repro.nn.functional.first_max_pool2d`).  With
   ``fuse=True`` BatchNorm folds into the preceding convolution's
   weights (the fold and the fused GEMM accumulate in float64, then
   round once to the eager dtype) and a trailing ReLU joins the conv /
@@ -49,7 +53,8 @@ import time
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .functional import batch_norm2d_eval, depthwise_windows, patch_index
+from .functional import (batch_norm2d_eval, depthwise_windows,
+                         first_max_pool2d, patch_index)
 from .modules import (AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten,
                       GlobalAvgPool2d, Identity, Linear, MaxPool2d, Module,
                       ReLU, Sigmoid, Tanh, Upsample)
@@ -558,12 +563,11 @@ class GraphExecutor:
         return buf, bases[0]
 
     def _run_relu(self, node: _Node, x: np.ndarray):
-        arena = self._arena
-        mask = arena.get(x.shape, bool)
+        mask, mask_base = self._alloc_like(x, bool)
         np.greater(x, 0, out=mask)
         buf, base = self._alloc_like(x, x.dtype)
         np.multiply(x, mask, out=buf)       # eager relu is data * (data > 0)
-        arena.put(mask)
+        self._arena.put(mask_base)
         return buf, base
 
     def _run_sigmoid(self, node: _Node, x: np.ndarray):
@@ -578,25 +582,13 @@ class GraphExecutor:
         return out, out
 
     def _run_maxpool(self, node: _Node, x: np.ndarray):
+        # The eager forward's own kernel, written into an arena buffer.
         pool = node.module
-        k, s = pool.kernel_size, pool.stride
-        p = getattr(pool, "padding", 0)
+        k, s, p = pool.kernel_size, pool.stride, pool.padding
         n, c, h, w = x.shape
-        if p:
-            # Eager pads with -inf so padded positions never win the max.
-            padded = self._arena.get((n, c, h + 2 * p, w + 2 * p), x.dtype)
-            padded.fill(-np.inf)
-            padded[:, :, p:p + h, p:p + w] = x
-        else:
-            padded = x
-        oh = (h + 2 * p - k) // s + 1
-        ow = (w + 2 * p - k) // s + 1
-        windows = sliding_window_view(padded, (k, k),
-                                      axis=(2, 3))[:, :, ::s, ::s]
-        buf = self._arena.get((n, c, oh, ow), x.dtype)
-        np.max(windows, axis=(-2, -1), out=buf)
-        if p:
-            self._arena.put(padded)
+        buf = self._arena.get((n, c, (h + 2 * p - k) // s + 1,
+                               (w + 2 * p - k) // s + 1), x.dtype)
+        first_max_pool2d(x, k, s, p, out=buf)
         return buf, buf
 
     def _run_avgpool(self, node: _Node, x: np.ndarray):

@@ -285,6 +285,7 @@ class MaxPool2d(Module):
     def __init__(self, kernel_size: int = 2, stride: int | None = None,
                  padding: int = 0):
         super().__init__()
+        F.check_max_pool_padding(kernel_size, padding)
         self.kernel_size = kernel_size
         self.stride = stride or kernel_size
         self.padding = padding

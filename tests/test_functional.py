@@ -5,7 +5,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.models import available_models, build_model
-from repro.nn import Tensor, check_gradients, no_grad
+from repro.nn import MaxPool2d, Tensor, check_gradients, no_grad
 from repro.nn.optim import SGD
 from repro.nn import functional as F
 from repro.nn.tensor import creator_closures
@@ -77,6 +77,40 @@ def reference_batch_norm2d(x, gamma, beta, running_mean, running_var,
     inv_std = (var + eps) ** -0.5
     normalised = (x - mean) * inv_std
     return normalised * gamma.reshape(1, -1, 1, 1) + beta.reshape(1, -1, 1, 1)
+
+
+def reference_max_pool2d(x, kernel=2, stride=None, padding=0):
+    """Window-copy max pooling: the exactness reference for
+    ``F.max_pool2d`` (``argmax`` over every copied window, an
+    ``np.add.at`` backward)."""
+    stride = stride or kernel
+    n, c, h, w = x.shape
+    oh = (h + 2 * padding - kernel) // stride + 1
+    ow = (w + 2 * padding - kernel) // stride + 1
+
+    data = x.data
+    if padding:
+        data = np.pad(data, ((0, 0), (0, 0), (padding, padding),
+                             (padding, padding)), constant_values=-np.inf)
+    windows = sliding_window_view(data, (kernel, kernel), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride].reshape(n, c, oh, ow, kernel * kernel)
+    argmax = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
+
+    def backward(g):
+        ni, ci, ohi, owi = np.indices((n, c, oh, ow))
+        rows = ohi * stride + argmax // kernel - padding
+        cols = owi * stride + argmax % kernel - padding
+        dx = np.zeros_like(x.data)
+        if padding:
+            valid = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+            np.add.at(dx, (ni[valid], ci[valid], rows[valid], cols[valid]),
+                      g[valid])
+        else:
+            np.add.at(dx, (ni, ci, rows, cols), g)
+        x._accumulate(dx)
+
+    return Tensor._make(out, (x,), backward)
 
 
 def assert_bitwise_equal(actual, expected):
@@ -254,6 +288,12 @@ class TestPooling:
         out = F.max_pool2d(Tensor(x), 2)
         assert np.allclose(out.data[0, 0], [[5, 7], [13, 15]])
 
+    def test_max_pool_integer_input(self):
+        x = np.arange(16).reshape(1, 1, 4, 4)
+        out = F.max_pool2d(Tensor(x), 2)
+        assert out.dtype == x.dtype
+        assert out.data[0, 0].tolist() == [[5, 7], [13, 15]]
+
     def test_max_pool_stride(self, rng):
         x = rng.normal(size=(1, 2, 6, 6))
         out = F.max_pool2d(Tensor(x), 3, stride=3)
@@ -262,6 +302,21 @@ class TestPooling:
     def test_max_pool_grad(self, rng):
         x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
         check_gradients(lambda x: F.max_pool2d(x, 2), [x])
+
+    @pytest.mark.parametrize("kernel,padding", [(2, 2), (3, 3), (2, 5), (3, -1)])
+    def test_max_pool_rejects_windows_outside_the_image(self, kernel, padding):
+        x = Tensor(np.zeros((1, 1, 4, 4)))
+        with pytest.raises(ValueError,
+                           match=f"kernel={kernel}, padding={padding}"):
+            F.max_pool2d(x, kernel, padding=padding)
+
+    @pytest.mark.parametrize("kernel", [2, 3])
+    def test_max_pool_largest_padding_stays_finite(self, rng, kernel):
+        x = Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
+        out = F.max_pool2d(x, kernel, stride=1, padding=kernel - 1)
+        assert np.isfinite(out.data).all()
+        out.sum().backward()
+        assert x.grad.sum() == out.data.size
 
     def test_avg_pool_values(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
@@ -475,6 +530,158 @@ class TestBatchNormModelsMatchReference:
         for key, expected in chain.items():
             assert fused[key].dtype == expected.dtype, key
             assert fused[key].tobytes() == expected.tobytes(), key
+
+
+
+def pool_inputs(rng, shape, dtype):
+    """ReLU'd images with planted ±0 ties, then copies with NaN and ±inf."""
+    x = rng.normal(size=shape).astype(dtype)
+    ties = x * (x > 0)                    # -0.0 wherever x < 0
+    ties[:, :, ::2, ::3] = 0.0
+    # Channel 0 is all zeros, their signs alternating.
+    ties[:, 0] = np.where(np.indices(shape[2:]).sum(axis=0) % 2, -0.0, 0.0)
+    nans = ties.copy()
+    nans[:, :, 1::3, ::2] = np.nan
+    nans[:, :, 2::4, 1::2] = -np.nan
+    payload = nans.view(f"u{nans.itemsize}")[:, :, 1::3, ::4]
+    payload |= 3                          # distinct NaN payloads
+    infs = ties.copy()
+    infs[:, :, ::3, 1::2] = np.inf
+    infs[:, :, 1::2, ::3] = -np.inf
+    infs[:, -1, :2, :2] = -np.inf         # padding wins these windows
+    return {"±0 ties": ties, "NaN": nans, "±inf": infs}
+
+
+def run_max_pool(op, x_data, geometry, grad_on, x_grad=False, prior=None,
+                 upstream=None):
+    """One max-pool call (and backward): its output and x's gradient."""
+    x = Tensor(x_data, requires_grad=x_grad)
+    if prior is not None:
+        x.grad = prior.copy()
+    if grad_on:
+        out = op(x, *geometry)
+        if out.requires_grad:
+            out.backward(upstream)
+    else:
+        with no_grad():
+            out = op(x, *geometry)
+    return {"out": out.data, "x.grad": x.grad}
+
+
+def assert_max_pools_match(rng, shape, geometry, dtype):
+    """Walk and window copy agree on output and x.grad: bytes, dtype and
+    strides, for every input kind, x and upstream layout and grad mode."""
+    kernel, stride, padding = geometry
+    out_shape = (*shape[:2], *((d + 2 * padding - kernel) // stride + 1
+                               for d in shape[2:]))
+    upstream = rng.normal(size=out_shape).astype(dtype)
+    upstream[..., ::2] = -0.0
+    upstream[:, -1, ::2, 1::2] = np.inf
+    prior = rng.normal(size=shape).astype(dtype)
+    scenarios = [("no_grad", dict(grad_on=False, x_grad=True)),
+                 ("constant x", dict(grad_on=True))]
+    for layout, g in zip(("C", "channels-last"), layouts(upstream)):
+        scenarios += [
+            (f"upstream {layout}", dict(grad_on=True, x_grad=True,
+                                        upstream=g)),
+            (f"x holds a gradient, upstream {layout}", dict(
+                grad_on=True, x_grad=True, prior=prior, upstream=g))]
+    for kind, images in pool_inputs(rng, shape, dtype).items():
+        for layout, x_data in zip(("C", "channels-last"), layouts(images)):
+            for name, scenario in scenarios:
+                walked = run_max_pool(F.max_pool2d, x_data, geometry,
+                                      **scenario)
+                copied = run_max_pool(reference_max_pool2d, x_data,
+                                      geometry, **scenario)
+                for key, expected in copied.items():
+                    where = f"{key} ({kind}, x {layout}, {name})"
+                    actual = walked[key]
+                    if expected is None:
+                        assert actual is None, where
+                        continue
+                    assert actual.dtype == expected.dtype, where
+                    assert actual.strides == expected.strides, where
+                    assert actual.tobytes() == expected.tobytes(), where
+
+
+class TestMaxPoolMatchesReference:
+    """The first-max kernel reproduces the window-copy pool byte for byte."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [(3, 3), (7, 5), (12, 12)])
+    @pytest.mark.parametrize("geometry", [(2, 2, 0), (3, 1, 1), (3, 2, 1),
+                                          (2, 1, 0), (3, 3, 0), (2, 2, 1)])
+    def test_bytes_dtypes_and_strides(self, rng, geometry, size, dtype):
+        assert_max_pools_match(rng, (2, 3, *size), geometry, dtype)
+
+    @pytest.mark.parametrize("geometry", [(3, 1, 1), (2, 2, 1)])
+    @pytest.mark.parametrize("shape", [(1, 2, 1, 6), (2, 1, 1, 1)])
+    def test_size_one_axes(self, rng, shape, geometry):
+        """Gradient strides on size-1 axes follow ``np.zeros_like(x)``."""
+        assert_max_pools_match(rng, shape, geometry, np.float64)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_into_caller_buffer(self, rng, dtype):
+        """The graph executor's path: the output written into ``out``."""
+        for kind, images in pool_inputs(rng, (2, 3, 7, 5), dtype).items():
+            for x_data in layouts(images):
+                expected = run_max_pool(reference_max_pool2d, x_data,
+                                        (3, 1, 1), grad_on=False)["out"]
+                buffer = np.empty(expected.shape, dtype)
+                out, index = F.first_max_pool2d(x_data, 3, 1, 1, out=buffer)
+                assert out is buffer and index is None, kind
+                assert out.strides == expected.strides, kind
+                assert out.tobytes() == expected.tobytes(), kind
+
+
+def models_with_max_pool():
+    def pools(name):
+        model = build_model(name, num_classes=4, input_size=12,
+                            width_multiplier=0.125,
+                            rng=np.random.default_rng(0))
+        return any(isinstance(m, MaxPool2d) for m in model.modules())
+
+    return [name for name in available_models() if pools(name)]
+
+
+POOLING_MODELS = models_with_max_pool()
+
+
+class TestMaxPoolModelsMatchReference:
+    """Training and eval through every pooling model, walk vs window copy."""
+
+    def test_every_pooling_family_is_covered(self):
+        assert {"lenet", "alexnet", "vgg11", "googlenet"} <= set(POOLING_MODELS)
+
+    @pytest.mark.parametrize("size", [12, 16])
+    @pytest.mark.parametrize("name", POOLING_MODELS)
+    def test_sgd_steps_then_eval(self, monkeypatch, name, size):
+        def run():
+            model = build_model(name, num_classes=4, input_size=size,
+                                width_multiplier=0.125,
+                                rng=np.random.default_rng(3))
+            data = np.random.default_rng(4)
+            images = Tensor(data.normal(size=(4, 3, size, size))
+                            .astype(np.float32))
+            labels = data.integers(0, 4, size=4)
+            optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9,
+                            weight_decay=5e-4)
+            for _ in range(2):
+                optimizer.zero_grad()
+                F.cross_entropy(model(images), labels).backward()
+                optimizer.step()
+            model.eval()
+            with no_grad():
+                logits = model(images).data
+            return {**model.state_dict(), "logits": logits}
+
+        walked = run()
+        monkeypatch.setattr(F, "max_pool2d", reference_max_pool2d)
+        copied = run()
+        assert walked.keys() == copied.keys()
+        for key, expected in copied.items():
+            assert walked[key].dtype == expected.dtype, key
+            assert walked[key].tobytes() == expected.tobytes(), key
 
 
 class TestDropout:

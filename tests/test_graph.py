@@ -25,7 +25,8 @@ import numpy as np
 import pytest
 
 from repro.models import available_models, build_model
-from repro.nn import Tensor, no_grad
+from repro.nn import Flatten, MaxPool2d, Sequential, Tensor, no_grad
+from repro.nn import functional as F
 from repro.nn.graph import GraphTraceError
 from repro.nn.graph import compile as graph_compile
 from repro.pruning.surgery import channel_mask, prune_unit
@@ -96,6 +97,48 @@ class TestRegistryEquivalence:
 #: is exercised across a concat boundary (googlenet's last unit is a
 #: branch feeding a shared ConcatLayout) and through a depthwise tie.
 _SUBSET = ("lenet", "vgg11", "resnet20", "googlenet", "mobilenet")
+
+
+class TestSignedZeros:
+    """Unfused executor output equals eager output byte for byte: a max
+    pool keeps the sign of each window's first maximal zero."""
+
+    def test_max_pool_keeps_first_zero_sign(self):
+        x = np.tile(np.array([[0.0, -0.0], [-1.0, -1.0]]), (2, 3, 2, 2))
+        model = Sequential(MaxPool2d(2), Flatten())
+        executor = graph_compile(model, Tensor(x[:1]), fuse=False)
+        expected = _eager(model, x)
+        assert not np.signbit(expected).any()
+        assert executor.run(x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ("lenet", "vgg11", "googlenet"))
+    def test_model_pools_on_relu_ties(self, monkeypatch, name):
+        # Each pool of the model on its own input, a ReLU output whose
+        # negatives became -0.0, with +0.0 planted at the zeros of even
+        # rows and columns (the first element of every 2x2 window).
+        rng = np.random.default_rng(5)
+        model = build_model(name, width_multiplier=_width(name), rng=rng,
+                            **_GEOMETRY)
+        model.eval()
+        seen = []
+        max_pool2d = F.max_pool2d
+
+        def record(x, *geometry):
+            seen.append((x.data, geometry))
+            return max_pool2d(x, *geometry)
+
+        monkeypatch.setattr(F, "max_pool2d", record)
+        _eager(model, rng.standard_normal((4, 3, 12, 12)).astype(np.float32))
+        monkeypatch.undo()
+        assert seen
+        for activation, geometry in seen:
+            ties = activation.copy(order="K")
+            corners = ties[:, :, ::2, ::2]
+            corners[corners == 0] = 0.0
+            pool = Sequential(MaxPool2d(*geometry), Flatten())
+            executor = graph_compile(pool, Tensor(ties[:1]), fuse=False)
+            expected = _eager(pool, ties)
+            assert executor.run(ties).tobytes() == expected.tobytes(), geometry
 
 
 class TestMaskedScenarios:

@@ -135,6 +135,12 @@ class TestLayers:
         assert MaxPool2d(2)(x).shape == (1, 1, 2, 2)
         assert GlobalAvgPool2d()(x).shape == (1, 1)
 
+    @pytest.mark.parametrize("kernel,padding", [(2, 2), (3, 3), (3, -1)])
+    def test_max_pool_rejects_windows_outside_the_image(self, kernel, padding):
+        with pytest.raises(ValueError,
+                           match=f"kernel={kernel}, padding={padding}"):
+            MaxPool2d(kernel, padding=padding)
+
     def test_flatten(self):
         x = Tensor(np.zeros((2, 3, 4, 4)))
         assert Flatten()(x).shape == (2, 48)
