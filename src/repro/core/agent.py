@@ -4,8 +4,12 @@ For one prunable unit, the agent trains a head-start network with the
 shared REINFORCE driver (:mod:`repro.core.reinforce`): actions are
 per-feature-map keep decisions, the reward is ``R(A) = ACC - SPD``
 (Eq. 2-4) measured by masking the unit and evaluating a calibration
-batch, and the returned inception is the best candidate re-scored on the
-full calibration set.
+batch, and the returned inception is the best candidate: re-scored on
+the full calibration set when that is larger than the batch, otherwise
+chosen by the rewards the search measured.  Each accuracy is measured
+once: the inception accuracy is the chosen mask's batch accuracy from
+the search, and a caller that already measured the unmasked batch
+accuracy passes it to :meth:`LayerAgent.run`.
 
 The agent picks the driver's evaluator from ``config.eval``: the static
 graph executor's masked scoring (the default), the eager
@@ -29,7 +33,7 @@ from ..pruning.surgery import channel_mask
 from ..pruning.units import ConvUnit
 from ..training import evaluate
 from .config import HeadStartConfig
-from .evalcache import EvalCache
+from .evalcache import EvalCache, mask_key
 from .policy import HeadStartNetwork
 from .reinforce import ReinforceDriver
 from .reward import reward as compute_reward
@@ -71,8 +75,11 @@ class LayerAgent:
         The prunable unit this agent controls.
     images / labels:
         Calibration data for reward evaluation.  The per-iteration batch
-        is capped at ``config.eval_batch``; the full set re-scores
-        finalist actions so a lucky small-batch action is not selected.
+        is capped at ``config.eval_batch``; when the full set is larger
+        it re-scores the finalist actions, so a lucky small-batch action
+        is not selected.  When the batch is the whole set, a re-score
+        would repeat the search's own evaluations, and the finalist with
+        the best measured reward is chosen instead.
     config:
         HeadStart hyper-parameters.
     """
@@ -151,30 +158,38 @@ class LayerAgent:
                 for accuracy in self._graph.masked_accuracy(
                     images, labels, call, key=key)]
 
-    def _evaluator(self, original_accuracy: float, full: bool = False):
-        """The driver's list-of-masks -> list-of-rewards callable."""
+    def _evaluator(self, measure, original_accuracy: float,
+                   measured: dict | None = None):
+        """The driver's list-of-masks -> list-of-rewards callable.
+
+        ``measure`` maps masks to their accuracies (:meth:`_accuracies`
+        or the pool); with ``measured``, each accuracy is also recorded
+        there under its :func:`~repro.core.evalcache.mask_key`.
+        """
         config = self.config
 
         def rewards(actions: list[np.ndarray]) -> list[float]:
+            accuracies = measure(actions)
+            if measured is not None:
+                measured.update(zip(map(mask_key, actions), accuracies))
             return [compute_reward(accuracy, original_accuracy, action,
                                    config.speedup,
                                    acc_weight=config.acc_weight,
                                    spd_weight=config.spd_weight)
-                    for accuracy, action in
-                    zip(self._accuracies(actions, full=full), actions)]
+                    for accuracy, action in zip(accuracies, actions)]
         return rewards
 
-    def _build_pool(self, evaluate_batch, evaluate_full):
+    def _build_pool(self):
         """A supervised :class:`~repro.runtime.pool.EvalPool`.
 
-        Workers score one action per task with the in-process
-        evaluators (graph or eager — they fork after compilation) and
-        keep private caches; the parent cache stays authoritative and
-        only ever sees values through the driver's lookup/insert
-        sequence.  Calibration arrays are moved into shared memory
-        first, so the forked workers map one copy of the data.  Returns
-        ``(pool, shared, originals)`` for the caller's finally-block to
-        unwind.
+        Workers measure one action's accuracy per task with the
+        in-process :meth:`_accuracies` (graph or eager — they fork
+        after compilation) and keep private caches; rewards are computed
+        in the parent, whose cache stays authoritative and only ever
+        sees values through the driver's lookup/insert sequence.
+        Calibration arrays are moved into shared memory first, so the
+        forked workers map one copy of the data.  Returns ``(pool,
+        shared, originals)`` for the caller's finally-block to unwind.
         """
         from ..runtime.pool import EvalPool, SharedArrays
         shared = SharedArrays(images=self.images, labels=self.labels,
@@ -186,8 +201,9 @@ class LayerAgent:
         self.labels = shared["labels"]
         self.full_images = shared["full_images"]
         self.full_labels = shared["full_labels"]
-        pool = EvalPool({"batch": lambda action: evaluate_batch([action])[0],
-                         "final": lambda action: evaluate_full([action])[0]},
+        pool = EvalPool({"batch": lambda action: self._accuracies([action])[0],
+                         "final": lambda action: self._accuracies(
+                             [action], full=True)[0]},
                         workers=self.config.eval.workers,
                         task_seconds=self.config.eval.task_seconds,
                         task_retries=self.config.eval.task_retries,
@@ -198,13 +214,22 @@ class LayerAgent:
         return pool, shared, originals
 
     # -- main loop -----------------------------------------------------------
-    def run(self) -> AgentResult:
-        """Train the policy until the reward stabilises; return the inception."""
+    def run(self, original_accuracy: float | None = None) -> AgentResult:
+        """Train the policy until the reward stabilises; return the inception.
+
+        ``original_accuracy`` is the unmasked model's accuracy on the
+        calibration batch, for a caller that has already measured it
+        (the journaled runner's collapse baseline, when the batch is
+        the whole calibration set); otherwise the agent measures it.
+        """
         if self.config.eval.graph:
             self._graph = self._build_graph()
-        original_accuracy = evaluate(self.model, self.images, self.labels)
-        evaluate_batch = self._evaluator(original_accuracy)
-        evaluate_full = self._evaluator(original_accuracy, full=True)
+        if original_accuracy is None:
+            original_accuracy = evaluate(self.model, self.images, self.labels)
+        # Finalists are re-scored only on data the search has not seen.
+        rescore = len(self.full_images) > len(self.images)
+        measure_batch = self._accuracies
+        measure_full = lambda actions: self._accuracies(actions, full=True)
         # A fresh cache per run, scoped to this layer's current model
         # state; finalists (full calibration set) are never cached.
         cache = None
@@ -213,14 +238,19 @@ class LayerAgent:
                               scope=self.unit.name)
         pool = shared = originals = None
         if self.config.eval.workers > 0:
-            pool, shared, originals = self._build_pool(evaluate_batch,
-                                                       evaluate_full)
-            evaluate_batch = lambda actions: pool.map(actions, fn="batch")
-            evaluate_full = lambda actions: pool.map(actions, fn="final")
+            pool, shared, originals = self._build_pool()
+            measure_batch = lambda actions: pool.map(actions, fn="batch")
+            measure_full = lambda actions: pool.map(actions, fn="final")
+        # Batch accuracy of every mask the search scored, by mask key.
+        measured: dict[bytes, float] = {}
         try:
+            final = self._evaluator(measure_full, original_accuracy) \
+                if rescore else None
             outcome = ReinforceDriver(
-                self.policy, evaluate_batch, self.config, self.rng,
-                final_evaluate=evaluate_full, cache=cache).run()
+                self.policy,
+                self._evaluator(measure_batch, original_accuracy, measured),
+                self.config, self.rng, final_evaluate=final,
+                cache=cache).run()
         finally:
             if pool is not None:
                 pool.close()
@@ -230,6 +260,9 @@ class LayerAgent:
             if shared is not None:
                 shared.close()
         keep_mask = outcome.action.astype(bool)
+        inception_accuracy = measured.get(mask_key(keep_mask))
+        if inception_accuracy is None:     # no iteration ran
+            inception_accuracy = self._accuracies([keep_mask])[0]
         cache_stats = None
         if cache is not None:
             cache_stats = cache.stats()
@@ -246,5 +279,5 @@ class LayerAgent:
             iterations=outcome.iterations,
             reward_history=outcome.reward_history,
             loss_history=outcome.loss_history,
-            inception_accuracy=self._accuracies([keep_mask])[0],
+            inception_accuracy=inception_accuracy,
             cache_stats=cache_stats)

@@ -28,7 +28,7 @@ from ..pruning.engine import (EngineInfo, StepOutcome, StepSpec, StepState,
                               SteppedEngineBase)
 from ..training import evaluate
 from .config import HeadStartConfig
-from .evalcache import EvalCache
+from .evalcache import EvalCache, mask_key
 from .policy import HeadStartNetwork
 from .reinforce import ReinforceDriver
 from .reward import acc_term
@@ -80,7 +80,11 @@ class BlockHeadStart(SteppedEngineBase):
         ``(images, labels)`` pair as ``data``, or — the original
         calling convention, still supported — raw image and label
         arrays as two positional arguments.  Prefer
-        :func:`repro.pruning.build_engine` for new code.
+        :func:`repro.pruning.build_engine` for new code.  Rewards use
+        the first ``config.eval_batch`` images; the whole set (usually
+        the training set, so larger than the batch) re-scores the
+        finalist actions.  The inception accuracy is the chosen
+        action's batch accuracy, as the search measured it.
     config:
         HeadStart hyper-parameters; ``config.speedup`` is interpreted
         over blocks (sp=2 halves the block count).
@@ -127,17 +131,21 @@ class BlockHeadStart(SteppedEngineBase):
         return accuracies
 
     def _evaluator(self, config: HeadStartConfig, original_accuracy: float,
-                   full: bool = False):
+                   full: bool = False, measured: dict | None = None):
         """The driver's list-of-actions -> list-of-rewards callable.
 
-        Graph eval does not apply here: block bypass rewires whole
-        residual blocks, which the traced unit-mask split cannot
-        express, so every reward is an eager forward.
+        With ``measured``, each accuracy is also recorded there under
+        its :func:`~repro.core.evalcache.mask_key`.  Graph eval does not
+        apply here: block bypass rewires whole residual blocks, which
+        the traced unit-mask split cannot express, so every reward is an
+        eager forward.
         """
         def rewards(actions: list[np.ndarray]) -> list[float]:
+            accuracies = self._accuracies(actions, full)
+            if measured is not None:
+                measured.update(zip(map(mask_key, actions), accuracies))
             values = []
-            for accuracy, action in zip(self._accuracies(actions, full),
-                                        actions):
+            for accuracy, action in zip(accuracies, actions):
                 kept = self.forced_keep + int(np.count_nonzero(action))
                 spd = abs(self.total_blocks / max(kept, 1) - config.speedup)
                 values.append(config.acc_weight
@@ -184,20 +192,27 @@ class BlockHeadStart(SteppedEngineBase):
             # exact-mask memoization applies verbatim.
             cache = EvalCache(maxsize=config.eval.cache_size,
                               scope="blocks") if config.eval.cache else None
+            # Batch accuracy of every action the search scored.
+            measured: dict[bytes, float] = {}
             outcome = ReinforceDriver(
-                policy, self._evaluator(config, original_accuracy),
+                policy,
+                self._evaluator(config, original_accuracy,
+                                measured=measured),
                 config, rng,
                 final_evaluate=self._evaluator(config, original_accuracy,
                                                full=True),
                 cache=cache).run()
             action = outcome.action
+            inception_accuracy = measured.get(mask_key(action))
+            if inception_accuracy is None:     # no iteration ran
+                inception_accuracy = self._accuracies([action])[0]
             result = BlockAgentResult(
                 keep_action=action.astype(bool),
                 probabilities=outcome.probabilities,
                 iterations=outcome.iterations,
                 reward_history=outcome.reward_history,
                 loss_history=outcome.loss_history,
-                inception_accuracy=self._accuracies([action])[0],
+                inception_accuracy=inception_accuracy,
                 blocks_per_group=self.blocks_per_group(action))
             rec.gauge("block/kept_blocks", sum(result.blocks_per_group))
             rec.gauge("block/inception_accuracy", result.inception_accuracy)

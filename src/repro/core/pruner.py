@@ -217,17 +217,22 @@ class HeadStartPruner(SteppedEngineBase):
 
         The decision (keep mask) is the journalable payload; the trained
         agent result rides along in ``extra`` for :meth:`apply_step` and
-        the in-memory :class:`HeadStartResult`.
+        the in-memory :class:`HeadStartResult`.  When the agent's batch
+        is the whole calibration set, the harness's baseline accuracy
+        is exactly the agent's original accuracy, and is passed on.
         """
         unit = _unit_by_name(self.model, spec.name)
         config = state.config_override
         if config is None:
             config = dataclasses.replace(
                 self.config, seed=self.config.seed + spec.index)
+        original_accuracy = None
+        if len(self.calibration[0]) <= config.eval_batch:
+            original_accuracy = state.baseline_accuracy
         with get_recorder().span("prune_layer", layer=unit.name,
                                  maps_before=unit.num_maps):
             agent_result = LayerAgent(self.model, unit, *self.calibration,
-                                      config=config).run()
+                                      config=config).run(original_accuracy)
         mask = np.asarray(agent_result.keep_mask, dtype=bool)
         return StepOutcome(payload={"mask": mask},
                            extra={"agent_result": agent_result})

@@ -8,7 +8,8 @@ agent (actions over residual blocks) run the same loop:
 3. score every action with a caller-supplied evaluator;
 4. step the policy on ``-(1/k) Σ (R(A^s) - b) log p_θ(A^s)``;
 5. stop when the best reward stops improving, and return the best
-   candidate re-scored by an optional finalist evaluator.
+   candidate: by the reward the search measured, or re-scored by an
+   explicit finalist evaluator (e.g. on a larger calibration set).
 
 The driver owns steps 1-2 and 4-5 and the one scoring path of step 3
 (:meth:`ReinforceDriver._score`: dedup, cache, evaluate the misses).
@@ -71,8 +72,11 @@ class ReinforceDriver:
         Action-sampling randomness (the policy's own init randomness is
         the caller's concern).
     final_evaluate:
-        Optional re-scoring of finalist candidates (e.g. on the full
-        calibration set); defaults to ``evaluate``.  Never cached.
+        Optional re-scoring of the finalist candidates on other data
+        (e.g. a calibration set larger than ``evaluate``'s batch); never
+        cached.  Without it the finalist with the best reward the search
+        already measured is chosen: ``evaluate`` is pure, so re-scoring
+        with it would only repeat those evaluations.
     cache:
         Optional :class:`~repro.core.evalcache.EvalCache` answering
         repeated masks across iterations.  The caller creates it per
@@ -86,7 +90,7 @@ class ReinforceDriver:
                  cache: EvalCache | None = None):
         self.policy = policy
         self.evaluate = evaluate
-        self.final_evaluate = final_evaluate or evaluate
+        self.final_evaluate = final_evaluate
         self.cache = cache
         self.config = config
         self.rng = rng
@@ -254,9 +258,12 @@ class ReinforceDriver:
 
         if config.use_best_action and candidates:
             finalists = [action for _, action in candidates.values()]
-            final_rewards = self.final_evaluate(finalists)
+            if self.final_evaluate is None:
+                final_rewards = [reward for reward, _ in candidates.values()]
+            else:
+                final_rewards = self.final_evaluate(finalists)
+                rec.counter("reinforce/finalist_evals", len(finalists))
             chosen = finalists[int(np.argmax(final_rewards))]
-            rec.counter("reinforce/finalist_evals", len(finalists))
         else:
             chosen = threshold_action(final_probs, config.threshold)
         return ReinforceOutcome(action=chosen, probabilities=final_probs,

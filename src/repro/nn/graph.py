@@ -420,6 +420,8 @@ class GraphExecutor:
         self._prefix_pending: dict[int, int] = {}
         self._suffix_pending: dict[int, int] = {}
         self._prefix_cache: dict[tuple, dict[int, np.ndarray]] = {}
+        # _alloc_like's layout plans, by (shape, strides)
+        self._layouts: dict[tuple, tuple] = {}
 
     # -- plumbing ----------------------------------------------------------
     def _pending_template(self, nodes: list[_Node]) -> dict[int, int]:
@@ -460,14 +462,24 @@ class GraphExecutor:
 
         Returns ``(view, base)``: ``view`` has ``ref.shape`` with axes
         strided like ``ref`` (numpy's K order), ``base`` is the arena
-        allocation backing it.
+        allocation backing it.  The stride order is planned once per
+        (shape, strides): a forward meets the same few layouts on every
+        call.
         """
         if ref.flags.c_contiguous or ref.ndim < 2:
             base = self._arena.get(ref.shape, dtype)
             return base, base
-        order = sorted(range(ref.ndim), key=lambda i: (-ref.strides[i], i))
-        base = self._arena.get(tuple(ref.shape[i] for i in order), dtype)
-        return base.transpose(np.argsort(order)), base
+        key = (ref.shape, ref.strides)
+        plan = self._layouts.get(key)
+        if plan is None:
+            order = sorted(range(ref.ndim),
+                           key=lambda i: (-ref.strides[i], i))
+            plan = self._layouts[key] = (
+                tuple(ref.shape[i] for i in order),
+                tuple(int(i) for i in np.argsort(order)))
+        shape, axes = plan
+        base = self._arena.get(shape, dtype)
+        return base.transpose(axes), base
 
     def _run_conv(self, node: _Node, x: np.ndarray):
         conv = node.module

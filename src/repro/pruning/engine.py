@@ -138,12 +138,19 @@ class StepOutcome:
 
 @dataclass
 class StepState:
-    """Mutable context the harness threads through a step's attempts."""
+    """Mutable context the harness threads through a step's attempts.
+
+    ``baseline_accuracy`` is the pre-step calibration accuracy the
+    harness measured (or carried over) for its collapse guard, ``None``
+    when the guard is off; an engine may use it instead of evaluating
+    the unchanged model again.
+    """
 
     attempt: int = 0
     config_override: Any = None
     need_accuracy: bool = False
     payloads: dict[str, dict] = field(default_factory=dict)
+    baseline_accuracy: float | None = None
 
 
 @dataclass

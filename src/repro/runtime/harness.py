@@ -83,7 +83,9 @@ class ResumableRunner:
     :class:`~repro.core.pruner.HeadStartPruner`.
 
     Robustness knobs: ``collapse_ratio`` is the accuracy floor after a
-    step relative to the pre-step accuracy (0 disables the check);
+    step relative to the pre-step calibration accuracy (0 disables the
+    check; the pre-step accuracy is the previous step's post-step one,
+    measured afresh after a resume, rollback or fallback);
     ``retry_policy`` governs rollback/reseed behaviour; ``budget`` arms a
     per-step :class:`~repro.runtime.watchdog.StepBudget`; ``fallback``
     degrades exhausted steps to metric baselines instead of skipping
@@ -313,6 +315,11 @@ class ResumableRunner:
         # behind; from here on the queue belongs to the steps below.
         take_degradations()
 
+        guarded = self.collapse_ratio > 0.0
+        # The previous step's post-step calibration accuracy, while it
+        # still describes the model: None after a resume, a rollback or
+        # a fallback, and then the next baseline is measured afresh.
+        carried: float | None = None
         for index in range(start, len(specs)):
             spec = specs[index]
             name = spec.name
@@ -320,8 +327,12 @@ class ResumableRunner:
             # The baseline accuracy only feeds the collapse guard, so a
             # disabled guard skips the evaluation; NaN is "cannot judge"
             # and check_accuracy_collapse passes it.
-            pre_accuracy = (self.engine.current_accuracy()
-                            if self.collapse_ratio > 0.0 else math.nan)
+            baseline = None
+            if guarded:
+                baseline = (carried if carried is not None
+                            else self.engine.current_accuracy())
+            carried = None
+            pre_accuracy = math.nan if baseline is None else baseline
             backup = copy.deepcopy(self.engine.model)
             outcome: StepOutcome | None = None
             used_engine: str | None = None
@@ -329,8 +340,8 @@ class ResumableRunner:
                 override = None if attempt == 0 else self.engine.retry_config(
                     spec, self.retry_policy, attempt)
                 state = StepState(attempt=attempt, config_override=override,
-                                  need_accuracy=self.collapse_ratio > 0.0,
-                                  payloads=payloads)
+                                  need_accuracy=guarded, payloads=payloads,
+                                  baseline_accuracy=baseline)
                 try:
                     with watchdog.watch(self.budget, name):
                         out = self.engine.run_step(spec, state)
@@ -370,6 +381,8 @@ class ResumableRunner:
                 report.retried_layers[name] = len(failures)
             if used_engine is not None:
                 report.degraded_steps[name] = used_engine
+            if not failures:        # neither rolled back nor degraded
+                carried = outcome.accuracy
             payloads[name] = outcome.payload
             checkpoint = save_checkpoint(self.engine.model,
                                          run_dir / f"layer_{index:02d}")

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import HeadStartConfig, LayerAgent
-from repro.training import evaluate
+import repro.core.agent as agent_module
+from repro.core import EvalOptions, HeadStartConfig, LayerAgent
+from repro.core.reinforce import ReinforceDriver
+from repro.data import make_cifar100_like
+from repro.models import build_model
+from repro.obs import Recorder, use_recorder
+from repro.pruning import channel_mask
+from repro.training import TrainConfig, evaluate, fit
 
 
 def quick_config(**overrides):
@@ -121,3 +127,115 @@ class TestLayerAgent:
         first = result.reward_history[0]
         late_best = max(result.reward_history[5:])
         assert late_best >= first
+
+
+class _RescoringDriver(ReinforceDriver):
+    """The driver as agents used to wire it: without an explicit
+    ``final_evaluate`` the finalists are re-scored by ``evaluate``."""
+
+    def __init__(self, policy, evaluate, config, rng, final_evaluate=None,
+                 cache=None):
+        super().__init__(policy, evaluate, config, rng,
+                         final_evaluate=final_evaluate or evaluate,
+                         cache=cache)
+
+
+def _recorded_run(agent, **kwargs):
+    recorder = Recorder()
+    with use_recorder(recorder):
+        result = agent.run(**kwargs)
+    return result, recorder.counters
+
+
+#: A plain, a residual and a concat-coupled model.
+_SCORING_MODELS = (("vgg11", 0.125), ("resnet20", 0.25), ("googlenet", 0.25))
+
+
+@pytest.fixture(scope="module", params=_SCORING_MODELS,
+                ids=[name for name, _ in _SCORING_MODELS])
+def scoring_case(request):
+    """A briefly trained tiny model and its 24 training images."""
+    name, width = request.param
+    task = make_cifar100_like(num_classes=4, image_size=12,
+                              train_per_class=6, test_per_class=3, seed=3)
+    model = build_model(name, num_classes=4, input_size=12,
+                        width_multiplier=width, rng=np.random.default_rng(3))
+    fit(model, task.train, None,
+        TrainConfig(epochs=1, batch_size=24, lr=0.05, seed=0))
+    return model, task.train.images, task.train.labels
+
+
+class TestMeasuredOnce:
+    """Each accuracy is measured once; decisions stay as they were."""
+
+    @pytest.mark.parametrize("options", [EvalOptions(),
+                                         EvalOptions(graph=False)],
+                             ids=["graph", "dense"])
+    def test_batch_as_full_set_matches_rescoring_wiring(
+            self, scoring_case, options, monkeypatch):
+        model, images, labels = scoring_case
+        units = model.prune_units()
+        unit = units[len(units) // 2]
+        config = quick_config(eval_batch=len(images), max_iterations=4,
+                              min_iterations=4, eval=options)
+        result, counters = _recorded_run(
+            LayerAgent(model, unit, images, labels, config))
+        monkeypatch.setattr(agent_module, "ReinforceDriver",
+                            _RescoringDriver)
+        agent = LayerAgent(model, unit, images, labels, config)
+        reference, reference_counters = _recorded_run(agent)
+        assert "reinforce/finalist_evals" not in counters
+        assert reference_counters["reinforce/finalist_evals"] > 0
+        np.testing.assert_array_equal(result.keep_mask, reference.keep_mask)
+        assert result.reward_history == reference.reward_history
+        assert result.loss_history == reference.loss_history
+        # The inception accuracy as a fresh masked evaluation measures it.
+        assert result.inception_accuracy \
+            == agent._accuracies([reference.keep_mask])[0]
+
+    def test_larger_calibration_set_rescores_finalists(
+            self, lenet_copy, calibration, monkeypatch):
+        full_masks = []
+        accuracies = LayerAgent._accuracies
+
+        def spy(agent, masks, full=False):
+            if full:
+                full_masks.extend(masks)
+            return accuracies(agent, masks, full=full)
+
+        monkeypatch.setattr(LayerAgent, "_accuracies", spy)
+        unit = lenet_copy.prune_units()[0]
+        images, labels = calibration
+        assert len(images) > 16
+        _, counters = _recorded_run(LayerAgent(
+            lenet_copy, unit, images, labels, quick_config(eval_batch=16)))
+        assert counters["reinforce/finalist_evals"] == len(full_masks) > 0
+
+    def test_callers_original_accuracy_replaces_the_agents(
+            self, lenet_copy, calibration, monkeypatch):
+        unit = lenet_copy.prune_units()[0]
+        images, labels = calibration
+        config = quick_config(eval_batch=len(images))
+        measured = LayerAgent(lenet_copy, unit, images, labels,
+                              config).run()
+        calls = []
+        monkeypatch.setattr(agent_module, "evaluate",
+                            lambda *args: calls.append(args) or 0.0)
+        given = LayerAgent(lenet_copy, unit, images, labels, config).run(
+            original_accuracy=evaluate(lenet_copy, images, labels))
+        assert calls == []      # graph eval: the agent evaluated nothing
+        np.testing.assert_array_equal(given.keep_mask, measured.keep_mask)
+        assert given.reward_history == measured.reward_history
+        assert given.inception_accuracy == measured.inception_accuracy
+
+    def test_inception_accuracy_without_iterations(self, lenet_copy,
+                                                   calibration):
+        unit = lenet_copy.prune_units()[0]
+        images, labels = calibration
+        result = LayerAgent(lenet_copy, unit, images, labels,
+                            quick_config(max_iterations=0,
+                                         min_iterations=0)).run()
+        assert result.iterations == 0
+        with channel_mask(unit, result.keep_mask):
+            direct = evaluate(lenet_copy, images[:32], labels[:32])
+        assert result.inception_accuracy == direct

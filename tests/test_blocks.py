@@ -135,3 +135,16 @@ class TestBlockHeadStart:
         assert cached.reward_history == plain.reward_history
         assert cached.loss_history == plain.loss_history
         assert cached.inception_accuracy == plain.inception_accuracy
+
+    def test_inception_accuracy_is_the_searched_batch_accuracy(
+            self, resnet_copy, calibration):
+        agent = BlockHeadStart(resnet_copy, *calibration, quick_config())
+        recorder = Recorder()
+        with use_recorder(recorder):
+            result = agent.run()
+        # The whole set is larger than the batch: finalists are re-scored.
+        assert len(agent.full_images) > len(agent.images)
+        assert recorder.counters["reinforce/finalist_evals"] > 0
+        with bypass_blocks(resnet_copy, agent.droppable, result.keep_action):
+            fresh = evaluate(resnet_copy, agent.images, agent.labels)
+        assert result.inception_accuracy == fresh

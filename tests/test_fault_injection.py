@@ -11,10 +11,13 @@ import copy
 import numpy as np
 import pytest
 
+import repro.core.agent as agent_module
+import repro.training as training_module
 from repro.core import FinetuneConfig, HeadStartConfig
 from repro.runtime import (FaultPlan, JournalError, ResumableRunner,
                            ResumeMismatchError, RetryPolicy, RunJournal,
                            SimulatedCrash, inject, resume)
+from repro.training import evaluate
 
 
 def quick_config(**overrides):
@@ -206,3 +209,108 @@ class TestDivergenceRetry:
         assert report.skipped_layers == ["conv1"]
         assert [log.name for log in report.result.layers] == ["conv2"]
         assert report.result.final_accuracy is not None
+
+
+class TestCollapseBaseline:
+    """The collapse guard's baseline is measured once per model state."""
+
+    @staticmethod
+    def _count_calibration_evals(monkeypatch, runner):
+        """Count ``evaluate`` calls on the runner's calibration set: the
+        harness's (``engine.current_accuracy``) and the agents'."""
+        images = runner.engine.calibration[0]
+        calls = []
+
+        def counting(model, batch, labels, *args, **kwargs):
+            if batch.shape == images.shape and np.array_equal(batch, images):
+                calls.append(1)
+            return evaluate(model, batch, labels, *args, **kwargs)
+
+        monkeypatch.setattr(training_module, "evaluate", counting)
+        monkeypatch.setattr(agent_module, "evaluate", counting)
+        return calls
+
+    @staticmethod
+    def _record_baselines(runner):
+        """(baseline handed to each step, fresh calibration accuracy)."""
+        engine = runner.engine
+        run_step = engine.run_step
+        seen = []
+
+        def recording(spec, state):
+            seen.append((state.baseline_accuracy, engine.current_accuracy()))
+            return run_step(spec, state)
+
+        engine.run_step = recording
+        return seen
+
+    def test_one_evaluation_per_model_state(self, trained_lenet, tiny_task,
+                                            tmp_path, monkeypatch):
+        runner = make_runner(copy.deepcopy(trained_lenet), tiny_task)
+        steps = len(runner.engine.steps())
+        calls = self._count_calibration_evals(monkeypatch, runner)
+        runner.run(tmp_path / "run")
+        # Before carrying: a baseline, a post-step accuracy and the
+        # agent's original accuracy per step (3 x steps).
+        assert len(calls) == 1 + steps
+
+    @pytest.mark.parametrize("plan", ["clean", "rollback"])
+    def test_every_baseline_is_the_current_accuracy(self, trained_lenet,
+                                                    tiny_task, tmp_path,
+                                                    plan):
+        runner = make_runner(copy.deepcopy(trained_lenet), tiny_task)
+        seen = self._record_baselines(runner)
+        faults = FaultPlan()
+        if plan == "rollback":
+            faults.nan_at("training.loss", 1)   # conv1's first fine-tune
+        with inject(faults):
+            report = runner.run(tmp_path / "run")
+        assert report.retried_layers == ({"conv1": 1} if plan == "rollback"
+                                         else {})
+        assert len(seen) == len(runner.engine.steps()) \
+            + sum(report.retried_layers.values())
+        assert all(baseline == fresh for baseline, fresh in seen)
+
+    def test_resumed_run_writes_the_uninterrupted_journal(
+            self, trained_lenet, tiny_task, tmp_path):
+        make_runner(copy.deepcopy(trained_lenet),
+                    tiny_task).run(tmp_path / "uninterrupted")
+        with inject(FaultPlan().crash_at("runtime.layer_complete", 1)):
+            with pytest.raises(SimulatedCrash):
+                make_runner(copy.deepcopy(trained_lenet),
+                            tiny_task).run(tmp_path / "killed")
+        runner = make_runner(copy.deepcopy(trained_lenet), tiny_task)
+        seen = self._record_baselines(runner)
+        report = runner.run(tmp_path / "killed", resume=True)
+        assert report.resumed_layers == 1
+        # The resumed step's baseline was measured afresh, and matches.
+        assert len(seen) == 1 and seen[0][0] == seen[0][1]
+        assert (tmp_path / "killed" / "journal.jsonl").read_bytes() \
+            == (tmp_path / "uninterrupted" / "journal.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("calibration_size", [24, 48])
+    def test_handing_the_baseline_to_agents_changes_nothing(
+            self, trained_lenet, tiny_task, tmp_path, calibration_size):
+        # 24 images are the agents' whole batch, so they take the
+        # baseline.  Of 48 they score the first 24 and measure their own
+        # original accuracy: the shifted labels of the other 24 make the
+        # full set's accuracy differ from the batch's.
+        images = tiny_task.train.images[:calibration_size]
+        labels = tiny_task.train.labels[:calibration_size].copy()
+        labels[24:] = (labels[24:] + 1) % 6
+        assert calibration_size == 24 or evaluate(
+            trained_lenet, images, labels) != evaluate(
+            trained_lenet, images[:24], labels[:24])
+        runs = []
+        for ratio in (0.5, 0.0):
+            run_dir = tmp_path / f"ratio-{ratio}"
+            report = make_runner(copy.deepcopy(trained_lenet), tiny_task,
+                                 calibration=(images, labels),
+                                 collapse_ratio=ratio).run(run_dir)
+            runs.append((
+                [record for record
+                 in RunJournal(run_dir / "journal.jsonl").read()
+                 if record["record"] == "layer_complete"],
+                {name: result.reward_history for name, result
+                 in report.result.agent_results.items()}))
+        assert runs[0] == runs[1]

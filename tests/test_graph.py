@@ -141,6 +141,27 @@ class TestSignedZeros:
             assert executor.run(ties).tobytes() == expected.tobytes(), geometry
 
 
+class TestLayoutPlans:
+    """``_alloc_like`` gives elementwise nodes buffers in their input's
+    memory order, planning each (shape, strides) once."""
+
+    def test_buffer_follows_the_input_layout(self):
+        executor = graph_compile(Sequential(Flatten()),
+                                 Tensor(np.zeros((1, 2, 2, 2))), fuse=False)
+        shape = (2, 3, 4, 5)
+        # C order, channels-last, and a scrambled order, all one shape.
+        for storage_axes in [(0, 1, 2, 3), (0, 2, 3, 1), (3, 1, 0, 2)] * 2:
+            storage = np.zeros(tuple(shape[axis] for axis in storage_axes))
+            ref = storage.transpose(np.argsort(storage_axes))
+            assert ref.shape == shape
+            view, base = executor._alloc_like(ref, np.float32)
+            assert view.shape == shape and view.dtype == np.float32
+            assert view.strides == np.empty_like(ref, np.float32).strides
+            assert np.shares_memory(view, base)
+            executor._arena.put(base)
+        assert len(executor._layouts) == 2      # C order needs no plan
+
+
 class TestMaskedScenarios:
     @pytest.mark.parametrize("name", _SUBSET)
     def test_surgered_model_recompiles_and_matches(self, name):

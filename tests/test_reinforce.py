@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import HeadStartConfig, HeadStartNetwork
+from repro.core.evalcache import mask_key
 from repro.core.reinforce import ReinforceDriver, ReinforceOutcome
+from repro.obs import Recorder, use_recorder
 
 
 def per_mask(fn):
@@ -119,3 +121,52 @@ class TestDriverMechanics:
     def test_all_baselines(self, baseline):
         outcome = make_driver(count_reward, baseline=baseline).run()
         assert outcome.iterations >= 1
+
+
+class TestFinalists:
+    @staticmethod
+    def _run(final: bool):
+        """A run whose rewards are distinct per mask, and its counters."""
+        def reward(action):
+            return float(np.dot(action, np.arange(1, action.size + 1))
+                         / 37.0) - abs(action.sum() - 4)
+
+        calls, scored = [], {}
+
+        def evaluate(actions):
+            calls.append(len(actions))
+            values = [reward(action) for action in actions]
+            scored.update(zip(map(mask_key, actions), values))
+            return values
+
+        config = HeadStartConfig(speedup=2.0, max_iterations=10,
+                                 min_iterations=10, patience=10,
+                                 mc_samples=3, seed=5)
+        rng = np.random.default_rng(config.seed)
+        policy = HeadStartNetwork(8, keep_ratio=0.5, rng=rng)
+        driver = ReinforceDriver(policy, evaluate, config, rng,
+                                 final_evaluate=evaluate if final else None)
+        recorder = Recorder()
+        with use_recorder(recorder):
+            outcome = driver.run()
+        return outcome, recorder.counters, calls, scored
+
+    def test_without_final_evaluate_the_best_measured_finalist_wins(self):
+        outcome, counters, calls, scored = self._run(final=False)
+        # Every evaluator call came from the search's scorer: one per
+        # iteration plus one per exchange proposal, no finalist call.
+        assert len(calls) == 2 * outcome.iterations
+        assert sum(calls) == counters["reinforce/unique_evals"] \
+            + counters["reinforce/exchange_evals"]
+        assert "reinforce/finalist_evals" not in counters
+        # The pool keeps the best reward ever measured, and it wins.
+        assert scored[mask_key(outcome.action)] == max(scored.values())
+
+    def test_rescoring_with_the_same_evaluator_chooses_the_same(self):
+        plain, _, plain_calls, _ = self._run(final=False)
+        rescored, counters, calls, _ = self._run(final=True)
+        assert np.array_equal(plain.action, rescored.action)
+        assert plain.reward_history == rescored.reward_history
+        assert plain.loss_history == rescored.loss_history
+        assert len(calls) == len(plain_calls) + 1
+        assert counters["reinforce/finalist_evals"] == calls[-1] > 1
