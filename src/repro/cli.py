@@ -14,9 +14,6 @@ Subcommands cover the experiment lifecycle on synthetic tasks:
 * ``metrics`` — summarise (and validate) a ``--metrics-dir`` stream,
   export it as a Chrome trace (``--trace``), or regression-diff two
   runs (``metrics diff <a> <b>``);
-* ``bench``   — time the REINFORCE reward fast path (eval cache on/off)
-  and write a schema-checked ``BENCH_reinforce.json``
-  (see ``docs/PERFORMANCE.md``);
 * ``report``  — with a run directory, write a self-contained HTML/
   Markdown run report joining the metrics stream with the runtime
   journal; without one, regenerate EXPERIMENTS.md from benchmark
@@ -206,7 +203,6 @@ def _eval_options(args) -> EvalOptions:
                        cache_size=args.eval_cache_size,
                        graph=args.eval_mode == "graph",
                        fused=args.eval_fused,
-                       mask_batch=args.eval_mask_batch,
                        workers=args.eval_workers,
                        task_seconds=args.eval_task_seconds,
                        task_retries=args.eval_task_retries)
@@ -365,46 +361,6 @@ def _cmd_fps(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from .bench import run_reinforce_bench, validate_bench, write_report
-
-    report = run_reinforce_bench(quick=args.quick, seed=args.seed)
-    problems = validate_bench(report)
-    if problems:
-        for problem in problems:
-            print(f"schema violation: {problem}", file=sys.stderr)
-        return 1
-    path = write_report(report, args.out)
-
-    table = Table(["VARIANT", "WALL S", "EVALS REQ", "INVOKED", "HIT RATE",
-                   "DRIFT"],
-                  title="reward fast path")
-    for name, variant in report["variants"].items():
-        cache = variant["cache"] or {}
-        rate = cache.get("hit_rate")
-        drift = variant["max_drift_vs_dense"]
-        table.add_row([name, round(variant["wall_seconds"], 3),
-                       variant["requested_evals"],
-                       variant["reward_invocations"],
-                       "-" if rate is None else round(rate, 3),
-                       "0" if drift == 0 else f"{drift:.1e}"])
-    print(table.render())
-    reduction = report["reduction"]
-    print(f"reward invocations cut by "
-          f"{reduction['reward_invocations_pct']:.1f}%  "
-          f"(wall-clock speedup {reduction['wall_clock_speedup']:.2f}x)")
-    print(f"graph (fused) over cached dense: "
-          f"{reduction['graph_wall_clock_speedup']:.2f}x wall-clock")
-    determinism = report["determinism"]
-    print(f"cached == uncached: accuracy "
-          f"{determinism['identical_accuracy']}, model state "
-          f"{determinism['identical_state']}")
-    print(f"graph (unfused) == uncached: model state "
-          f"{determinism['graph_identical_state']}")
-    print(f"report written to {path}")
-    return 0
-
-
 def _cmd_report(args) -> int:
     if args.run_dir:
         try:
@@ -493,12 +449,10 @@ def _cmd_metrics_diff(args) -> int:
         return 2
     a, b = args.rest
     try:
-        result = obs.diff_sources(
+        result = obs.diff_metrics_dirs(
             a, b, wall_tolerance=args.wall_tolerance,
-            min_seconds=args.min_seconds,
-            counter_tolerance=args.counter_tolerance,
-            check_wall=not args.no_wall)
-    except (OSError, ValueError, obs.MetricsError) as error:
+            min_seconds=args.min_seconds, check_wall=not args.no_wall)
+    except obs.MetricsError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     print(result.render())
@@ -629,10 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="graph mode only: fold BatchNorm into conv "
                               "weights and fuse trailing ReLUs (~1e-8 vs "
                               "dense)")
-    evalgrp.add_argument("--eval-mask-batch", action="store_true",
-                         default=defaults.mask_batch,
-                         help="graph mode only: score each iteration's "
-                              "candidate masks in one folded-batch forward")
     evalgrp.add_argument("--eval-workers", type=int,
                          default=defaults.workers,
                          help="evaluate rewards on this many supervised "
@@ -670,8 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "the literal 'diff' compares two runs: "
                                      "repro metrics diff <a> <b>")
     metrics.add_argument("rest", nargs="*",
-                         help="for diff: the two metrics dirs or bench "
-                              ".json files to compare")
+                         help="for diff: the two metrics dirs (or .jsonl "
+                              "files) to compare")
     metrics.add_argument("--check", action="store_true",
                          help="validate the stream against the event "
                               "schema; non-zero exit on violations "
@@ -682,28 +632,15 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--top", type=int, default=5,
                          help="slowest individual spans to list (default 5)")
     metrics.add_argument("--wall-tolerance", type=float, default=50.0,
-                         help="diff: flag a span/op/bench wall time more "
+                         help="diff: flag a span/op wall time more "
                               "than this percent slower (default 50)")
     metrics.add_argument("--min-seconds", type=float, default=0.05,
                          help="diff: ignore wall regressions smaller than "
                               "this absolute slowdown (default 0.05s)")
-    metrics.add_argument("--counter-tolerance", type=float, default=0.0,
-                         help="diff: allowed percent drift in counters/"
-                              "rates (default 0 = exact)")
     metrics.add_argument("--no-wall", action="store_true",
                          help="diff: skip wall-time checks entirely "
                               "(cross-machine comparisons)")
     metrics.set_defaults(handler=_cmd_metrics)
-
-    bench = commands.add_parser(
-        "bench", help="benchmark the REINFORCE reward fast path")
-    bench.add_argument("--quick", action="store_true",
-                       help="miniature scenario for CI smoke (seconds, "
-                            "not minutes)")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--out", default="BENCH_reinforce.json",
-                       help="where to write the JSON report")
-    bench.set_defaults(handler=_cmd_bench)
 
     report = commands.add_parser(
         "report", help="run report from a journaled run dir; without one, "

@@ -119,8 +119,7 @@ class LayerAgent:
         rec = get_recorder()
         try:
             executor = graph_compile(self.model, Tensor(self.images[:1]),
-                                     fuse=self.config.eval.fused,
-                                     mask_batch=self.config.eval.mask_batch)
+                                     fuse=self.config.eval.fused)
             executor.set_mask_unit(
                 self.unit.conv, self.unit.bn,
                 tied=[(tie.conv, tie.bn) for tie in self.unit.tied])
@@ -138,7 +137,7 @@ class LayerAgent:
 
         The graph executor scores one mask per call — the eager path's
         granularity, so per-evaluation counts and timings compare one
-        to one — unless ``eval.mask_batch`` folds them into one forward.
+        to one.
         """
         images = self.full_images if full else self.images
         labels = self.full_labels if full else self.labels
@@ -152,11 +151,9 @@ class LayerAgent:
         # Distinct prefix-cache keys: the batch and full calibration sets
         # feed different boundary activations.
         key = f"{self.unit.name}@{'full' if full else 'batch'}"
-        calls = [masks] if self.config.eval.mask_batch \
-            else [[mask] for mask in masks]
-        return [float(accuracy) for call in calls
-                for accuracy in self._graph.masked_accuracy(
-                    images, labels, call, key=key)]
+        return [float(self._graph.masked_accuracy(images, labels, [mask],
+                                                  key=key)[0])
+                for mask in masks]
 
     def _evaluator(self, measure, original_accuracy: float,
                    measured: dict | None = None):
@@ -220,12 +217,15 @@ class LayerAgent:
         ``original_accuracy`` is the unmasked model's accuracy on the
         calibration batch, for a caller that has already measured it
         (the journaled runner's collapse baseline, when the batch is
-        the whole calibration set); otherwise the agent measures it.
+        the whole calibration set); otherwise the agent measures it as
+        the all-ones mask's accuracy, which under graph eval computes
+        the prefix the search reuses and costs one suffix.
         """
         if self.config.eval.graph:
             self._graph = self._build_graph()
         if original_accuracy is None:
-            original_accuracy = evaluate(self.model, self.images, self.labels)
+            original_accuracy = self._accuracies(
+                [np.ones(self.unit.num_maps, dtype=bool)])[0]
         # Finalists are re-scored only on data the search has not seen.
         rescore = len(self.full_images) > len(self.images)
         measure_batch = self._accuracies

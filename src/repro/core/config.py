@@ -29,12 +29,12 @@ __all__ = ["EvalOptions", "HeadStartConfig", "PERF_FIELDS",
 #: (:func:`resume_relevant`) so a journaled run may be resumed with
 #: caching toggled or resized — the fast path is bit-for-bit equivalent
 #: by contract (``tests/test_evalcache.py``, ``tests/test_graph.py``),
-#: except ``fused`` and ``mask_batch`` graph eval (~1e-8 and last-ulp
-#: vs dense), which are still excluded because they round identically
-#: often enough for accuracy-based rewards, and flipping them mid-run
-#: is an operator decision, not a config change.  The flat names are
-#: the spellings configs were journaled with before the ``eval`` block
-#: existed; stripping them keeps those journals hashing equal.
+#: except ``fused`` graph eval (~1e-8 vs dense), which is still
+#: excluded because it rounds identically often enough for
+#: accuracy-based rewards, and flipping it mid-run is an operator
+#: decision, not a config change.  The flat names are the spellings
+#: configs were journaled with before the ``eval`` block existed;
+#: stripping them keeps those journals hashing equal.
 PERF_FIELDS = ("eval_cache", "cache_size", "compressed_eval",
                "workers", "task_seconds", "task_retries", "eval")
 
@@ -65,7 +65,7 @@ class EvalOptions:
     All options are performance-only (:data:`PERF_FIELDS`): they change
     how fast rewards are computed, never which pruning decisions a run
     makes — exactly (``cache``, ``workers``, unfused ``graph``) or to
-    documented drift (``fused`` ~1e-8, ``mask_batch``).
+    documented drift (``fused`` ~1e-8).
 
     Attributes
     ----------
@@ -89,10 +89,6 @@ class EvalOptions:
         Fold BatchNorm into the preceding conv's weights and absorb
         trailing ReLUs into conv/linear epilogues at trace time
         (requires ``graph``).  ~1e-8 vs dense, so it defaults off.
-    mask_batch:
-        Score a whole batch of candidate masks in one forward by
-        folding the masks into the batch dimension (requires
-        ``graph``).
     workers:
         Number of pool worker processes scoring candidate masks in
         parallel (:class:`repro.runtime.pool.EvalPool`); 0 evaluates
@@ -108,7 +104,6 @@ class EvalOptions:
     cache_size: int = 256
     graph: bool = True
     fused: bool = False
-    mask_batch: bool = False
     workers: int = 0
     task_seconds: float | None = None
     task_retries: int = 2
@@ -118,8 +113,6 @@ class EvalOptions:
             raise ValueError("cache_size must be >= 0 (0 means unbounded)")
         if self.fused and not self.graph:
             raise ValueError("fused eval requires graph eval")
-        if self.mask_batch and not self.graph:
-            raise ValueError("mask_batch eval requires graph eval")
         if self.workers < 0:
             raise ValueError("workers must be >= 0 (0 means serial)")
         if self.task_seconds is not None and self.task_seconds <= 0:

@@ -35,11 +35,7 @@ Three properties make it the reward-evaluation fast path:
   suffix after zeroing its dropped channels — bitwise equivalent to the
   dense masked forward of :func:`repro.pruning.surgery.channel_mask`,
   because a zeroed filter row plus zeroed BN affine produces exact
-  ``+0.0`` in the eager path too.  With ``mask_batch=True`` a whole
-  batch of candidate masks folds into the suffix's batch dimension and
-  is scored in one forward (perf mode: the larger GEMM rounds
-  differently, so this rides with ``fuse`` rather than the bit-exact
-  contract).
+  ``+0.0`` in the eager path too.
 
 The executor captures *references* to module parameters (unfused nodes
 read weights live) but folds fused constants at compile time: recompile
@@ -397,12 +393,10 @@ class GraphExecutor:
     """
 
     def __init__(self, model: Module, nodes: list[_Node], shapes: list[tuple],
-                 input_vid: int, output_vid: int, *, fused: bool,
-                 mask_batch: bool):
+                 input_vid: int, output_vid: int, *, fused: bool):
         self.model = model
         self.nodes = nodes
         self.fused = fused
-        self.mask_batch = mask_batch
         self._shapes = shapes
         self._input_vid = input_vid
         self._output_vid = output_vid
@@ -870,11 +864,8 @@ class GraphExecutor:
             raise RuntimeError("call set_mask_unit() before masked evaluation")
         bvals = self._prefix_values(x, start, key)
         masked_ref = bvals[self._mask_vid]
-        drops = [np.flatnonzero(~np.asarray(m, dtype=bool)) for m in masks]
-        if self.mask_batch and len(masks) > 1:
-            yield from self._folded_suffix(bvals, masked_ref, drops)
-            return
-        for drop in drops:
+        for mask in masks:
+            drop = np.flatnonzero(~np.asarray(mask, dtype=bool))
             seeds = dict(bvals)
             patches = None
             if drop.size:
@@ -895,42 +886,6 @@ class GraphExecutor:
             if drop.size:
                 self._arena.put(clone_base)
             yield result[self._output_vid]
-
-    def _folded_suffix(self, bvals: dict, masked_ref: np.ndarray,
-                       drops: list[np.ndarray]) -> list[np.ndarray]:
-        """Score all masks in one suffix forward (batch-folded, perf mode)."""
-        arena = self._arena
-        copies = len(drops)
-        n = masked_ref.shape[0]
-        seeds = {}
-        stacked = []
-        for vid in self._boundary:
-            ref = bvals[vid]
-            buf = arena.get((copies * n, *ref.shape[1:]), ref.dtype)
-            view = buf.reshape(copies, n, *ref.shape[1:])
-            view[...] = ref
-            if vid == self._mask_vid:
-                for m, drop in enumerate(drops):
-                    if drop.size:
-                        view[m][:, drop] = 0.0
-            seeds[vid] = buf
-            stacked.append(buf)
-        patches = None
-        if self._rezero_vids and any(drop.size for drop in drops):
-            # Slice assignment (not reshape) so the write lands even when
-            # the tied layer's output is a non-contiguous arena view.
-            def rezero(arr):
-                for m, drop in enumerate(drops):
-                    if drop.size:
-                        arr[m * n:(m + 1) * n, drop] = 0.0
-            patches = {vid: rezero for vid in self._rezero_vids}
-        result = self._execute(self._suffix, self._suffix_pending,
-                               seeds, (self._output_vid,),
-                               patches=patches)
-        for buf in stacked:
-            arena.put(buf)
-        logits = result[self._output_vid]
-        return list(logits.reshape(copies, n, *logits.shape[1:]))
 
     def masked_logits(self, x, masks, key=None) -> np.ndarray:
         """Logits for each candidate mask on one batch (stacked copies)."""
@@ -962,8 +917,8 @@ class GraphExecutor:
 # ----------------------------------------------------------------------
 # compile
 # ----------------------------------------------------------------------
-def compile(model: Module, example_input, *, fuse: bool = True,
-            mask_batch: bool = False) -> GraphExecutor:
+def compile(model: Module, example_input, *,
+            fuse: bool = True) -> GraphExecutor:
     """Trace ``model`` once and return a :class:`GraphExecutor`.
 
     Parameters
@@ -981,10 +936,6 @@ def compile(model: Module, example_input, *, fuse: bool = True,
         trailing ReLUs into conv/linear epilogues.  Fused execution is
         *approximate* (float64-accumulated, one rounding step); pass
         ``fuse=False`` for bit-exact replay of the eager forward.
-    mask_batch:
-        Score batches of candidate masks in a single suffix forward by
-        folding them into the batch dimension (perf mode; the larger
-        GEMM rounds differently, so this is not bit-exact either).
 
     Raises
     ------
@@ -1002,7 +953,7 @@ def compile(model: Module, example_input, *, fuse: bool = True,
         while output_vid in alias:
             output_vid = alias[output_vid]
     executor = GraphExecutor(model, nodes, tracer.shapes, input_vid,
-                             output_vid, fused=fuse, mask_batch=mask_batch)
+                             output_vid, fused=fuse)
     # Map every traced module (including folded BN / fused ReLU modules)
     # to the value that now carries its output.  A module traced more
     # than once (a shared ReLU instance) maps to its first occurrence —

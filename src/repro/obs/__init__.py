@@ -38,8 +38,7 @@ from .trace import (to_chrome_trace, validate_chrome_trace,
                     write_chrome_trace)
 from .report import (collect_report_data, render_html, render_markdown,
                      write_run_report)
-from .diff import (DiffResult, diff_bench_reports, diff_metrics_dirs,
-                   diff_sources)
+from .diff import DiffResult, diff_metrics_dirs
 # Imported last: profile depends on .recorder being fully initialised.
 from .profile import (ModuleProfiler, label_modules, module_name,
                       profiler_active)
@@ -56,6 +55,6 @@ __all__ = [
     "to_chrome_trace", "write_chrome_trace", "validate_chrome_trace",
     "collect_report_data", "render_markdown", "render_html",
     "write_run_report",
-    "DiffResult", "diff_metrics_dirs", "diff_bench_reports", "diff_sources",
+    "DiffResult", "diff_metrics_dirs",
     "ModuleProfiler", "label_modules", "module_name", "profiler_active",
 ]

@@ -211,19 +211,26 @@ class TestMeasuredOnce:
             lenet_copy, unit, images, labels, quick_config(eval_batch=16)))
         assert counters["reinforce/finalist_evals"] == len(full_masks) > 0
 
+    @pytest.mark.parametrize("options", [EvalOptions(),
+                                         EvalOptions(graph=False)],
+                             ids=["graph", "dense"])
     def test_callers_original_accuracy_replaces_the_agents(
-            self, lenet_copy, calibration, monkeypatch):
+            self, lenet_copy, calibration, options, monkeypatch):
         unit = lenet_copy.prune_units()[0]
         images, labels = calibration
-        config = quick_config(eval_batch=len(images))
-        measured = LayerAgent(lenet_copy, unit, images, labels,
-                              config).run()
+        config = quick_config(eval_batch=len(images), eval=options)
         calls = []
         monkeypatch.setattr(agent_module, "evaluate",
-                            lambda *args: calls.append(args) or 0.0)
+                            lambda *args: calls.append(args) or
+                            evaluate(*args))
+        measured = LayerAgent(lenet_copy, unit, images, labels,
+                              config).run()
         given = LayerAgent(lenet_copy, unit, images, labels, config).run(
             original_accuracy=evaluate(lenet_copy, images, labels))
-        assert calls == []      # graph eval: the agent evaluated nothing
+        if options.graph:
+            # The agent's own baseline is the all-ones masked accuracy:
+            # graph eval runs no eager forward, with or without a caller.
+            assert calls == []
         np.testing.assert_array_equal(given.keep_mask, measured.keep_mask)
         assert given.reward_history == measured.reward_history
         assert given.inception_accuracy == measured.inception_accuracy

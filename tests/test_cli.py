@@ -54,11 +54,9 @@ class TestParser:
 
     def test_metrics_diff_positional_form(self):
         args = build_parser().parse_args(
-            ["metrics", "diff", "a", "b", "--counter-tolerance", "25",
-             "--no-wall"])
+            ["metrics", "diff", "a", "b", "--no-wall"])
         assert args.dir == "diff"
         assert args.rest == ["a", "b"]
-        assert args.counter_tolerance == 25.0
         assert args.no_wall
         # Plain summarise form is unchanged by the diff grammar.
         plain = build_parser().parse_args(["metrics", "m"])

@@ -8,9 +8,9 @@ The graph executor's whole contract is *it changes nothing but speed*:
 * fused (BN-fold + ReLU-epilogue) output stays within 1e-8 on float64
   inputs;
 * masked execution through ``set_mask_unit`` matches the dense
-  ``channel_mask`` forward bitwise, surgered (physically pruned) models
-  retrace and still match, and mask-batch scoring equals the per-mask
-  loop;
+  ``channel_mask`` forward — bitwise unfused, within 1e-8 fused on
+  float64 inputs — including depthwise-tied and concat-branch units,
+  and surgered (physically pruned) models retrace and still match;
 * graph eval is the ``EvalOptions`` default, the CLI takes its defaults
   from it, resume digests ignore every eval knob, and an untraceable
   model falls back to the eager path with identical results.
@@ -25,7 +25,8 @@ import numpy as np
 import pytest
 
 from repro.models import available_models, build_model
-from repro.nn import Flatten, MaxPool2d, Sequential, Tensor, no_grad
+from repro.nn import (BatchNorm2d, Flatten, MaxPool2d, Sequential, Tensor,
+                      no_grad)
 from repro.nn import functional as F
 from repro.nn.graph import GraphTraceError
 from repro.nn.graph import compile as graph_compile
@@ -93,9 +94,9 @@ class TestRegistryEquivalence:
 
 
 #: Depth-diverse subset for the heavier masked/surgered scenarios —
-#: including both multi-branch models, so the mask-batch folded suffix
-#: is exercised across a concat boundary (googlenet's last unit is a
-#: branch feeding a shared ConcatLayout) and through a depthwise tie.
+#: including both multi-branch models, so masked scoring is exercised
+#: across a concat boundary (googlenet's last unit is a branch feeding a
+#: shared ConcatLayout) and through a depthwise tie.
 _SUBSET = ("lenet", "vgg11", "resnet20", "googlenet", "mobilenet")
 
 
@@ -179,13 +180,23 @@ class TestMaskedScenarios:
 
     @pytest.mark.parametrize("name", _SUBSET)
     @pytest.mark.parametrize("fuse", (False, True))
-    def test_mask_batch_equals_per_mask_loop(self, name, fuse):
+    def test_masked_scoring_equals_channel_mask(self, name, fuse):
         rng = np.random.default_rng(11)
         model = build_model(name, width_multiplier=_width(name), rng=rng,
                             **_GEOMETRY)
         model.eval()
+        # Trained-looking BatchNorms: at their initial values (γ=1, β=0,
+        # μ=0, σ²=1) a zero channel stays zero and the folded shift is
+        # zero, which would hide a missed rezero or a wrong fold.
+        for module in model.modules():
+            if isinstance(module, BatchNorm2d):
+                size = module.num_features
+                module.weight.data[...] = rng.uniform(0.5, 1.5, size)
+                module.bias.data[...] = rng.normal(0.0, 0.5, size)
+                module.running_mean[...] = rng.normal(0.0, 0.5, size)
+                module.running_var[...] = rng.uniform(0.5, 1.5, size)
         # A depthwise-tied unit when the model has one (mobilenet: the
-        # folded suffix must rezero the tied BN rows per copy), else the
+        # suffix must rezero the tied layer's dropped rows), else the
         # last unit (googlenet: a branch unit scored across its concat).
         units = model.prune_units()
         unit = next((u for u in units if u.tied), units[-1])
@@ -195,19 +206,20 @@ class TestMaskedScenarios:
             mask[0] = True
             masks.append(mask)
         images = rng.standard_normal((4, 3, 12, 12)).astype(np.float32)
-        per_mask = graph_compile(model, Tensor(images[:1]), fuse=fuse,
-                                 mask_batch=False)
-        folded = graph_compile(model, Tensor(images[:1]), fuse=fuse,
-                               mask_batch=True)
-        for executor in (per_mask, folded):
-            executor.set_mask_unit(unit.conv, unit.bn,
-                                   tied=[(t.conv, t.bn) for t in unit.tied])
-        looped = per_mask.masked_logits(images, masks)
-        batched = folded.masked_logits(images, masks)
-        # Folding changes the GEMM's M dimension, which lets BLAS pick a
-        # different blocking — last-ulp float32 noise, nothing more.
-        scale = max(1.0, float(np.max(np.abs(looped))))
-        assert np.max(np.abs(batched - looped)) <= 1e-5 * scale
+        if fuse:            # isolate fusion arithmetic from float32 input
+            images = images.astype(np.float64)
+        executor = graph_compile(model, Tensor(images[:1]), fuse=fuse)
+        executor.set_mask_unit(unit.conv, unit.bn,
+                               tied=[(t.conv, t.bn) for t in unit.tied])
+        scored = executor.masked_logits(images, masks)
+        for mask, logits in zip(masks, scored):
+            with channel_mask(unit, mask):
+                reference = _eager(model, images)
+            if fuse:
+                bound = 1e-8 * max(1.0, float(np.max(np.abs(reference))))
+                assert np.max(np.abs(logits - reference)) <= bound
+            else:
+                assert logits.tobytes() == reference.tobytes()
 
     def test_masked_accuracy_matches_dense_evaluation(self, tiny_task,
                                                       trained_lenet):
@@ -235,10 +247,8 @@ class TestEvalOptions:
         with pytest.raises(ValueError):
             EvalOptions(graph=False, fused=True)       # fused needs graph
         with pytest.raises(ValueError):
-            EvalOptions(graph=False, mask_batch=True)  # so does mask_batch
-        with pytest.raises(ValueError):
             EvalOptions(workers=-1)
-        assert EvalOptions(fused=True, mask_batch=True).mode == "graph"
+        assert EvalOptions(fused=True).mode == "graph"
         assert EvalOptions().mode == "graph"
         assert EvalOptions(graph=False).mode == "dense"
 
@@ -256,8 +266,7 @@ class TestEvalOptions:
         dense = HeadStartConfig(speedup=2.0, seed=5,
                                 eval=EvalOptions(graph=False))
         graph = HeadStartConfig(speedup=2.0, seed=5,
-                                eval=EvalOptions(fused=True,
-                                                 mask_batch=True))
+                                eval=EvalOptions(fused=True))
         assert resume_relevant(new) == resume_relevant(old)
         # Every eval knob is performance-only: digests ignore all of it.
         assert resume_relevant(dense) == resume_relevant(graph)
@@ -291,8 +300,8 @@ class TestCliEvalFlags:
 
     def test_eval_mode_graph_with_perf_knobs(self):
         options = self._parse(["--eval-mode", "graph", "--eval-fused",
-                               "--eval-mask-batch", "--eval-workers", "2"])
-        assert options.graph and options.fused and options.mask_batch
+                               "--eval-workers", "2"])
+        assert options.graph and options.fused
         assert options.workers == 2
 
     def test_defaults_come_from_eval_options(self):

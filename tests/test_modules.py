@@ -227,8 +227,8 @@ class TestDtypeFlow:
     ``var + eps`` (eval) and the batch mean's division by the count
     (train) combine float32 data with a 0-d float64 array, which
     NumPy >= 2 promotes to float64 (NEP 50); NumPy 1.x kept float32.  The graph
-    executor's dtype replication, the benchmark digests and the committed
-    ``BENCH_reinforce.json`` all assume the float64 flow.
+    executor's dtype replication and the benchmark digests assume the
+    float64 flow.
     """
 
     @pytest.mark.parametrize("training", [True, False])

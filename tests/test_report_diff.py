@@ -185,6 +185,9 @@ class TestMetricsDiff:
         result = obs.diff_metrics_dirs(journaled_run, drift_dir)
         assert not result.ok
         assert any("deterministic event" in d for d in result.differences)
+        # Counter totals are compared exactly, as their own line.
+        assert any("counter reinforce/reward_evals" in r
+                   for r in result.regressions)
 
     def test_resumed_stream_span_ids_diff_clean(self, tmp_path):
         """A killed-and-resumed job's stream matches an uninterrupted one.
@@ -235,78 +238,21 @@ class TestMetricsDiff:
         assert result.ok                    # intact prefix is identical
 
 
-def _bench(**overrides):
-    report = {
-        "bench": "reinforce", "schema_version": 1, "quick": True, "seed": 0,
-        "scenario": {"model": "lenet"},
-        "variants": {
-            "uncached": {"wall_seconds": 1.0, "iterations": 8,
-                         "requested_evals": 16, "unique_evals": 10,
-                         "reward_invocations": 10,
-                         "evals_per_iteration": 2.0,
-                         "final_accuracy": 0.5, "cache": None},
-            "cached": {"wall_seconds": 0.5, "iterations": 8,
-                       "requested_evals": 16, "unique_evals": 10,
-                       "reward_invocations": 3,
-                       "evals_per_iteration": 2.0, "final_accuracy": 0.5,
-                       "cache": {"hits": 8, "misses": 3, "evictions": 0,
-                                 "hit_rate": 0.7}},
-        },
-        "reduction": {"reward_invocations_pct": 70.0,
-                      "wall_clock_speedup": 2.0},
-        "determinism": {"identical_accuracy": True, "identical_state": True},
-    }
-    report.update(overrides)
-    return report
-
-
-class TestBenchDiff:
-    def test_identical_reports_diff_clean(self):
-        assert obs.diff_bench_reports(_bench(), _bench()).ok
-
-    def test_counter_drift_within_tolerance_passes(self):
-        b = _bench()
-        b["variants"]["cached"]["reward_invocations"] = 4
-        strict = obs.diff_bench_reports(_bench(), b)
-        assert not strict.ok
-        lax = obs.diff_bench_reports(_bench(), b, counter_tolerance=30.0)
-        assert lax.ok
-
-    def test_determinism_regression_always_fails(self):
-        b = _bench(determinism={"identical_accuracy": True,
-                                "identical_state": False})
-        result = obs.diff_bench_reports(_bench(), b,
-                                        counter_tolerance=100.0,
-                                        check_wall=False)
-        assert not result.ok
-        assert any("identical_state" in d for d in result.differences)
-
-    def test_seed_mismatch_is_not_comparable(self):
-        result = obs.diff_bench_reports(_bench(), _bench(seed=1))
-        assert any("not comparable" in d for d in result.differences)
-
-    def test_wall_regression_flagged_unless_skipped(self):
-        b = _bench()
-        b["variants"]["cached"]["wall_seconds"] = 2.0
-        assert not obs.diff_bench_reports(_bench(), b).ok
-        assert obs.diff_bench_reports(_bench(), b, check_wall=False).ok
-
-
 class TestDiffSources:
-    def test_autodetects_bench_and_metrics(self, journaled_run, tmp_path):
-        bench_path = tmp_path / "a.json"
-        bench_path.write_text(json.dumps(_bench()))
-        kind, payload = obs.diff.load_diff_source(bench_path)
-        assert kind == "bench" and payload["bench"] == "reinforce"
-        kind, payload = obs.diff.load_diff_source(journaled_run)
-        assert kind == "metrics"
+    """Both operands must be metrics streams; anything else exits 2."""
 
-    def test_mixed_modes_rejected(self, journaled_run, tmp_path):
-        bench_path = tmp_path / "a.json"
-        bench_path.write_text(json.dumps(_bench()))
-        with pytest.raises(ValueError, match="cannot diff"):
-            obs.diff_sources(bench_path, journaled_run)
+    def test_mixed_modes_rejected(self, journaled_run, tmp_path, capsys):
+        from repro.cli import main
 
-    def test_unknown_operand_rejected(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            obs.diff.load_diff_source(tmp_path / "missing.txt")
+        report = tmp_path / "a.json"     # a pretty-printed JSON document
+        report.write_text(json.dumps({"bench": "reinforce", "seed": 0},
+                                     indent=2))
+        with pytest.raises(obs.MetricsError, match="corrupt metrics line"):
+            obs.diff_metrics_dirs(report, journaled_run)
+        assert main(["metrics", "diff", str(report),
+                     str(journaled_run)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_unknown_operand_rejected(self, journaled_run, tmp_path):
+        with pytest.raises(obs.MetricsError, match="no metrics stream"):
+            obs.diff_metrics_dirs(journaled_run, tmp_path / "missing.txt")
