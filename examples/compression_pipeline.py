@@ -1,10 +1,10 @@
-"""Full compression pipeline: structured pruning + weight quantization.
+"""Structured against unstructured compression (the paper's Figure 1).
 
-Walks the Deep-Compression-style storage story the paper situates itself
-in (its ref. [10]): train a VGG, HeadStart-prune it at sp=2, then
-quantize the surviving weights to 8 bits — reporting parameters, storage
-bytes and accuracy at every stage, plus the unstructured-pruning foil
-from the paper's Figure 1 (same sparsity, no dense-kernel speedup).
+Trains a VGG, HeadStart-prunes it at sp=2, and compares it with an
+unstructured-pruning foil at the same weight sparsity — reporting
+parameters, fp32 storage, accuracy and modelled fps at every stage.
+The foil zeroes weights but keeps the dense shapes, so it gains no
+dense-kernel speedup.
 
     python examples/compression_pipeline.py
 """
@@ -18,8 +18,7 @@ from repro.core import FinetuneConfig, HeadStartConfig, HeadStartPruner
 from repro.data import make_cifar100_like
 from repro.gpusim import TX2_GPU, estimate_fps
 from repro.models import vgg16
-from repro.pruning import (magnitude_prune, profile_model, quantize_weights,
-                           quantized_storage_bytes, sparsity_of)
+from repro.pruning import magnitude_prune, profile_model, sparsity_of
 from repro.training import TrainConfig, evaluate_dataset, fit
 
 
@@ -38,18 +37,17 @@ def main():
 
     table = Table(["STAGE", "#PARAMS (M)", "STORAGE (KB)", "ACC. (%)",
                    "TX2 FPS"],
-                  title="Compression pipeline (storage at stated precision)")
+                  title="Compression pipeline (fp32 storage)")
 
-    def add_row(stage, m, bits):
+    def add_row(stage, m):
         stats = profile_model(m, shape)
-        table.add_row([stage, stats.params_m,
-                       quantized_storage_bytes(m, bits=bits) / 1024,
+        table.add_row([stage, stats.params_m, stats.params * 4 / 1024,
                        100 * evaluate_dataset(m, task.test),
                        estimate_fps(stats, shape, TX2_GPU)])
 
-    add_row("original fp32", model, bits=16)  # 16 = near-fp storage proxy
+    add_row("original", model)
 
-    # Stage 1: structured HeadStart pruning at sp=2.
+    # Structured HeadStart pruning at sp=2.
     print("HeadStart pruning (sp=2) ...")
     pruned = copy.deepcopy(model)
     HeadStartPruner(
@@ -59,14 +57,7 @@ def main():
                                eval_batch=96, seed=0),
         finetune_config=FinetuneConfig(epochs=2, batch_size=16, lr=0.01,
                                        max_grad_norm=5.0)).run()
-    add_row("headstart sp=2 (fp32)", pruned, bits=16)
-
-    # Stage 2: quantize the pruned model's weights to 8 bits.
-    quantized = copy.deepcopy(pruned)
-    report = quantize_weights(quantized, bits=8)
-    print(f"quantized {report.tensors} tensors to 8 bits "
-          f"(mean |error| {report.mean_abs_error:.5f})")
-    add_row("headstart + int8", quantized, bits=8)
+    add_row("headstart sp=2", pruned)
 
     # Foil: unstructured pruning at the structured run's weight sparsity
     # keeps the dense shapes, so fps does not move (paper Figure 1).
@@ -82,12 +73,12 @@ def main():
         masks.apply()
     print(f"unstructured foil at {sparsity_of(foil):.0%} weight sparsity "
           "(fine-tuned with masks re-applied)")
-    add_row("unstructured (dense kernels)", foil, bits=16)
+    add_row("unstructured (dense kernels)", foil)
     print("\nNote: at this miniature 16px geometry the TX2 model is "
           "dispatch-overhead bound, so fps barely moves; the paper-scale "
           "speedups are reproduced by examples/gpu_inference_speedup.py. "
-          "The unstructured row keeps the dense shapes: same storage at "
-          "fp32, same fps — Figure 1's point.")
+          "The unstructured row keeps the dense shapes: same storage, "
+          "same fps — Figure 1's point.")
 
     print("\n" + table.render())
 

@@ -43,8 +43,7 @@ from .core import (AMCConfig, AMCLitePruner, BlockHeadStart, EvalOptions,
                    FinetuneConfig, HeadStartConfig, HeadStartPruner)
 from .data import make_cifar100_like, make_cub200_like
 from .analysis.report import write_experiments_markdown
-from .gpusim import (available_devices, estimate_energy, estimate_fps,
-                     get_device)
+from .gpusim import available_devices, estimate_fps, get_device
 from .models import available_models, build_model
 from .pruning import profile_model
 from .runtime import (FallbackChain, JournalError, ResumableRunner,
@@ -345,18 +344,15 @@ def _cmd_fps(args) -> int:
     model = _make_model(args)
     shape = (3, args.image_size, args.image_size)
     stats = profile_model(model, shape)
-    table = Table(["DEVICE", "FPS", "J/IMAGE"],
+    table = Table(["DEVICE", "FPS"],
                   title=f"{args.model} @ {args.image_size}px, batch "
                         f"{args.batch_size}")
     devices = [args.device] if args.device else available_devices()
     for name in devices:
         device = get_device(name)
-        energy = estimate_energy(stats, shape, device,
-                                 batch_size=args.batch_size)
         table.add_row([device.name,
                        estimate_fps(stats, shape, device,
-                                    batch_size=args.batch_size),
-                       energy.joules_per_image])
+                                    batch_size=args.batch_size)])
     print(table.render())
     return 0
 

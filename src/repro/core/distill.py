@@ -71,12 +71,11 @@ def distillation_loss(student_logits: Tensor, teacher_logits: np.ndarray,
 
 def distill_finetune(student: Module, teacher: Module, train_set: Dataset,
                      test_set: Dataset | None = None,
-                     config: DistillConfig = DistillConfig(),
-                     transform=None) -> History:
+                     config: DistillConfig = DistillConfig()) -> History:
     """Fine-tune ``student`` against ``teacher`` soft targets in place."""
     rng = np.random.default_rng(config.seed)
     loader = DataLoader(train_set, batch_size=config.batch_size, shuffle=True,
-                        rng=rng, transform=transform)
+                        rng=rng)
     optimizer = SGD(student.parameters(), lr=config.lr,
                     momentum=config.momentum,
                     weight_decay=config.weight_decay)

@@ -37,10 +37,9 @@ class FinetuneConfig:
 
 
 def finetune(model: Module, train_set: Dataset, test_set: Dataset | None = None,
-             config: FinetuneConfig | None = None, transform=None) -> History:
+             config: FinetuneConfig | None = None) -> History:
     """Fine-tune a pruned model in place; returns the training history."""
     if config is None:
         config = FinetuneConfig()
     with get_recorder().span("training.finetune", epochs=config.epochs):
-        return fit(model, train_set, test_set, config.as_train_config(),
-                   transform=transform)
+        return fit(model, train_set, test_set, config.as_train_config())

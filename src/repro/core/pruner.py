@@ -93,8 +93,9 @@ class HeadStartPruner(SteppedEngineBase):
         Image shape for per-layer params/FLOPs logging; when ``None``
         the static columns are omitted.
     skip_last:
-        Whether a stepped/whole-model run leaves the final prunable unit
-        intact (the classifier's feature extractor, paper protocol).
+        Whether a whole-model run, plain or journaled, leaves the final
+        prunable unit intact (the classifier's feature extractor, paper
+        protocol).
     """
 
     def __init__(self, model: Module, train_set: Dataset,
@@ -128,10 +129,10 @@ class HeadStartPruner(SteppedEngineBase):
             return None
         return profile_model(self.model, self.input_shape)
 
-    def active_units(self, skip_last: bool = True) -> list[ConvUnit]:
+    def active_units(self) -> list[ConvUnit]:
         """The units a whole-model run prunes, in forward order."""
         units = self.model.prune_units()
-        return units[:-1] if (skip_last and len(units) > 1) else units
+        return units[:-1] if (self.skip_last and len(units) > 1) else units
 
     def prune_layer(self, unit: ConvUnit, seed_offset: int = 0,
                     config: HeadStartConfig | None = None) -> AgentResult:
@@ -154,9 +155,10 @@ class HeadStartPruner(SteppedEngineBase):
                   ) -> tuple[LayerLog, AgentResult]:
         """One full protocol step: agent + surgery + fine-tune + logging.
 
-        This is the unit of work the fault-tolerant runtime journals,
-        retries and resumes; :meth:`run` is a plain loop over it, so both
-        entry points produce identical per-layer results.
+        :meth:`run` is a plain loop over it.  The fault-tolerant runtime
+        journals the same step split in two (:meth:`run_step` decides,
+        :meth:`apply_step` applies), so both entry points produce
+        identical per-layer results.
         """
         rec = get_recorder()
         maps_before = unit.num_maps
@@ -189,12 +191,12 @@ class HeadStartPruner(SteppedEngineBase):
                       layer=unit.name)
         return log, agent_result
 
-    def run(self, skip_last: bool = True) -> HeadStartResult:
+    def run(self) -> HeadStartResult:
         """Prune every layer, fine-tuning in between; returns the full log."""
         rec = get_recorder()
         outcome = HeadStartResult()
         with rec.span("pruner.run", engine="headstart"):
-            for offset, unit in enumerate(self.active_units(skip_last)):
+            for offset, unit in enumerate(self.active_units()):
                 log, agent_result = self.run_layer(unit, seed_offset=offset)
                 outcome.layers.append(log)
                 outcome.masks[unit.name] = agent_result.keep_mask
@@ -210,7 +212,7 @@ class HeadStartPruner(SteppedEngineBase):
     def steps(self) -> list[StepSpec]:
         return [StepSpec(name=unit.name, index=index, kind="layer",
                          fallback_targets=(unit.name,))
-                for index, unit in enumerate(self.active_units(self.skip_last))]
+                for index, unit in enumerate(self.active_units())]
 
     def run_step(self, spec: StepSpec, state: StepState) -> StepOutcome:
         """Train the layer's head-start agent; no surgery yet.

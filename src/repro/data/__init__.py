@@ -6,19 +6,12 @@ DESIGN.md for the substitution rationale).
 
 from .datasets import (ArrayDataset, DataLoader, Dataset, Subset, as_arrays,
                        as_dataset)
-from .segmentation import (SegmentationSpec, SegmentationTask,
-                           make_segmentation_task)
 from .synthetic import (SyntheticImageTask, SyntheticSpec, make_cifar100_like,
                         make_cub200_like)
-from .transforms import (Compose, add_noise, random_horizontal_flip,
-                         random_shift, standard_augmentation)
 
 __all__ = [
     "Dataset", "ArrayDataset", "Subset", "DataLoader", "as_arrays",
     "as_dataset",
     "SyntheticSpec", "SyntheticImageTask", "make_cifar100_like",
     "make_cub200_like",
-    "SegmentationSpec", "SegmentationTask", "make_segmentation_task",
-    "Compose", "random_horizontal_flip", "random_shift", "add_noise",
-    "standard_augmentation",
 ]

@@ -2,13 +2,12 @@
 
 A :class:`Dataset` is anything indexable returning ``(image, label)``
 pairs with NCHW-style ``float32`` images.  :class:`DataLoader` produces
-shuffled mini-batches as stacked numpy arrays, with optional per-batch
-transforms (augmentation).
+shuffled mini-batches as stacked numpy arrays.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,17 +36,17 @@ class ArrayDataset(Dataset):
                 f"images ({len(images)}) and labels ({len(labels)}) differ in length")
         if images.ndim != 4:
             raise ValueError(f"expected NCHW images, got shape {images.shape}")
+        if labels.ndim != 1:
+            raise ValueError(
+                f"expected one class label per image, got shape {labels.shape}")
         self.images = images
         self.labels = labels
 
     def __len__(self) -> int:
         return len(self.images)
 
-    def __getitem__(self, index: int) -> tuple[np.ndarray, int | np.ndarray]:
-        label = self.labels[index]
-        # Scalar labels (classification) come back as ints; dense label
-        # maps (segmentation) come back as arrays.
-        return self.images[index], (int(label) if label.ndim == 0 else label)
+    def __getitem__(self, index: int) -> tuple[np.ndarray, int]:
+        return self.images[index], int(self.labels[index])
 
     @property
     def num_classes(self) -> int:
@@ -127,14 +126,10 @@ class DataLoader:
     rng:
         Generator for the shuffle order (required when ``shuffle=True``
         for deterministic experiments).
-    transform:
-        Optional callable applied to each stacked image batch — used for
-        augmentation such as random flips/crops.
     """
 
     def __init__(self, dataset: Dataset, batch_size: int = 32,
                  shuffle: bool = False, rng: np.random.Generator | None = None,
-                 transform: Callable[[np.ndarray, np.random.Generator], np.ndarray] | None = None,
                  drop_last: bool = False):
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
@@ -142,7 +137,6 @@ class DataLoader:
         self.batch_size = batch_size
         self.shuffle = shuffle
         self.rng = rng or np.random.default_rng()
-        self.transform = transform
         self.drop_last = drop_last
 
     def __len__(self) -> int:
@@ -161,6 +155,4 @@ class DataLoader:
                 break
             images = np.stack([self.dataset[i][0] for i in batch])
             labels = np.array([self.dataset[i][1] for i in batch], dtype=np.int64)
-            if self.transform is not None:
-                images = self.transform(images, self.rng)
             yield images, labels

@@ -6,8 +6,6 @@ for the substitution rationale).
 
 from .device import (CORTEX_A57, DEVICES, GTX_1080TI, TX2_GPU, XEON_E5_2620,
                      DeviceSpec, available_devices, get_device)
-from .energy import (DEVICE_POWER, EnergyReport, PowerSpec,
-                     energy_efficiency_ratio, estimate_energy)
 from .latency import (LatencyReport, LayerLatency, estimate_fps,
                       estimate_latency, layer_latency, speedup_over)
 
@@ -16,6 +14,4 @@ __all__ = [
     "GTX_1080TI", "TX2_GPU", "XEON_E5_2620", "CORTEX_A57",
     "LayerLatency", "LatencyReport", "layer_latency", "estimate_latency",
     "estimate_fps", "speedup_over",
-    "PowerSpec", "EnergyReport", "DEVICE_POWER", "estimate_energy",
-    "energy_efficiency_ratio",
 ]

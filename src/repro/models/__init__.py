@@ -6,13 +6,12 @@ from .lenet import LeNet, lenet
 from .mobilenet import DepthwiseSeparable, MobileNet, mobilenet
 from .registry import MODEL_BUILDERS, available_models, build_model
 from .resnet import BasicBlock, ResNet, resnet20, resnet56, resnet110
-from .segnet import SegNet, segnet
 from .vgg import VGG, VGG_PLANS, vgg11, vgg16
 
 __all__ = [
     "VGG", "VGG_PLANS", "vgg11", "vgg16",
     "ResNet", "BasicBlock", "resnet20", "resnet56", "resnet110",
-    "LeNet", "lenet", "AlexNet", "alexnet", "SegNet", "segnet",
+    "LeNet", "lenet", "AlexNet", "alexnet",
     "GoogLeNet", "InceptionBlock", "googlenet",
     "MobileNet", "DepthwiseSeparable", "mobilenet",
     "MODEL_BUILDERS", "build_model", "available_models",

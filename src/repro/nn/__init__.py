@@ -13,7 +13,7 @@ from .graph import GraphExecutor, GraphTraceError, compile
 from .metrics import accuracy, topk_accuracy
 from .modules import (AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten,
                       GlobalAvgPool2d, Identity, Linear, MaxPool2d, Module,
-                      Parameter, ReLU, Sequential, Sigmoid, Tanh, Upsample)
+                      Parameter, ReLU, Sequential, Sigmoid, Tanh)
 from .numeric import NonFiniteError, any_nonfinite
 from .tensor import Tensor, as_tensor, concat, is_grad_enabled, no_grad
 
@@ -22,7 +22,7 @@ __all__ = [
     "Tensor", "as_tensor", "concat", "no_grad", "is_grad_enabled",
     "Module", "Parameter", "Conv2d", "Linear", "BatchNorm2d", "ReLU",
     "Sigmoid", "Tanh", "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d",
-    "Flatten", "Dropout", "Identity", "Sequential", "Upsample",
+    "Flatten", "Dropout", "Identity", "Sequential",
     "accuracy", "topk_accuracy",
     "compile", "GraphExecutor", "GraphTraceError",
     "any_nonfinite", "NonFiniteError",

@@ -40,7 +40,7 @@ __all__ = [
     "conv2d_depthwise", "depthwise_windows",
     "linear", "check_max_pool_padding", "first_max_pool2d", "max_pool2d",
     "avg_pool2d",
-    "global_avg_pool2d", "upsample_nearest", "batch_norm2d",
+    "global_avg_pool2d", "batch_norm2d",
     "batch_norm2d_eval", "dropout", "log_softmax",
     "softmax", "cross_entropy", "nll_loss", "mse_loss",
 ]
@@ -358,27 +358,6 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
     return x.mean(axis=(2, 3))
 
 
-def upsample_nearest(x: Tensor, scale: int = 2) -> Tensor:
-    """Nearest-neighbour upsampling of NCHW input by an integer factor.
-
-    Backward sums the gradient over each replicated block (the exact
-    adjoint of replication).
-    """
-    if scale < 1:
-        raise ValueError("scale must be a positive integer")
-    x = as_tensor(x)
-    if scale == 1:
-        return x
-    n, c, h, w = x.shape
-    data = np.repeat(np.repeat(x.data, scale, axis=2), scale, axis=3)
-
-    def backward(g: np.ndarray) -> None:
-        folded = g.reshape(n, c, h, scale, w, scale).sum(axis=(3, 5))
-        x._accumulate(folded)
-
-    return Tensor._make(data, (x,), backward)
-
-
 # ----------------------------------------------------------------------
 # Normalisation / regularisation
 # ----------------------------------------------------------------------
@@ -528,27 +507,20 @@ def softmax(logits: Tensor, axis: int = 1) -> Tensor:
 
 
 def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood for integer class targets.
-
-    Accepts (N, C) log-probabilities with (N,) targets, or dense
-    (N, C, H, W) log-probabilities with (N, H, W) targets (the
-    segmentation case) — the loss averages over every labelled element.
-    """
+    """Mean negative log-likelihood of (N, C) log-probabilities at (N,)
+    integer class targets."""
     targets = np.asarray(targets)
-    if log_probs.ndim == 4:
-        n, c = log_probs.shape[:2]
-        log_probs = log_probs.transpose(0, 2, 3, 1).reshape(-1, c)
-        targets = targets.reshape(-1)
     n = log_probs.shape[0]
+    if log_probs.ndim != 2 or targets.shape != (n,):
+        raise ValueError(
+            f"nll_loss expects (N, C) log-probabilities and (N,) targets, "
+            f"got {log_probs.shape} and {targets.shape}")
     picked = log_probs[np.arange(n), targets]
     return -picked.mean()
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Softmax cross-entropy with integer class targets.
-
-    The class axis is axis 1 (classification and dense prediction).
-    """
+    """Softmax cross-entropy of (N, C) logits at (N,) integer targets."""
     return nll_loss(log_softmax(logits, axis=1), targets)
 
 

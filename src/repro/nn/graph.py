@@ -53,7 +53,7 @@ from .functional import (batch_norm2d_eval, depthwise_windows,
                          first_max_pool2d, patch_index)
 from .modules import (AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten,
                       GlobalAvgPool2d, Identity, Linear, MaxPool2d, Module,
-                      ReLU, Sigmoid, Tanh, Upsample)
+                      ReLU, Sigmoid, Tanh)
 from .tensor import Tensor, no_grad
 
 __all__ = ["compile", "GraphExecutor", "GraphTraceError"]
@@ -129,7 +129,7 @@ class _Node:
 _LEAF_KINDS: dict[type, str] = {
     Conv2d: "conv", Linear: "linear", BatchNorm2d: "bn", ReLU: "relu",
     Sigmoid: "sigmoid", Tanh: "tanh", MaxPool2d: "maxpool",
-    AvgPool2d: "avgpool", GlobalAvgPool2d: "gap", Upsample: "upsample",
+    AvgPool2d: "avgpool", GlobalAvgPool2d: "gap",
     Flatten: "flatten", Dropout: "dropout", Identity: "identity",
 }
 
@@ -619,11 +619,6 @@ class GraphExecutor:
         arena.put(total)
         return buf, buf
 
-    def _run_upsample(self, node: _Node, x: np.ndarray):
-        out = np.repeat(np.repeat(x, node.module.scale, axis=2),
-                        node.module.scale, axis=3)
-        return out, out
-
     def _run_flatten(self, node: _Node, x: np.ndarray):
         out = x.reshape(x.shape[0], -1)
         backing = None if np.may_share_memory(out, x) else out
@@ -655,8 +650,7 @@ class GraphExecutor:
         "conv": _run_conv, "linear": _run_linear, "bn": _run_bn,
         "relu": _run_relu, "sigmoid": _run_sigmoid, "tanh": _run_tanh,
         "maxpool": _run_maxpool, "avgpool": _run_avgpool, "gap": _run_gap,
-        "upsample": _run_upsample, "flatten": _run_flatten,
-        "add": _run_add, "cat": _run_cat,
+        "flatten": _run_flatten, "add": _run_add, "cat": _run_cat,
     }
 
     _PROFILED = {"conv": "Conv2d", "linear": "Linear", "bn": "BatchNorm2d"}
@@ -771,7 +765,7 @@ class GraphExecutor:
             predictions = logits.argmax(axis=1)
             correct += int(
                 (predictions == labels[start:start + batch_size]).sum())
-        return correct / max(labels.size, 1)
+        return correct / max(len(labels), 1)
 
     # -- mask splitting ----------------------------------------------------
     def set_mask_unit(self, conv: Conv2d, bn: BatchNorm2d | None = None,
@@ -911,7 +905,7 @@ class GraphExecutor:
             for m, logits in enumerate(
                     self._masked_slice_logits(x, masks, start, key)):
                 correct[m] += int((logits.argmax(axis=1) == y).sum())
-        return correct / max(labels.size, 1)
+        return correct / max(len(labels), 1)
 
 
 # ----------------------------------------------------------------------

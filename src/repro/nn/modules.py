@@ -25,7 +25,7 @@ from .tensor import Tensor
 __all__ = [
     "Parameter", "Module", "Conv2d", "Linear", "BatchNorm2d", "ReLU",
     "Sigmoid", "Tanh", "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d",
-    "Upsample", "Flatten", "Dropout", "Identity", "Sequential",
+    "Flatten", "Dropout", "Identity", "Sequential",
 ]
 
 
@@ -318,22 +318,6 @@ class GlobalAvgPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.global_avg_pool2d(x)
-
-
-class Upsample(Module):
-    """Nearest-neighbour spatial upsampling by an integer factor."""
-
-    def __init__(self, scale: int = 2):
-        super().__init__()
-        if scale < 1:
-            raise ValueError("scale must be a positive integer")
-        self.scale = scale
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.upsample_nearest(x, self.scale)
-
-    def __repr__(self) -> str:
-        return f"Upsample(x{self.scale})"
 
 
 class Flatten(Module):

@@ -68,11 +68,12 @@ def repair_torn_tail(path: str | Path, fsync: bool = False) -> None:
 def read_events(path: str | Path, strict: bool = False) -> list[dict]:
     """All intact records of a JSONL stream; a torn trailing line is dropped.
 
-    Raises :class:`MetricsError` when the file is missing or a record
-    *before* the final line fails to parse.  With ``strict=True`` a torn
-    *final* line is also an error instead of being silently dropped —
-    integrity checks (``repro metrics --check``) must not bless a stream
-    that lost data, even tolerably.
+    Raises :class:`MetricsError` when the file is missing, a record
+    *before* the final line fails to parse, or a line parses to anything
+    but a JSON object.  With ``strict=True`` a torn *final* line is also
+    an error instead of being silently dropped — integrity checks
+    (``repro metrics --check``) must not bless a stream that lost data,
+    even tolerably.
     """
     records, torn = read_events_report(path)
     if torn and strict:
@@ -103,13 +104,19 @@ def read_events_report(path: str | Path) -> tuple[list[dict], bool]:
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError:
             if index == len(lines) - 1 or all(
                     not later.strip() for later in lines[index + 1:]):
                 return records, True  # torn final write from a crash
             raise MetricsError(
                 f"corrupt metrics line {index + 1} in {path}") from None
+        # Every event is an object, so a torn one never parses: any
+        # other JSON value is corruption, not a crash.
+        if not isinstance(record, dict):
+            raise MetricsError(f"corrupt metrics line {index + 1} in {path}: "
+                               "not a JSON object")
+        records.append(record)
     return records, False
 
 

@@ -8,9 +8,6 @@ from .engine import (EngineInfo, MetricEngine, MetricEngineResult,
 from .graph import build_pruning_graph, describe_graph, validate_units
 from .pipeline import (LayerPruneRecord, WholeModelResult, budget_keep_count,
                        prune_whole_model)
-from .quantization import (QuantizationReport, quantize_weights,
-                           quantized_storage_bytes)
-from .schedule import GradualSchedule, iterative_prune
 from .stats import (LayerStats, ModelStats, compression_ratio, layer_cost,
                     profile_model)
 from .surgery import channel_mask, keep_indices, prune_model, prune_unit
@@ -30,9 +27,7 @@ __all__ = [
     "compression_ratio",
     "LayerPruneRecord", "WholeModelResult", "budget_keep_count",
     "prune_whole_model",
-    "GradualSchedule", "iterative_prune",
     "UnstructuredMasks", "magnitude_prune", "sparsity_of",
     "sparse_execution_time_factor",
     "build_pruning_graph", "validate_units", "describe_graph",
-    "QuantizationReport", "quantize_weights", "quantized_storage_bytes",
 ]

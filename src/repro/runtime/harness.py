@@ -114,7 +114,6 @@ class ResumableRunner:
                 finetune_config=finetune_config, calibration=calibration,
                 input_shape=input_shape, skip_last=skip_last)
         self.engine = engine
-        self.pruner = engine  # historical alias
         self.retry_policy = retry_policy or RetryPolicy()
         self.collapse_ratio = float(collapse_ratio)
         self.budget = budget

@@ -82,10 +82,11 @@ def evaluate(model: Module, images: np.ndarray, labels: np.ndarray,
              batch_size: int = 64) -> float:
     """Top-1 accuracy of ``model`` on stacked arrays (eval mode, no grad).
 
-    The class axis is axis 1 of the logits; works for classification
-    (labels of shape (N,)) and dense prediction such as segmentation
-    (labels of shape (N, H, W)) alike — accuracy is per labelled element.
+    ``labels`` holds one class per image; the logits are (N, classes).
     """
+    if np.ndim(labels) != 1:
+        raise ValueError(
+            f"expected one class label per image, got shape {np.shape(labels)}")
     was_training = model.training
     model.eval()
     correct = 0
@@ -98,7 +99,7 @@ def evaluate(model: Module, images: np.ndarray, labels: np.ndarray,
                 correct += int((predictions == labels[start:start + batch_size]).sum())
     finally:
         model.train(was_training)
-    return correct / max(labels.size, 1)
+    return correct / max(len(labels), 1)
 
 
 def evaluate_dataset(model: Module, dataset: Dataset, batch_size: int = 64) -> float:
@@ -141,14 +142,13 @@ def train_epoch(model: Module, loader: DataLoader, optimizer: Optimizer,
 
 
 def fit(model: Module, train_set: Dataset, test_set: Dataset | None = None,
-        config: TrainConfig | None = None,
-        transform=None) -> History:
+        config: TrainConfig | None = None) -> History:
     """Train ``model`` with SGD per ``config``; evaluates after each epoch."""
     if config is None:
         config = TrainConfig()
     rng = np.random.default_rng(config.seed)
     loader = DataLoader(train_set, batch_size=config.batch_size, shuffle=True,
-                        rng=rng, transform=transform)
+                        rng=rng)
     optimizer = SGD(model.parameters(), lr=config.lr,
                     momentum=config.momentum,
                     weight_decay=config.weight_decay)

@@ -232,6 +232,19 @@ class TestMetricsCommand:
         assert main(["metrics", str(tmp_path), "--check"]) == 1
         assert "schema violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["[1, 2]", '"str"', "3"])
+    def test_non_object_line_is_unreadable(self, tmp_path, capsys, line):
+        path = tmp_path / "metrics.jsonl"
+        path.write_text(f"{line}\n")
+        for argv in (["metrics", str(path)], ["metrics", str(path), "--check"],
+                     ["metrics", str(path), "--trace",
+                      str(tmp_path / "t.json")],
+                     ["metrics", "diff", str(path), str(path)]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1, argv
+            assert "not a JSON object" in err, argv
+
     def test_metrics_command_errors_on_missing_dir(self, tmp_path, capsys):
         assert main(["metrics", str(tmp_path / "absent")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -366,8 +379,3 @@ class TestReportCommand:
     def test_report_missing_run_dir_exits_two(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "absent")]) == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_fps_includes_energy_column(self, capsys):
-        assert main(["fps", "--model", "lenet", "--classes", "4",
-                     "--image-size", "12", "--device", "tx2_gpu"]) == 0
-        assert "J/IMAGE" in capsys.readouterr().out

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import HeadStartConfig, LayerAgent
-from repro.models import alexnet, lenet, resnet20, segnet, vgg11
+from repro.models import alexnet, lenet, resnet20, vgg11
 from repro.pruning import profile_model, prune_unit
 from repro.training import TrainConfig, evaluate_dataset, fit
 

@@ -24,6 +24,10 @@ class TestArrayDataset:
         with pytest.raises(ValueError):
             ArrayDataset(rng.normal(size=(5, 4, 4)), np.zeros(5))
 
+    def test_label_maps_raise(self, rng):
+        with pytest.raises(ValueError, match="one class label per image"):
+            ArrayDataset(rng.normal(size=(5, 3, 4, 4)), np.zeros((5, 4, 4)))
+
     def test_subset(self, rng):
         ds = ArrayDataset(rng.normal(size=(10, 1, 2, 2)), np.arange(10))
         sub = Subset(ds, [7, 3])
@@ -69,12 +73,6 @@ class TestDataLoader:
         first = next(iter(loader))[1].copy()
         second = next(iter(loader))[1].copy()
         assert not np.array_equal(first, second)
-
-    def test_transform_applied(self):
-        loader = DataLoader(self.make_dataset(4), batch_size=2,
-                            transform=lambda b, r: b * 0.0)
-        for images, _ in loader:
-            assert np.allclose(images, 0.0)
 
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):

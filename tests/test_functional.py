@@ -736,6 +736,14 @@ class TestSoftmaxLosses:
         loss = F.cross_entropy(logits, np.array([0, 5, 9]))
         assert np.isclose(loss.item(), np.log(10))
 
+    def test_cross_entropy_rejects_dense_shapes(self, rng):
+        with pytest.raises(ValueError, match="expects"):
+            F.cross_entropy(Tensor(rng.normal(size=(2, 3, 4, 4))),
+                            np.zeros((2, 4, 4), dtype=np.int64))
+        with pytest.raises(ValueError, match="expects"):
+            F.cross_entropy(Tensor(rng.normal(size=(2, 3))),
+                            np.zeros((2, 1), dtype=np.int64))
+
     def test_cross_entropy_gradient(self, rng):
         logits = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
         targets = rng.integers(0, 6, 5)

@@ -1,11 +1,9 @@
-"""Property-based tests for the latency/energy models."""
+"""Property-based tests for the latency model."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpusim import GTX_1080TI, TX2_GPU, DeviceSpec, layer_latency
-from repro.gpusim.energy import PowerSpec
 from repro.pruning.stats import LayerStats
 
 
@@ -49,18 +47,3 @@ def test_batch_amortises_overhead(batch):
     batched = layer_latency(make_stats(1e8), GTX_1080TI, batch)
     # Per-image time never exceeds the single-image time.
     assert batched.total_s / batch <= single.total_s + 1e-12
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.floats(min_value=0.5, max_value=500.0),
-       st.floats(min_value=0.0, max_value=100.0))
-def test_energy_scales_with_power(dynamic, idle):
-    from repro.gpusim import estimate_energy
-    from repro.models import lenet
-    model = lenet(num_classes=4, input_size=12,
-                  rng=np.random.default_rng(0))
-    base = estimate_energy(model, (3, 12, 12), TX2_GPU,
-                           power=PowerSpec(dynamic, idle))
-    doubled = estimate_energy(model, (3, 12, 12), TX2_GPU,
-                              power=PowerSpec(2 * dynamic, idle))
-    assert doubled.joules_per_image >= base.joules_per_image

@@ -41,14 +41,32 @@ def _width(name: str) -> float:
     return 0.125 if name.startswith("vgg") else 0.25
 
 
+def _randomize_batchnorms(model, rng) -> None:
+    """Give every BatchNorm trained-looking affine terms and statistics.
+
+    At their initial values (γ=1, β=0, μ=0, σ²=1) a zero channel stays
+    zero and the folded shift is zero, which would hide a missed rezero
+    or a wrong fold.
+    """
+    for module in model.modules():
+        if isinstance(module, BatchNorm2d):
+            size = module.num_features
+            module.weight.data[...] = rng.uniform(0.5, 1.5, size)
+            module.bias.data[...] = rng.normal(0.0, 0.5, size)
+            module.running_mean[...] = rng.normal(0.0, 0.5, size)
+            module.running_var[...] = rng.uniform(0.5, 1.5, size)
+
+
 @pytest.fixture(scope="module", params=available_models())
 def compiled_case(request):
-    """``(name, model, images)`` for one registry model, eval mode."""
+    """``(name, model, images)`` for one registry model, eval mode, with
+    trained-looking BatchNorms."""
     name = request.param
     rng = np.random.default_rng(42)
     model = build_model(name, width_multiplier=_width(name), rng=rng,
                         **_GEOMETRY)
     model.eval()
+    _randomize_batchnorms(model, rng)
     images = rng.standard_normal((4, 3, 12, 12)).astype(np.float32)
     return name, model, images
 
@@ -185,16 +203,7 @@ class TestMaskedScenarios:
         model = build_model(name, width_multiplier=_width(name), rng=rng,
                             **_GEOMETRY)
         model.eval()
-        # Trained-looking BatchNorms: at their initial values (γ=1, β=0,
-        # μ=0, σ²=1) a zero channel stays zero and the folded shift is
-        # zero, which would hide a missed rezero or a wrong fold.
-        for module in model.modules():
-            if isinstance(module, BatchNorm2d):
-                size = module.num_features
-                module.weight.data[...] = rng.uniform(0.5, 1.5, size)
-                module.bias.data[...] = rng.normal(0.0, 0.5, size)
-                module.running_mean[...] = rng.normal(0.0, 0.5, size)
-                module.running_var[...] = rng.uniform(0.5, 1.5, size)
+        _randomize_batchnorms(model, rng)
         # A depthwise-tied unit when the model has one (mobilenet: the
         # suffix must rezero the tied layer's dropped rows), else the
         # last unit (googlenet: a branch unit scored across its concat).

@@ -188,39 +188,6 @@ class TestSequential:
             Module()(Tensor(np.ones(1)))
 
 
-class TestUpsample:
-    def test_shape_and_values(self):
-        from repro.nn import Upsample
-        x = Tensor(np.arange(4, dtype=np.float64).reshape(1, 1, 2, 2))
-        out = Upsample(2)(x)
-        assert out.shape == (1, 1, 4, 4)
-        assert np.allclose(out.data[0, 0, :2, :2], 0.0)
-        assert np.allclose(out.data[0, 0, 2:, 2:], 3.0)
-
-    def test_scale_one_identity(self):
-        from repro.nn import Upsample
-        x = Tensor(np.ones((1, 2, 3, 3)))
-        assert Upsample(1)(x) is x
-
-    def test_invalid_scale(self):
-        from repro.nn import Upsample
-        with pytest.raises(ValueError):
-            Upsample(0)
-
-    def test_gradient(self):
-        from repro.nn import functional as F
-        from repro.nn import check_gradients
-        x = Tensor(np.random.default_rng(0).normal(size=(2, 2, 3, 3)),
-                   requires_grad=True)
-        check_gradients(lambda t: F.upsample_nearest(t, 3), [x])
-
-    def test_gradient_sums_over_block(self):
-        from repro.nn import functional as F
-        x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
-        F.upsample_nearest(x, 2).sum().backward()
-        assert np.allclose(x.grad, 4.0)
-
-
 class TestDtypeFlow:
     """float32 activations become float64 at the first BatchNorm.
 

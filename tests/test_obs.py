@@ -172,6 +172,15 @@ class TestSinkRoundTrip:
         with pytest.raises(MetricsError, match="corrupt"):
             read_events(path)
 
+    @pytest.mark.parametrize("line", ["[1, 2]", '"str"', "3"])
+    def test_non_object_line_is_corrupt(self, tmp_path, line):
+        path = tmp_path / "metrics.jsonl"
+        path.write_text('{"event":"counter","name":"c","value":1}\n'
+                        f"{line}\n")
+        with pytest.raises(MetricsError,
+                           match="line 2 .*not a JSON object"):
+            obs.read_events_report(path)
+
     def test_missing_stream_raises(self, tmp_path):
         with pytest.raises(MetricsError, match="no metrics stream"):
             read_events(tmp_path / "absent.jsonl")

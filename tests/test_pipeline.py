@@ -1,11 +1,14 @@
 """Unit tests for the whole-model pipelines (baseline + HeadStart)."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.core import FinetuneConfig, HeadStartConfig, HeadStartPruner
 from repro.pruning import budget_keep_count, prune_whole_model
 from repro.pruning.baselines import Li17Pruner, PruningContext
+from repro.runtime import ResumableRunner
 from repro.training import evaluate
 
 
@@ -102,9 +105,37 @@ class TestHeadStartPruner:
     def test_skip_last_false_prunes_everything(self, lenet_copy, tiny_task):
         pruner = HeadStartPruner(lenet_copy, tiny_task.train, None,
                                  config=quick_headstart(),
-                                 finetune_config=None)
-        result = pruner.run(skip_last=False)
+                                 finetune_config=None, skip_last=False)
+        result = pruner.run()
         assert len(result.layers) == 2
+
+    @pytest.mark.parametrize("skip_last", [True, False])
+    def test_plain_run_equals_journaled_run(self, trained_lenet, tiny_task,
+                                            tmp_path, skip_last):
+        def engine():
+            return HeadStartPruner(
+                copy.deepcopy(trained_lenet), tiny_task.train,
+                tiny_task.test, config=quick_headstart(),
+                finetune_config=FinetuneConfig(epochs=1, batch_size=24),
+                skip_last=skip_last)
+
+        plain_engine, journaled_engine = engine(), engine()
+        plain = plain_engine.run()
+        journaled = ResumableRunner(engine=journaled_engine).run(
+            tmp_path / "run").result
+        units = len(trained_lenet.prune_units())
+        assert len(plain.layers) == (units - 1 if skip_last else units)
+        assert plain.masks.keys() == journaled.masks.keys()
+        for name, mask in plain.masks.items():
+            assert np.array_equal(mask, journaled.masks[name]), name
+        assert plain.layers == journaled.layers
+        assert plain.final_accuracy == journaled.final_accuracy
+        plain_state = plain_engine.model.state_dict()
+        journaled_state = journaled_engine.model.state_dict()
+        assert plain_state.keys() == journaled_state.keys()
+        for key, value in plain_state.items():
+            assert value.dtype == journaled_state[key].dtype, key
+            assert value.tobytes() == journaled_state[key].tobytes(), key
 
     def test_learnt_compression_near_target(self, vgg_copy, tiny_task):
         pruner = HeadStartPruner(

@@ -5,7 +5,7 @@ import networkx as nx
 import pytest
 
 from repro.models import (alexnet, googlenet, lenet, mobilenet, resnet20,
-                          segnet, vgg11, vgg16)
+                          vgg11, vgg16)
 from repro.pruning import (build_pruning_graph, describe_graph, prune_unit,
                            validate_units)
 from repro.pruning.units import ConcatLayout, Consumer, ConvUnit, DepthwiseTie
@@ -20,7 +20,6 @@ def all_models():
         vgg11(num_classes=4, input_size=12, width_multiplier=0.125, rng=rng()),
         vgg16(num_classes=4, input_size=12, width_multiplier=0.125, rng=rng()),
         resnet20(num_classes=4, width_multiplier=0.25, rng=rng()),
-        segnet(num_classes=4, rng=rng()),
         googlenet(num_classes=4, width_multiplier=0.25, rng=rng()),
         mobilenet(num_classes=4, width_multiplier=0.5, rng=rng()),
     ]

@@ -21,8 +21,8 @@ def test_headstart_channel_prunes_resnet(resnet_copy, tiny_task):
         config=HeadStartConfig(speedup=2.0, max_iterations=8,
                                min_iterations=4, patience=4,
                                eval_batch=32, seed=0, mc_samples=2),
-        finetune_config=None)
-    result = pruner.run(skip_last=False)
+        finetune_config=None, skip_last=False)
+    result = pruner.run()
     after = profile_model(resnet_copy, (3, 12, 12))
     assert len(result.layers) == 9  # 3 groups x 3 blocks
     assert after.flops < before.flops
@@ -40,8 +40,8 @@ def test_resnet_block_outputs_keep_width(resnet_copy, tiny_task):
         config=HeadStartConfig(speedup=2.0, max_iterations=6,
                                min_iterations=3, patience=3,
                                eval_batch=32, seed=1, mc_samples=2),
-        finetune_config=None)
-    pruner.run(skip_last=False)
+        finetune_config=None, skip_last=False)
+    pruner.run()
     widths_after = [block.conv2.out_channels
                     for group in resnet_copy.groups() for block in group]
     assert widths_before == widths_after

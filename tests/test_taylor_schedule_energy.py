@@ -1,16 +1,8 @@
-"""Unit tests for the Taylor pruner, gradual schedules, and energy model."""
+"""Unit tests for the Taylor pruner, the default fallback engine."""
 
 import numpy as np
-import pytest
 
-from repro.gpusim import (DEVICE_POWER, GTX_1080TI, TX2_GPU, EnergyReport,
-                          PowerSpec, energy_efficiency_ratio, estimate_energy)
-from repro.models import VGG, lenet
-from repro.pruning import (GradualSchedule, budget_keep_count,
-                           iterative_prune, profile_model)
-from repro.pruning.baselines import (Li17Pruner, PruningContext, TaylorPruner,
-                                     build_pruner)
-from repro.training import TrainConfig, fit
+from repro.pruning.baselines import PruningContext, TaylorPruner, build_pruner
 
 
 def context(calibration, seed=0):
@@ -53,101 +45,3 @@ class TestTaylorPruner:
             lenet_copy, unit, unit.num_maps - 1, context(calibration))
         assert not mask[1]
 
-
-class TestGradualSchedule:
-    def test_final_round_hits_target(self):
-        schedule = GradualSchedule(target_speedup=4.0, rounds=4)
-        speedups = schedule.speedups()
-        assert len(speedups) == 4
-        assert np.isclose(speedups[-1], 4.0)
-        assert all(a < b for a, b in zip(speedups, speedups[1:]))
-
-    def test_single_round_is_one_shot(self):
-        assert GradualSchedule(3.0, rounds=1).speedups() == [3.0]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GradualSchedule(0.5)
-        with pytest.raises(ValueError):
-            GradualSchedule(2.0, rounds=0)
-
-    def test_iterative_prune_reaches_budget(self, lenet_copy, calibration):
-        units = lenet_copy.prune_units()
-        original = units[0].num_maps
-        final = iterative_prune(lenet_copy, units, Li17Pruner(),
-                                GradualSchedule(2.0, rounds=2),
-                                context(calibration))
-        assert final["conv1"] == budget_keep_count(original, 2.0)
-
-    def test_iterative_prune_calls_finetune_per_round(self, lenet_copy,
-                                                      calibration):
-        calls = []
-        iterative_prune(lenet_copy, lenet_copy.prune_units(), Li17Pruner(),
-                        GradualSchedule(2.0, rounds=3),
-                        context(calibration),
-                        finetune=lambda m: calls.append(1))
-        assert len(calls) == 3
-
-    def test_gradual_matches_one_shot_budget(self, tiny_task):
-        import copy
-        one_shot = lenet(num_classes=6, input_size=12,
-                         rng=np.random.default_rng(3))
-        fit(one_shot, tiny_task.train, None,
-            TrainConfig(epochs=2, batch_size=24, seed=0))
-        gradual = copy.deepcopy(one_shot)
-        cal = (tiny_task.train.images[:32], tiny_task.train.labels[:32])
-        iterative_prune(gradual, gradual.prune_units(), Li17Pruner(),
-                        GradualSchedule(3.0, rounds=3), context(cal))
-        units = gradual.prune_units()
-        assert units[0].num_maps == budget_keep_count(6, 3.0)
-
-
-class TestEnergyModel:
-    def model(self):
-        return lenet(num_classes=6, input_size=12,
-                     rng=np.random.default_rng(0))
-
-    def test_power_spec_validation(self):
-        with pytest.raises(ValueError):
-            PowerSpec(dynamic_w=0.0, idle_w=1.0)
-        with pytest.raises(ValueError):
-            PowerSpec(dynamic_w=1.0, idle_w=-1.0)
-
-    def test_all_devices_have_power(self):
-        from repro.gpusim import DEVICES
-        for device in DEVICES.values():
-            assert device.name in DEVICE_POWER
-
-    def test_energy_positive_and_consistent(self):
-        report = estimate_energy(self.model(), (3, 12, 12), TX2_GPU)
-        assert isinstance(report, EnergyReport)
-        assert report.joules_per_batch > 0
-        assert report.busy_s <= report.latency.latency_s
-        assert np.isclose(report.joules_per_image * report.latency.batch_size,
-                          report.joules_per_batch)
-
-    def test_missing_power_spec_raises(self):
-        from repro.gpusim import DeviceSpec
-        unknown = DeviceSpec("FPGA-X", "gpu", peak_macs=1e12, bandwidth=1e11,
-                             overhead_s=0, saturation_macs=0)
-        with pytest.raises(ValueError):
-            estimate_energy(self.model(), (3, 12, 12), unknown)
-
-    def test_explicit_power_spec(self):
-        report = estimate_energy(self.model(), (3, 12, 12), GTX_1080TI,
-                                 power=PowerSpec(10.0, 1.0))
-        assert report.power.dynamic_w == 10.0
-
-    def test_pruned_model_is_more_efficient(self):
-        original = VGG([[64, 64], [128, 128]], num_classes=100,
-                       input_size=32, rng=np.random.default_rng(0))
-        pruned = VGG([[32, 32], [64, 64]], num_classes=100,
-                     input_size=32, rng=np.random.default_rng(0))
-        ratio = energy_efficiency_ratio(pruned, original, (3, 32, 32),
-                                        GTX_1080TI)
-        assert ratio > 1.0
-
-    def test_batching_improves_energy_per_image(self):
-        single = estimate_energy(self.model(), (3, 12, 12), GTX_1080TI, 1)
-        batched = estimate_energy(self.model(), (3, 12, 12), GTX_1080TI, 16)
-        assert batched.joules_per_image < single.joules_per_image

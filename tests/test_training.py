@@ -52,6 +52,11 @@ class TestEvaluate:
         assert trained_lenet.training
         trained_lenet.eval()
 
+    def test_label_maps_raise(self, trained_lenet, tiny_task):
+        images = tiny_task.test.images[:4]
+        with pytest.raises(ValueError, match="one class label per image"):
+            evaluate(trained_lenet, images, np.zeros((4, 12, 12), np.int64))
+
     def test_empty_input(self, trained_lenet):
         result = evaluate(trained_lenet, np.zeros((0, 3, 12, 12),
                                                   dtype=np.float32),
