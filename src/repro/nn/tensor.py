@@ -63,6 +63,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _released(grad: np.ndarray) -> None:
+    """The backward rule of a node whose graph a backward pass consumed."""
+    raise RuntimeError(
+        "backward through a graph that was already backpropagated; its "
+        "saved buffers were freed")
+
+
 class Tensor:
     """An ndarray with reverse-mode autodiff support.
 
@@ -161,10 +168,17 @@ class Tensor:
             self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor.
+        """Backpropagate from this tensor, releasing the graph as it goes.
 
         ``grad`` defaults to ones (the tensor must then be scalar-sized or
         the caller genuinely wants a sum over all elements).
+
+        Each interior node is released once its gradient has propagated:
+        its closure (and the buffers it saved) and its parent links are
+        dropped.  Intermediates nobody else holds are freed with their
+        ``.grad`` before the walk ends; a tensor the caller still holds
+        keeps its ``.grad``.  Backpropagating through a released node
+        again raises ``RuntimeError``.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -189,9 +203,14 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward = _released
+            node._parents = ()
 
     # ------------------------------------------------------------------
     # Arithmetic

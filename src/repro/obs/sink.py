@@ -70,10 +70,10 @@ def read_events(path: str | Path, strict: bool = False) -> list[dict]:
 
     Raises :class:`MetricsError` when the file is missing, a record
     *before* the final line fails to parse, or a line parses to anything
-    but a JSON object.  With ``strict=True`` a torn *final* line is also
-    an error instead of being silently dropped — integrity checks
-    (``repro metrics --check``) must not bless a stream that lost data,
-    even tolerably.
+    but a JSON object with an ``event`` field.  With ``strict=True`` a
+    torn *final* line is also an error instead of being silently dropped
+    — integrity checks (``repro metrics --check``) must not bless a
+    stream that lost data, even tolerably.
     """
     records, torn = read_events_report(path)
     if torn and strict:
@@ -111,11 +111,14 @@ def read_events_report(path: str | Path) -> tuple[list[dict], bool]:
                 return records, True  # torn final write from a crash
             raise MetricsError(
                 f"corrupt metrics line {index + 1} in {path}") from None
-        # Every event is an object, so a torn one never parses: any
-        # other JSON value is corruption, not a crash.
+        # Every event is an object naming its kind, so a torn one never
+        # parses: any other JSON value is corruption, not a crash.
         if not isinstance(record, dict):
             raise MetricsError(f"corrupt metrics line {index + 1} in {path}: "
                                "not a JSON object")
+        if "event" not in record:
+            raise MetricsError(f"corrupt metrics line {index + 1} in {path}: "
+                               "no \"event\" field")
         records.append(record)
     return records, False
 

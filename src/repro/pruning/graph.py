@@ -3,8 +3,8 @@
 A model's ``prune_units()`` encodes which downstream layers consume each
 prunable convolution's feature maps.  Getting this wiring wrong produces
 silently broken surgery (mismatched channel counts or orphaned
-consumers), so this module builds an explicit ``networkx`` digraph of
-producers and consumers and checks its consistency:
+consumers), so this module builds an explicit digraph of producers and
+consumers (:class:`PruningGraph`) and checks its consistency:
 
 * every consumer's input width matches its producer's output width
   (times the flatten ``spatial`` factor for linear consumers);
@@ -30,12 +30,54 @@ text for debugging new models.
 
 from __future__ import annotations
 
-import networkx as nx
+from graphlib import CycleError, TopologicalSorter
 
 from ..nn.modules import Conv2d, Linear
 from .units import ConvUnit
 
-__all__ = ["build_pruning_graph", "validate_units", "describe_graph"]
+__all__ = ["PruningGraph", "build_pruning_graph", "validate_units",
+           "describe_graph"]
+
+
+class PruningGraph:
+    """A small attributed digraph, the return type of ``build_pruning_graph``.
+
+    ``nodes`` maps each node name to its attribute dict and ``edges``
+    maps each ``(source, target)`` pair to its attribute dict, both in
+    insertion order.  ``successors``/``predecessors`` list a node's
+    neighbours in edge-insertion order.  Adding an existing node or edge
+    again updates its attributes.
+    """
+
+    def __init__(self) -> None:
+        self.nodes: dict[str, dict] = {}
+        self.edges: dict[tuple[str, str], dict] = {}
+
+    def add_node(self, name: str, **attrs) -> None:
+        self.nodes.setdefault(name, {}).update(attrs)
+
+    def add_edge(self, source: str, target: str, **attrs) -> None:
+        self.add_node(source)
+        self.add_node(target)
+        self.edges.setdefault((source, target), {}).update(attrs)
+
+    def successors(self, name: str) -> list[str]:
+        return [target for source, target in self.edges if source == name]
+
+    def predecessors(self, name: str) -> list[str]:
+        return [source for source, target in self.edges if target == name]
+
+    def topological_order(self) -> list[str]:
+        """Nodes in forward order; raises ``graphlib.CycleError``.
+
+        Ties break by node, then edge, insertion order.
+        """
+        sorter = TopologicalSorter()
+        for name in self.nodes:
+            sorter.add(name)
+        for source, target in self.edges:
+            sorter.add(target, source)
+        return list(sorter.static_order())
 
 
 def _layout_names(units: list[ConvUnit]) -> dict[int, str]:
@@ -49,7 +91,7 @@ def _layout_names(units: list[ConvUnit]) -> dict[int, str]:
     return names
 
 
-def build_pruning_graph(units: list[ConvUnit]) -> "nx.DiGraph":
+def build_pruning_graph(units: list[ConvUnit]) -> PruningGraph:
     """Digraph of units plus concat, depthwise and terminal consumer nodes.
 
     Node names are unit names; each distinct
@@ -62,7 +104,7 @@ def build_pruning_graph(units: list[ConvUnit]) -> "nx.DiGraph":
     ``<source>-><ClassName>`` terminal nodes.  Consumption edges carry
     the ``spatial`` factor.
     """
-    graph = nx.DiGraph()
+    graph = PruningGraph()
     conv_to_unit = {id(unit.conv): unit.name for unit in units}
     layout_names = _layout_names(units)
     for unit in units:
@@ -78,7 +120,7 @@ def build_pruning_graph(units: list[ConvUnit]) -> "nx.DiGraph":
             source = unit.name
             if consumer.layout is not None:
                 cname = layout_names[id(consumer.layout)]
-                if cname not in graph:
+                if cname not in graph.nodes:
                     graph.add_node(cname, kind="concat",
                                    maps=consumer.layout.total)
                 graph.add_edge(unit.name, cname, slot=consumer.slot)
@@ -205,8 +247,9 @@ def validate_units(units: list[ConvUnit]) -> list[str]:
                 problems.append(
                     f"{layout_names[lid]}: slot {slot} is produced by "
                     f"multiple units ({', '.join(distinct)})")
-    graph = build_pruning_graph(units)
-    if not nx.is_directed_acyclic_graph(graph):
+    try:
+        build_pruning_graph(units).topological_order()
+    except CycleError:
         problems.append("unit graph contains a cycle")
     return problems
 
@@ -215,12 +258,13 @@ def describe_graph(units: list[ConvUnit]) -> str:
     """Human-readable rendering of the pruning graph in forward order."""
     graph = build_pruning_graph(units)
     lines = []
-    for name in nx.topological_sort(graph):
+    for name in graph.topological_order():
         data = graph.nodes[name]
         if data.get("terminal"):
             continue
         successors = []
-        for _, target, edge in graph.out_edges(name, data=True):
+        for target in graph.successors(name):
+            edge = graph.edges[name, target]
             suffix = f" (x{edge['spatial']})" \
                 if edge.get("spatial", 1) != 1 else ""
             if "slot" in edge:

@@ -105,13 +105,14 @@ class TestBlockHeadStart:
         keep = agent.keep_mask_by_group(result.keep_action)
         assert keep[1][0] and keep[2][0]  # group 2/3 transitions survive
 
-    def test_rejects_model_without_droppable_blocks(self, calibration):
+    def test_rejects_model_without_droppable_blocks(self, calibration,
+                                                    monkeypatch):
+        # Every ResNet keeps group 1's first block droppable, so stub the
+        # instance: a model that offers no block to drop.
         model = ResNet((1, 1, 1), num_classes=6, width_multiplier=0.25,
                        rng=np.random.default_rng(0))
-        droppable = model.droppable_blocks()
-        if droppable:  # group 1's single block is droppable by design
-            pytest.skip("model still has droppable blocks")
-        with pytest.raises(ValueError):
+        monkeypatch.setattr(model, "droppable_blocks", lambda: [])
+        with pytest.raises(ValueError, match="no droppable residual blocks"):
             BlockHeadStart(model, *calibration, quick_config())
 
     def test_deterministic_under_seed(self, resnet_copy, calibration):

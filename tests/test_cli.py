@@ -245,6 +245,24 @@ class TestMetricsCommand:
             assert err.startswith("error:") and err.count("\n") == 1, argv
             assert "not a JSON object" in err, argv
 
+    def test_object_without_event_is_unreadable(self, tmp_path, capsys):
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        first.write_text('{"seed": 0}\n')
+        second.write_text('{"seed": 1}\n')
+        for argv in (["metrics", str(first)],
+                     ["metrics", str(first), "--check"],
+                     ["metrics", str(first), "--trace",
+                      str(tmp_path / "t.json")],
+                     ["metrics", "diff", str(first), str(second)]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1, argv
+            assert 'line 1' in err and 'no "event" field' in err, argv
+        # An unknown event kind is readable, and a schema violation.
+        first.write_text('{"event": "seed"}\n')
+        assert main(["metrics", str(first), "--check"]) == 1
+        assert "unknown event type 'seed'" in capsys.readouterr().err
+
     def test_metrics_command_errors_on_missing_dir(self, tmp_path, capsys):
         assert main(["metrics", str(tmp_path / "absent")]) == 2
         assert "error:" in capsys.readouterr().err

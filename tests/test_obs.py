@@ -181,6 +181,15 @@ class TestSinkRoundTrip:
                            match="line 2 .*not a JSON object"):
             obs.read_events_report(path)
 
+    @pytest.mark.parametrize("line", ['{"seed": 0}', "{}"])
+    def test_object_without_event_is_corrupt(self, tmp_path, line):
+        path = tmp_path / "metrics.jsonl"
+        path.write_text('{"event":"counter","name":"c","value":1}\n'
+                        f"{line}\n")
+        with pytest.raises(MetricsError,
+                           match='line 2 .*no "event" field'):
+            obs.read_events_report(path)
+
     def test_missing_stream_raises(self, tmp_path):
         with pytest.raises(MetricsError, match="no metrics stream"):
             read_events(tmp_path / "absent.jsonl")

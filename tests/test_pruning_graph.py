@@ -1,7 +1,12 @@
 """Unit tests for the pruning-dependency graph validator."""
 
+import os
+import subprocess
+import sys
+from graphlib import CycleError
+from pathlib import Path
+
 import numpy as np
-import networkx as nx
 import pytest
 
 from repro.models import (alexnet, googlenet, lenet, mobilenet, resnet20,
@@ -134,17 +139,20 @@ class TestGraph:
         model = vgg11(num_classes=4, input_size=12, width_multiplier=0.125,
                       rng=np.random.default_rng(0))
         graph = build_pruning_graph(model.prune_units())
-        assert nx.is_directed_acyclic_graph(graph)
+        order = graph.topological_order()  # raises CycleError if cyclic
+        assert sorted(order) == sorted(graph.nodes)
+        position = {name: i for i, name in enumerate(order)}
+        assert all(position[u] < position[v] for u, v in graph.edges)
         # A chain: each unit has exactly one successor.
         units = model.prune_units()
         for unit in units:
-            assert graph.out_degree(unit.name) == 1
+            assert len(graph.successors(unit.name)) == 1
 
     def test_terminal_nodes_for_heads(self):
         model = lenet(num_classes=4, input_size=12,
                       rng=np.random.default_rng(0))
         graph = build_pruning_graph(model.prune_units())
-        terminals = [n for n, d in graph.nodes(data=True)
+        terminals = [n for n, d in graph.nodes.items()
                      if d.get("terminal")]
         assert len(terminals) == 1  # the classifier Linear
 
@@ -161,16 +169,16 @@ class TestGraph:
                           rng=np.random.default_rng(0))
         units = model.prune_units()
         graph = build_pruning_graph(units)
-        concats = [n for n, d in graph.nodes(data=True)
+        concats = [n for n, d in graph.nodes.items()
                    if d.get("kind") == "concat"]
         assert len(concats) == 6  # one per Inception block
         for node in concats:
-            slots = sorted(edge["slot"] for _, _, edge
-                           in graph.in_edges(node, data=True))
+            branches = graph.predecessors(node)
+            slots = sorted(graph.edges[src, node]["slot"]
+                           for src in branches)
             assert slots == [0, 1, 2, 3]
             # The concat's width is the union of its branch widths.
-            branch_total = sum(graph.nodes[src]["maps"]
-                               for src, _ in graph.in_edges(node))
+            branch_total = sum(graph.nodes[src]["maps"] for src in branches)
             assert graph.nodes[node]["maps"] == branch_total
         text = describe_graph(units)
         assert "<concat>" in text
@@ -181,11 +189,29 @@ class TestGraph:
                           rng=np.random.default_rng(0))
         units = model.prune_units()
         graph = build_pruning_graph(units)
-        depthwise = [n for n, d in graph.nodes(data=True)
+        depthwise = [n for n, d in graph.nodes.items()
                      if d.get("kind") == "depthwise"]
         assert len(depthwise) == 6  # one per DepthwiseSeparable block
         for node in depthwise:
-            (producer, _, edge), = graph.in_edges(node, data=True)
-            assert edge.get("tied") is True
+            producer, = graph.predecessors(node)
+            assert graph.edges[producer, node].get("tied") is True
             assert graph.nodes[node]["maps"] == graph.nodes[producer]["maps"]
         assert "<depthwise>" in describe_graph(units)
+
+    def test_cycle_is_a_problem(self):
+        rng = np.random.default_rng(0)
+        conv_a, conv_b = Conv2d(4, 4, 3, rng=rng), Conv2d(4, 4, 3, rng=rng)
+        a = ConvUnit("a", conv=conv_a, consumers=[Consumer(conv_b)])
+        b = ConvUnit("b", conv=conv_b, consumers=[Consumer(conv_a)])
+        with pytest.raises(CycleError):
+            build_pruning_graph([a, b]).topological_order()
+        assert validate_units([a, b]) == ["unit graph contains a cycle"]
+
+    def test_import_leaves_networkx_out(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = ("import sys, repro, repro.pruning, repro.cli; "
+                 "print('networkx' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"

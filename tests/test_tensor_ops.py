@@ -307,6 +307,31 @@ class TestBackwardMechanics:
         y.backward(np.ones(1))
         assert np.allclose(x.grad, [1.0])
 
+    def test_second_backward_raises(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        loss = (x * 2).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            loss.backward()
+        assert np.array_equal(x.grad, [2.0, 2.0])
+
+    def test_new_loss_on_released_intermediate_raises(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        hidden = x * 2
+        hidden.sum().backward()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            (hidden * 3).sum().backward()
+
+    def test_held_intermediate_keeps_grad_and_drops_its_graph(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        hidden = x * 3
+        loss = (hidden * hidden).sum()
+        loss.backward()
+        assert np.array_equal(hidden.grad, 2 * hidden.data)
+        assert np.array_equal(x.grad, 18 * x.data)
+        assert hidden._parents == () and loss._parents == ()
+        assert x._backward is None  # leaves stay usable
+
     def test_constant_branch_gets_no_grad(self):
         x = Tensor(np.ones(2), requires_grad=True)
         c = Tensor(np.ones(2))
