@@ -173,13 +173,19 @@ def _runtime_options(args) -> dict:
     return {"budget": budget, "fallback": fallback}
 
 
-def _journaled_run(runner, args):
-    """Run/resume under the journal; returns ``(report, exit_code)``.
+def _run_engine(engine, args, options: dict):
+    """Run every step of ``engine``; returns ``(result, exit_code)``.
 
-    ``report`` is ``None`` when the run failed to start (bad journal,
-    config mismatch, unreadable checkpoint); shared resumed/degraded/
-    skipped reporting happens here so every mode prints identically.
+    With ``--run-dir`` the steps run journaled; ``result`` is ``None``
+    when that run failed to start (bad journal, config mismatch,
+    unreadable checkpoint), and resumed/degraded/skipped reporting is
+    shared here so every mode prints identically.  Without it the same
+    steps run in process (``engine.run_steps()``), deciding and
+    applying exactly what the journaled run does.
     """
+    if not args.run_dir:
+        return engine.run_steps(), 0
+    runner = ResumableRunner(engine=engine, **options)
     try:
         report = runner.run(args.run_dir, resume=args.resume)
     except (JournalError, ResumeMismatchError, CheckpointError) as error:
@@ -188,12 +194,18 @@ def _journaled_run(runner, args):
     if report.resumed_layers:
         print(f"resumed after {report.resumed_layers} journaled "
               f"step(s) from {report.journal_path}")
-    for name, engine in sorted(report.degraded_steps.items()):
-        print(f"step {name} completed by fallback engine {engine}")
+    for name, engine_name in sorted(report.degraded_steps.items()):
+        print(f"step {name} completed by fallback engine {engine_name}")
     for name in report.skipped_layers:
         print(f"step {name} skipped after exhausting retries "
               f"(see journal)", file=sys.stderr)
-    return report, 0
+    return report.result, 0
+
+
+def _step_log(result, name: str) -> dict:
+    """The log row of the step called ``name``; empty if it did not run."""
+    return next((log for log in result.steps if log.get("name") == name),
+                {})
 
 
 def _eval_options(args) -> EvalOptions:
@@ -234,6 +246,9 @@ def _cmd_prune(args) -> int:
                              patience=max(4, args.iterations // 4),
                              eval_batch=args.eval_batch, seed=args.seed,
                              eval=eval_options)
+    # Neither block nor AMC steps finetune in place, so the
+    # accuracy-collapse guard would misfire; disable it.
+    unguarded = {**options, "collapse_ratio": 0.0}
     if args.mode == "block":
         if not hasattr(model, "droppable_blocks"):
             print("block mode requires a model with droppable blocks "
@@ -241,22 +256,10 @@ def _cmd_prune(args) -> int:
             return 2
         engine = BlockHeadStart(model, task.train.images, task.train.labels,
                                 config)
-        inception = None
-        if args.run_dir:
-            # Neither block nor AMC steps finetune in place, so the
-            # accuracy-collapse guard would misfire; disable it.
-            runner = ResumableRunner(engine=engine, collapse_ratio=0.0,
-                                     **options)
-            report, code = _journaled_run(runner, args)
-            if report is None:
-                return code
-            for log in report.result.steps:
-                if log.get("name") == "blocks":
-                    inception = log.get("inception_accuracy")
-        else:
-            result = engine.run()
-            engine.apply(result)
-            inception = result.inception_accuracy
+        result, code = _run_engine(engine, args, unguarded)
+        if result is None:
+            return code
+        inception = _step_log(result, "blocks").get("inception_accuracy")
         model = engine.model
         pattern = f"learnt block pattern: {model.blocks_per_group}"
         if inception is not None:
@@ -270,26 +273,15 @@ def _cmd_prune(args) -> int:
                                eval_batch=args.eval_batch, seed=args.seed)
         engine = AMCLitePruner(model, task.train.images, task.train.labels,
                                amc_config)
-        if args.run_dir:
-            runner = ResumableRunner(engine=engine, collapse_ratio=0.0,
-                                     **options)
-            report, code = _journaled_run(runner, args)
-            if report is None:
-                return code
-            masks = report.result.masks
-            best = next((log.get("best_accuracy")
-                         for log in report.result.steps
-                         if log.get("name") == "sweep"), None)
-        else:
-            result = engine.run()
-            engine.apply(result)
-            masks = result.masks
-            best = result.best_accuracy
+        result, code = _run_engine(engine, args, unguarded)
+        if result is None:
+            return code
         model = engine.model
+        best = _step_log(result, "sweep").get("best_accuracy")
         if best is not None:
             print(f"amc best masked accuracy: {best:.4f}")
         table = Table(["LAYER", "#MAPS", "#AFTER"])
-        for name, mask in masks.items():
+        for name, mask in result.masks.items():
             mask = np.asarray(mask, dtype=bool)
             table.add_row([name, int(mask.size), int(mask.sum())])
         print(table.render())
@@ -297,21 +289,12 @@ def _cmd_prune(args) -> int:
         finetune_config = FinetuneConfig(epochs=args.finetune_epochs,
                                          batch_size=args.batch_size,
                                          lr=args.lr / 2, seed=args.seed)
-        if args.run_dir:
-            runner = ResumableRunner(model, task.train, task.test,
-                                     config=config,
-                                     finetune_config=finetune_config,
-                                     **options)
-            report, code = _journaled_run(runner, args)
-            if report is None:
-                return code
-            result = report.result
-            model = runner.model
-        else:
-            pruner = HeadStartPruner(model, task.train, task.test,
-                                     config=config,
-                                     finetune_config=finetune_config)
-            result = pruner.run()
+        engine = HeadStartPruner(model, task.train, task.test, config=config,
+                                 finetune_config=finetune_config)
+        result, code = _run_engine(engine, args, options)
+        if result is None:
+            return code
+        model = engine.model
         table = Table(["LAYER", "#MAPS", "#AFTER", "INC. ACC", "FT ACC"])
         for log in result.layers:
             table.add_row([log.name, log.maps_before, log.maps_after,

@@ -104,18 +104,11 @@ class AMCLitePruner(SteppedEngineBase):
         batch = min(config.eval_batch, len(images))
         self.images = images[:batch]
         self.labels = labels[:batch]
-        self.rng = np.random.default_rng(config.seed)
         self.skip_last = bool(skip_last)
-        units = model.prune_units()
-        self.units: list[ConvUnit] = \
-            units[:-1] if (skip_last and len(units) > 1) else units
-        if not self.units:
+        units = self.active_units()
+        if not units:
             raise ValueError("model exposes no prunable units")
-        self.total_maps = sum(u.num_maps for u in self.units)
-        # Policy parameters: one logit per layer; sigmoid(mu) = keep ratio.
-        target = np.clip(1.0 / config.speedup, 0.02, 0.98)
-        self.mu = np.full(len(self.units),
-                          float(np.log(target / (1.0 - target))))
+        self.total_maps = sum(u.num_maps for u in units)
         self.selector = Li17Pruner()
 
     # -- episode machinery ----------------------------------------------
@@ -152,72 +145,62 @@ class AMCLitePruner(SteppedEngineBase):
                 stack.enter_context(channel_mask(unit, masks[unit.name]))
             return evaluate(self.model, self.images, self.labels)
 
-    def _search(self, config: AMCConfig, rng: np.random.Generator,
-                units: list[ConvUnit], mu: np.ndarray) -> AMCResult:
-        """The REINFORCE episode loop over an explicit policy state.
+    def _search(self, config: AMCConfig) -> AMCResult:
+        """The REINFORCE episode loop over a fresh policy state.
 
-        ``mu`` is updated in place, so :meth:`run` (passing ``self.mu``)
-        keeps its historical semantics while the stepped protocol passes
-        a fresh copy per attempt.  Each episode's reward passes through
-        the ``amc.reward`` fault/watchdog hook, making the sweep both
-        injectable and budget-bounded.
+        The rng and the per-layer logits ``mu`` (``sigmoid(mu)`` is the
+        keep ratio) are built from ``config`` on every call, so the
+        outcome depends only on the config and the model.  Each
+        episode's reward passes through the ``amc.reward`` fault/watchdog
+        hook, making the sweep both injectable and budget-bounded.
         """
-        rec = get_recorder()
+        rng = np.random.default_rng(config.seed)
+        units = self.active_units()
+        target = np.clip(1.0 / config.speedup, 0.02, 0.98)
+        mu = np.full(len(units), float(np.log(target / (1.0 - target))))
         context = PruningContext(self.images, self.labels, rng)
-        baseline = None
-        best = None
-        history: list[float] = []
-        for episode in range(config.episodes):
-            ratios, noise = self._sample_ratios(config, rng, mu)
-            ratios = self._enforce_budget(ratios, units, config)
-            masks = self._masks_for(ratios, units, context)
-            reward = self._masked_accuracy(masks, units)
-            reward = faults.corrupt("amc.reward", reward)
-            require_finite(reward, "amc.reward", iteration=episode)
-            history.append(reward)
-            if baseline is None:
-                baseline = reward
-            advantage = reward - baseline
-            baseline = 0.9 * baseline + 0.1 * reward
-            # REINFORCE for a Gaussian-perturbed deterministic policy:
-            # grad log pi ~ noise / sigma^2.
-            mu += config.lr * advantage * noise / (config.sigma ** 2)
-            if best is None or reward > best[0]:
-                best = (reward, ratios.copy(), masks)
-            rec.series("amc/reward", episode, reward)
-            rec.series("amc/baseline", episode, float(baseline))
-            rec.counter("amc/episode_evals")
-        best_reward, best_ratios, best_masks = best
-        rec.gauge("amc/best_accuracy", best_reward)
+        rec = get_recorder()
+        with rec.span("pruner.run", engine="amc", layers=len(units)):
+            baseline = None
+            best = None
+            history: list[float] = []
+            for episode in range(config.episodes):
+                ratios, noise = self._sample_ratios(config, rng, mu)
+                ratios = self._enforce_budget(ratios, units, config)
+                masks = self._masks_for(ratios, units, context)
+                reward = self._masked_accuracy(masks, units)
+                reward = faults.corrupt("amc.reward", reward)
+                require_finite(reward, "amc.reward", iteration=episode)
+                history.append(reward)
+                if baseline is None:
+                    baseline = reward
+                advantage = reward - baseline
+                baseline = 0.9 * baseline + 0.1 * reward
+                # REINFORCE for a Gaussian-perturbed deterministic
+                # policy: grad log pi ~ noise / sigma^2.
+                mu += config.lr * advantage * noise / (config.sigma ** 2)
+                if best is None or reward > best[0]:
+                    best = (reward, ratios.copy(), masks)
+                rec.series("amc/reward", episode, reward)
+                rec.series("amc/baseline", episode, float(baseline))
+                rec.counter("amc/episode_evals")
+            best_reward, best_ratios, best_masks = best
+            rec.gauge("amc/best_accuracy", best_reward)
         keep_counts = [int(best_masks[u.name].sum()) for u in units]
         return AMCResult(keep_ratios=best_ratios, keep_counts=keep_counts,
                          best_accuracy=best_reward, reward_history=history,
                          masks=best_masks)
 
-    # -- training ----------------------------------------------------------
     def run(self) -> AMCResult:
-        """Train the ratio policy; returns the best episode's masks."""
-        rec = get_recorder()
-        with rec.span("pruner.run", engine="amc", layers=len(self.units)):
-            return self._search(self.config, self.rng, self.units, self.mu)
+        """Train the ratio policy; returns the best episode's masks.
 
-    def apply(self, result: AMCResult) -> int:
-        """Physically prune the model with the learnt masks."""
-        removed = 0
-        for unit in self.units:
-            removed += prune_unit(unit, result.masks[unit.name])
-        get_recorder().counter("pruner/maps_removed", removed)
-        return removed
+        The decision of the ``sweep`` step, as a journaled run's first
+        attempt computes it; the model is left as it was, and
+        :meth:`apply` prunes it with the masks.
+        """
+        return self._search(self.config)
 
     # -- stepped protocol (driven by repro.runtime.harness) -----------------
-    def _active_units(self) -> list[ConvUnit]:
-        units = self.model.prune_units()
-        return units[:-1] if (self.skip_last and len(units) > 1) else units
-
-    def _fresh_mu(self, config: AMCConfig, count: int) -> np.ndarray:
-        target = np.clip(1.0 / config.speedup, 0.02, 0.98)
-        return np.full(count, float(np.log(target / (1.0 - target))))
-
     def steps(self) -> list[StepSpec]:
         """One whole-model ratio sweep, then one surgery step per unit.
 
@@ -226,7 +209,7 @@ class AMCLitePruner(SteppedEngineBase):
         the other engines.  A failed sweep can degrade to metric masks
         for every unit; a failed unit step re-decides just that unit.
         """
-        units = self._active_units()
+        units = self.active_units()
         specs = [StepSpec(name="sweep", index=0, kind="sweep",
                           fallback_targets=tuple(u.name for u in units))]
         specs.extend(
@@ -237,13 +220,7 @@ class AMCLitePruner(SteppedEngineBase):
 
     def run_step(self, spec: StepSpec, state: StepState) -> StepOutcome:
         if spec.kind == "sweep":
-            config = state.config_override or self.config
-            rng = np.random.default_rng(config.seed)
-            units = self._active_units()
-            mu = self._fresh_mu(config, len(units))
-            with get_recorder().span("pruner.run", engine="amc",
-                                     layers=len(units)):
-                result = self._search(config, rng, units, mu)
+            result = self._search(state.config_override or self.config)
             return StepOutcome(
                 payload={"masks": {name: np.asarray(mask, dtype=bool)
                                    for name, mask in result.masks.items()},

@@ -103,20 +103,11 @@ class BlockHeadStart(SteppedEngineBase):
         self.labels = labels[:batch]
         self.full_images = images
         self.full_labels = labels
-        self.rng = np.random.default_rng(config.seed)
         self.droppable = model.droppable_blocks()
         if not self.droppable:
             raise ValueError("model has no droppable residual blocks")
         self.total_blocks = sum(model.blocks_per_group)
         self.forced_keep = self.total_blocks - len(self.droppable)
-        self.policy = self._new_policy(config, self.rng)
-
-    def _new_policy(self, config: HeadStartConfig,
-                    rng: np.random.Generator) -> HeadStartNetwork:
-        return HeadStartNetwork(len(self.droppable),
-                                noise_size=config.noise_size,
-                                hidden_channels=config.hidden_channels,
-                                keep_ratio=1.0 / config.speedup, rng=rng)
 
     # -- reward ----------------------------------------------------------
     def _accuracies(self, actions: list[np.ndarray],
@@ -173,15 +164,19 @@ class BlockHeadStart(SteppedEngineBase):
         return tuple(max(1, sum(flags)) for flags in keep)  # type: ignore[return-value]
 
     # -- main loop -----------------------------------------------------------
-    def _search(self, config: HeadStartConfig, rng: np.random.Generator,
-                policy: HeadStartNetwork) -> BlockAgentResult:
-        """Train ``policy`` with the shared REINFORCE driver.
+    def _search(self, config: HeadStartConfig) -> BlockAgentResult:
+        """Train a fresh policy with the shared REINFORCE driver.
 
-        One ``pruner.run`` span with the ``block/*`` gauges, shared by
-        :meth:`run` and the stepped protocol, which retries with a
-        *fresh* policy/rng pair (reseeded by the retry config) without
-        perturbing the instance-level ones.
+        The policy and its rng are built from ``config`` on every call,
+        so the outcome depends only on the config and the model: one
+        ``pruner.run`` span with the ``block/*`` gauges, shared by
+        :meth:`run` and every attempt of the stepped protocol.
         """
+        rng = np.random.default_rng(config.seed)
+        policy = HeadStartNetwork(len(self.droppable),
+                                  noise_size=config.noise_size,
+                                  hidden_channels=config.hidden_channels,
+                                  keep_ratio=1.0 / config.speedup, rng=rng)
         rec = get_recorder()
         with rec.span("pruner.run", engine="block",
                       droppable=len(self.droppable)):
@@ -219,8 +214,12 @@ class BlockHeadStart(SteppedEngineBase):
         return result
 
     def run(self) -> BlockAgentResult:
-        """Train the block policy until the reward stabilises."""
-        return self._search(self.config, self.rng, self.policy)
+        """Train the block policy until the reward stabilises.
+
+        The decision of the one ``blocks`` step, as a journaled run's
+        first attempt computes it; the model is left as it was.
+        """
+        return self._search(self.config)
 
     # -- stepped protocol (driven by repro.runtime.harness) -----------------
     def steps(self) -> list[StepSpec]:
@@ -229,9 +228,7 @@ class BlockHeadStart(SteppedEngineBase):
         return [StepSpec(name="blocks", index=0, kind="blocks")]
 
     def run_step(self, spec: StepSpec, state: StepState) -> StepOutcome:
-        config = state.config_override or self.config
-        rng = np.random.default_rng(config.seed)
-        result = self._search(config, rng, self._new_policy(config, rng))
+        result = self._search(state.config_override or self.config)
         keep = self.keep_mask_by_group(result.keep_action)
         return StepOutcome(
             payload={"keep": [[bool(flag) for flag in group]

@@ -23,7 +23,6 @@ from ..pruning.engine import (EngineInfo, StepOutcome, StepSpec, StepState,
 from ..pruning.graph import validate_units
 from ..pruning.stats import ModelStats, profile_model
 from ..pruning.surgery import prune_unit
-from ..pruning.units import ConvUnit
 from ..training import evaluate_dataset
 from .agent import AgentResult, LayerAgent
 from .config import HeadStartConfig, resume_relevant
@@ -98,6 +97,8 @@ class HeadStartPruner(SteppedEngineBase):
         protocol).
     """
 
+    step_kind = "layer"
+
     def __init__(self, model: Module, train_set: Dataset,
                  test_set: Dataset | None = None,
                  config: HeadStartConfig | None = None,
@@ -129,91 +130,21 @@ class HeadStartPruner(SteppedEngineBase):
             return None
         return profile_model(self.model, self.input_shape)
 
-    def active_units(self) -> list[ConvUnit]:
-        """The units a whole-model run prunes, in forward order."""
-        units = self.model.prune_units()
-        return units[:-1] if (self.skip_last and len(units) > 1) else units
-
-    def prune_layer(self, unit: ConvUnit, seed_offset: int = 0,
-                    config: HeadStartConfig | None = None) -> AgentResult:
-        """Train one layer's agent and physically apply its inception.
-
-        ``config``, when given, is used verbatim (the caller owns its
-        seed); otherwise the run config is reseeded by ``seed_offset``.
-        """
-        if config is None:
-            config = dataclasses.replace(
-                self.config, seed=self.config.seed + seed_offset)
-        agent = LayerAgent(self.model, unit, *self.calibration,
-                           config=config)
-        result = agent.run()
-        prune_unit(unit, result.keep_mask)
-        return result
-
-    def run_layer(self, unit: ConvUnit, seed_offset: int = 0,
-                  config: HeadStartConfig | None = None
-                  ) -> tuple[LayerLog, AgentResult]:
-        """One full protocol step: agent + surgery + fine-tune + logging.
-
-        :meth:`run` is a plain loop over it.  The fault-tolerant runtime
-        journals the same step split in two (:meth:`run_step` decides,
-        :meth:`apply_step` applies), so both entry points produce
-        identical per-layer results.
-        """
-        rec = get_recorder()
-        maps_before = unit.num_maps
-        with rec.span("prune_layer", layer=unit.name,
-                      maps_before=maps_before):
-            agent_result = self.prune_layer(unit, seed_offset=seed_offset,
-                                            config=config)
-            finetuned_accuracy = None
-            if self.finetune_config is not None:
-                finetune(self.model, self.train_set,
-                         config=self.finetune_config)
-            if self.test_set is not None:
-                finetuned_accuracy = evaluate_dataset(self.model,
-                                                      self.test_set)
-            stats = self._stats()
-            log = LayerLog(
-                name=unit.name, maps_before=maps_before,
-                maps_after=agent_result.kept_maps,
-                inception_accuracy=agent_result.inception_accuracy,
-                finetuned_accuracy=finetuned_accuracy,
-                agent_iterations=agent_result.iterations,
-                params_m=stats.params_m if stats else None,
-                flops_b=stats.flops_b if stats else None)
-        rec.counter("pruner/layers_pruned")
-        rec.counter("pruner/maps_removed", maps_before - log.maps_after)
-        rec.gauge("pruner/inception_accuracy", log.inception_accuracy,
-                  layer=unit.name)
-        if finetuned_accuracy is not None:
-            rec.gauge("pruner/finetuned_accuracy", finetuned_accuracy,
-                      layer=unit.name)
-        return log, agent_result
+    def run_steps(self) -> HeadStartResult:
+        """The in-process step loop under one ``pruner.run`` span."""
+        with get_recorder().span("pruner.run", engine="headstart"):
+            return super().run_steps()
 
     def run(self) -> HeadStartResult:
-        """Prune every layer, fine-tuning in between; returns the full log."""
-        rec = get_recorder()
-        outcome = HeadStartResult()
-        with rec.span("pruner.run", engine="headstart"):
-            for offset, unit in enumerate(self.active_units()):
-                log, agent_result = self.run_layer(unit, seed_offset=offset)
-                outcome.layers.append(log)
-                outcome.masks[unit.name] = agent_result.keep_mask
-                outcome.agent_results[unit.name] = agent_result
-            if self.test_set is not None:
-                outcome.final_accuracy = evaluate_dataset(self.model,
-                                                          self.test_set)
-                rec.gauge("pruner/final_accuracy", outcome.final_accuracy)
-            rec.gauge("pruner/learnt_compression", outcome.learnt_compression)
-        return outcome
+        """Prune every layer, fine-tuning in between; returns the full log.
+
+        The same steps a journaled run takes (:meth:`run_steps`): each
+        layer is decided on the model earlier layers' surgery and
+        fine-tuning left.
+        """
+        return self.run_steps()
 
     # -- stepped protocol (driven by repro.runtime.harness) -----------------
-    def steps(self) -> list[StepSpec]:
-        return [StepSpec(name=unit.name, index=index, kind="layer",
-                         fallback_targets=(unit.name,))
-                for index, unit in enumerate(self.active_units())]
-
     def run_step(self, spec: StepSpec, state: StepState) -> StepOutcome:
         """Train the layer's head-start agent; no surgery yet.
 
@@ -296,12 +227,23 @@ class HeadStartPruner(SteppedEngineBase):
             result.agent_results[spec.name] = agent_result
 
     def finalize(self, result: HeadStartResult) -> None:
-        if self.test_set is not None:
+        """Final accuracy, plus the run's closing gauges.
+
+        With a test set, the last layer row already measured the model
+        the run ends with: a skipped or rolled-back step restores the
+        model that row measured.  So its accuracy is reused, and only a
+        run with no row evaluates the test set here.
+        """
+        if self.test_set is None:
+            result.final_accuracy = self.current_accuracy()
+        elif result.layers:
+            result.final_accuracy = result.layers[-1].finetuned_accuracy
+        else:
             result.final_accuracy = evaluate_dataset(self.model,
                                                      self.test_set)
-        else:
-            result.final_accuracy = self.current_accuracy()
-        get_recorder().gauge("pruner/final_accuracy", result.final_accuracy)
+        rec = get_recorder()
+        rec.gauge("pruner/final_accuracy", result.final_accuracy)
+        rec.gauge("pruner/learnt_compression", result.learnt_compression)
 
     def fingerprint(self) -> dict:
         # Performance knobs (eval cache, graph eval, pool) do not
@@ -309,32 +251,6 @@ class HeadStartPruner(SteppedEngineBase):
         # digest — a journaled run may be resumed with caching toggled.
         return {"engine": "headstart", "config": resume_relevant(self.config),
                 "finetune": self.finetune_config}
-
-    def apply(self, result: HeadStartResult) -> int:
-        """Physically apply a result's masks; returns feature maps removed.
-
-        :meth:`run` already performs surgery layer by layer, so calling
-        ``apply`` on the same pruner is a no-op returning 0.  On a pruner
-        wrapping a *fresh* copy of the architecture (the from-scratch
-        control, or a result loaded from a journal) it replays the masks.
-        Part of the :class:`repro.pruning.PruningEngine` protocol.
-        """
-        removed = 0
-        units = {unit.name: unit for unit in self.model.prune_units()}
-        for name, mask in result.masks.items():
-            unit = units.get(name)
-            if unit is None:
-                raise ValueError(f"model has no prunable unit named {name!r}")
-            mask = np.asarray(mask, dtype=bool)
-            kept = int(np.count_nonzero(mask))
-            if unit.num_maps == kept:
-                continue  # already applied
-            if unit.num_maps != mask.size:
-                raise ValueError(
-                    f"mask for {name!r} covers {mask.size} maps but the "
-                    f"unit has {unit.num_maps}")
-            removed += prune_unit(unit, mask)
-        return removed
 
     def describe(self) -> EngineInfo:
         """Engine metadata (:class:`repro.pruning.PruningEngine` protocol)."""

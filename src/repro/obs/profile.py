@@ -45,8 +45,8 @@ __all__ = ["ModuleProfiler", "label_modules", "module_name",
 #: The active profiler (at most one; class-level hooks are global).
 _ACTIVE: "ModuleProfiler | None" = None
 
-#: id(module) -> dotted name, filled by :func:`label_modules`.
-_NAMES: dict[int, str] = {}
+#: Attribute :func:`label_modules` stores a module's dotted name under.
+_LABEL = "_op_label"
 
 
 def profiler_active() -> bool:
@@ -55,28 +55,29 @@ def profiler_active() -> bool:
 
 
 def label_modules(model, prefix: str = "") -> int:
-    """Register dotted names for a model's modules with the profiler.
+    """Label a model's profiled modules with their dotted names.
 
     Without labels an op is named by the module's ``repr`` (compact for
     the hooked layer kinds, e.g. ``Conv2d(3, 16, k=3, s=1, p=1)``);
-    labelling maps ``id(module)`` to its dotted path so op events read
-    like ``features.0``.  Layers rebuilt by pruning surgery after
-    labelling fall back to reprs until relabelled.  A no-op when no
-    profiler is installed.
+    labelling stores each module's dotted path on the module itself, so
+    op events read like ``features.0`` and a deep copy of the model
+    (the runtime's rollback) keeps its labels.  Layers rebuilt by
+    pruning surgery after labelling fall back to reprs until
+    relabelled.  A no-op when no profiler is installed.
     """
     if _ACTIVE is None:
         return 0
     count = 0
     for name, module in model.named_modules(prefix):
         if isinstance(module, _ACTIVE.kinds):
-            _NAMES[id(module)] = name or type(module).__name__
+            setattr(module, _LABEL, name or type(module).__name__)
             count += 1
     return count
 
 
 def module_name(module) -> str:
     """The display name of a module: its label, else its ``repr``."""
-    return _NAMES.get(id(module), repr(module))
+    return getattr(module, _LABEL, None) or repr(module)
 
 
 def record_graph_op(module, kind: str, in_shape, out_shape,
@@ -183,7 +184,6 @@ class ModuleProfiler:
         self.kinds = (Conv2d, Linear, BatchNorm2d)
         self._layer_cost = layer_cost
         self._layer_bytes = layer_bytes
-        _NAMES.clear()
         for cls in self.kinds:
             self._originals[cls] = cls.forward
             cls.forward = self._make_wrapper(cls.forward, cls.__name__)
@@ -195,7 +195,6 @@ class ModuleProfiler:
         for cls, original in self._originals.items():
             cls.forward = original
         self._originals.clear()
-        _NAMES.clear()
         if _ACTIVE is self:
             _ACTIVE = None
 

@@ -26,6 +26,9 @@ common surface:
   :class:`~repro.core.blocks.BlockHeadStart` as one block-pattern step,
   :class:`~repro.core.amc.AMCLitePruner` as a ratio sweep plus per-unit
   surgery steps, :class:`MetricEngine` per unit).
+  :meth:`SteppedEngineBase.run_steps` drives the same steps in process
+  without a journal, and every engine's plain ``run()`` is defined
+  through its steps, so a plain run decides what a journaled one does.
 
 Old constructors keep working; the factory is the recommended entry
 point for new code.
@@ -33,6 +36,7 @@ point for new code.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any, Protocol, runtime_checkable
 
@@ -195,13 +199,79 @@ class SteppedEngineBase:
     """Shared bookkeeping for stepped engines.
 
     Subclasses provide ``model``, a ``config`` with a ``speedup`` field,
-    ``describe()`` and the three core protocol methods; this base
-    supplies result accumulation, the calibration-batch accuracy used by
-    the collapse guard, generic retry reseeding and the metric-fallback
-    plumbing.  Everything here re-derives units from ``self.model`` on
-    each call — the harness replaces ``model`` wholesale on rollback, so
-    cached :class:`~repro.pruning.units.ConvUnit` handles would go stale.
+    ``describe()`` and ``run_step``/``apply_step``; this base supplies
+    the in-process driver :meth:`run_steps`, one step per active unit,
+    result accumulation, mask replay (:meth:`apply`), the
+    calibration-batch accuracy used by the collapse guard, generic retry
+    reseeding and the metric-fallback plumbing.  Everything here
+    re-derives units from ``self.model`` on each call — the harness
+    replaces ``model`` wholesale on rollback, so cached
+    :class:`~repro.pruning.units.ConvUnit` handles would go stale.
     """
+
+    #: Whether a whole-model run leaves the final prunable unit intact
+    #: (the classifier's feature extractor, paper protocol).
+    skip_last: bool = True
+    #: ``StepSpec.kind`` of the per-unit steps :meth:`steps` plans.
+    step_kind: str = "unit"
+
+    # -- plan ---------------------------------------------------------------
+    def active_units(self) -> list[ConvUnit]:
+        """The units a whole-model run prunes, in forward order."""
+        units = self.model.prune_units()
+        return units[:-1] if (self.skip_last and len(units) > 1) else units
+
+    @property
+    def units(self) -> list[ConvUnit]:
+        """:meth:`active_units` of the current model."""
+        return self.active_units()
+
+    def steps(self) -> list[StepSpec]:
+        return [StepSpec(name=unit.name, index=index, kind=self.step_kind,
+                         fallback_targets=(unit.name,))
+                for index, unit in enumerate(self.active_units())]
+
+    # -- the in-process driver ----------------------------------------------
+    def run_steps(self):
+        """Decide, apply and accumulate every step in order; the result.
+
+        This is :class:`~repro.runtime.harness.ResumableRunner`'s loop
+        without journal, checkpoints, collapse guard, retries or
+        fallback, so a journaled run with ``collapse_ratio=0`` returns
+        the same result and leaves the same model.
+        """
+        result = self.new_result()
+        payloads: dict[str, dict] = {}
+        for spec in self.steps():
+            state = StepState(payloads=payloads)
+            outcome = self.run_step(spec, state)
+            self.apply_step(spec, outcome, state)
+            payloads[spec.name] = outcome.payload
+            self.accumulate(result, spec, outcome)
+        self.finalize(result)
+        return result
+
+    def apply(self, result) -> int:
+        """Physically apply ``result.masks``; returns feature maps removed.
+
+        A unit already at its mask's kept count is skipped, so applying
+        a result whose run did the surgery is a no-op returning 0, and
+        on a fresh copy of the architecture the masks are replayed in
+        order.  A mask that does not fit its unit raises ``ValueError``.
+        Part of the :class:`PruningEngine` protocol.
+        """
+        removed = 0
+        for name, mask in result.masks.items():
+            unit = _unit_by_name(self.model, name)
+            mask = np.asarray(mask, dtype=bool)
+            if unit.num_maps == int(np.count_nonzero(mask)):
+                continue  # already applied
+            if unit.num_maps != mask.size:
+                raise ValueError(
+                    f"mask for {name!r} covers {mask.size} maps but the "
+                    f"unit has {unit.num_maps}")
+            removed += prune_unit(unit, mask)
+        return removed
 
     # -- result bookkeeping -------------------------------------------------
     def new_result(self) -> SteppedResult:
@@ -283,16 +353,22 @@ class SteppedEngineBase:
                 "config": resume_relevant(self.config)}
 
 
-@dataclass
-class MetricEngineResult:
-    """Outcome of a metric-baseline engine run."""
+class MetricEngineResult(SteppedResult):
+    """Outcome of a metric-baseline engine run, plain or journaled."""
 
-    masks: dict[str, np.ndarray] = field(default_factory=dict)
-    keep_counts: dict[str, int] = field(default_factory=dict)
+    @property
+    def keep_counts(self) -> dict[str, int]:
+        return {name: int(np.count_nonzero(mask))
+                for name, mask in self.masks.items()}
 
 
 class MetricEngine(SteppedEngineBase):
     """One-shot metric baseline (Li'17, APoZ, ...) as a `PruningEngine`.
+
+    Units are pruned one at a time in forward order, each scored on the
+    model that earlier units' surgery left, as in
+    :func:`~repro.pruning.pipeline.prune_whole_model` without
+    fine-tuning.
 
     Parameters
     ----------
@@ -312,54 +388,29 @@ class MetricEngine(SteppedEngineBase):
         self.pruner = build_pruner(pruner) if isinstance(pruner, str) \
             else pruner
         self.model = model
-        images, labels = as_arrays(data, limit=eval_batch)
-        self.images, self.labels = images, labels
-        self.context = PruningContext(images, labels,
-                                      np.random.default_rng(seed))
+        self.images, self.labels = as_arrays(data, limit=eval_batch)
         self.speedup = float(speedup)
         self.seed = int(seed)
         self.skip_last = bool(skip_last)
-        units = model.prune_units()
-        self.units: list[ConvUnit] = \
-            units[:-1] if (skip_last and len(units) > 1) else units
-        if not self.units:
+        if not self.active_units():
             raise ValueError("model exposes no prunable units")
 
     def run(self) -> MetricEngineResult:
-        """Score every unit against its budget; no surgery yet."""
-        rec = get_recorder()
-        result = MetricEngineResult()
-        with rec.span("metric_engine.run", metric=self.pruner.name):
-            for unit in self.units:
-                keep_count = budget_keep_count(unit.num_maps, self.speedup)
-                with rec.span("prune_layer", layer=unit.name,
-                              maps_before=unit.num_maps):
-                    mask = self.pruner.select(self.model, unit, keep_count,
-                                              self.context)
-                result.masks[unit.name] = mask
-                result.keep_counts[unit.name] = int(np.count_nonzero(mask))
-                rec.counter("pruner/layers_pruned")
-        return result
+        """Decide every unit as a journaled run does; no surgery yet.
 
-    def apply(self, result: MetricEngineResult) -> int:
-        """Physically prune the model; returns feature maps removed."""
-        removed = 0
-        units = {unit.name: unit for unit in self.model.prune_units()}
-        for name, mask in result.masks.items():
-            removed += prune_unit(units[name], mask)
-        get_recorder().counter("pruner/maps_removed", removed)
-        return removed
+        The steps run on a copy of the model, so ``self.model`` is left
+        as it was; :meth:`apply` then prunes it with the result's masks.
+        """
+        replica = copy.copy(self)
+        replica.model = copy.deepcopy(self.model)
+        with get_recorder().span("metric_engine.run",
+                                 metric=self.pruner.name):
+            return replica.run_steps()
+
+    def new_result(self) -> MetricEngineResult:
+        return MetricEngineResult()
 
     # -- stepped protocol ---------------------------------------------------
-    def _active_units(self) -> list[ConvUnit]:
-        units = self.model.prune_units()
-        return units[:-1] if (self.skip_last and len(units) > 1) else units
-
-    def steps(self) -> list[StepSpec]:
-        return [StepSpec(name=unit.name, index=index, kind="unit",
-                         fallback_targets=(unit.name,))
-                for index, unit in enumerate(self._active_units())]
-
     def run_step(self, spec: StepSpec, state: StepState) -> StepOutcome:
         unit = _unit_by_name(self.model, spec.name)
         keep_count = budget_keep_count(unit.num_maps, self.speedup)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core import FinetuneConfig, HeadStartConfig, HeadStartPruner
+from repro.core import pruner as pruner_module
 from repro.pruning import budget_keep_count, prune_whole_model
 from repro.pruning.baselines import Li17Pruner, PruningContext
 from repro.runtime import ResumableRunner
-from repro.training import evaluate
+from repro.training import evaluate, evaluate_dataset
 
 
 class TestBudget:
@@ -160,6 +161,51 @@ class TestHeadStartPruner:
         result = pruner.run()
         assert lenet_copy.conv1.out_channels == result.layers[0].maps_after
         assert lenet_copy.conv1.out_channels <= maps_before
+
+
+class TestFinalAccuracyMeasuredOnce:
+    """The last layer row's test accuracy is the run's final accuracy."""
+
+    @staticmethod
+    def engine(trained_lenet, tiny_task):
+        return HeadStartPruner(
+            copy.deepcopy(trained_lenet), tiny_task.train, tiny_task.test,
+            config=quick_headstart(),
+            finetune_config=FinetuneConfig(epochs=1, batch_size=24),
+            skip_last=False)
+
+    @pytest.mark.parametrize("journaled", [False, True])
+    def test_one_test_set_evaluation_per_layer(self, trained_lenet,
+                                               tiny_task, tmp_path,
+                                               monkeypatch, journaled):
+        calls = []
+
+        def counting(model, dataset, *args, **kwargs):
+            calls.append(dataset)
+            return evaluate_dataset(model, dataset, *args, **kwargs)
+
+        monkeypatch.setattr(pruner_module, "evaluate_dataset", counting)
+        engine = self.engine(trained_lenet, tiny_task)
+        if journaled:
+            result = ResumableRunner(engine=engine).run(
+                tmp_path / "run").result
+        else:
+            result = engine.run()
+        assert len(result.layers) == 2
+        assert len(calls) == len(result.layers)
+        assert result.final_accuracy == evaluate_dataset(engine.model,
+                                                         tiny_task.test)
+
+    def test_resumed_complete_journal_reports_a_fresh_evaluation(
+            self, trained_lenet, tiny_task, tmp_path):
+        first = ResumableRunner(
+            engine=self.engine(trained_lenet, tiny_task)).run(tmp_path)
+        engine = self.engine(trained_lenet, tiny_task)
+        resumed = ResumableRunner(engine=engine).run(tmp_path, resume=True)
+        assert resumed.resumed_layers == 2
+        assert resumed.result.final_accuracy == \
+            first.result.final_accuracy == \
+            evaluate_dataset(engine.model, tiny_task.test)
 
 
 class TestWiringValidation:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,21 @@ class TestNaming:
             _forward(model)
         assert count > 0
         assert "conv1" in rec.aggregate()["ops"]
+
+    def test_labels_survive_deepcopy(self):
+        # The runner's rollback deep-copies the model; its ops must keep
+        # the labelled names, not fall back to reprs.
+        model = build_model("lenet", num_classes=4, input_size=12)
+        rec, copy_rec = obs.Recorder(), obs.Recorder()
+        with obs.ModuleProfiler():
+            obs.label_modules(model)
+            with obs.use_recorder(rec):
+                _forward(model)
+            with obs.use_recorder(copy_rec):
+                _forward(copy.deepcopy(model))
+        assert "conv1" in rec.aggregate()["ops"]
+        assert copy_rec.aggregate()["ops"].keys() == \
+            rec.aggregate()["ops"].keys()
 
     def test_unlabelled_modules_fall_back_to_repr(self):
         model = build_model("lenet", num_classes=4, input_size=12)
