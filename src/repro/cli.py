@@ -213,10 +213,7 @@ def _eval_options(args) -> EvalOptions:
     return EvalOptions(cache=args.eval_cache,
                        cache_size=args.eval_cache_size,
                        graph=args.eval_mode == "graph",
-                       fused=args.eval_fused,
-                       workers=args.eval_workers,
-                       task_seconds=args.eval_task_seconds,
-                       task_retries=args.eval_task_retries)
+                       fused=args.eval_fused)
 
 
 def _cmd_prune(args) -> int:
@@ -562,21 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="graph mode only: fold BatchNorm into conv "
                               "weights and fuse trailing ReLUs (~1e-8 vs "
                               "dense)")
-    evalgrp.add_argument("--eval-workers", type=int,
-                         default=defaults.workers,
-                         help="evaluate rewards on this many supervised "
-                              "worker processes (0 = in-process serial; "
-                              "results are bitwise-identical either way)")
-    evalgrp.add_argument("--eval-task-seconds", type=float,
-                         default=defaults.task_seconds,
-                         help="wall-clock timeout per pooled evaluation; a "
-                              "worker that exceeds it is killed and the "
-                              "task retried (default: no timeout)")
-    evalgrp.add_argument("--eval-task-retries", type=int,
-                         default=defaults.task_retries,
-                         help="retries per pooled evaluation before that "
-                              "task degrades to in-process serial "
-                              "(default %(default)s)")
     prune.add_argument("--out", default=None)
     prune.set_defaults(handler=_cmd_prune)
 

@@ -12,10 +12,9 @@ the search, and a caller that already measured the unmasked batch
 accuracy passes it to :meth:`LayerAgent.run`.
 
 The agent picks the driver's evaluator from ``config.eval``: the static
-graph executor's masked scoring (the default), the eager
+graph executor's masked scoring (the default), or the eager
 ``channel_mask`` forward when the model cannot be traced or
-``graph=False``, and either of them behind a worker pool's ``map`` when
-``workers > 0``.
+``graph=False``.  Either scores the masks in process, one at a time.
 """
 
 from __future__ import annotations
@@ -155,18 +154,19 @@ class LayerAgent:
                                                   key=key)[0])
                 for mask in masks]
 
-    def _evaluator(self, measure, original_accuracy: float,
+    def _evaluator(self, original_accuracy: float, full: bool = False,
                    measured: dict | None = None):
         """The driver's list-of-masks -> list-of-rewards callable.
 
-        ``measure`` maps masks to their accuracies (:meth:`_accuracies`
-        or the pool); with ``measured``, each accuracy is also recorded
-        there under its :func:`~repro.core.evalcache.mask_key`.
+        Accuracies come from :meth:`_accuracies` on the batch (or, with
+        ``full``, the whole calibration set); with ``measured``, each
+        accuracy is also recorded there under its
+        :func:`~repro.core.evalcache.mask_key`.
         """
         config = self.config
 
         def rewards(actions: list[np.ndarray]) -> list[float]:
-            accuracies = measure(actions)
+            accuracies = self._accuracies(actions, full=full)
             if measured is not None:
                 measured.update(zip(map(mask_key, actions), accuracies))
             return [compute_reward(accuracy, original_accuracy, action,
@@ -175,40 +175,6 @@ class LayerAgent:
                                    spd_weight=config.spd_weight)
                     for accuracy, action in zip(accuracies, actions)]
         return rewards
-
-    def _build_pool(self):
-        """A supervised :class:`~repro.runtime.pool.EvalPool`.
-
-        Workers measure one action's accuracy per task with the
-        in-process :meth:`_accuracies` (graph or eager — they fork
-        after compilation) and keep private caches; rewards are computed
-        in the parent, whose cache stays authoritative and only ever
-        sees values through the driver's lookup/insert sequence.
-        Calibration arrays are moved into shared memory first, so the
-        forked workers map one copy of the data.  Returns ``(pool,
-        shared, originals)`` for the caller's finally-block to unwind.
-        """
-        from ..runtime.pool import EvalPool, SharedArrays
-        shared = SharedArrays(images=self.images, labels=self.labels,
-                              full_images=self.full_images,
-                              full_labels=self.full_labels)
-        originals = (self.images, self.labels,
-                     self.full_images, self.full_labels)
-        self.images = shared["images"]
-        self.labels = shared["labels"]
-        self.full_images = shared["full_images"]
-        self.full_labels = shared["full_labels"]
-        pool = EvalPool({"batch": lambda action: self._accuracies([action])[0],
-                         "final": lambda action: self._accuracies(
-                             [action], full=True)[0]},
-                        workers=self.config.eval.workers,
-                        task_seconds=self.config.eval.task_seconds,
-                        task_retries=self.config.eval.task_retries,
-                        seed=self.config.seed,
-                        scope=self.unit.name,
-                        cache_size=self.config.eval.cache_size,
-                        worker_cache=self.config.eval.cache)
-        return pool, shared, originals
 
     # -- main loop -----------------------------------------------------------
     def run(self, original_accuracy: float | None = None) -> AgentResult:
@@ -228,37 +194,21 @@ class LayerAgent:
                 [np.ones(self.unit.num_maps, dtype=bool)])[0]
         # Finalists are re-scored only on data the search has not seen.
         rescore = len(self.full_images) > len(self.images)
-        measure_batch = self._accuracies
-        measure_full = lambda actions: self._accuracies(actions, full=True)
         # A fresh cache per run, scoped to this layer's current model
         # state; finalists (full calibration set) are never cached.
         cache = None
         if self.config.eval.cache:
             cache = EvalCache(maxsize=self.config.eval.cache_size,
                               scope=self.unit.name)
-        pool = shared = originals = None
-        if self.config.eval.workers > 0:
-            pool, shared, originals = self._build_pool()
-            measure_batch = lambda actions: pool.map(actions, fn="batch")
-            measure_full = lambda actions: pool.map(actions, fn="final")
         # Batch accuracy of every mask the search scored, by mask key.
         measured: dict[bytes, float] = {}
-        try:
-            final = self._evaluator(measure_full, original_accuracy) \
-                if rescore else None
-            outcome = ReinforceDriver(
-                self.policy,
-                self._evaluator(measure_batch, original_accuracy, measured),
-                self.config, self.rng, final_evaluate=final,
-                cache=cache).run()
-        finally:
-            if pool is not None:
-                pool.close()
-            if originals is not None:
-                (self.images, self.labels,
-                 self.full_images, self.full_labels) = originals
-            if shared is not None:
-                shared.close()
+        final = self._evaluator(original_accuracy, full=True) \
+            if rescore else None
+        outcome = ReinforceDriver(
+            self.policy,
+            self._evaluator(original_accuracy, measured=measured),
+            self.config, self.rng, final_evaluate=final,
+            cache=cache).run()
         keep_mask = outcome.action.astype(bool)
         inception_accuracy = measured.get(mask_key(keep_mask))
         if inception_accuracy is None:     # no iteration ran
@@ -268,8 +218,6 @@ class LayerAgent:
             cache_stats = cache.stats()
             get_recorder().gauge("evalcache/hit_rate", cache.hit_rate,
                                  layer=self.unit.name)
-            if pool is not None:
-                cache_stats["workers"] = pool.cache_summary()
         if self._graph is not None:
             arena = self._graph.arena_stats
             get_recorder().gauge("graph/arena_reuses", arena["reuses"],

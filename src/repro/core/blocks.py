@@ -66,6 +66,9 @@ class BlockAgentResult:
     loss_history: list[float] = field(default_factory=list)
     inception_accuracy: float = float("nan")
     blocks_per_group: tuple[int, int, int] = (0, 0, 0)
+    #: ``keep_action`` expanded over the block layout of the model it was
+    #: decided on: ``keep_by_group[g][b]`` keeps block ``b`` of group ``g``.
+    keep_by_group: list[list[bool]] = field(default_factory=list)
 
 
 class BlockHeadStart(SteppedEngineBase):
@@ -88,6 +91,10 @@ class BlockHeadStart(SteppedEngineBase):
     config:
         HeadStart hyper-parameters; ``config.speedup`` is interpreted
         over blocks (sp=2 halves the block count).
+
+    Each search reads the block layout from the model the engine holds
+    at that moment, which :meth:`apply` replaces; :attr:`total_blocks`
+    stays the block count of the model the engine was built with.
     """
 
     def __init__(self, model: ResNet, data, labels: np.ndarray | None = None,
@@ -103,11 +110,14 @@ class BlockHeadStart(SteppedEngineBase):
         self.labels = labels[:batch]
         self.full_images = images
         self.full_labels = labels
-        self.droppable = model.droppable_blocks()
         if not self.droppable:
             raise ValueError("model has no droppable residual blocks")
         self.total_blocks = sum(model.blocks_per_group)
-        self.forced_keep = self.total_blocks - len(self.droppable)
+
+    @property
+    def droppable(self) -> list[tuple[int, int]]:
+        """The current model's droppable ``(group, block)`` indices."""
+        return self.model.droppable_blocks()
 
     # -- reward ----------------------------------------------------------
     def _accuracies(self, actions: list[np.ndarray],
@@ -115,9 +125,10 @@ class BlockHeadStart(SteppedEngineBase):
         """Calibration accuracy with each action's blocks bypassed."""
         images = self.full_images if full else self.images
         labels = self.full_labels if full else self.labels
+        droppable = self.droppable
         accuracies = []
         for action in actions:
-            with bypass_blocks(self.model, self.droppable, action):
+            with bypass_blocks(self.model, droppable, action):
                 accuracies.append(evaluate(self.model, images, labels))
         return accuracies
 
@@ -131,14 +142,17 @@ class BlockHeadStart(SteppedEngineBase):
         the traced unit-mask split cannot express, so every reward is an
         eager forward.
         """
+        total = sum(self.model.blocks_per_group)
+        forced_keep = total - len(self.droppable)
+
         def rewards(actions: list[np.ndarray]) -> list[float]:
             accuracies = self._accuracies(actions, full)
             if measured is not None:
                 measured.update(zip(map(mask_key, actions), accuracies))
             values = []
             for accuracy, action in zip(accuracies, actions):
-                kept = self.forced_keep + int(np.count_nonzero(action))
-                spd = abs(self.total_blocks / max(kept, 1) - config.speedup)
+                kept = forced_keep + int(np.count_nonzero(action))
+                spd = abs(total / max(kept, 1) - config.speedup)
                 values.append(config.acc_weight
                               * acc_term(accuracy, original_accuracy)
                               - config.spd_weight * spd)
@@ -147,10 +161,19 @@ class BlockHeadStart(SteppedEngineBase):
 
     # -- keep pattern helpers ----------------------------------------------
     def keep_mask_by_group(self, action: np.ndarray) -> list[list[bool]]:
-        """Expand a droppable-block action to the full keep layout."""
-        groups = self.model.groups()
-        keep = [[True] * len(group) for group in groups]
-        for (g, b), flag in zip(self.droppable, np.asarray(action).astype(bool)):
+        """Expand a droppable-block action to the current model's layout.
+
+        Raises ``ValueError`` when the action does not have one entry per
+        droppable block of the current model.
+        """
+        droppable = self.droppable
+        flags = np.asarray(action).astype(bool)
+        if flags.shape != (len(droppable),):
+            raise ValueError(
+                f"action has {flags.size} entries but the model has "
+                f"{len(droppable)} droppable blocks")
+        keep = [[True] * len(group) for group in self.model.groups()]
+        for (g, b), flag in zip(droppable, flags):
             keep[g][b] = bool(flag)
         return keep
 
@@ -208,7 +231,8 @@ class BlockHeadStart(SteppedEngineBase):
                 reward_history=outcome.reward_history,
                 loss_history=outcome.loss_history,
                 inception_accuracy=inception_accuracy,
-                blocks_per_group=self.blocks_per_group(action))
+                blocks_per_group=self.blocks_per_group(action),
+                keep_by_group=self.keep_mask_by_group(action))
             rec.gauge("block/kept_blocks", sum(result.blocks_per_group))
             rec.gauge("block/inception_accuracy", result.inception_accuracy)
         return result
@@ -229,10 +253,8 @@ class BlockHeadStart(SteppedEngineBase):
 
     def run_step(self, spec: StepSpec, state: StepState) -> StepOutcome:
         result = self._search(state.config_override or self.config)
-        keep = self.keep_mask_by_group(result.keep_action)
         return StepOutcome(
-            payload={"keep": [[bool(flag) for flag in group]
-                              for group in keep]},
+            payload={"keep": result.keep_by_group},
             log={"name": spec.name,
                  "blocks_per_group": [int(n) for n in
                                       result.blocks_per_group],
@@ -257,14 +279,15 @@ class BlockHeadStart(SteppedEngineBase):
         """Physically rebuild the ResNet with the learnt block pattern.
 
         The rebuilt network replaces :attr:`model`; the return value is
-        the number of residual blocks removed, per the
-        :class:`repro.pruning.PruningEngine` protocol.  (Before the
-        unified engine API this method *returned* the rebuilt ResNet —
-        callers now read it from ``.model``.)
+        the number of residual blocks it removed, per the
+        :class:`repro.pruning.PruningEngine` protocol.  ``result`` must
+        have been decided on the current model's block layout.  (Before
+        the unified engine API this method *returned* the rebuilt ResNet
+        — callers now read it from ``.model``.)
         """
-        keep = self.keep_mask_by_group(result.keep_action)
-        self.model = self.model.with_blocks(keep, rng=rng)
-        removed = self.total_blocks - sum(self.model.blocks_per_group)
+        before = sum(self.model.blocks_per_group)
+        self.model = self.model.with_blocks(result.keep_by_group, rng=rng)
+        removed = before - sum(self.model.blocks_per_group)
         get_recorder().counter("block/blocks_dropped", removed)
         return removed
 

@@ -9,9 +9,9 @@ iterations; the convergence criterion ("nearly constant loss and
 reward") is the paper's.
 
 Evaluation acceleration lives in one place: :class:`EvalOptions` on
-``HeadStartConfig.eval`` holds every reward-eval knob — memoization,
-the static-graph executor of :mod:`repro.nn.graph` (on by default) and
-the worker pool.  Resume digests ignore all of them:
+``HeadStartConfig.eval`` holds every reward-eval knob — memoization and
+the static-graph executor of :mod:`repro.nn.graph` (on by default).
+Resume digests ignore all of them:
 :func:`resume_relevant` strips the ``eval`` block, and the flat names
 configs were journaled with before the block existed.
 """
@@ -33,8 +33,10 @@ __all__ = ["EvalOptions", "HeadStartConfig", "PERF_FIELDS",
 #: excluded because it rounds identically often enough for
 #: accuracy-based rewards, and flipping it mid-run is an operator
 #: decision, not a config change.  The flat names are the spellings
-#: configs were journaled with before the ``eval`` block existed;
-#: stripping them keeps those journals hashing equal.
+#: configs were journaled with before the ``eval`` block existed
+#: (``workers``, ``task_seconds`` and ``task_retries`` configured a
+#: retired evaluation pool); stripping them keeps those journals
+#: hashing equal.
 PERF_FIELDS = ("eval_cache", "cache_size", "compressed_eval",
                "workers", "task_seconds", "task_retries", "eval")
 
@@ -64,8 +66,8 @@ class EvalOptions:
 
     All options are performance-only (:data:`PERF_FIELDS`): they change
     how fast rewards are computed, never which pruning decisions a run
-    makes — exactly (``cache``, ``workers``, unfused ``graph``) or to
-    documented drift (``fused`` ~1e-8).
+    makes — exactly (``cache``, unfused ``graph``) or to documented
+    drift (``fused`` ~1e-8).
 
     Attributes
     ----------
@@ -89,36 +91,18 @@ class EvalOptions:
         Fold BatchNorm into the preceding conv's weights and absorb
         trailing ReLUs into conv/linear epilogues at trace time
         (requires ``graph``).  ~1e-8 vs dense, so it defaults off.
-    workers:
-        Number of pool worker processes scoring candidate masks in
-        parallel (:class:`repro.runtime.pool.EvalPool`); 0 evaluates
-        serially in-process.  Bit-for-bit neutral.
-    task_seconds:
-        Per-task wall-clock timeout inside the pool (``None`` disables).
-    task_retries:
-        Bounded attempts per pool task beyond the first; exhausted
-        tasks degrade to in-process serial evaluation.
     """
 
     cache: bool = True
     cache_size: int = 256
     graph: bool = True
     fused: bool = False
-    workers: int = 0
-    task_seconds: float | None = None
-    task_retries: int = 2
 
     def __post_init__(self):
         if self.cache_size < 0:
             raise ValueError("cache_size must be >= 0 (0 means unbounded)")
         if self.fused and not self.graph:
             raise ValueError("fused eval requires graph eval")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0 (0 means serial)")
-        if self.task_seconds is not None and self.task_seconds <= 0:
-            raise ValueError("task_seconds must be positive (or None)")
-        if self.task_retries < 0:
-            raise ValueError("task_retries must be >= 0")
 
     @property
     def mode(self) -> str:

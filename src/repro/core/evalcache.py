@@ -7,13 +7,12 @@ pay a full masked forward pass over the calibration batch.  An
 binary mask itself (``action > 0.5`` as packed bytes), so two actions
 hit the same entry iff they describe the same inception.  The
 :class:`~repro.core.reinforce.ReinforceDriver` consults it through
-:meth:`EvalCache.lookup` / :meth:`EvalCache.insert`; pool workers wrap
-their reward function in one and call it directly.
+:meth:`EvalCache.lookup` / :meth:`EvalCache.insert`.
 
 Determinism contract — what makes the cache journal-safe:
 
-* the wrapped reward function must be *pure* for the lifetime of the
-  cache (same mask, same reward).  That holds inside one layer's RL
+* the reward function whose values it holds must be *pure* for the
+  lifetime of the cache (same mask, same reward).  That holds inside one layer's RL
   loop: the model is restored after every masked evaluation and the
   calibration batch is fixed.  It does **not** hold across layers
   (surgery changes the model), which is why callers create one cache
@@ -36,7 +35,6 @@ Hit/miss/eviction counts stream to :mod:`repro.obs` under
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable
 
 import numpy as np
 
@@ -59,57 +57,42 @@ def mask_key(action: np.ndarray) -> bytes:
 class EvalCache:
     """Exact-key LRU memo of a deterministic reward function's values.
 
-    With a ``reward_fn``, instances are callable with its signature and
-    memoize it.  A cache filled only through :meth:`lookup` and
-    :meth:`insert` (the driver's) needs no function.
+    The caller computes each miss itself: :meth:`lookup` answers (and
+    counts) a request, :meth:`insert` stores the value computed for it.
 
     Parameters
     ----------
-    reward_fn:
-        The pure function :meth:`__call__` memoizes (mask -> reward).
     maxsize:
         LRU bound on distinct masks retained; 0 or negative disables
         bounding (every distinct mask is kept).
     scope:
         Attribute attached to the emitted ``evalcache/*`` counters so
         per-layer caches are distinguishable in a metrics stream.
-    emit:
-        Whether hit/miss/eviction counters stream to the process
-        recorder.  Pool workers run with ``emit=False`` — they must not
-        write to the parent's metrics sink — and return their counts as
-        deltas the parent merges deterministically at step end
-        (:mod:`repro.runtime.pool`).
     """
 
-    def __init__(self, reward_fn: Callable[[np.ndarray], float] | None = None,
-                 maxsize: int = 256, scope: str = "", emit: bool = True):
-        self.reward_fn = reward_fn
+    def __init__(self, maxsize: int = 256, scope: str = ""):
         self.maxsize = int(maxsize)
         self.scope = scope
-        self.emit = bool(emit)
         self._store: OrderedDict[bytes, float] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    # -- the memoized call --------------------------------------------------
+    # -- the memo ------------------------------------------------------------
     def lookup(self, action: np.ndarray) -> float | None:
         """Cached value for ``action``, or ``None``; counts the hit/miss.
 
-        A miss is counted here (not at :meth:`insert`) so a
-        ``lookup``-then-``insert`` caller — the driver's scorer — counts
-        exactly what the plain :meth:`__call__` sequence would.
+        A miss is counted here, not at :meth:`insert`, so every request
+        counts once whether or not its value is then stored.
         """
         key = mask_key(action)
         if key in self._store:
             self.hits += 1
             self._store.move_to_end(key)
-            if self.emit:
-                get_recorder().counter("evalcache/hits", 1, scope=self.scope)
+            get_recorder().counter("evalcache/hits", 1, scope=self.scope)
             return self._store[key]
         self.misses += 1
-        if self.emit:
-            get_recorder().counter("evalcache/misses", 1, scope=self.scope)
+        get_recorder().counter("evalcache/misses", 1, scope=self.scope)
         return None
 
     def insert(self, action: np.ndarray, value: float) -> None:
@@ -118,16 +101,8 @@ class EvalCache:
         if self.maxsize > 0 and len(self._store) > self.maxsize:
             self._store.popitem(last=False)
             self.evictions += 1
-            if self.emit:
-                get_recorder().counter("evalcache/evictions", 1,
-                                       scope=self.scope)
-
-    def __call__(self, action: np.ndarray) -> float:
-        value = self.lookup(action)
-        if value is None:
-            value = self.reward_fn(action)
-            self.insert(action, value)
-        return value
+            get_recorder().counter("evalcache/evictions", 1,
+                                   scope=self.scope)
 
     # -- introspection ------------------------------------------------------
     def __len__(self) -> int:
@@ -153,7 +128,3 @@ class EvalCache:
         return {"hits": self.hits, "misses": self.misses,
                 "evictions": self.evictions, "size": len(self._store),
                 "maxsize": self.maxsize, "hit_rate": self.hit_rate}
-
-    def clear(self) -> None:
-        """Drop every entry; counters keep accumulating."""
-        self._store.clear()

@@ -12,6 +12,7 @@ import numpy as np
 
 from ..nn.modules import Conv2d, Flatten, Linear, Module, ReLU, Sequential
 from ..nn.tensor import Tensor
+from ..obs import label_modules
 
 __all__ = ["HeadStartNetwork", "sample_actions", "threshold_action",
            "bernoulli_log_prob"]
@@ -28,6 +29,9 @@ class HeadStartNetwork(Module):
         Side length of the square noise map input.
     hidden_channels:
         Width of the three internal convolutions.
+
+    Under a profiler its ops are named ``policy.body.<i>``, apart from
+    the pruned model's.
     """
 
     def __init__(self, num_maps: int, noise_size: int = 8,
@@ -49,6 +53,7 @@ class HeadStartNetwork(Module):
             Linear(h * noise_size * noise_size, num_maps, rng=rng))
         if keep_ratio is not None:
             self._warm_start(keep_ratio, rng)
+        label_modules(self, "policy")
 
     def _warm_start(self, keep_ratio: float, rng: np.random.Generator) -> None:
         """Bias the output so roughly ``keep_ratio`` of maps start above 0.5.

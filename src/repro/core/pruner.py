@@ -246,7 +246,7 @@ class HeadStartPruner(SteppedEngineBase):
         rec.gauge("pruner/learnt_compression", result.learnt_compression)
 
     def fingerprint(self) -> dict:
-        # Performance knobs (eval cache, graph eval, pool) do not
+        # Performance knobs (eval cache, graph eval) do not
         # change what a step computes, so they stay out of the resume
         # digest — a journaled run may be resumed with caching toggled.
         return {"engine": "headstart", "config": resume_relevant(self.config),

@@ -13,8 +13,8 @@ agent (actions over residual blocks) run the same loop:
 
 The driver owns steps 1-2 and 4-5 and the one scoring path of step 3
 (:meth:`ReinforceDriver._score`: dedup, cache, evaluate the misses).
-Callers provide the :data:`Evaluator` — eager masked forwards, the
-graph executor or a worker pool — and optionally the cache.  The
+Callers provide the :data:`Evaluator` — eager masked forwards or the
+graph executor — and optionally the cache.  The
 candidate pool, exploration floor and count-preserving exchange
 proposals are the miniature-scale stabilisers documented in
 :class:`~repro.core.config.HeadStartConfig`.

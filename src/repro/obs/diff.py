@@ -155,8 +155,8 @@ def diff_metrics_dirs(a: str | Path, b: str | Path,
             f"... and {mismatches - _MAX_DETAILS} more differing events")
 
     # Counter totals are compared on the deterministic views so that
-    # operational counters (pool/* supervision bookkeeping, present only
-    # when a run was parallel or lost workers) never fail the gate;
+    # operational counters (graph/* executor bookkeeping, present only
+    # when a run evaluated through the graph executor) never fail the gate;
     # spans/ops below keep the full streams — wall time is their point.
     summary_a, summary_b = summarize(events_a), summarize(events_b)
     det_a, det_b = _counter_totals(view_a), _counter_totals(view_b)

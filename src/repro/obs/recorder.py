@@ -20,11 +20,11 @@ the (seeded) computation, so two identically-seeded runs emit identical
 values.  Wall-clock fields are confined to the ``t``/``dur`` keys of
 span events plus any event flagged ``timing=True`` (e.g. throughput);
 :func:`repro.obs.schema.deterministic_view` strips exactly those.
-Events flagged ``operational=True`` (pool supervision: retries, worker
-deaths, timeouts) describe *how* a value was computed rather than the
-value itself — they too are excluded from determinism comparisons,
-since a parallel run retrying a killed worker must still diff clean
-against a serial run.
+Events flagged ``operational=True`` (the ``graph/*`` executor counters:
+compilations, fallbacks, arena reuses) describe *how* a value was
+computed rather than the value itself — they too are excluded from
+determinism comparisons, since a graph-executor run must still diff
+clean against an eager one.
 """
 
 from __future__ import annotations
@@ -203,9 +203,9 @@ class Recorder:
                 operational: bool = False, **attrs) -> None:
         """Increment a monotonic counter by ``value``.
 
-        ``operational=True`` marks the count as supervision bookkeeping
-        (pool retries, worker deaths) rather than computed behaviour,
-        excluding it from determinism comparisons.
+        ``operational=True`` marks the count as evaluator bookkeeping
+        (the ``graph/*`` executor counters) rather than computed
+        behaviour, excluding it from determinism comparisons.
         """
         self.counters[name] = self.counters.get(name, 0) + value
         record = {"event": "counter", "name": name, "value": value}

@@ -6,10 +6,8 @@ helpers (:mod:`~repro.runtime.guards`), rollback/retry policy
 (:mod:`~repro.runtime.retry`), per-step watchdog budgets
 (:mod:`~repro.runtime.watchdog`), graceful degradation to metric
 baselines (:mod:`~repro.runtime.fallback`), post-surgery structural
-validation (:mod:`~repro.runtime.validate`), deterministic fault
-injection for tests (:mod:`~repro.runtime.faults`) and a supervised
-process pool for parallel reward evaluation
-(:mod:`~repro.runtime.pool`).
+validation (:mod:`~repro.runtime.validate`) and deterministic fault
+injection for tests (:mod:`~repro.runtime.faults`).
 
 The harness, fallback and validate submodules are loaded lazily:
 low-level training code (``repro.core.reinforce``, ``repro.training``)
@@ -28,7 +26,6 @@ from .guards import (check_accuracy_collapse, require_all_finite,
                      require_finite)
 from .journal import (FORMAT_VERSION, RunJournal, config_digest,
                       run_overview)
-from .pool import EvalPool, PoolTaskError, SharedArrays, take_degradations
 from .retry import RetryPolicy
 from .watchdog import BudgetExceededError, StepBudget, StepWatchdog
 
@@ -40,7 +37,6 @@ __all__ = [
     "RunJournal", "config_digest", "FORMAT_VERSION", "run_overview",
     "RetryPolicy",
     "StepBudget", "StepWatchdog", "BudgetExceededError",
-    "EvalPool", "PoolTaskError", "SharedArrays", "take_degradations",
     "ResumableRunner", "RunReport", "resume",
     "FallbackChain",
     "SurgeryInvariantError", "mask_problems", "model_problems",

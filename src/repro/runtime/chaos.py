@@ -49,23 +49,17 @@ __all__ = ["ENGINE_KINDS", "run_chaos", "main"]
 #: plus a fast-path column (``headstart-cached``) that reruns the HeadStart
 #: scenario on the default ``EvalOptions()`` (reward eval-cache and graph
 #: eval on) — the kill/resume contract must hold identically on the fast
-#: path — a worker-kill column (``headstart-pool``) that runs the scenario
-#: with a 2-process evaluation pool whose workers are SIGKILLed on their
-#: first task in the killed *and* resumed phases: the pool must degrade
-#: to serial (journaled), and the degraded resume must still match the
-#: healthy parallel baseline bit-for-bit — and a graph-executor column
-#: (``headstart-graph``) whose baseline runs the *dense eager* path while
-#: the killed and resumed phases run under ``--eval-mode graph``
-#: (unfused): a crash under graph eval must resume to the dense
-#: baseline's exact journal, accuracy and weights, which is the
-#: executor's bit-exactness contract under fire.
+#: path — and a graph-executor column (``headstart-graph``) whose
+#: baseline runs the *dense eager* path while the killed and resumed
+#: phases run under ``--eval-mode graph`` (unfused): a crash under graph
+#: eval must resume to the dense baseline's exact journal, accuracy and
+#: weights, which is the executor's bit-exactness contract under fire.
 #: The ``headstart-googlenet`` column reruns the plain HeadStart
 #: scenario on a multi-branch (Inception) model whose concat-coupled
 #: units exercise the shared ConcatLayout bookkeeping through
 #: kill/resume.
-ENGINE_KINDS = ("headstart", "headstart-cached", "headstart-pool",
-                "headstart-graph", "headstart-googlenet", "block", "amc",
-                "li17")
+ENGINE_KINDS = ("headstart", "headstart-cached", "headstart-graph",
+                "headstart-googlenet", "block", "amc", "li17")
 
 
 def _make_task(seed: int):
@@ -96,20 +90,16 @@ def _make_runner(kind: str, task, seed: int,
     # The plain column (and every non-HeadStart kind) pins the eager slow
     # path with no memoization so the matrix keeps covering it; the
     # -cached column runs the library defaults (cache + graph eval); the
-    # -pool column shards eager reward evaluations across worker
-    # processes; the -graph column keeps the cache on and flips only the
-    # executor between phases, from its eager baseline to graph (graph
-    # eval is a PERF_FIELD, so the digest matches).
-    pooled = kind == "headstart-pool"
+    # -graph column keeps the cache on and flips only the executor
+    # between phases, from its eager baseline to graph (graph eval is a
+    # PERF_FIELD, so the digest matches).
     graphed = kind == "headstart-graph"
     options = EvalOptions() if kind == "headstart-cached" else EvalOptions(
-        cache=pooled or graphed, graph=graphed and graph,
-        workers=2 if pooled else 0)
+        cache=graphed, graph=graphed and graph)
     config = HeadStartConfig(
         speedup=2.0, max_iterations=6, min_iterations=3,
         patience=3, eval_batch=16, seed=seed, mc_samples=2, eval=options)
-    if kind in ("headstart", "headstart-cached", "headstart-pool",
-                "headstart-graph", "headstart-googlenet"):
+    if kind.startswith("headstart"):
         engine = HeadStartPruner(
             model, task.train, task.test, config=config,
             finetune_config=FinetuneConfig(epochs=1, batch_size=24, lr=0.02,
@@ -179,14 +169,7 @@ def run_chaos(kind: str, seed: int, root) -> list[str]:
     print(f"[chaos] engine={kind} steps={num_steps} "
           f"crash after step #{crash_step} (seed {seed})")
 
-    # The pool column additionally SIGKILLs every fresh worker on its
-    # first pooled task — in the killed AND resumed phases — so both
-    # phases run under pool exhaustion while the baseline ran healthy.
     killed_plan = FaultPlan().crash_at("runtime.layer_complete", crash_step)
-    resumed_plan = FaultPlan()
-    if kind == "headstart-pool":
-        killed_plan.crash_at("pool.task", 1)
-        resumed_plan.crash_at("pool.task", 1)
 
     # headstart-graph: the baseline above ran dense; the killed and
     # resumed phases run under the (bit-exact, unfused) graph executor.
@@ -201,18 +184,10 @@ def run_chaos(kind: str, seed: int, root) -> list[str]:
             return [f"crash at step {crash_step} did not fire"]
 
     resumed = _make_runner(kind, task, seed, graph=use_graph)
-    with inject(resumed_plan), _recorded(root / "chaos"):
+    with _recorded(root / "chaos"):
         resumed_report = resumed.run(root / "chaos", resume=True)
 
     problems = []
-    if kind == "headstart-pool":
-        degraded = [record for record
-                    in RunJournal(root / "chaos" / "journal.jsonl").read()
-                    if record.get("record") == "degraded"
-                    and record.get("engine") == "pool-serial"]
-        if not degraded:
-            problems.append("worker kills journaled no pool-serial "
-                            "degraded records")
     if resumed_report.resumed_layers != crash_step:
         problems.append(f"expected {crash_step} replayed step(s), got "
                         f"{resumed_report.resumed_layers}")

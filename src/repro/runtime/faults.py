@@ -29,26 +29,16 @@ Sites currently wired in:
 ``training.loss``           fine-tune minibatch loss, once per step
 ``amc.reward``              AMC-lite episode reward, once per episode
 ``metric.select``           metric engine, before each unit's selection
-``pool.task``               pool worker, before evaluating each task —
-                            the only site visited *inside* worker
-                            processes (plans are inherited at fork with
-                            per-process call counts)
 ==========================  ====================================================
 
 Any action can be planted at any wired site: ``crash`` and ``stall``
 fire from both hooks, ``nan`` only matters at ``corrupt`` sites (a
-``crash_point`` has no value to poison).  A fourth action, ``hang``,
-*really* sleeps for ``seconds`` — unlike ``stall`` it consumes wall
-clock, which is what the pool's per-task timeout supervises; plant it
-at ``pool.task`` (with small seconds) to exercise the kill-and-requeue
-path.  A ``crash`` at ``pool.task`` makes the worker die via
-``os._exit`` — modelling SIGKILL/OOM, not a catchable exception.
+``crash_point`` has no value to poison).
 """
 
 from __future__ import annotations
 
 import math
-import time
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -78,10 +68,9 @@ class FaultSpec:
     """One injection rule: at which calls of a site, do what.
 
     ``at`` is the set of 1-based call counts that trigger; an empty set
-    means "every call".  ``action`` is ``"crash"``, ``"nan"``,
+    means "every call".  ``action`` is ``"crash"``, ``"nan"`` or
     ``"stall"`` (advances the step watchdog's virtual clock by
-    ``seconds``) or ``"hang"`` (really sleeps for ``seconds`` — the
-    action pool-timeout chaos uses).
+    ``seconds``).
     """
 
     site: str
@@ -90,11 +79,10 @@ class FaultSpec:
     seconds: float = 0.0
 
     def __post_init__(self):
-        if self.action not in ("crash", "nan", "stall", "hang"):
-            raise ValueError(
-                "action must be 'crash', 'nan', 'stall' or 'hang'")
-        if self.action in ("stall", "hang") and self.seconds <= 0:
-            raise ValueError(f"a {self.action} spec needs positive seconds")
+        if self.action not in ("crash", "nan", "stall"):
+            raise ValueError("action must be 'crash', 'nan' or 'stall'")
+        if self.action == "stall" and self.seconds <= 0:
+            raise ValueError("a stall spec needs positive seconds")
 
     def triggers(self, count: int) -> bool:
         return not self.at or count in self.at
@@ -129,36 +117,21 @@ class FaultPlan:
                                     seconds=seconds))
         return self
 
-    def hang_at(self, site: str, *counts: int,
-                seconds: float = 1.0) -> "FaultPlan":
-        """Really sleep ``seconds`` at the given calls (wall clock burns).
-
-        Unlike :meth:`stall_at` this blocks for real — it is how tests
-        make a pool worker miss its ``task_seconds`` deadline so the
-        supervisor's kill-and-requeue path runs against a genuine hang.
-        Keep ``seconds`` small.
-        """
-        self.specs.append(FaultSpec(site, "hang", frozenset(counts),
-                                    seconds=seconds))
-        return self
-
     def _visit(self, site: str, value: float | None = None) -> float | None:
         """Advance the site counter once and apply every matching spec.
 
-        Stalls and hangs are applied before crash/nan so a delayed call
-        registers its time even when it also dies.
+        Stalls are applied before crash/nan so a delayed call registers
+        its time even when it also dies.
         """
         self._counts[site] += 1
         count = self._counts[site]
         matched = [spec for spec in self.specs
                    if spec.site == site and spec.triggers(count)]
-        matched.sort(key=lambda spec: spec.action not in ("stall", "hang"))
+        matched.sort(key=lambda spec: spec.action != "stall")
         for spec in matched:
             self.fired.append((site, count, spec.action))
             if spec.action == "stall":
                 watchdog.advance(spec.seconds)
-            elif spec.action == "hang":
-                time.sleep(spec.seconds)
             elif spec.action == "crash":
                 raise SimulatedCrash(site, count)
             elif spec.action == "nan":

@@ -46,7 +46,6 @@ from .errors import DivergenceError, JournalError, ResumeMismatchError
 from .fallback import FallbackChain
 from .guards import check_accuracy_collapse
 from .journal import FORMAT_VERSION, RunJournal, config_digest
-from .pool import take_degradations
 from .retry import RetryPolicy
 from .validate import check_masks, check_model
 from .watchdog import StepBudget
@@ -140,7 +139,7 @@ class ResumableRunner:
         # shape *how* failures are handled, not what a successful step
         # computes, so a resume may tighten or relax them.  Engine
         # fingerprints likewise strip performance knobs (eval cache,
-        # graph eval, pool — see repro.core.config.PERF_FIELDS): the
+        # graph eval — see repro.core.config.PERF_FIELDS): the
         # reward cache is per-run, in-memory state that never enters the
         # journal, so a resume may toggle it freely.
         return config_digest(self.engine.fingerprint(),
@@ -310,10 +309,6 @@ class ResumableRunner:
                             "fingerprint": self.engine.fingerprint()})
             start = 0
 
-        # Discard pool degradations a previous run in this process left
-        # behind; from here on the queue belongs to the steps below.
-        take_degradations()
-
         guarded = self.collapse_ratio > 0.0
         # The previous step's post-step calibration accuracy, while it
         # still describes the model: None after a resume, a rollback or
@@ -356,19 +351,6 @@ class ResumableRunner:
                     and spec.fallback_targets:
                 outcome, used_engine = self._degrade(
                     journal, spec, backup, pre_accuracy, failures, payloads)
-            # Pool-level degradation (worker deaths, retry exhaustion →
-            # serial evaluation) is value-neutral, so the step itself
-            # succeeded; journal it like an engine fallback so the run's
-            # history shows the reduced parallelism.  Resume stays exact:
-            # re-running the step recomputes identical values whether or
-            # not the pool degrades again.
-            for degradation in take_degradations():
-                journal.append({"record": "degraded", "index": index,
-                                "name": name, "engine": "pool-serial",
-                                **degradation})
-                get_recorder().counter("runtime/pool_degraded", 1,
-                                       operational=True, layer=name,
-                                       reason=degradation.get("reason"))
             if outcome is None:
                 journal.append({"record": "layer_skipped", "index": index,
                                 "name": name, "failures": failures})

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .errors import DivergenceError
 
 __all__ = ["StepBudget", "BudgetExceededError", "StepWatchdog", "watch",
-           "tick", "advance", "consume", "usage", "active"]
+           "tick", "advance", "active"]
 
 
 class BudgetExceededError(DivergenceError):
@@ -100,22 +100,6 @@ class StepWatchdog:
     def tick(self, site: str | None = None) -> None:
         """One cooperative deadline check; raises when over budget."""
         self.evals += 1
-        self._check(site)
-
-    def consume(self, evals: int = 0, stalled: float = 0.0,
-                site: str | None = None) -> None:
-        """Merge usage reported by another process, then check the budget.
-
-        Pool workers inherit this watchdog at fork and tick their own
-        copies; the supervisor calls ``consume`` with each task's eval
-        and virtual-stall deltas so the *parent* budget reflects the
-        whole process tree (see :mod:`repro.runtime.pool`).
-        """
-        self.evals += int(evals)
-        self._stalled += float(stalled)
-        self._check(site)
-
-    def _check(self, site: str | None) -> None:
         budget = self.budget
         if budget.max_evals is not None and self.evals > budget.max_evals:
             raise BudgetExceededError(self.step, site=site,
@@ -163,22 +147,3 @@ def advance(seconds: float) -> None:
     """Advance the armed watchdog's virtual clock (stall injection)."""
     if _ACTIVE is not None:
         _ACTIVE.advance(seconds)
-
-
-def consume(evals: int = 0, stalled: float = 0.0,
-            site: str | None = None) -> None:
-    """Merge cross-process usage into the armed watchdog (no-op unarmed)."""
-    if _ACTIVE is not None:
-        _ACTIVE.consume(evals, stalled, site)
-
-
-def usage() -> tuple[int, float]:
-    """The armed watchdog's ``(evals, stalled_seconds)`` so far.
-
-    Pool workers snapshot this around each task to report per-task
-    deltas back to the supervisor; ``(0, 0.0)`` when no watchdog is
-    armed.
-    """
-    if _ACTIVE is None:
-        return 0, 0.0
-    return _ACTIVE.evals, _ACTIVE._stalled

@@ -29,7 +29,6 @@ class TestBypassBlocks:
             bypassed = resnet_copy(Tensor(x)).data.copy()
         agent = BlockHeadStart.__new__(BlockHeadStart)
         agent.model = resnet_copy
-        agent.droppable = droppable
         keep = agent.keep_mask_by_group(action)
         rebuilt = resnet_copy.with_blocks(keep, rng=np.random.default_rng(0))
         rebuilt.eval()
@@ -80,6 +79,29 @@ class TestBlockHeadStart:
         assert pruned.blocks_per_group == result.blocks_per_group
         assert removed == total_before - sum(pruned.blocks_per_group)
         assert sum(pruned.blocks_per_group) <= total_before
+
+    def test_second_search_reads_the_rebuilt_layout(self, resnet_copy,
+                                                     calibration):
+        agent = BlockHeadStart(resnet_copy, *calibration, quick_config())
+        total_before = agent.total_blocks
+        agent.apply(agent.run(), rng=np.random.default_rng(0))
+        rebuilt = sum(agent.model.blocks_per_group)
+        assert rebuilt < total_before
+        second = agent.run()
+        assert second.keep_action.shape \
+            == (len(agent.model.droppable_blocks()),)
+        removed = agent.apply(second, rng=np.random.default_rng(0))
+        assert removed > 0
+        assert removed == rebuilt - sum(agent.model.blocks_per_group)
+        assert agent.total_blocks == total_before
+
+    def test_mismatched_action_raises(self, resnet_copy, calibration):
+        agent = BlockHeadStart(resnet_copy, *calibration, quick_config())
+        droppable = len(resnet_copy.droppable_blocks())
+        for size in (droppable - 1, droppable + 1):
+            with pytest.raises(ValueError, match=f"{size} entries.*"
+                                                 f"{droppable} droppable"):
+                agent.keep_mask_by_group(np.ones(size))
 
     def test_sparsity_near_block_target(self, resnet_copy, calibration):
         config = quick_config(speedup=2.0, max_iterations=15,

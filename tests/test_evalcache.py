@@ -6,8 +6,8 @@ Three contracts, each enforced here:
    mask with LRU bounds and accurate counters.
 2. :meth:`ReinforceDriver._score` is the one path from masks to
    rewards: whichever evaluator computes the misses (per-mask eager
-   calls, one batch call, a pool's ``map``), rewards, ``reinforce/*``
-   and ``evalcache/*`` counters and cache contents are identical.
+   calls or one batch call), rewards, ``reinforce/*`` and
+   ``evalcache/*`` counters and cache contents are identical.
 3. A cached pruning run is *bit-for-bit* identical to an uncached one
    at the same seed: same journal payloads, same final accuracy, same
    state dict — on the eager and the graph path alike, with the cache
@@ -57,13 +57,22 @@ class CountingReward:
         return self.fn(action)
 
 
+def _memoized(cache, fn, action):
+    """One mask through the driver's lookup-then-insert sequence."""
+    value = cache.lookup(action)
+    if value is None:
+        value = fn(action)
+        cache.insert(action, value)
+    return value
+
+
 class TestEvalCache:
     def test_memoizes_exact_value(self):
         probe = CountingReward(lambda a: float(a.sum()) * 0.3339214)
-        cache = EvalCache(probe, maxsize=8)
+        cache = EvalCache(maxsize=8)
         action = np.array([1.0, 0.0, 1.0])
-        first = cache(action)
-        second = cache(action)
+        first = _memoized(cache, probe, action)
+        second = _memoized(cache, probe, action)
         assert probe.calls == 1
         assert second == first                     # bitwise, not approx
         assert cache.stats() == {"hits": 1, "misses": 1, "evictions": 0,
@@ -71,39 +80,34 @@ class TestEvalCache:
 
     def test_lru_eviction_order(self):
         probe = CountingReward(lambda a: float(a[0]))
-        cache = EvalCache(probe, maxsize=2)
+        cache = EvalCache(maxsize=2)
         a, b, c = (np.eye(3)[i] for i in range(3))
-        cache(a), cache(b)
-        cache(a)                                   # refresh a: b is now LRU
-        cache(c)                                   # evicts b, not a
+        _memoized(cache, probe, a), _memoized(cache, probe, b)
+        _memoized(cache, probe, a)                 # refresh a: b is now LRU
+        _memoized(cache, probe, c)                 # evicts b, not a
         assert mask_key(a) in cache and mask_key(c) in cache
         assert mask_key(b) not in cache
         assert cache.stats()["evictions"] == 1
-        cache(a)
+        _memoized(cache, probe, a)
         assert probe.calls == 3                    # a survived the eviction
 
     def test_zero_maxsize_is_unbounded(self):
-        cache = EvalCache(lambda a: 0.0, maxsize=0)
+        cache = EvalCache(maxsize=0)
         for i in range(64):
-            cache(np.arange(8) == i % 8)
+            _memoized(cache, lambda a: 0.0, np.arange(8) == i % 8)
         assert cache.stats()["evictions"] == 0
         assert len(cache) == 8
 
     def test_counters_reach_recorder(self):
         recorder = Recorder()
-        cache = EvalCache(lambda a: 1.0, maxsize=4, scope="conv1")
+        cache = EvalCache(maxsize=1, scope="conv1")
         with use_recorder(recorder):
-            cache(np.ones(4))
-            cache(np.ones(4))
-        assert recorder.counters["evalcache/misses"] == 1
+            _memoized(cache, lambda a: 1.0, np.ones(4))
+            _memoized(cache, lambda a: 1.0, np.ones(4))
+            _memoized(cache, lambda a: 1.0, np.zeros(4))
+        assert recorder.counters["evalcache/misses"] == 2
         assert recorder.counters["evalcache/hits"] == 1
-
-    def test_clear_resets_entries_not_counters(self):
-        cache = EvalCache(lambda a: 2.0, maxsize=4)
-        cache(np.ones(3))
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats()["misses"] == 1
+        assert recorder.counters["evalcache/evictions"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +211,7 @@ class TestCachedRunBitForBit:
         plain = _pruner(tiny_task, trained_lenet,
                         eval=EvalOptions(cache=False, graph=False))
         tuned = _pruner(tiny_task, trained_lenet,
-                        eval=EvalOptions(cache_size=7, fused=True,
-                                         workers=2))
+                        eval=EvalOptions(cache_size=7, fused=True))
         assert config_digest(plain.fingerprint()) \
             == config_digest(tuned.fingerprint())
         # ... while semantic fields still change it.
@@ -249,33 +252,21 @@ def _count_reward(action):
     return -abs(int(action.sum()) - action.size / 2)
 
 
-class _PoolStandIn:
-    """In-process stand-in for :class:`repro.runtime.pool.EvalPool`."""
-
-    def __init__(self, fns):
-        self.fns = fns
-
-    def map(self, actions, fn="batch"):
-        return [self.fns[fn](action) for action in actions]
-
-
 def _evaluator(kind, fn, seen):
-    """The three evaluator shapes the agents hand the driver."""
+    """The two evaluator shapes the driver accepts."""
     def record(actions):
         seen.append([mask_key(action) for action in actions])
         return actions
 
     if kind == "eager":             # one masked forward per mask
         return lambda actions: [fn(action) for action in record(actions)]
-    if kind == "batch":             # one call scoring the whole list
-        return lambda actions: list(np.array(
-            [fn(action) for action in record(actions)]))
-    pool = _PoolStandIn({"batch": fn})
-    return lambda actions: pool.map(record(actions), fn="batch")
+    # one call scoring the whole list
+    return lambda actions: list(np.array(
+        [fn(action) for action in record(actions)]))
 
 
 class TestScorer:
-    @pytest.mark.parametrize("kind", ["eager", "batch", "pool"])
+    @pytest.mark.parametrize("kind", ["eager", "batch"])
     def test_evaluators_score_identically(self, kind):
         def reward(action):
             # Distinct per mask, so a mis-merged reward would show.

@@ -256,7 +256,7 @@ class TestEvalOptions:
         with pytest.raises(ValueError):
             EvalOptions(graph=False, fused=True)       # fused needs graph
         with pytest.raises(ValueError):
-            EvalOptions(workers=-1)
+            EvalOptions(cache_size=-1)
         assert EvalOptions(fused=True).mode == "graph"
         assert EvalOptions().mode == "graph"
         assert EvalOptions(graph=False).mode == "dense"
@@ -266,8 +266,9 @@ class TestEvalOptions:
         from repro.core.config import resume_relevant
 
         new = HeadStartConfig(speedup=2.0, seed=5,
-                              eval=EvalOptions(cache=False, workers=4))
-        # A config journaled before the eval block: flat knob names.
+                              eval=EvalOptions(cache=False))
+        # A config journaled before the eval block: flat knob names,
+        # including those of the retired evaluation pool.
         old = dataclasses.asdict(new)
         del old["eval"]
         old.update(eval_cache=False, cache_size=256, compressed_eval=False,
@@ -309,9 +310,9 @@ class TestCliEvalFlags:
 
     def test_eval_mode_graph_with_perf_knobs(self):
         options = self._parse(["--eval-mode", "graph", "--eval-fused",
-                               "--eval-workers", "2"])
+                               "--eval-cache-size", "7"])
         assert options.graph and options.fused
-        assert options.workers == 2
+        assert options.cache_size == 7
 
     def test_defaults_come_from_eval_options(self):
         from repro.core import EvalOptions

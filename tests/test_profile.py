@@ -178,6 +178,30 @@ class TestNaming:
         assert copy_rec.aggregate()["ops"].keys() == \
             rec.aggregate()["ops"].keys()
 
+    def test_policy_network_ops_are_named_policy(self):
+        # A search's policy-network ops must not share repr-named rows
+        # (its two 8->8 convolutions would) or mix with the model's.
+        from repro.core import HeadStartConfig, LayerAgent
+
+        model = build_model("lenet", num_classes=4, input_size=12)
+        rng = np.random.default_rng(0)
+        images = rng.normal(size=(8, 3, 12, 12)).astype(np.float32)
+        labels = np.arange(8) % 4
+        config = HeadStartConfig(speedup=2.0, max_iterations=2,
+                                 min_iterations=1, patience=1,
+                                 eval_batch=8, mc_samples=2, seed=0)
+        rec = obs.Recorder()
+        with obs.use_recorder(rec), obs.ModuleProfiler():
+            obs.label_modules(model)
+            LayerAgent(model, model.prune_units()[0], images, labels,
+                       config).run()
+        names = set(rec.aggregate()["ops"])
+        model_labels = {name for name, _ in model.named_modules()}
+        assert {"policy.body.0", "policy.body.2", "policy.body.4",
+                "policy.body.7"} <= names
+        assert all(name in model_labels or name.startswith("policy.")
+                   for name in names), names
+
     def test_unlabelled_modules_fall_back_to_repr(self):
         model = build_model("lenet", num_classes=4, input_size=12)
         rec = obs.Recorder()

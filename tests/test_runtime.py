@@ -1,6 +1,10 @@
 """Unit tests for the fault-tolerant runtime building blocks."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +124,19 @@ class TestFaultPlan:
                 assert faults.corrupt("s", 1.0) == 1.0
             assert np.isnan(faults.corrupt("s", 1.0))
         assert faults.active_plan() is None
+
+
+class TestImportFootprint:
+    def test_import_starts_no_multiprocessing(self):
+        # Rewards are evaluated in process: importing the package or the
+        # harness must not load multiprocessing (or its shared memory).
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = ("import sys, repro, repro.runtime.harness; "
+                 "print('multiprocessing' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
 
 
 class TestGuards:
