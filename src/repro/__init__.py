@@ -5,7 +5,7 @@ networks, rebuilt from scratch on a numpy substrate:
 
 * :mod:`repro.nn`       — autograd + NN framework (PyTorch stand-in)
 * :mod:`repro.data`     — synthetic CIFAR-100 / CUB-200 stand-ins
-* :mod:`repro.models`   — VGG, ResNet, LeNet, AlexNet, GoogLeNet, MobileNet
+* :mod:`repro.models`   — VGG, ResNet, LeNet, AlexNet
 * :mod:`repro.pruning`  — surgery, accounting, metric baselines
 * :mod:`repro.core`     — the HeadStart RL pruner itself
 * :mod:`repro.gpusim`   — analytical GPGPU/CPU latency model

@@ -249,7 +249,7 @@ def _cmd_prune(args) -> int:
     if args.mode == "block":
         if not hasattr(model, "droppable_blocks"):
             print("block mode requires a model with droppable blocks "
-                  "(resnet*, googlenet, mobilenet)", file=sys.stderr)
+                  "(resnet*)", file=sys.stderr)
             return 2
         engine = BlockHeadStart(model, task.train.images, task.train.labels,
                                 config)

@@ -45,9 +45,7 @@ class AgentResult:
     """Outcome of training one layer's head-start network.
 
     ``keep_mask`` is the learnt inception; the histories expose the
-    RL dynamics for the ablation benchmarks.  ``cache_stats`` is the
-    reward-memoization summary when the eval cache was enabled
-    (``None`` otherwise) — runtime telemetry only, never journaled.
+    RL dynamics for the ablation benchmarks.
     """
 
     keep_mask: np.ndarray
@@ -56,7 +54,6 @@ class AgentResult:
     reward_history: list[float] = field(default_factory=list)
     loss_history: list[float] = field(default_factory=list)
     inception_accuracy: float = float("nan")
-    cache_stats: dict | None = None
 
     @property
     def kept_maps(self) -> int:
@@ -119,9 +116,7 @@ class LayerAgent:
         try:
             executor = graph_compile(self.model, Tensor(self.images[:1]),
                                      fuse=self.config.eval.fused)
-            executor.set_mask_unit(
-                self.unit.conv, self.unit.bn,
-                tied=[(tie.conv, tie.bn) for tie in self.unit.tied])
+            executor.set_mask_unit(self.unit.conv, self.unit.bn)
         except GraphTraceError as error:
             rec.counter("graph/fallbacks", 1, operational=True,
                         layer=self.unit.name, reason=str(error))
@@ -213,9 +208,7 @@ class LayerAgent:
         inception_accuracy = measured.get(mask_key(keep_mask))
         if inception_accuracy is None:     # no iteration ran
             inception_accuracy = self._accuracies([keep_mask])[0]
-        cache_stats = None
         if cache is not None:
-            cache_stats = cache.stats()
             get_recorder().gauge("evalcache/hit_rate", cache.hit_rate,
                                  layer=self.unit.name)
         if self._graph is not None:
@@ -227,5 +220,4 @@ class LayerAgent:
             iterations=outcome.iterations,
             reward_history=outcome.reward_history,
             loss_history=outcome.loss_history,
-            inception_accuracy=inception_accuracy,
-            cache_stats=cache_stats)
+            inception_accuracy=inception_accuracy)

@@ -124,7 +124,7 @@ class EvalCache:
         return self.hits / self.requests if self.requests else 0.0
 
     def stats(self) -> dict:
-        """Counters snapshot (jsonable; what the bench harness records)."""
+        """Counters snapshot as a JSON-serialisable dict."""
         return {"hits": self.hits, "misses": self.misses,
                 "evictions": self.evictions, "size": len(self._store),
                 "maxsize": self.maxsize, "hit_rate": self.hit_rate}

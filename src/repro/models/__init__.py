@@ -1,9 +1,7 @@
 """``repro.models`` — the DCNN architectures evaluated in the paper."""
 
 from .alexnet import AlexNet, alexnet
-from .googlenet import GoogLeNet, InceptionBlock, googlenet
 from .lenet import LeNet, lenet
-from .mobilenet import DepthwiseSeparable, MobileNet, mobilenet
 from .registry import MODEL_BUILDERS, available_models, build_model
 from .resnet import BasicBlock, ResNet, resnet20, resnet56, resnet110
 from .vgg import VGG, VGG_PLANS, vgg11, vgg16
@@ -12,7 +10,5 @@ __all__ = [
     "VGG", "VGG_PLANS", "vgg11", "vgg16",
     "ResNet", "BasicBlock", "resnet20", "resnet56", "resnet110",
     "LeNet", "lenet", "AlexNet", "alexnet",
-    "GoogLeNet", "InceptionBlock", "googlenet",
-    "MobileNet", "DepthwiseSeparable", "mobilenet",
     "MODEL_BUILDERS", "build_model", "available_models",
 ]

@@ -13,9 +13,7 @@ import numpy as np
 
 from ..nn.modules import Module
 from .alexnet import AlexNet
-from .googlenet import GoogLeNet
 from .lenet import LeNet
-from .mobilenet import MobileNet
 from .resnet import ResNet
 from .vgg import VGG
 
@@ -51,22 +49,6 @@ def _build_alexnet(num_classes: int, input_size: int, width_multiplier: float,
                    width_multiplier=width_multiplier, rng=rng)
 
 
-def _build_googlenet(num_classes: int, input_size: int,
-                     width_multiplier: float,
-                     rng: np.random.Generator) -> Module:
-    del input_size  # GoogLeNet adapts via global average pooling.
-    return GoogLeNet(num_classes=num_classes,
-                     width_multiplier=width_multiplier, rng=rng)
-
-
-def _build_mobilenet(num_classes: int, input_size: int,
-                     width_multiplier: float,
-                     rng: np.random.Generator) -> Module:
-    del input_size  # MobileNet adapts via global average pooling.
-    return MobileNet(num_classes=num_classes,
-                     width_multiplier=width_multiplier, rng=rng)
-
-
 MODEL_BUILDERS: dict[str, Callable[..., Module]] = {
     "vgg11": _build_vgg("vgg11"),
     "vgg13": _build_vgg("vgg13"),
@@ -78,8 +60,6 @@ MODEL_BUILDERS: dict[str, Callable[..., Module]] = {
     "resnet110": _build_resnet((18, 18, 18)),
     "lenet": _build_lenet,
     "alexnet": _build_alexnet,
-    "googlenet": _build_googlenet,
-    "mobilenet": _build_mobilenet,
 }
 
 

@@ -15,11 +15,11 @@ from .modules import (AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten,
                       GlobalAvgPool2d, Identity, Linear, MaxPool2d, Module,
                       Parameter, ReLU, Sequential, Sigmoid, Tanh)
 from .numeric import NonFiniteError, any_nonfinite
-from .tensor import Tensor, as_tensor, concat, is_grad_enabled, no_grad
+from .tensor import Tensor, as_tensor, is_grad_enabled, no_grad
 
 __all__ = [
     "functional", "init", "optim",
-    "Tensor", "as_tensor", "concat", "no_grad", "is_grad_enabled",
+    "Tensor", "as_tensor", "no_grad", "is_grad_enabled",
     "Module", "Parameter", "Conv2d", "Linear", "BatchNorm2d", "ReLU",
     "Sigmoid", "Tanh", "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d",
     "Flatten", "Dropout", "Identity", "Sequential",

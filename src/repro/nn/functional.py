@@ -9,7 +9,7 @@ memory layout, as the primitive chain it replaced, so its outputs and
 gradients equal that chain's bit for bit (``docs/PERFORMANCE.md``,
 "BatchNorm").
 
-Dense convolution is lowered to one GEMM over an im2col patch matrix:
+Convolution is lowered to one GEMM over an im2col patch matrix:
 :func:`im2col` gathers it from the zero-padded input with a memoized
 index (:func:`patch_index`), and :func:`col2im` folds patch gradients
 back in a fixed accumulation order.  The patch matrix is a pure copy,
@@ -37,7 +37,6 @@ from .tensor import Tensor, as_tensor, is_grad_enabled
 
 __all__ = [
     "patch_index", "im2col", "col2im", "conv2d",
-    "conv2d_depthwise", "depthwise_windows",
     "linear", "check_max_pool_padding", "first_max_pool2d", "max_pool2d",
     "avg_pool2d",
     "global_avg_pool2d", "batch_norm2d",
@@ -152,66 +151,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         if x.requires_grad:
             dcols = g_mat @ w_mat
             x._accumulate(col2im(dcols, x.shape, (kh, kw), stride, padding))
-
-    return Tensor._make(out, parents, backward)
-
-
-def depthwise_windows(x: np.ndarray, kernel: int, stride: int,
-                      pad: int) -> np.ndarray:
-    """Sliding ``(N, C, oh, ow, kh, kw)`` windows of a zero-padded input.
-
-    Shared by the eager depthwise forward and the graph executor's
-    depthwise kernel so both reduce over the same elements in the same
-    order (their outputs are asserted bit-for-bit identical).
-    """
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    return sliding_window_view(x, (kernel, kernel),
-                               axis=(2, 3))[:, :, ::stride, ::stride]
-
-
-def conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-                     stride: int = 1, padding: int = 0) -> Tensor:
-    """Depthwise 2-D convolution: one filter per input channel.
-
-    ``weight`` has shape (channels, 1, k, k); output channel ``c`` is
-    the correlation of input channel ``c`` with its own filter — the
-    ``groups == in_channels == out_channels`` case of grouped
-    convolution, which is all depthwise-separable stacks need.
-    """
-    x = as_tensor(x)
-    weight = as_tensor(weight)
-    n, c, h, w = x.shape
-    f, per_group, kh, kw = weight.shape
-    if f != c or per_group != 1 or kh != kw:
-        raise ValueError(
-            f"depthwise conv2d needs weight shape ({c}, 1, k, k); "
-            f"got {tuple(weight.shape)}")
-    windows = depthwise_windows(x.data, kh, stride, padding)
-    out = np.einsum("nchwij,cij->nchw", windows, weight.data[:, 0])
-    if bias is not None:
-        out = out + bias.data.reshape(1, -1, 1, 1)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(g: np.ndarray) -> None:
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2, 3)))
-        if weight.requires_grad:
-            gw = np.einsum("nchw,nchwij->cij", g, windows)
-            weight._accumulate(gw[:, None])
-        if x.requires_grad:
-            oh, ow = g.shape[2:]
-            hp, wp = h + 2 * padding, w + 2 * padding
-            dxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i:i + stride * oh:stride,
-                        j:j + stride * ow:stride] += \
-                        g * weight.data[:, 0, i, j][None, :, None, None]
-            if padding:
-                dxp = dxp[:, :, padding:hp - padding, padding:wp - padding]
-            x._accumulate(dxp)
 
     return Tensor._make(out, parents, backward)
 

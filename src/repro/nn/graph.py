@@ -49,8 +49,7 @@ import time
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .functional import (batch_norm2d_eval, depthwise_windows,
-                         first_max_pool2d, patch_index)
+from .functional import batch_norm2d_eval, first_max_pool2d, patch_index
 from .modules import (AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten,
                       GlobalAvgPool2d, Identity, Linear, MaxPool2d, Module,
                       ReLU, Sigmoid, Tanh)
@@ -96,8 +95,8 @@ class _Arena:
 
     def put(self, array: np.ndarray) -> None:
         # Kernels assume buffers from ``get`` are C-contiguous; arrays
-        # with another base layout (np.concatenate outputs tracking
-        # channels-last inputs) are simply dropped to the allocator.
+        # with another base layout (ufunc outputs tracking channels-last
+        # inputs) are simply dropped to the allocator.
         if not array.flags.c_contiguous:
             return
         self._free.setdefault((array.shape, array.dtype), []).append(array)
@@ -231,26 +230,6 @@ def _traced_unary(original, kind):
     return method
 
 
-def _traced_cat(original):
-    def cat(tensors, axis: int = 0):
-        tracer = _TRACE
-        if tracer is None or tracer.suspended:
-            return original(tensors, axis=axis)
-        vids = [tracer.vid_of(t) for t in tensors]
-        if any(vid is None for vid in vids):
-            return original(tensors, axis=axis)
-        if axis != 1:
-            raise GraphTraceError(
-                f"only channel (axis=1) concatenation is traceable, "
-                f"got axis={axis}")
-        with _suspend_trace():
-            out = original(tensors, axis=axis)
-        tracer.record("cat", None, vids, out)
-        return out
-    cat._repro_tracer = True
-    return cat
-
-
 def _trace(model: Module, example: Tensor) -> tuple[_Tracer, int, int]:
     """Run one eval forward under the hooks; return (tracer, in, out)."""
     global _TRACE
@@ -260,7 +239,6 @@ def _trace(model: Module, example: Tensor) -> tuple[_Tracer, int, int]:
     saved_forwards = {cls: cls.forward for cls in _LEAF_KINDS}
     saved_add = Tensor.__add__
     saved_relu = Tensor.relu
-    saved_cat = Tensor.__dict__["cat"]   # the staticmethod object itself
     was_training = model.training
     _TRACE = tracer
     try:
@@ -268,7 +246,6 @@ def _trace(model: Module, example: Tensor) -> tuple[_Tracer, int, int]:
             cls.forward = _traced_module_forward(saved_forwards[cls], kind)
         Tensor.__add__ = _traced_binary(saved_add, "add")
         Tensor.relu = _traced_unary(saved_relu, "relu")
-        Tensor.cat = staticmethod(_traced_cat(saved_cat.__func__))
         model.eval()
         input_vid = tracer.register(example)
         with no_grad():
@@ -283,7 +260,6 @@ def _trace(model: Module, example: Tensor) -> tuple[_Tracer, int, int]:
             cls.forward = forward
         Tensor.__add__ = saved_add
         Tensor.relu = saved_relu
-        Tensor.cat = saved_cat
         model.train(was_training)
     return tracer, input_vid, output_vid
 
@@ -332,10 +308,6 @@ def _fuse(nodes: list[_Node], input_vid: int, output_vid: int,
         vin = node.inputs[0]
         j = producer.get(vin)
         if j is None or nodes[j].kind != "conv" or j in removed:
-            continue
-        if getattr(nodes[j].module, "groups", 1) != 1:
-            # The im2col fold below assumes a dense filter bank; a
-            # depthwise conv's BN stays a separate node.
             continue
         if consumers.get(vin, []) != [i] or vin == output_vid:
             continue
@@ -407,7 +379,6 @@ class GraphExecutor:
         self._deferred_release: list[np.ndarray] = []
         # Mask split state (set_mask_unit)
         self._mask_vid: int | None = None
-        self._rezero_vids: list[int] = []
         self._prefix: list[_Node] = []
         self._suffix: list[_Node] = []
         self._boundary: list[int] = []
@@ -477,8 +448,6 @@ class GraphExecutor:
 
     def _run_conv(self, node: _Node, x: np.ndarray):
         conv = node.module
-        if getattr(conv, "groups", 1) != 1:
-            return self._run_conv_depthwise(node, x)
         arena = self._arena
         n, c, h, w, k, s, p, oh, ow = _conv_geometry(conv, x)
         if p:
@@ -525,22 +494,6 @@ class GraphExecutor:
             np.maximum(acc, 0.0, out=acc)
         out = acc.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
         return out, acc
-
-    def _run_conv_depthwise(self, node: _Node, x: np.ndarray):
-        # Same windows helper and einsum as the eager
-        # :func:`repro.nn.functional.conv2d_depthwise`, so the reduction
-        # visits the same elements in the same order (bit-exact).  BN is
-        # never folded into a depthwise conv (see :func:`_fuse`).
-        conv = node.module
-        windows = depthwise_windows(x, conv.kernel_size, conv.stride,
-                                    conv.padding)
-        out = np.einsum("nchwij,cij->nchw", windows,
-                        conv.weight.data[:, 0])
-        if conv.bias is not None:
-            out = out + conv.bias.data.reshape(1, -1, 1, 1)
-        if node.fused_relu:          # fuse=True only; approximate mode
-            np.maximum(out, 0, out=out)
-        return out, out
 
     def _run_linear(self, node: _Node, x: np.ndarray):
         layer = node.module
@@ -635,22 +588,11 @@ class GraphExecutor:
         np.add(a, b, out=buf)
         return buf, base
 
-    def _run_cat(self, node: _Node, *args: np.ndarray):
-        # Channel concatenation (the tracer only records axis=1).  The
-        # copies are exact either way, but ``np.concatenate`` picks the
-        # output's *memory order* from its operands (channels-last when
-        # the branches are conv/relu outputs), and downstream reductions
-        # (global average pooling) sum pairwise in that order — so the
-        # eager op itself is the only bit-exact allocator here.  Cat
-        # outputs therefore bypass the arena.
-        out = np.concatenate(args, axis=1)
-        return out, out
-
     _KERNELS = {
         "conv": _run_conv, "linear": _run_linear, "bn": _run_bn,
         "relu": _run_relu, "sigmoid": _run_sigmoid, "tanh": _run_tanh,
         "maxpool": _run_maxpool, "avgpool": _run_avgpool, "gap": _run_gap,
-        "flatten": _run_flatten, "add": _run_add, "cat": _run_cat,
+        "flatten": _run_flatten, "add": _run_add,
     }
 
     _PROFILED = {"conv": "Conv2d", "linear": "Linear", "bn": "BatchNorm2d"}
@@ -658,9 +600,7 @@ class GraphExecutor:
     # -- execution engine ----------------------------------------------------
     def _execute(self, nodes: list[_Node], template: dict[int, int],
                  seeds: dict[int, np.ndarray], want: tuple[int, ...],
-                 keep: tuple[int, ...] = (),
-                 patches: dict[int, object] | None = None
-                 ) -> dict[int, np.ndarray]:
+                 keep: tuple[int, ...] = ()) -> dict[int, np.ndarray]:
         """Run ``nodes`` over ``seeds``; return the ``want`` + ``keep`` values.
 
         Arena buffers are recycled once their last consumer has run.
@@ -668,11 +608,6 @@ class GraphExecutor:
         arena for this call; ``keep`` transfers ownership to the caller
         permanently (prefix caching), ``want`` storages are re-armed for
         recycling at the start of the next call.
-
-        ``patches`` maps a value id to a callable applied to the value
-        right after its producing node runs (masked evaluation uses this
-        to re-zero dropped channels behind tied depthwise layers, whose
-        live weights would otherwise re-populate them).
         """
         from ..obs.profile import profiler_active, record_graph_op
 
@@ -702,8 +637,6 @@ class GraphExecutor:
                                 time.perf_counter() - start)
             else:
                 out, base = kernel(self, node, *args)
-            if patches is not None and node.out in patches:
-                patches[node.out](out)
             values[node.out] = out
             if base is None:            # view of the (sole) input's storage
                 base = backing.get(node.inputs[0])
@@ -768,22 +701,14 @@ class GraphExecutor:
         return correct / max(len(labels), 1)
 
     # -- mask splitting ----------------------------------------------------
-    def set_mask_unit(self, conv: Conv2d, bn: BatchNorm2d | None = None,
-                      tied=()) -> None:
+    def set_mask_unit(self, conv: Conv2d,
+                      bn: BatchNorm2d | None = None) -> None:
         """Split the graph at a prunable unit's (post-BN) output.
 
         Subsequent :meth:`masked_accuracy` / :meth:`masked_logits` calls
         compute the prefix once per calibration slice and re-run only
         the suffix per candidate mask, zeroing dropped channels at the
         split — bitwise equivalent to the dense masked forward.
-
-        ``tied`` lists ``(conv, bn_or_None)`` pairs for depthwise layers
-        riding on the unit's channels (see
-        :class:`repro.pruning.units.DepthwiseTie`).  The eager masked
-        forward zeroes their bias / batch-norm parameters so dropped
-        channels stay exactly zero through them; the executor reads live
-        weights, so it re-zeroes the dropped channels of each tied
-        layer's (post-BN) output instead — same ``+0.0``, bit-for-bit.
         """
         vid = None
         for module in (bn, conv):
@@ -793,18 +718,6 @@ class GraphExecutor:
         if vid is None:
             raise GraphTraceError(
                 "mask unit's conv/bn was not traced into this graph")
-        rezero = []
-        for tie_conv, tie_bn in tied:
-            tie_vid = None
-            for module in (tie_bn, tie_conv):
-                if module is not None and id(module) in self._module_vid:
-                    tie_vid = self._module_vid[id(module)]
-                    break
-            if tie_vid is None:
-                raise GraphTraceError(
-                    "mask unit's tied depthwise layer was not traced "
-                    "into this graph")
-            rezero.append(tie_vid)
         split = self._producer[vid]
         self._mask_vid = vid
         self._prefix = self.nodes[:split + 1]
@@ -819,13 +732,6 @@ class GraphExecutor:
         if vid not in boundary:
             raise GraphTraceError("mask unit's output has no consumers "
                                   "in the traced graph suffix")
-        suffix_produced = {node.out for node in self._suffix}
-        for tie_vid in rezero:
-            if tie_vid not in suffix_produced:
-                raise GraphTraceError(
-                    "mask unit's tied depthwise layer runs before the "
-                    "unit itself in the traced graph")
-        self._rezero_vids = rezero
         self._boundary = boundary
         self._prefix_pending = self._pending_template(self._prefix)
         self._suffix_pending = self._pending_template(self._suffix)
@@ -861,7 +767,6 @@ class GraphExecutor:
         for mask in masks:
             drop = np.flatnonzero(~np.asarray(mask, dtype=bool))
             seeds = dict(bvals)
-            patches = None
             if drop.size:
                 # The clone keeps the boundary value's memory order so
                 # downstream reductions sum exactly like the dense pass.
@@ -870,13 +775,8 @@ class GraphExecutor:
                 np.copyto(clone, masked_ref)
                 clone[:, drop] = 0.0
                 seeds[self._mask_vid] = clone
-                if self._rezero_vids:
-                    def rezero(arr, d=drop):
-                        arr[:, d] = 0.0
-                    patches = {vid: rezero for vid in self._rezero_vids}
             result = self._execute(self._suffix, self._suffix_pending,
-                                   seeds, (self._output_vid,),
-                                   patches=patches)
+                                   seeds, (self._output_vid,))
             if drop.size:
                 self._arena.put(clone_base)
             yield result[self._output_vid]

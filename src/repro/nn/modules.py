@@ -183,37 +183,26 @@ class Conv2d(Module):
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, padding: int = 0, bias: bool = True,
-                 groups: int = 1, rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         super().__init__()
         rng = rng or np.random.default_rng()
-        if groups != 1 and not (groups == in_channels == out_channels):
-            raise ValueError(
-                "groups must be 1 (dense) or equal to both channel counts "
-                f"(depthwise); got groups={groups} for "
-                f"{in_channels}->{out_channels}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        self.groups = groups
-        shape = (out_channels, in_channels // groups, kernel_size, kernel_size)
+        shape = (out_channels, in_channels, kernel_size, kernel_size)
         self.weight = Parameter(init.kaiming_normal(shape, rng))
         self.bias = Parameter(init.zeros((out_channels,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.groups != 1:
-            return F.conv2d_depthwise(x, self.weight, self.bias,
-                                      stride=self.stride,
-                                      padding=self.padding)
         return F.conv2d(x, self.weight, self.bias,
                         stride=self.stride, padding=self.padding)
 
     def __repr__(self) -> str:
-        groups = f", g={self.groups}" if self.groups != 1 else ""
         return (f"Conv2d({self.in_channels}, {self.out_channels}, "
                 f"k={self.kernel_size}, s={self.stride}, "
-                f"p={self.padding}{groups})")
+                f"p={self.padding})")
 
 
 class Linear(Module):

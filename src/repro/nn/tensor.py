@@ -136,17 +136,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    @staticmethod
-    def cat(tensors, axis: int = 0) -> "Tensor":
-        """Concatenate tensors along ``axis``.
-
-        A staticmethod alias of :func:`concat` kept on the class so the
-        static-graph tracer can hook concatenation at the class level:
-        model forwards call ``Tensor.cat(...)`` and pick up the active
-        hook at call time.
-        """
-        return concat(tensors, axis=axis)
-
     # ------------------------------------------------------------------
     # Graph construction
     # ------------------------------------------------------------------
@@ -475,23 +464,6 @@ class Tensor:
 def as_tensor(value) -> Tensor:
     """Coerce ``value`` to a :class:`Tensor` (constants stay constant)."""
     return value if isinstance(value, Tensor) else Tensor(np.asarray(value))
-
-
-def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient support."""
-    tensors = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g: np.ndarray) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if tensor.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(start, stop)
-                tensor._accumulate(g[tuple(index)])
-
-    return Tensor._make(data, tuple(tensors), backward)
 
 
 def creator_closures(root: Tensor,

@@ -77,8 +77,7 @@ def layer_cost(module: Module, in_shape: tuple[int, ...],
     if isinstance(module, Conv2d):
         params = module.weight.size + (module.bias.size if module.bias is not None else 0)
         _, _, oh, ow = out_shape
-        macs = module.out_channels \
-            * (module.in_channels // getattr(module, "groups", 1)) \
+        macs = module.out_channels * module.in_channels \
             * module.kernel_size ** 2 * oh * ow
         return params, macs
     if isinstance(module, Linear):

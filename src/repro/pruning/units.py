@@ -14,23 +14,9 @@ A :class:`ConvUnit` records exactly these references for one prunable
 convolution.  Models expose an ordered list of units via their
 ``prune_units()`` method; :mod:`repro.pruning.surgery` then performs the
 actual tensor surgery without knowing anything else about the topology.
-
-Two couplings extend the straight-line picture to branchy networks:
-
-* **Concat.**  When several branch units feed one consumer through a
-  channel concatenation (Inception blocks), each consumer sees the
-  *union* of the branches' channels.  The branches share one
-  :class:`ConcatLayout` describing the ordered branch widths; each
-  branch's :class:`Consumer` carries the layout plus its ``slot``, so
-  surgery can slice exactly that branch's window out of the consumer's
-  input dimension.  The layout is mutable shared state: pruning one
-  branch shrinks its slot, which shifts every later branch's offset —
-  all consumers read offsets from the same live object.
-* **Depthwise.**  A depthwise convolution (``groups == channels``) has
-  one filter per input channel, so pruning its input prunes the filter
-  one-for-one.  The producing unit lists the depthwise conv (and its
-  batch norm) as a :class:`DepthwiseTie`; surgery shrinks them in rows
-  while the following pointwise convolution is an ordinary consumer.
+Each consumer sees the unit's feature maps alone: its input channels
+(or, for a linear layer, its blocks of ``spatial`` features) are
+exactly the unit's maps, in order.
 """
 
 from __future__ import annotations
@@ -39,47 +25,7 @@ from dataclasses import dataclass, field
 
 from ..nn.modules import BatchNorm2d, Conv2d, Linear
 
-__all__ = ["ConcatLayout", "Consumer", "ConvUnit", "DepthwiseTie"]
-
-
-@dataclass
-class ConcatLayout:
-    """Channel layout of a concatenation along the channel axis.
-
-    ``widths[i]`` is the current output width of the branch occupying
-    slot ``i``; the concat output stacks the slots in order.  The same
-    instance is shared by every unit feeding the concat and by every
-    consumer reading from it, so a branch's surgery updates the offsets
-    everyone else sees.
-    """
-
-    widths: list[int]
-
-    def offset(self, slot: int) -> int:
-        """First channel index of ``slot`` in the concatenated output."""
-        return sum(self.widths[:slot])
-
-    @property
-    def total(self) -> int:
-        """Total channel count of the concatenated output."""
-        return sum(self.widths)
-
-    def shrink(self, slot: int, new_width: int) -> None:
-        self.widths[slot] = new_width
-
-
-@dataclass
-class DepthwiseTie:
-    """A depthwise conv (+ batch norm) tied to the producer's channels.
-
-    The depthwise filter bank has exactly one ``(1, k, k)`` filter per
-    input channel, so the producing unit's mask indexes it directly:
-    pruning producer channel ``c`` removes depthwise filter ``c`` (and
-    the batch norm statistics behind it).
-    """
-
-    conv: Conv2d
-    bn: BatchNorm2d | None = None
+__all__ = ["Consumer", "ConvUnit"]
 
 
 @dataclass
@@ -89,19 +35,10 @@ class Consumer:
     ``spatial`` is the number of flattened positions per channel at the
     consumer's input — 1 for a convolution, ``H*W`` for a linear layer
     fed by a flatten.
-
-    ``layout``/``slot`` mark a consumer fed through a channel
-    concatenation: the unit's maps occupy the half-open channel window
-    ``[layout.offset(slot), layout.offset(slot) + width)`` of the
-    consumer's input, and surgery must slice only that window.  Both
-    are ``None`` for a straight-line consumer that sees the unit's maps
-    alone.
     """
 
     module: Conv2d | Linear
     spatial: int = 1
-    layout: ConcatLayout | None = None
-    slot: int | None = None
 
 
 @dataclass
@@ -118,10 +55,6 @@ class ConvUnit:
         Optional batch norm normalising the unit's output.
     consumers:
         Downstream layers whose input slices must be removed in sync.
-    tied:
-        Depthwise convolutions riding on the unit's channels: their
-        filters are indexed one-for-one by the unit's mask (see
-        :class:`DepthwiseTie`).
     min_keep:
         Lower bound on surviving maps (at least 1 to keep the network
         connected).
@@ -131,7 +64,6 @@ class ConvUnit:
     conv: Conv2d
     bn: BatchNorm2d | None = None
     consumers: list[Consumer] = field(default_factory=list)
-    tied: list[DepthwiseTie] = field(default_factory=list)
     min_keep: int = 1
 
     @property

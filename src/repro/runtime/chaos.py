@@ -54,12 +54,8 @@ __all__ = ["ENGINE_KINDS", "run_chaos", "main"]
 #: phases run under ``--eval-mode graph`` (unfused): a crash under graph
 #: eval must resume to the dense baseline's exact journal, accuracy and
 #: weights, which is the executor's bit-exactness contract under fire.
-#: The ``headstart-googlenet`` column reruns the plain HeadStart
-#: scenario on a multi-branch (Inception) model whose concat-coupled
-#: units exercise the shared ConcatLayout bookkeeping through
-#: kill/resume.
 ENGINE_KINDS = ("headstart", "headstart-cached", "headstart-graph",
-                "headstart-googlenet", "block", "amc", "li17")
+                "block", "amc", "li17")
 
 
 def _make_task(seed: int):
@@ -82,8 +78,7 @@ def _make_runner(kind: str, task, seed: int,
                         HeadStartPruner)
     from ..pruning import build_engine
 
-    model_name = {"block": "resnet20",
-                  "headstart-googlenet": "googlenet"}.get(kind, "lenet")
+    model_name = "resnet20" if kind == "block" else "lenet"
     model = build_model(model_name, num_classes=4, input_size=12,
                         width_multiplier=0.25,
                         rng=np.random.default_rng(seed))

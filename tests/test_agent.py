@@ -147,8 +147,8 @@ def _recorded_run(agent, **kwargs):
     return result, recorder.counters
 
 
-#: A plain, a residual and a concat-coupled model.
-_SCORING_MODELS = (("vgg11", 0.125), ("resnet20", 0.25), ("googlenet", 0.25))
+#: A plain and a residual model.
+_SCORING_MODELS = (("vgg11", 0.125), ("resnet20", 0.25))
 
 
 @pytest.fixture(scope="module", params=_SCORING_MODELS,

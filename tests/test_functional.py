@@ -651,7 +651,7 @@ class TestMaxPoolModelsMatchReference:
     """Training and eval through every pooling model, walk vs window copy."""
 
     def test_every_pooling_family_is_covered(self):
-        assert {"lenet", "alexnet", "vgg11", "googlenet"} <= set(POOLING_MODELS)
+        assert {"lenet", "alexnet", "vgg11"} <= set(POOLING_MODELS)
 
     @pytest.mark.parametrize("size", [12, 16])
     @pytest.mark.parametrize("name", POOLING_MODELS)

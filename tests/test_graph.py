@@ -9,8 +9,8 @@ The graph executor's whole contract is *it changes nothing but speed*:
   inputs;
 * masked execution through ``set_mask_unit`` matches the dense
   ``channel_mask`` forward — bitwise unfused, within 1e-8 fused on
-  float64 inputs — including depthwise-tied and concat-branch units,
-  and surgered (physically pruned) models retrace and still match;
+  float64 inputs — and surgered (physically pruned) models retrace and
+  still match;
 * graph eval is the ``EvalOptions`` default, the CLI takes its defaults
   from it, resume digests ignore every eval knob, and an untraceable
   model falls back to the eager path with identical results.
@@ -103,19 +103,15 @@ class TestRegistryEquivalence:
         mask = np.zeros(unit.num_maps, dtype=bool)
         mask[::2] = True
         executor = graph_compile(model, Tensor(images[:1]), fuse=False)
-        executor.set_mask_unit(unit.conv, unit.bn,
-                               tied=[(t.conv, t.bn) for t in unit.tied])
+        executor.set_mask_unit(unit.conv, unit.bn)
         with channel_mask(unit, mask):
             reference = _eager(model, images)
         got = executor.masked_logits(images, [mask])[0]
         assert np.array_equal(got, reference)
 
 
-#: Depth-diverse subset for the heavier masked/surgered scenarios —
-#: including both multi-branch models, so masked scoring is exercised
-#: across a concat boundary (googlenet's last unit is a branch feeding a
-#: shared ConcatLayout) and through a depthwise tie.
-_SUBSET = ("lenet", "vgg11", "resnet20", "googlenet", "mobilenet")
+#: Depth-diverse subset for the heavier masked/surgered scenarios.
+_SUBSET = ("lenet", "vgg11", "resnet20")
 
 
 class TestSignedZeros:
@@ -130,7 +126,7 @@ class TestSignedZeros:
         assert not np.signbit(expected).any()
         assert executor.run(x).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("name", ("lenet", "vgg11", "googlenet"))
+    @pytest.mark.parametrize("name", ("lenet", "vgg11"))
     def test_model_pools_on_relu_ties(self, monkeypatch, name):
         # Each pool of the model on its own input, a ReLU output whose
         # negatives became -0.0, with +0.0 planted at the zeros of even
@@ -204,11 +200,7 @@ class TestMaskedScenarios:
                             **_GEOMETRY)
         model.eval()
         _randomize_batchnorms(model, rng)
-        # A depthwise-tied unit when the model has one (mobilenet: the
-        # suffix must rezero the tied layer's dropped rows), else the
-        # last unit (googlenet: a branch unit scored across its concat).
-        units = model.prune_units()
-        unit = next((u for u in units if u.tied), units[-1])
+        unit = model.prune_units()[-1]
         masks = []
         for _ in range(3):
             mask = rng.random(unit.num_maps) > 0.4
@@ -218,8 +210,7 @@ class TestMaskedScenarios:
         if fuse:            # isolate fusion arithmetic from float32 input
             images = images.astype(np.float64)
         executor = graph_compile(model, Tensor(images[:1]), fuse=fuse)
-        executor.set_mask_unit(unit.conv, unit.bn,
-                               tied=[(t.conv, t.bn) for t in unit.tied])
+        executor.set_mask_unit(unit.conv, unit.bn)
         scored = executor.masked_logits(images, masks)
         for mask, logits in zip(masks, scored):
             with channel_mask(unit, mask):

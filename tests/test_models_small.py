@@ -70,9 +70,11 @@ class TestRegistry:
                 out = model(Tensor(np.zeros((1, 3, 16, 16), dtype=np.float32)))
             assert out.shape == (1, 4), name
 
-    def test_unknown_model_raises(self):
+    @pytest.mark.parametrize("name", ["vggnet-9000", "googlenet",
+                                      "mobilenet"])
+    def test_unknown_model_raises(self, name):
         with pytest.raises(ValueError, match="unknown model"):
-            build_model("vggnet-9000")
+            build_model(name)
 
     def test_deterministic_under_seed(self):
         a = build_model("lenet", rng=np.random.default_rng(5))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, as_tensor, check_gradients, concat, no_grad
+from repro.nn import Tensor, as_tensor, check_gradients, no_grad
 from repro.nn.tensor import _unbroadcast, is_grad_enabled
 
 
@@ -164,15 +164,6 @@ class TestShapeOps:
 
     def test_pad(self, rng):
         check_gradients(lambda a: a.pad([(1, 2), (0, 1)]), [t((3, 2), rng)])
-
-    def test_concat(self, rng):
-        a, b = t((2, 3), rng), t((4, 3), rng)
-        check_gradients(lambda a, b: concat([a, b], axis=0), [a, b])
-
-    def test_concat_axis1(self, rng):
-        a, b = t((2, 3), rng), t((2, 2), rng)
-        out = concat([a, b], axis=1)
-        assert out.shape == (2, 5)
 
 
 class TestReductions:
