@@ -5,12 +5,11 @@ under ``benchmarks/results/``; :func:`render_experiments_markdown` turns
 that directory into the paper-vs-measured report, so EXPERIMENTS.md is
 always regenerable from the latest runs:
 
-    python -m repro.analysis.report benchmarks/results EXPERIMENTS.md
+    python -m repro report    # --results DIR and --out FILE override
 """
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 from .records import ExperimentRecord
@@ -51,8 +50,6 @@ _PAPER_NOTES = {
                "GPGPUs; unstructured sparsity needs cuSPARSE/accelerators.",
     "layer_sensitivity": "Paper Section V.A: lower layers are more "
                          "sensitive to speedup scaling than higher layers.",
-    "ablation_amc": "HeadStart's per-map actions vs AMC-style per-layer "
-                    "ratios (the dominant prior RL pruner).",
     "ablation_distill": "Extension: distillation from the original model "
                         "as the recovery mechanism.",
 }
@@ -60,7 +57,7 @@ _PAPER_NOTES = {
 _ORDER = ["figure1", "figure3", "table1", "table2", "table3", "table4",
           "figure4_5", "figure6", "layer_sensitivity",
           "ablation_baseline", "ablation_mc_samples", "ablation_reward",
-          "ablation_inception", "ablation_amc", "ablation_distill"]
+          "ablation_inception", "ablation_distill"]
 
 
 def _format_value(value, depth=0) -> str:
@@ -114,8 +111,7 @@ def render_experiments_markdown(results_dir: str | Path) -> str:
         "# EXPERIMENTS — paper vs. measured",
         "",
         "Auto-generated from the JSON records under `benchmarks/results/` "
-        "(regenerate with `python -m repro.analysis.report "
-        "benchmarks/results EXPERIMENTS.md` after running "
+        "(regenerate with `python -m repro report` after running "
         "`pytest benchmarks/ --benchmark-only`).",
         "",
         "All accuracy experiments run on the miniature synthetic stand-ins "
@@ -140,10 +136,3 @@ def write_experiments_markdown(results_dir: str | Path,
     output = Path(output)
     output.write_text(render_experiments_markdown(results_dir))
     return output
-
-
-if __name__ == "__main__":
-    results = sys.argv[1] if len(sys.argv) > 1 else "benchmarks/results"
-    target = sys.argv[2] if len(sys.argv) > 2 else "EXPERIMENTS.md"
-    path = write_experiments_markdown(results, target)
-    print(f"wrote {path}")

@@ -4,8 +4,8 @@ Subcommands cover the experiment lifecycle on synthetic tasks:
 
 * ``train``   — train a registered model on a synthetic task and save a
   checkpoint;
-* ``prune``   — prune a trained checkpoint (HeadStart layer-wise,
-  block-wise for ResNets, or AMC-lite) and save the pruned weights;
+* ``prune``   — prune a trained checkpoint (HeadStart layer-wise, or
+  block-wise for ResNets) and save the pruned weights;
   ``--run-dir`` journals any mode for crash-safe resume, ``--fallback``
   and ``--step-seconds``/``--step-evals`` add graceful degradation and
   watchdog budgets (see ``docs/ROBUSTNESS.md``);
@@ -39,8 +39,8 @@ import numpy as np
 
 from . import obs
 from .analysis import Table
-from .core import (AMCConfig, AMCLitePruner, BlockHeadStart, EvalOptions,
-                   FinetuneConfig, HeadStartConfig, HeadStartPruner)
+from .core import (BlockHeadStart, EvalOptions, FinetuneConfig,
+                   HeadStartConfig, HeadStartPruner)
 from .data import make_cifar100_like, make_cub200_like
 from .analysis.report import write_experiments_markdown
 from .gpusim import available_devices, estimate_fps, get_device
@@ -202,12 +202,6 @@ def _run_engine(engine, args, options: dict):
     return report.result, 0
 
 
-def _step_log(result, name: str) -> dict:
-    """The log row of the step called ``name``; empty if it did not run."""
-    return next((log for log in result.steps if log.get("name") == name),
-                {})
-
-
 def _eval_options(args) -> EvalOptions:
     """The ``--eval-*`` group resolved to an :class:`EvalOptions`."""
     return EvalOptions(cache=args.eval_cache,
@@ -243,9 +237,6 @@ def _cmd_prune(args) -> int:
                              patience=max(4, args.iterations // 4),
                              eval_batch=args.eval_batch, seed=args.seed,
                              eval=eval_options)
-    # Neither block nor AMC steps finetune in place, so the
-    # accuracy-collapse guard would misfire; disable it.
-    unguarded = {**options, "collapse_ratio": 0.0}
     if args.mode == "block":
         if not hasattr(model, "droppable_blocks"):
             print("block mode requires a model with droppable blocks "
@@ -253,10 +244,15 @@ def _cmd_prune(args) -> int:
             return 2
         engine = BlockHeadStart(model, task.train.images, task.train.labels,
                                 config)
-        result, code = _run_engine(engine, args, unguarded)
+        # The block step does not finetune in place, so the
+        # accuracy-collapse guard would misfire; disable it.
+        result, code = _run_engine(engine, args,
+                                   {**options, "collapse_ratio": 0.0})
         if result is None:
             return code
-        inception = _step_log(result, "blocks").get("inception_accuracy")
+        # The one "blocks" log row; absent when the step was skipped.
+        inception = (result.steps[0]["inception_accuracy"]
+                     if result.steps else None)
         model = engine.model
         pattern = f"learnt block pattern: {model.blocks_per_group}"
         if inception is not None:
@@ -265,23 +261,6 @@ def _cmd_prune(args) -> int:
         fit(model, task.train, None,
             TrainConfig(epochs=args.finetune_epochs, batch_size=args.batch_size,
                         lr=args.lr / 2, seed=args.seed))
-    elif args.mode == "amc":
-        amc_config = AMCConfig(speedup=args.speedup, episodes=args.iterations,
-                               eval_batch=args.eval_batch, seed=args.seed)
-        engine = AMCLitePruner(model, task.train.images, task.train.labels,
-                               amc_config)
-        result, code = _run_engine(engine, args, unguarded)
-        if result is None:
-            return code
-        model = engine.model
-        best = _step_log(result, "sweep").get("best_accuracy")
-        if best is not None:
-            print(f"amc best masked accuracy: {best:.4f}")
-        table = Table(["LAYER", "#MAPS", "#AFTER"])
-        for name, mask in result.masks.items():
-            mask = np.asarray(mask, dtype=bool)
-            table.add_row([name, int(mask.size), int(mask.sum())])
-        print(table.render())
     else:
         finetune_config = FinetuneConfig(epochs=args.finetune_epochs,
                                          batch_size=args.batch_size,
@@ -506,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
         "prune", help="HeadStart-prune a model",
         parents=[task_parent, model_parent, metrics_parent])
     prune.add_argument("--checkpoint", default=None)
-    prune.add_argument("--mode", choices=("layer", "block", "amc"),
+    prune.add_argument("--mode", choices=("layer", "block"),
                        default="layer")
     prune.add_argument("--speedup", type=float, default=2.0)
     prune.add_argument("--iterations", type=int, default=30)

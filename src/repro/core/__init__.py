@@ -1,7 +1,6 @@
 """``repro.core`` — the HeadStart reinforcement-learning pruner."""
 
 from .agent import AgentResult, LayerAgent
-from .amc import AMCConfig, AMCLitePruner, AMCResult
 from .blocks import BlockAgentResult, BlockHeadStart, bypass_blocks
 from .config import EvalOptions, HeadStartConfig
 from .distill import DistillConfig, distill_finetune, distillation_loss
@@ -21,7 +20,6 @@ __all__ = [
     "bernoulli_log_prob",
     "acc_term", "spd_term", "reward",
     "LayerAgent", "AgentResult",
-    "AMCConfig", "AMCLitePruner", "AMCResult",
     "HeadStartPruner", "HeadStartResult", "LayerLog",
     "ReinforceDriver", "ReinforceOutcome",
     "BlockHeadStart", "BlockAgentResult", "bypass_blocks",

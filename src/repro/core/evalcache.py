@@ -76,7 +76,6 @@ class EvalCache:
         self._store: OrderedDict[bytes, float] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     # -- the memo ------------------------------------------------------------
     def lookup(self, action: np.ndarray) -> float | None:
@@ -100,7 +99,6 @@ class EvalCache:
         self._store[mask_key(action)] = value
         if self.maxsize > 0 and len(self._store) > self.maxsize:
             self._store.popitem(last=False)
-            self.evictions += 1
             get_recorder().counter("evalcache/evictions", 1,
                                    scope=self.scope)
 
@@ -122,9 +120,3 @@ class EvalCache:
     def hit_rate(self) -> float:
         """Fraction of lookups answered from the cache (0 when unused)."""
         return self.hits / self.requests if self.requests else 0.0
-
-    def stats(self) -> dict:
-        """Counters snapshot as a JSON-serialisable dict."""
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "size": len(self._store),
-                "maxsize": self.maxsize, "hit_rate": self.hit_rate}

@@ -35,7 +35,7 @@ _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 
 #: Series attributed per layer when emitted inside a ``prune_layer`` span.
 _LAYER_SERIES = ("reinforce/reward", "reinforce/greedy_reward",
-                 "reinforce/baseline", "amc/reward")
+                 "reinforce/baseline")
 
 
 def sparkline(values, width: int = 24) -> str:

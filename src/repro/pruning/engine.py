@@ -21,11 +21,10 @@ common surface:
   (pure computation, journalable payload) and materialised by
   ``apply_step`` (surgery / fine-tune, mutates ``engine.model``).
   ``replay_step`` re-applies a journaled payload without re-deciding,
-  which is what makes resume bit-for-bit exact.  All four engine kinds
+  which is what makes resume bit-for-bit exact.  All three engine kinds
   implement it (:class:`~repro.core.pruner.HeadStartPruner` per layer,
   :class:`~repro.core.blocks.BlockHeadStart` as one block-pattern step,
-  :class:`~repro.core.amc.AMCLitePruner` as a ratio sweep plus per-unit
-  surgery steps, :class:`MetricEngine` per unit).
+  :class:`MetricEngine` per unit).
   :meth:`SteppedEngineBase.run_steps` drives the same steps in process
   without a journal, and every engine's plain ``run()`` is defined
   through its steps, so a plain run decides what a journaled one does.
@@ -59,7 +58,7 @@ __all__ = ["EngineInfo", "PruningEngine", "MetricEngine",
 
 #: RL engine names accepted by :func:`build_engine` (metric baseline
 #: names from :func:`available_pruners` are accepted too).
-RL_ENGINES = ("headstart", "block", "amc")
+RL_ENGINES = ("headstart", "block")
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ class EngineInfo:
     """Metadata every engine reports through ``describe()``."""
 
     name: str
-    kind: str            # "rl-map" | "rl-block" | "rl-ratio" | "metric"
+    kind: str            # "rl-map" | "rl-block" | "metric"
     action_space: str    # what the engine's decision variable ranges over
     description: str = ""
 
@@ -100,25 +99,29 @@ class StepSpec:
     Attributes
     ----------
     name:
-        Stable identifier journaled with the step (a unit name, or a
-        synthetic name like ``"blocks"`` / ``"sweep"``).
+        Stable identifier journaled with the step (a unit name, or
+        ``"blocks"`` for the block pattern).
     index:
         Position in the engine's plan (0-based); doubles as the seed
         offset for per-step self-seeding.
     kind:
-        ``"layer"`` (decide + surgery + fine-tune), ``"blocks"`` (block
-        pattern), ``"sweep"`` (whole-model decision, no surgery) or
-        ``"unit"`` (apply one unit's mask).
-    fallback_targets:
-        Unit names a :class:`~repro.runtime.fallback.FallbackChain` may
-        re-decide when this step is exhausted; empty means the step
-        cannot degrade (it is skipped instead).
+        ``"layer"`` (decide + surgery + fine-tune), ``"unit"`` (decide
+        and prune one unit) or ``"blocks"`` (block pattern).
     """
 
     name: str
     index: int
     kind: str = "layer"
-    fallback_targets: tuple[str, ...] = ()
+
+    @property
+    def decides_unit(self) -> bool:
+        """Whether the step decides one unit's mask.
+
+        Only such a step can be re-decided by a
+        :class:`~repro.runtime.fallback.FallbackChain` when it is
+        exhausted; any other step is skipped instead.
+        """
+        return self.kind in ("layer", "unit")
 
 
 @dataclass
@@ -153,7 +156,6 @@ class StepState:
     attempt: int = 0
     config_override: Any = None
     need_accuracy: bool = False
-    payloads: dict[str, dict] = field(default_factory=dict)
     baseline_accuracy: float | None = None
 
 
@@ -198,11 +200,12 @@ def _unit_by_name(model, name: str) -> ConvUnit:
 class SteppedEngineBase:
     """Shared bookkeeping for stepped engines.
 
-    Subclasses provide ``model``, a ``config`` with a ``speedup`` field,
+    Subclasses provide ``model``, a
+    :class:`~repro.core.config.HeadStartConfig`-shaped ``config``,
     ``describe()`` and ``run_step``/``apply_step``; this base supplies
     the in-process driver :meth:`run_steps`, one step per active unit,
     result accumulation, mask replay (:meth:`apply`), the
-    calibration-batch accuracy used by the collapse guard, generic retry
+    calibration-batch accuracy used by the collapse guard, retry
     reseeding and the metric-fallback plumbing.  Everything here
     re-derives units from ``self.model`` on each call — the harness
     replaces ``model`` wholesale on rollback, so cached
@@ -227,8 +230,7 @@ class SteppedEngineBase:
         return self.active_units()
 
     def steps(self) -> list[StepSpec]:
-        return [StepSpec(name=unit.name, index=index, kind=self.step_kind,
-                         fallback_targets=(unit.name,))
+        return [StepSpec(name=unit.name, index=index, kind=self.step_kind)
                 for index, unit in enumerate(self.active_units())]
 
     # -- the in-process driver ----------------------------------------------
@@ -241,12 +243,10 @@ class SteppedEngineBase:
         the same result and leaves the same model.
         """
         result = self.new_result()
-        payloads: dict[str, dict] = {}
         for spec in self.steps():
-            state = StepState(payloads=payloads)
+            state = StepState()
             outcome = self.run_step(spec, state)
             self.apply_step(spec, outcome, state)
-            payloads[spec.name] = outcome.payload
             self.accumulate(result, spec, outcome)
         self.finalize(result)
         return result
@@ -285,8 +285,6 @@ class SteppedEngineBase:
         payload = outcome.payload or {}
         if "mask" in payload:
             result.masks[spec.name] = np.asarray(payload["mask"], dtype=bool)
-        for name, mask in (payload.get("masks") or {}).items():
-            result.masks[name] = np.asarray(mask, dtype=bool)
 
     def finalize(self, result) -> None:
         result.final_accuracy = self.current_accuracy()
@@ -303,41 +301,32 @@ class SteppedEngineBase:
     # -- retry / fallback ---------------------------------------------------
     def retry_config(self, spec: StepSpec, policy, attempt: int):
         """Config override for retry ``attempt`` (1-based) of ``spec``."""
-        return policy.config_for(self.config, spec.index, attempt)
+        return policy.layer_config(self.config, spec.index, attempt)
 
     def fallback_keep_count(self, name: str) -> int:
         """The survivor budget a fallback engine must honour for a unit."""
         unit = _unit_by_name(self.model, name)
         return budget_keep_count(unit.num_maps, self.config.speedup)
 
-    def fallback_outcome(self, spec: StepSpec, masks: dict,
+    def fallback_outcome(self, spec: StepSpec, mask: np.ndarray,
                          engine_name: str) -> StepOutcome:
-        """Wrap fallback-selected masks as this engine's step outcome."""
-        if spec.fallback_targets == (spec.name,):
-            payload = {"mask": np.asarray(masks[spec.name], dtype=bool),
-                       "engine": engine_name}
-        else:
-            payload = {"masks": {name: np.asarray(mask, dtype=bool)
-                                 for name, mask in masks.items()},
-                       "engine": engine_name}
-        return StepOutcome(payload=payload,
+        """Wrap a fallback-selected mask as this engine's step outcome."""
+        return StepOutcome(payload={"mask": np.asarray(mask, dtype=bool),
+                                    "engine": engine_name},
                            log={"name": spec.name, "engine": engine_name})
 
     # -- resume -------------------------------------------------------------
     def replay_step(self, spec: StepSpec, payload: dict) -> None:
         """Re-apply a journaled decision without re-deciding it.
 
-        The default re-runs the surgery implied by the payload's
-        ``mask``/``masks`` keys; engines whose surgery is not per-unit
-        (block bypassing, decision-only sweeps) override this.
+        The default re-runs the surgery of the payload's ``mask``; an
+        engine whose surgery is not per-unit (block bypassing) overrides
+        this.
         """
         payload = payload or {}
         if "mask" in payload:
             prune_unit(_unit_by_name(self.model, spec.name),
                        np.asarray(payload["mask"], dtype=bool))
-        for name, mask in (payload.get("masks") or {}).items():
-            prune_unit(_unit_by_name(self.model, name),
-                       np.asarray(mask, dtype=bool))
 
     # -- identity -----------------------------------------------------------
     def fingerprint(self) -> dict:
@@ -472,9 +461,8 @@ def build_engine(name: str, model: Module, data, config=None,
     Parameters
     ----------
     name:
-        ``"headstart"`` (layer-wise RL), ``"block"`` (residual-block RL),
-        ``"amc"`` (AMC-lite per-layer ratios) or any registered metric
-        baseline name (``li17``, ``apoz``, ...).
+        ``"headstart"`` (layer-wise RL), ``"block"`` (residual-block RL)
+        or any registered metric baseline name (``li17``, ``apoz``, ...).
     model:
         The model to compress.
     data:
@@ -483,17 +471,15 @@ def build_engine(name: str, model: Module, data, config=None,
         :func:`repro.data.datasets.as_arrays`.
     config:
         Engine config: :class:`~repro.core.config.HeadStartConfig` for
-        ``headstart``/``block``, :class:`~repro.core.amc.AMCConfig` for
-        ``amc``; for metric engines, any object with ``speedup`` /
-        ``eval_batch`` / ``seed`` attributes (or pass those as keyword
-        arguments instead).
+        ``headstart``/``block``; for metric engines, any object with
+        ``speedup`` / ``eval_batch`` / ``seed`` attributes (or pass those
+        as keyword arguments instead).
     kwargs:
         Forwarded to the engine constructor (e.g. ``test_set=``,
         ``finetune_config=`` for ``headstart``; ``skip_last=``).
     """
     # Engines live in repro.core, which imports this module for
     # EngineInfo — resolve them lazily to keep the import graph acyclic.
-    from ..core.amc import AMCConfig, AMCLitePruner
     from ..core.blocks import BlockHeadStart
     from ..core.config import HeadStartConfig
     from ..core.pruner import HeadStartPruner
@@ -504,9 +490,6 @@ def build_engine(name: str, model: Module, data, config=None,
     if name == "block":
         return BlockHeadStart(model, data,
                               config=config or HeadStartConfig(), **kwargs)
-    if name == "amc":
-        return AMCLitePruner(model, data, config=config or AMCConfig(),
-                             **kwargs)
     if name in available_pruners():
         if config is not None:
             kwargs.setdefault("speedup", config.speedup)

@@ -55,16 +55,12 @@ class ConvUnit:
         Optional batch norm normalising the unit's output.
     consumers:
         Downstream layers whose input slices must be removed in sync.
-    min_keep:
-        Lower bound on surviving maps (at least 1 to keep the network
-        connected).
     """
 
     name: str
     conv: Conv2d
     bn: BatchNorm2d | None = None
     consumers: list[Consumer] = field(default_factory=list)
-    min_keep: int = 1
 
     @property
     def num_maps(self) -> int:

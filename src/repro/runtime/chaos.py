@@ -55,7 +55,7 @@ __all__ = ["ENGINE_KINDS", "run_chaos", "main"]
 #: eval must resume to the dense baseline's exact journal, accuracy and
 #: weights, which is the executor's bit-exactness contract under fire.
 ENGINE_KINDS = ("headstart", "headstart-cached", "headstart-graph",
-                "block", "amc", "li17")
+                "block", "li17")
 
 
 def _make_task(seed: int):
@@ -73,9 +73,8 @@ def _make_runner(kind: str, task, seed: int,
     ``graph`` switches the headstart-graph column's chaos phases onto
     the static-graph executor while its baseline stays dense.
     """
-    from ..core import (AMCConfig, AMCLitePruner, BlockHeadStart,
-                        EvalOptions, FinetuneConfig, HeadStartConfig,
-                        HeadStartPruner)
+    from ..core import (BlockHeadStart, EvalOptions, FinetuneConfig,
+                        HeadStartConfig, HeadStartPruner)
     from ..pruning import build_engine
 
     model_name = "resnet20" if kind == "block" else "lenet"
@@ -104,17 +103,12 @@ def _make_runner(kind: str, task, seed: int,
     if kind == "block":
         engine = BlockHeadStart(model, task.train.images, task.train.labels,
                                 config)
-    elif kind == "amc":
-        engine = AMCLitePruner(model, task.train.images, task.train.labels,
-                               AMCConfig(speedup=2.0, episodes=8,
-                                         eval_batch=16, seed=seed),
-                               skip_last=False)
     else:
         engine = build_engine(kind, model,
                               (task.train.images, task.train.labels),
                               speedup=2.0, eval_batch=16, seed=seed,
                               skip_last=False)
-    # Block/AMC/metric steps do not finetune in place, so the
+    # Block and metric steps do not finetune in place, so the
     # accuracy-collapse guard has no meaningful baseline; disable it.
     return ResumableRunner(engine=engine, collapse_ratio=0.0)
 

@@ -4,14 +4,15 @@ When a step exhausts its :class:`~repro.runtime.retry.RetryPolicy` or
 keeps blowing its :class:`~repro.runtime.watchdog.StepBudget`, skipping
 it leaves that layer unpruned — the run survives but misses its
 compression target.  A :class:`FallbackChain` instead re-decides *just
-that step* with progressively cheaper deterministic engines (the metric
-baselines: ``taylor``, ``thinet``, ``li17``, ...) at the same survivor
-budget, so the paper's Eq. 1 sparsity constraint still holds; only the
-*quality* of the kept set degrades from "RL-searched" to
-"metric-ranked".
+that step's unit* with progressively cheaper deterministic engines (the
+metric baselines: ``taylor``, ``thinet``, ``li17``, ...) at the same
+survivor budget, so the paper's Eq. 1 sparsity constraint still holds;
+only the *quality* of the kept set degrades from "RL-searched" to
+"metric-ranked".  Only a step that decides one unit (a layer or unit
+step) can degrade; an exhausted block-pattern step is skipped.
 
 The harness journals a ``degraded`` record naming the engine that
-produced the surviving masks, counts degradations in
+produced the surviving mask, counts degradations in
 :class:`~repro.runtime.harness.RunReport` and the
 ``runtime/steps_degraded`` counter, and still runs the post-surgery
 invariant checker on the result.
@@ -25,6 +26,7 @@ import numpy as np
 
 from ..pruning.baselines.common import (PruningContext, available_pruners,
                                         build_pruner)
+from ..pruning.engine import _unit_by_name
 
 __all__ = ["FallbackChain"]
 
@@ -55,24 +57,15 @@ class FallbackChain:
             raise ValueError(
                 f"unknown fallback engine(s) {unknown}; available: {known}")
 
-    def masks_for(self, engine_name: str, model, targets, keep_counts,
-                  images, labels, step_index: int = 0
-                  ) -> dict[str, np.ndarray]:
-        """Metric-selected keep masks for the failed step's target units.
+    def mask_for(self, engine_name: str, model, name: str, keep_count: int,
+                 images, labels, step_index: int = 0) -> np.ndarray:
+        """Metric-selected keep mask for the failed step's unit ``name``.
 
-        ``keep_counts`` maps each target unit name to its survivor
-        budget (the same ``C / sp`` the primary engine was aiming for).
+        ``keep_count`` is the unit's survivor budget (the same ``C / sp``
+        the primary engine was aiming for).
         """
-        pruner = build_pruner(engine_name)
         context = PruningContext(images, labels,
                                  np.random.default_rng(self.seed
                                                        + 7919 * step_index))
-        units = {unit.name: unit for unit in model.prune_units()}
-        masks: dict[str, np.ndarray] = {}
-        for name in targets:
-            if name not in units:
-                raise ValueError(
-                    f"fallback target {name!r} is not a prunable unit")
-            masks[name] = pruner.select(model, units[name],
-                                        keep_counts[name], context)
-        return masks
+        return build_pruner(engine_name).select(
+            model, _unit_by_name(model, name), keep_count, context)

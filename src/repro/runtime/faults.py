@@ -27,7 +27,6 @@ Sites currently wired in:
 ``reinforce.loss``          REINFORCE loss value, once per iteration
 ``reinforce.reward``        greedy-action reward, once per iteration
 ``training.loss``           fine-tune minibatch loss, once per step
-``amc.reward``              AMC-lite episode reward, once per episode
 ``metric.select``           metric engine, before each unit's selection
 ==========================  ====================================================
 

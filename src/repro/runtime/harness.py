@@ -2,8 +2,8 @@
 
 :class:`ResumableRunner` drives any engine implementing the
 :class:`~repro.pruning.engine.SteppedEngine` protocol — layer-wise
-HeadStart, block-level HeadStart, AMC-lite and the metric baselines —
-under the full fault-tolerant protocol:
+HeadStart, block-level HeadStart and the metric baselines — under the
+full fault-tolerant protocol:
 
 * every completed step is journaled (:mod:`repro.runtime.journal`) with
   its engine payload, log row and an atomic model checkpoint, so a run
@@ -16,10 +16,11 @@ under the full fault-tolerant protocol:
   pre-step model and a retry with a reseeded, more conservative config
   (:class:`~repro.runtime.retry.RetryPolicy`);
 * when retries are exhausted, a :class:`~repro.runtime.fallback
-  .FallbackChain` (if configured) re-decides the step with a cheaper
-  metric engine at the same survivor budget and journals a ``degraded``
-  record; only when that too fails (or no chain is given) is the step
-  skipped, and the run continues — degraded, not dead.
+  .FallbackChain` (if configured) re-decides a step that decides one
+  unit with a cheaper metric engine at the same survivor budget and
+  journals a ``degraded`` record; only when that too fails (or no chain
+  is given, or the step is the block pattern) is the step skipped, and
+  the run continues — degraded, not dead.
 
 Per-step determinism is what makes resume exact: each step self-seeds
 from its config and step index, so a step's outcome depends only on
@@ -159,12 +160,8 @@ class ResumableRunner:
         """Post-apply invariants: masks, model wiring, accuracy floor."""
         if self.validate:
             payload = outcome.payload or {}
-            masks = {}
             if "mask" in payload:
-                masks[spec.name] = payload["mask"]
-            masks.update(payload.get("masks") or {})
-            if masks:
-                check_masks(masks, layer=spec.name)
+                check_masks({spec.name: payload["mask"]}, layer=spec.name)
             check_model(self.engine.model, layer=spec.name)
         after = outcome.accuracy if outcome.accuracy is not None else math.nan
         check_accuracy_collapse(pre_accuracy, after, self.collapse_ratio,
@@ -189,23 +186,20 @@ class ResumableRunner:
 
     # -- graceful degradation ----------------------------------------------
     def _degrade(self, journal: RunJournal, spec: StepSpec, backup,
-                 pre_accuracy: float, failures: list[dict],
-                 payloads: dict) -> tuple[StepOutcome | None, str | None]:
-        """Finish an exhausted step with the fallback chain's engines."""
+                 pre_accuracy: float, failures: list[dict]
+                 ) -> tuple[StepOutcome | None, str | None]:
+        """Finish an exhausted unit step with the fallback chain's engines."""
         images, labels = self.engine.calibration_arrays()
         for engine_name in self.fallback.engines:
             state = StepState(attempt=len(failures),
-                              need_accuracy=self.collapse_ratio > 0.0,
-                              payloads=payloads)
+                              need_accuracy=self.collapse_ratio > 0.0)
             try:
-                keep_counts = {name: self.engine.fallback_keep_count(name)
-                               for name in spec.fallback_targets}
+                keep_count = self.engine.fallback_keep_count(spec.name)
                 with watchdog.watch(self.budget, spec.name):
-                    masks = self.fallback.masks_for(
-                        engine_name, self.engine.model,
-                        spec.fallback_targets, keep_counts, images, labels,
-                        step_index=spec.index)
-                    outcome = self.engine.fallback_outcome(spec, masks,
+                    mask = self.fallback.mask_for(
+                        engine_name, self.engine.model, spec.name,
+                        keep_count, images, labels, step_index=spec.index)
+                    outcome = self.engine.fallback_outcome(spec, mask,
                                                            engine_name)
                     self.engine.apply_step(spec, outcome, state)
                 self._check(spec, outcome, pre_accuracy)
@@ -227,8 +221,7 @@ class ResumableRunner:
 
     # -- resume rebuild ----------------------------------------------------
     def _rebuild(self, journal: RunJournal, specs: list[StepSpec],
-                 names: list[str], report: RunReport, result,
-                 payloads: dict) -> int:
+                 names: list[str], report: RunReport, result) -> int:
         """Replay the journal's completed prefix; returns the next index."""
         header = journal.header()
         if header.get("units") != names:
@@ -257,7 +250,6 @@ class ResumableRunner:
                 self.engine.accumulate(
                     result, specs[index],
                     StepOutcome(payload=payload, log=record.get("log")))
-                payloads[name] = payload
                 last_checkpoint = record.get("checkpoint")
                 if record.get("attempts", 1) > 1:
                     report.retried_layers[name] = record["attempts"] - 1
@@ -287,7 +279,6 @@ class ResumableRunner:
         names = [spec.name for spec in specs]
         result = self.engine.new_result()
         report = RunReport(result=result, run_dir=run_dir)
-        payloads: dict[str, dict] = {}
 
         already_complete = False
         if journal.exists():
@@ -295,8 +286,7 @@ class ResumableRunner:
                 raise JournalError(
                     f"{journal.path} already exists; pass resume=True to "
                     f"continue it or choose a fresh run directory")
-            start = self._rebuild(journal, specs, names, report, result,
-                                  payloads)
+            start = self._rebuild(journal, specs, names, report, result)
             already_complete = any(r.get("record") == "run_complete"
                                    for r in journal.read())
         else:
@@ -334,7 +324,7 @@ class ResumableRunner:
                 override = None if attempt == 0 else self.engine.retry_config(
                     spec, self.retry_policy, attempt)
                 state = StepState(attempt=attempt, config_override=override,
-                                  need_accuracy=guarded, payloads=payloads,
+                                  need_accuracy=guarded,
                                   baseline_accuracy=baseline)
                 try:
                     with watchdog.watch(self.budget, name):
@@ -348,9 +338,9 @@ class ResumableRunner:
                         journal, index, name, attempt, error))
                     self._restore(backup)
             if outcome is None and self.fallback is not None \
-                    and spec.fallback_targets:
+                    and spec.decides_unit:
                 outcome, used_engine = self._degrade(
-                    journal, spec, backup, pre_accuracy, failures, payloads)
+                    journal, spec, backup, pre_accuracy, failures)
             if outcome is None:
                 journal.append({"record": "layer_skipped", "index": index,
                                 "name": name, "failures": failures})
@@ -364,7 +354,6 @@ class ResumableRunner:
                 report.degraded_steps[name] = used_engine
             if not failures:        # neither rolled back nor degraded
                 carried = outcome.accuracy
-            payloads[name] = outcome.payload
             checkpoint = save_checkpoint(self.engine.model,
                                          run_dir / f"layer_{index:02d}")
             journal.append({"record": "layer_complete", "index": index,

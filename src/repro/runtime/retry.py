@@ -69,31 +69,3 @@ class RetryPolicy:
             seed=base.seed + seed_offset + attempt * self.reseed_stride,
             lr=base.lr * self.lr_backoff ** attempt,
             exploration=exploration)
-
-    def config_for(self, base, seed_offset: int, attempt: int):
-        """Engine-generic retry config: reseed/back off whatever exists.
-
-        :meth:`layer_config` assumes the HeadStart config shape
-        (``seed``/``lr``/``exploration``); other stepped engines carry
-        different dataclasses (e.g. :class:`~repro.core.amc.AMCConfig`
-        has no exploration floor).  This variant inspects the fields the
-        config actually has: ``seed`` is re-derived per attempt, ``lr``
-        backs off, ``exploration`` grows when present, and a config with
-        none of those (or ``base=None``) is returned unchanged.
-        """
-        if attempt < 1:
-            raise ValueError("config_for is for retries (attempt >= 1)")
-        if base is None or not dataclasses.is_dataclass(base):
-            return base
-        names = {field.name for field in dataclasses.fields(base)}
-        if {"seed", "lr", "exploration"} <= names:
-            return self.layer_config(base, seed_offset, attempt)
-        changes = {}
-        if "seed" in names:
-            changes["seed"] = (base.seed + seed_offset
-                               + attempt * self.reseed_stride)
-        if "lr" in names:
-            changes["lr"] = base.lr * self.lr_backoff ** attempt
-        if not changes:
-            return base
-        return dataclasses.replace(base, **changes)

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
-import numpy as np
+from pathlib import Path
+
 import pytest
 
 from repro import obs
@@ -27,8 +28,16 @@ class TestParser:
     def test_prune_modes(self):
         args = build_parser().parse_args(["prune", "--mode", "block"])
         assert args.mode == "block"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["prune", "--mode", "magic"])
+        for mode in ("magic", "amc"):       # unknown, and retired
+            with pytest.raises(SystemExit) as info:
+                build_parser().parse_args(["prune", "--mode", mode])
+            assert info.value.code == 2
+
+    def test_prune_help_offers_layer_and_block_modes(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["prune", "--help"])
+        assert info.value.code == 0
+        assert "--mode {layer,block}" in capsys.readouterr().out
 
     def test_metrics_dir_is_shared_across_commands(self):
         for command in (["train"], ["prune"], ["fps"]):
@@ -155,20 +164,6 @@ class TestCommands:
         pattern = [line for line in first.splitlines()
                    if "learnt block pattern" in line]
         assert pattern[0] in second
-
-    def test_prune_amc_mode(self, tmp_path, capsys):
-        run_dir = tmp_path / "run"
-        code = main(["prune", "--model", "lenet", "--classes", "4",
-                     "--image-size", "12", "--train-per-class", "6",
-                     "--test-per-class", "3", "--epochs", "1",
-                     "--mode", "amc", "--iterations", "8",
-                     "--eval-batch", "16",
-                     "--run-dir", str(run_dir)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "amc best masked accuracy" in out
-        assert "pruned accuracy" in out
-        assert (run_dir / "journal.jsonl").exists()
 
     def test_prune_resume_requires_run_dir(self, capsys):
         code = main(["prune", "--model", "lenet", "--resume"])
@@ -379,6 +374,17 @@ class TestReportCommand:
                      "--out", str(out)]) == 0
         assert out.exists()
         assert "figure6" in out.read_text()
+
+    def test_report_regenerates_committed_experiments_md(self, tmp_path,
+                                                         capsys):
+        # EXPERIMENTS.md is exactly what `repro report` renders from the
+        # committed benchmark records, so it never drifts from them.
+        root = Path(__file__).resolve().parents[1]
+        out = tmp_path / "EXPERIMENTS.md"
+        assert main(["report", "--results", str(root / "benchmarks/results"),
+                     "--out", str(out)]) == 0
+        assert out.read_text() == (root / "EXPERIMENTS.md").read_text()
+        assert "regenerate with `python -m repro report`" in out.read_text()
 
     def test_report_run_dir_writes_html_and_md(self, journaled_run,
                                                tmp_path, capsys):

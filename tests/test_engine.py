@@ -9,16 +9,15 @@ import pytest
 
 from repro.core import (BlockHeadStart, FinetuneConfig, HeadStartConfig,
                         HeadStartPruner)
-from repro.core.amc import AMCConfig, AMCLitePruner
 from repro.data import (ArrayDataset, as_arrays, as_dataset,
                         make_cifar100_like)
 from repro.models import build_model
 from repro.pruning import (EngineInfo, MetricEngine, PruningEngine,
-                           available_engines, build_engine,
+                           StepState, available_engines, build_engine,
                            prune_whole_model)
 from repro.pruning.baselines import (PruningContext, available_pruners,
                                      build_pruner)
-from repro.runtime import ResumableRunner
+from repro.runtime import ResumableRunner, RetryPolicy
 from repro.training import TrainConfig, evaluate, fit
 
 
@@ -31,28 +30,26 @@ def tiny_config(**overrides):
 
 class TestFactory:
     def test_available_engines_covers_rl_and_metric_names(self):
-        names = available_engines()
-        for name in ("headstart", "block", "amc"):
-            assert name in names
-        for name in available_pruners():
-            assert name in names
+        assert available_engines() == sorted(
+            ["headstart", "block", *available_pruners()])
 
-    def test_unknown_name_raises_with_catalogue(self, lenet_copy, tiny_task):
+    @pytest.mark.parametrize("name", ["magic", "amc"])
+    def test_unknown_name_raises_with_catalogue(self, name, lenet_copy,
+                                                tiny_task):
         with pytest.raises(ValueError, match="unknown engine"):
-            build_engine("magic", lenet_copy, tiny_task.train)
+            build_engine(name, lenet_copy, tiny_task.train)
 
     def test_builds_every_engine_kind(self, lenet_copy, resnet_copy,
                                       tiny_task):
         expected = {
             "headstart": (HeadStartPruner, "rl-map"),
             "block": (BlockHeadStart, "rl-block"),
-            "amc": (AMCLitePruner, "rl-ratio"),
             "li17": (MetricEngine, "metric"),
         }
         for name, (cls, kind) in expected.items():
             model = resnet_copy if name == "block" else lenet_copy
-            config = AMCConfig() if name == "amc" else tiny_config()
-            engine = build_engine(name, model, tiny_task.train, config=config)
+            engine = build_engine(name, model, tiny_task.train,
+                                  config=tiny_config())
             assert isinstance(engine, cls)
             assert isinstance(engine, PruningEngine)
             info = engine.describe()
@@ -134,18 +131,6 @@ class TestHeadStartConformance:
             other.apply(result)
 
 
-class TestAMCConformance:
-    def test_run_then_apply_returns_removed_count(self, lenet_copy,
-                                                  calibration):
-        engine = build_engine("amc", lenet_copy, calibration,
-                              config=AMCConfig(episodes=4, eval_batch=32,
-                                               seed=0))
-        result = engine.run()
-        removed = engine.apply(result)
-        assert isinstance(removed, int) and removed >= 0
-        assert len(result.reward_history) == 4
-
-
 class TestBlockConformance:
     def test_apply_returns_blocks_removed(self, resnet_copy, tiny_task):
         engine = build_engine("block", resnet_copy, tiny_task.train,
@@ -155,6 +140,105 @@ class TestBlockConformance:
         removed = engine.apply(result)
         assert isinstance(removed, int)
         assert sum(engine.model.blocks_per_group) == before - removed
+
+
+def unit_named(model, name):
+    return next(unit for unit in model.prune_units() if unit.name == name)
+
+
+class TestStepProtocol:
+    """The per-step hooks the fault-tolerant runtime calls on an engine."""
+
+    @pytest.mark.parametrize("name,kind", [("headstart", "layer"),
+                                           ("li17", "unit"),
+                                           ("block", "blocks")])
+    def test_only_unit_steps_can_fall_back(self, name, kind, lenet_copy,
+                                           resnet_copy, tiny_task):
+        model = resnet_copy if name == "block" else lenet_copy
+        engine = build_engine(name, model, tiny_task.train,
+                              config=tiny_config())
+        specs = engine.steps()
+        assert [spec.index for spec in specs] == list(range(len(specs)))
+        assert {spec.kind for spec in specs} == {kind}
+        if name == "block":
+            assert [spec.name for spec in specs] == ["blocks"]
+            assert not specs[0].decides_unit
+        else:
+            assert [spec.name for spec in specs] == \
+                [unit.name for unit in engine.active_units()]
+            assert all(spec.decides_unit for spec in specs)
+
+    @pytest.mark.parametrize("name", ["headstart", "block", "li17"])
+    def test_retry_config_is_the_policys_layer_config(self, name, lenet_copy,
+                                                      resnet_copy,
+                                                      tiny_task):
+        if name == "block":
+            engine = build_engine(name, resnet_copy, tiny_task.train,
+                                  config=tiny_config(seed=3))
+        else:   # both LeNet convolutions, so step indices differ
+            engine = build_engine(name, lenet_copy, tiny_task.train,
+                                  config=tiny_config(seed=3),
+                                  skip_last=False)
+        policy = RetryPolicy(reseed_stride=100)
+        for spec in engine.steps():
+            for attempt in (1, 2):
+                override = engine.retry_config(spec, policy, attempt)
+                if name == "li17":
+                    # Metric selection has no trainable config; a retry
+                    # reseeds through StepState.attempt instead.
+                    assert override is None
+                else:
+                    assert override == policy.layer_config(
+                        engine.config, spec.index, attempt)
+                    assert override.seed == 3 + spec.index + 100 * attempt
+
+    def test_replay_step_reapplies_the_journaled_mask(self, trained_lenet,
+                                                      calibration):
+        decided = build_engine("li17", copy.deepcopy(trained_lenet),
+                               calibration, skip_last=False)
+        replayed = build_engine("li17", copy.deepcopy(trained_lenet),
+                                calibration, skip_last=False)
+        for spec in decided.steps():
+            outcome = decided.run_step(spec, StepState())
+            decided.apply_step(spec, outcome, StepState())
+            replayed.replay_step(spec, outcome.payload)
+            assert_same_state(decided.model, replayed.model)
+        # A payload without a mask decides no surgery.
+        pruned = copy.deepcopy(replayed.model)
+        for spec in replayed.steps():
+            replayed.replay_step(spec, {})
+        assert_same_state(pruned, replayed.model)
+
+    @pytest.mark.parametrize("name", ["headstart", "li17"])
+    def test_fallback_outcome_is_one_mask_for_one_unit(self, name,
+                                                       lenet_copy,
+                                                       tiny_task):
+        kwargs = {"finetune_config": None} if name == "headstart" else {}
+        engine = build_engine(name, lenet_copy, tiny_task.train,
+                              config=tiny_config(), skip_last=False,
+                              **kwargs)
+        spec = engine.steps()[1]
+        maps = unit_named(engine.model, spec.name).num_maps
+        keep = engine.fallback_keep_count(spec.name)
+        assert 0 < keep < maps
+        mask = np.arange(maps) < keep
+        outcome = engine.fallback_outcome(spec, mask, "taylor")
+        assert set(outcome.payload) == {"mask", "engine"}
+        assert outcome.payload["engine"] == "taylor"
+        assert np.array_equal(outcome.payload["mask"], mask)
+
+        engine.apply_step(spec, outcome, StepState())
+        assert outcome.removed == maps - keep
+        assert unit_named(engine.model, spec.name).num_maps == keep
+        result = engine.new_result()
+        engine.accumulate(result, spec, outcome)
+        assert list(result.masks) == [spec.name]
+        assert np.array_equal(result.masks[spec.name], mask)
+        if name == "headstart":
+            assert result.layers[0].maps_after == keep
+            assert result.layers[0].agent_iterations == 0  # nothing searched
+        else:
+            assert result.steps == [{"name": spec.name, "engine": "taylor"}]
 
 
 class TestDataCoercion:
@@ -246,10 +330,6 @@ def step_engine(kind, model, task):
                                            seed=0))
     if kind == "block":
         return BlockHeadStart(model, task.train, config=config)
-    if kind == "amc":
-        return AMCLitePruner(model, task.train,
-                             config=AMCConfig(speedup=2.0, episodes=4,
-                                              eval_batch=32, seed=0))
     return build_engine(kind, model, task.train, speedup=2.0, eval_batch=32,
                         seed=0)
 
@@ -269,7 +349,7 @@ def assert_same_state(a, b):
 
 
 STEP_CASES = [(kind, model) for model in ("vgg11", "resnet20")
-              for kind in ("headstart", "li17", "apoz", "random", "amc")] \
+              for kind in ("headstart", "li17", "apoz", "random")] \
     + [("block", "resnet20")]
 
 
@@ -292,11 +372,6 @@ class TestOneStepLoop:
                 "blocks_per_group": list(plain.blocks_per_group),
                 "inception_accuracy": plain.inception_accuracy,
                 "agent_iterations": plain.iterations}]
-        elif kind == "amc":
-            assert journaled.steps[0] == {
-                "name": "sweep", "best_accuracy": plain.best_accuracy,
-                "episodes": len(plain.reward_history)}
-            assert_same_masks(plain.masks, journaled.masks)
         elif kind == "headstart":
             assert_same_masks(plain.masks, journaled.masks)
             assert plain.layers == journaled.layers
@@ -309,7 +384,7 @@ class TestOneStepLoop:
             plain_engine.apply(plain)
         assert_same_state(plain_engine.model, journaled_engine.model)
 
-    @pytest.mark.parametrize("kind", ["block", "amc"])
+    @pytest.mark.parametrize("kind", ["block", "li17", "random"])
     def test_run_steps_equals_journaled_run(self, kind, pretrained,
                                             step_task, tmp_path):
         plain_engine = step_engine(kind, pretrained["resnet20"], step_task)
@@ -324,16 +399,20 @@ class TestOneStepLoop:
         assert plain.final_accuracy == journaled.final_accuracy
         assert_same_state(plain_engine.model, journaled_engine.model)
 
-    @pytest.mark.parametrize("kind", ["block", "amc"])
+    @pytest.mark.parametrize("kind", ["block", "li17", "apoz", "random"])
     def test_run_twice_equals_once(self, kind, pretrained, step_task):
         engine = step_engine(kind, pretrained["resnet20"], step_task)
         first, second = engine.run(), engine.run()
-        assert first.reward_history == second.reward_history
         if kind == "block":
+            assert first.reward_history == second.reward_history
             assert np.array_equal(first.keep_action, second.keep_action)
             assert first.loss_history == second.loss_history
         else:
             assert_same_masks(first.masks, second.masks)
+            assert first.steps == second.steps
+            assert first.final_accuracy == second.final_accuracy
+        # run() decides only; the engine's model is left as it was.
+        assert_same_state(engine.model, pretrained["resnet20"])
 
     @pytest.mark.parametrize("name", ["li17", "apoz"])
     def test_metric_engine_equals_prune_whole_model(self, name, pretrained,

@@ -69,33 +69,40 @@ def _memoized(cache, fn, action):
 class TestEvalCache:
     def test_memoizes_exact_value(self):
         probe = CountingReward(lambda a: float(a.sum()) * 0.3339214)
+        recorder = Recorder()
         cache = EvalCache(maxsize=8)
         action = np.array([1.0, 0.0, 1.0])
-        first = _memoized(cache, probe, action)
-        second = _memoized(cache, probe, action)
+        with use_recorder(recorder):
+            first = _memoized(cache, probe, action)
+            second = _memoized(cache, probe, action)
         assert probe.calls == 1
         assert second == first                     # bitwise, not approx
-        assert cache.stats() == {"hits": 1, "misses": 1, "evictions": 0,
-                                 "size": 1, "maxsize": 8, "hit_rate": 0.5}
+        assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
+        assert cache.maxsize == 8 and cache.hit_rate == 0.5
+        assert recorder.counters.get("evalcache/evictions", 0) == 0
 
     def test_lru_eviction_order(self):
         probe = CountingReward(lambda a: float(a[0]))
+        recorder = Recorder()
         cache = EvalCache(maxsize=2)
         a, b, c = (np.eye(3)[i] for i in range(3))
-        _memoized(cache, probe, a), _memoized(cache, probe, b)
-        _memoized(cache, probe, a)                 # refresh a: b is now LRU
-        _memoized(cache, probe, c)                 # evicts b, not a
+        with use_recorder(recorder):
+            _memoized(cache, probe, a), _memoized(cache, probe, b)
+            _memoized(cache, probe, a)             # refresh a: b is now LRU
+            _memoized(cache, probe, c)             # evicts b, not a
         assert mask_key(a) in cache and mask_key(c) in cache
         assert mask_key(b) not in cache
-        assert cache.stats()["evictions"] == 1
+        assert recorder.counters["evalcache/evictions"] == 1
         _memoized(cache, probe, a)
         assert probe.calls == 3                    # a survived the eviction
 
     def test_zero_maxsize_is_unbounded(self):
+        recorder = Recorder()
         cache = EvalCache(maxsize=0)
-        for i in range(64):
-            _memoized(cache, lambda a: 0.0, np.arange(8) == i % 8)
-        assert cache.stats()["evictions"] == 0
+        with use_recorder(recorder):
+            for i in range(64):
+                _memoized(cache, lambda a: 0.0, np.arange(8) == i % 8)
+        assert recorder.counters.get("evalcache/evictions", 0) == 0
         assert len(cache) == 8
 
     def test_counters_reach_recorder(self):
