@@ -15,7 +15,10 @@ index (:func:`patch_index`), and :func:`col2im` folds patch gradients
 back in a fixed accumulation order.  The patch matrix is a pure copy,
 so the GEMM operands — and every logit and gradient built on them — do
 not depend on how the matrix is gathered (``docs/PERFORMANCE.md``,
-"Conv lowering").
+"Conv lowering").  Conv outputs, and what BatchNorm, ReLU and the
+residual add make of them, are channels-last views; :func:`im2col` and
+:func:`batch_norm2d_eval` walk such inputs in their own memory order,
+which changes no byte of what they return.
 
 Max pooling copies no windows: :func:`first_max_pool2d` walks the kernel
 offsets over strided slices of the input and keeps each window's first
@@ -36,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .tensor import Tensor, as_tensor, is_grad_enabled
 
 __all__ = [
-    "patch_index", "im2col", "col2im", "conv2d",
+    "patch_index", "im2col", "col2im", "conv2d", "row_channels",
     "linear", "check_max_pool_padding", "first_max_pool2d", "max_pool2d",
     "avg_pool2d",
     "global_avg_pool2d", "batch_norm2d",
@@ -52,43 +55,79 @@ def _out_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
 
 
+def _channels_last(x: np.ndarray) -> bool:
+    """Whether NCHW ``x`` is a view of C-contiguous NHWC memory and not
+    C-contiguous itself, as conv outputs and what follows them are."""
+    return (not x.flags.c_contiguous
+            and x.transpose(0, 2, 3, 1).flags.c_contiguous)
+
+
 @functools.lru_cache(maxsize=64)
 def patch_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
-                pad: int) -> np.ndarray:
+                pad: int, channels_last: bool = False) -> np.ndarray:
     """Gather index of one sample's im2col patch matrix (read-only).
 
     Entry ``[p, q]`` is the flat offset into a zero-padded (C, Hp, Wp)
-    sample of patch element ``q = (ci, i, j)`` (row-major over C, kh,
-    kw) of output pixel ``p = (oy, ox)``.  Every entry lies in
-    ``[0, C*Hp*Wp)``.  An entry holds as many ``intp`` values as one
-    sample's patch matrix has elements, which bounds the cache.
+    sample, or with ``channels_last`` a (Hp, Wp, C) one, of patch
+    element ``q = (ci, i, j)`` (row-major over C, kh, kw) of output pixel
+    ``p = (oy, ox)``.  Every entry lies in ``[0, C*Hp*Wp)``.  An entry
+    holds as many ``intp`` values as one sample's patch matrix has
+    elements, which bounds the cache.
     """
     hp, wp = h + 2 * pad, w + 2 * pad
     oh, ow = _out_size(h, kh, stride, pad), _out_size(w, kw, stride, pad)
-    corner = np.arange(oh)[:, None] * (stride * wp) + np.arange(ow) * stride
-    offset = (np.arange(c)[:, None, None] * (hp * wp)
-              + np.arange(kh)[:, None] * wp + np.arange(kw))
+    # Element strides of the padded sample's channel and pixel axes.
+    channel, pixel = (1, c) if channels_last else (hp * wp, 1)
+    corner = (np.arange(oh)[:, None] * (stride * wp)
+              + np.arange(ow) * stride) * pixel
+    offset = (np.arange(c)[:, None, None] * channel
+              + (np.arange(kh)[:, None] * wp + np.arange(kw)) * pixel)
     index = corner.reshape(-1, 1) + offset.reshape(1, -1)
     index.flags.writeable = False
     return index
 
 
-def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, pad: int) -> np.ndarray:
+def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, pad: int,
+           alloc=None) -> np.ndarray:
     """Unfold ``x`` of shape (N, C, H, W) into (N*oh*ow, C*kh*kw) patches.
 
     Row ``n*oh*ow + oy*ow + ox`` holds the (C, kh, kw) window under output
     pixel (oy, ox) of sample n, flattened row-major.  The matrix is one
     ``take`` through :func:`patch_index` from the zero-padded input, so
-    its elements are exact copies of input elements and zeros.
+    its elements are exact copies of input elements and zeros.  A
+    channels-last ``x`` is padded into a channels-last buffer and
+    gathered with the channels-last index, so neither step transposes;
+    the matrix is the same.
+
+    ``alloc(shape, dtype)`` returns an empty C-contiguous buffer, for
+    the padded input and for the returned matrix.  Without it numpy
+    allocates both.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
+    channels_last = _channels_last(x)
     if pad:
-        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        hp, wp = h + 2 * pad, w + 2 * pad
+        shape = (n, hp, wp, c) if channels_last else (n, c, hp, wp)
+        if alloc is None:
+            padded = np.zeros(shape, dtype=x.dtype)
+        else:
+            padded = alloc(shape, x.dtype)
+            padded.fill(0)
+        if channels_last:
+            padded = padded.transpose(0, 3, 1, 2)
         padded[:, :, pad:pad + h, pad:pad + w] = x
         x = padded
-    index = patch_index(c, h, w, kh, kw, stride, pad)
-    return x.reshape(n, -1).take(index, axis=1).reshape(-1, index.shape[1])
+    samples = (x.transpose(0, 2, 3, 1) if channels_last else x).reshape(n, -1)
+    index = patch_index(c, h, w, kh, kw, stride, pad, channels_last)
+    if alloc is None:
+        return samples.take(index, axis=1).reshape(-1, index.shape[1])
+    cols = alloc((n * index.shape[0], index.shape[1]), x.dtype)
+    # ``clip``: the index is in range by construction, and ``take`` then
+    # fills ``cols`` without an intermediate buffer.
+    samples.take(index, axis=1, mode="clip",
+                 out=cols.reshape(n, *index.shape))
+    return cols
 
 
 def col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int],
@@ -307,6 +346,27 @@ def _column(v: np.ndarray) -> np.ndarray:
     return v.reshape(1, -1, 1, 1)
 
 
+#: Elements per row of the channels-last row walk, and the channel
+#: count from which BatchNorm eval broadcasts instead: the layers pruning
+#: narrows (``docs/PERFORMANCE.md``, "BatchNorm").
+_ROW = 512
+_ROW_CHANNELS = 16
+
+
+@functools.lru_cache(maxsize=64)
+def row_channels(c: int, pixels: int) -> np.ndarray:
+    """Channel of each element of one row of a (pixels, C) array walked
+    in rows of k whole pixels (read-only).
+
+    k is the largest divisor of ``pixels`` with ``k*C <= 512``, so the
+    array is a whole number of rows; entry ``j`` is ``j % C``.
+    """
+    k = max(d for d in range(1, max(_ROW // c, 1) + 1) if pixels % d == 0)
+    index = np.tile(np.arange(c), k)
+    index.flags.writeable = False
+    return index
+
+
 def batch_norm2d_eval(x: np.ndarray, running_mean: np.ndarray,
                       running_var: np.ndarray, weight: np.ndarray,
                       bias: np.ndarray, eps: float,
@@ -320,27 +380,47 @@ def batch_norm2d_eval(x: np.ndarray, running_mean: np.ndarray,
     ``x - mean`` rounds at ``result_type(x, running_mean)`` (float32 for
     a float32 input and float32 statistics) before it is widened.
 
+    A channels-last ``x`` with fewer than 16 channels and both spatial
+    axes longer than 1 is walked in rows of :func:`row_channels`: the
+    same four elementwise steps over its (N*H*W/k, k*C) memory, each
+    per-channel vector expanded to one row.  Every element sees the
+    same operands, so the result is the same bytes.
+
     ``alloc(dtype)`` returns the empty output buffer, shaped and strided
     like ``x``.  Without it numpy allocates the output (and, when ``x -
     mean`` is narrower, that difference first), so the result is
     strided exactly as with gradients on (size-1 axes included).
     """
-    mean = _column(running_mean)
-    inv_std = (_column(running_var) + np.asarray(eps)) ** -0.5
-    centred_dtype = np.result_type(x, mean)
+    inv_std = (running_var + np.asarray(eps)) ** -0.5
+    centred_dtype = np.result_type(x, running_mean)
     dtype = np.result_type(centred_dtype, inv_std)
-    if alloc is not None:
-        out = alloc(dtype)
-        np.subtract(x, mean, out=out, dtype=centred_dtype)
-        np.multiply(out, inv_std, out=out)
-    elif centred_dtype == dtype:
-        out = np.subtract(x, mean)
-        np.multiply(out, inv_std, out=out)
+    out = None if alloc is None else alloc(dtype)
+    vectors = (running_mean, inv_std, weight, bias)
+    n, c, h, w = x.shape
+    rows = (1 < c < _ROW_CHANNELS and h > 1 and w > 1 and _channels_last(x)
+            and (out is None or _channels_last(out)))
+    if rows:
+        index = row_channels(c, n * h * w)
+        src = x.transpose(0, 2, 3, 1).reshape(-1, index.size)
+        dst = None if out is None else \
+            out.transpose(0, 2, 3, 1).reshape(src.shape)
+        mean, inv_std, weight, bias = (v.take(index) for v in vectors)
     else:
-        out = np.subtract(x, mean) * inv_std
-    np.multiply(out, _column(weight), out=out)
-    np.add(out, _column(bias), out=out)
-    return out
+        src, dst = x, out
+        mean, inv_std, weight, bias = (_column(v) for v in vectors)
+    if dst is not None:
+        np.subtract(src, mean, out=dst, dtype=centred_dtype)
+        np.multiply(dst, inv_std, out=dst)
+    elif centred_dtype == dtype:
+        dst = np.subtract(src, mean)
+        np.multiply(dst, inv_std, out=dst)
+    else:
+        dst = np.subtract(src, mean) * inv_std
+    np.multiply(dst, weight, out=dst)
+    np.add(dst, bias, out=dst)
+    if out is not None:
+        return out
+    return dst.reshape(n, h, w, c).transpose(0, 3, 1, 2) if rows else dst
 
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,

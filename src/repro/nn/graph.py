@@ -12,9 +12,8 @@ Three properties make it the reward-evaluation fast path:
   GEMM outputs, activations) lives in a shape-keyed :class:`_Arena`;
   buffers are recycled the moment their last consumer has run and
   persist across calls, so steady-state evaluation allocates nothing.
-  Patches are gathered into their arena buffer with the eager
-  :func:`~repro.nn.functional.im2col`'s memoized index
-  (:func:`~repro.nn.functional.patch_index`), so the conv GEMM operand
+  Patches are gathered into their arena buffer by the eager
+  :func:`~repro.nn.functional.im2col` itself, so the conv GEMM operand
   is byte-identical to the eager one.
 * **Bit-exact by default.**  With ``fuse=False`` every node replays the
   eager op's exact numpy expression (same operands, same order, same
@@ -49,7 +48,7 @@ import time
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .functional import batch_norm2d_eval, first_max_pool2d, patch_index
+from .functional import batch_norm2d_eval, first_max_pool2d, im2col
 from .modules import (AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten,
                       GlobalAvgPool2d, Identity, Linear, MaxPool2d, Module,
                       ReLU, Sigmoid, Tanh)
@@ -447,24 +446,20 @@ class GraphExecutor:
         return base.transpose(axes), base
 
     def _run_conv(self, node: _Node, x: np.ndarray):
+        # The eager gather, into arena buffers.
         conv = node.module
         arena = self._arena
         n, c, h, w, k, s, p, oh, ow = _conv_geometry(conv, x)
-        if p:
-            padded = arena.get((n, c, h + 2 * p, w + 2 * p), x.dtype)
-            padded.fill(0)
-            padded[:, :, p:p + h, p:p + w] = x
-        else:
-            padded = x
-        # The eager im2col's gather, written straight into the arena
-        # buffer (``clip``: the index is in range by construction, and
-        # ``take`` then fills ``out`` without an intermediate buffer).
-        index = patch_index(c, h, w, k, k, s, p)
-        cols = arena.get((n * oh * ow, c * k * k), x.dtype)
-        padded.reshape(n, -1).take(index, axis=1, mode="clip",
-                                   out=cols.reshape(n, oh * ow, -1))
-        if p:
-            arena.put(padded)
+        buffers = []
+
+        def alloc(shape, dtype):
+            buffers.append(arena.get(shape, dtype))
+            return buffers[-1]
+
+        cols = im2col(x, (k, k), s, p, alloc)
+        for buf in buffers:
+            if buf is not cols:         # the padded input
+                arena.put(buf)
         if node.fused_weight is not None:
             return self._conv_epilogue_fused(node, cols, n, oh, ow)
         w_mat = conv.weight.data.reshape(conv.weight.data.shape[0], -1)

@@ -164,7 +164,6 @@ class SteppedResult:
     """Generic accumulated outcome of a stepped run (non-HeadStart engines)."""
 
     steps: list[dict] = field(default_factory=list)
-    payloads: dict[str, dict] = field(default_factory=dict)
     masks: dict[str, np.ndarray] = field(default_factory=dict)
     final_accuracy: float | None = None
 
@@ -224,11 +223,6 @@ class SteppedEngineBase:
         units = self.model.prune_units()
         return units[:-1] if (self.skip_last and len(units) > 1) else units
 
-    @property
-    def units(self) -> list[ConvUnit]:
-        """:meth:`active_units` of the current model."""
-        return self.active_units()
-
     def steps(self) -> list[StepSpec]:
         return [StepSpec(name=unit.name, index=index, kind=self.step_kind)
                 for index, unit in enumerate(self.active_units())]
@@ -281,7 +275,6 @@ class SteppedEngineBase:
                    outcome: StepOutcome) -> None:
         if outcome.log is not None:
             result.steps.append(dict(outcome.log))
-        result.payloads[spec.name] = outcome.payload
         payload = outcome.payload or {}
         if "mask" in payload:
             result.masks[spec.name] = np.asarray(payload["mask"], dtype=bool)

@@ -17,7 +17,7 @@ from repro.pruning import (EngineInfo, MetricEngine, PruningEngine,
                            prune_whole_model)
 from repro.pruning.baselines import (PruningContext, available_pruners,
                                      build_pruner)
-from repro.runtime import ResumableRunner, RetryPolicy
+from repro.runtime import ResumableRunner, RetryPolicy, RunJournal
 from repro.training import TrainConfig, evaluate, fit
 
 
@@ -78,7 +78,7 @@ class TestMetricEngineConformance:
         removed = engine.apply(result)
         assert isinstance(removed, int) and removed > 0
         # The pruned model still runs and each unit matches its budget.
-        for unit in engine.units:
+        for unit in engine.active_units():
             assert unit.num_maps == result.keep_counts[unit.name]
         images, labels = calibration
         assert 0.0 <= evaluate(lenet_copy, images, labels) <= 1.0
@@ -365,8 +365,13 @@ class TestOneStepLoop:
                                     collapse_ratio=0.0).run(
             tmp_path / "run").result
         if kind == "block":
+            [(name, payload)] = [
+                (record["name"], record["payload"])
+                for record in RunJournal(tmp_path / "run" / "journal.jsonl")
+                .read() if record["record"] == "layer_complete"]
+            assert name == "blocks"
             assert plain_engine.keep_mask_by_group(plain.keep_action) \
-                == journaled.payloads["blocks"]["keep"]
+                == payload["keep"]
             assert journaled.steps == [{
                 "name": "blocks",
                 "blocks_per_group": list(plain.blocks_per_group),

@@ -125,6 +125,19 @@ def layouts(x):
     return [x, np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)]
 
 
+def record_calls(monkeypatch, name):
+    """Patch ``F.<name>`` to record each call's arguments; the list."""
+    calls = []
+    original = getattr(F, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(F, name, recorded)
+    return calls
+
+
 def signed_zero_images(rng, shape, dtype):
     x = rng.normal(size=shape).astype(dtype)
     x[:, :, 0, ::2] = -0.0
@@ -140,14 +153,20 @@ class TestLoweringMatchesReference:
 
     shape = (3, 7, 9)          # C, H != W
 
-    def test_im2col(self, rng, kernel, stride, pad, dtype):
-        for batch in (1, 3):
-            images = signed_zero_images(rng, (batch, *self.shape), dtype)
+    def test_im2col(self, monkeypatch, rng, kernel, stride, pad, dtype):
+        gathers = record_calls(monkeypatch, "patch_index")
+        for batch, channels in ((1, 3), (3, 3), (1, 1), (3, 1)):
+            images = signed_zero_images(rng, (batch, channels,
+                                              *self.shape[1:]), dtype)
             for x in layouts(images):
                 cols = F.im2col(x, (kernel, kernel), stride, pad)
                 assert cols.flags.c_contiguous
                 assert_bitwise_equal(
                     cols, reference_im2col(x, (kernel, kernel), stride, pad))
+                # A channels-last view is gathered channels-last; with
+                # one channel both layouts are one C-contiguous array.
+                channels_last = gathers.pop()[7]
+                assert channels_last == (not x.flags.c_contiguous)
 
     def test_col2im(self, rng, kernel, stride, pad, dtype):
         c, h, w = self.shape
@@ -163,12 +182,14 @@ class TestLoweringMatchesReference:
 
     def test_patch_index_in_range(self, kernel, stride, pad, dtype):
         c, h, w = self.shape
-        index = F.patch_index(c, h, w, kernel, kernel, stride, pad)
         oh = (h + 2 * pad - kernel) // stride + 1
         ow = (w + 2 * pad - kernel) // stride + 1
-        assert index.shape == (oh * ow, c * kernel * kernel)
-        assert index.min() >= 0
-        assert index.max() < c * (h + 2 * pad) * (w + 2 * pad)
+        for channels_last in (False, True):
+            index = F.patch_index(c, h, w, kernel, kernel, stride, pad,
+                                  channels_last)
+            assert index.shape == (oh * ow, c * kernel * kernel)
+            assert index.min() >= 0
+            assert index.max() < c * (h + 2 * pad) * (w + 2 * pad)
 
 
 class TestConvOnReferenceLowering:
@@ -203,22 +224,34 @@ class TestConvOnReferenceLowering:
             assert actual.strides == expected.strides
 
 
+#: The memoized read-only indices: NCHW and channels-last patches, and
+#: BatchNorm's row walk (``row_channels``).
+CACHED_INDICES = [
+    (F.patch_index, (2, 5, 6, 3, 3, 1, 1)),
+    (F.patch_index, (2, 5, 6, 3, 3, 1, 1, True)),
+    (F.row_channels, (3, 40)),
+]
+
+
 class TestPatchIndex:
     def test_read_only(self):
-        index = F.patch_index(2, 5, 6, 3, 3, 1, 1)
-        assert not index.flags.writeable
-        with pytest.raises(ValueError):
-            index[0, 0] = 0
+        for cached, args in CACHED_INDICES:
+            index = cached(*args)
+            assert not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[0] = 0
 
     def test_memoized(self):
-        assert F.patch_index(2, 5, 6, 3, 3, 1, 1) is F.patch_index(2, 5, 6, 3, 3, 1, 1)
+        for cached, args in CACHED_INDICES:
+            assert cached(*args) is cached(*args)
 
     def test_cache_is_bounded(self):
-        maxsize = F.patch_index.cache_info().maxsize
-        assert maxsize is not None and maxsize > 0
-        for c in range(1, maxsize + 9):
-            F.patch_index(c, 1, 1, 1, 1, 1, 0)
-        assert F.patch_index.cache_info().currsize == maxsize
+        for cached, args in CACHED_INDICES:
+            maxsize = cached.cache_info().maxsize
+            assert maxsize is not None and maxsize > 0
+            for c in range(2, maxsize + 10):
+                cached(c, *args[1:])
+            assert cached.cache_info().currsize == maxsize
 
     def test_rows_are_patches(self):
         # Row (oy, ox) of a 1-channel 2x2 kernel, stride 1, no padding
@@ -226,6 +259,18 @@ class TestPatchIndex:
         index = F.patch_index(1, 3, 4, 2, 2, 1, 0)
         assert index[0].tolist() == [0, 1, 4, 5]
         assert index[5].tolist() == [6, 7, 10, 11]
+        # One channel is the same index in either layout.
+        assert np.array_equal(F.patch_index(1, 3, 4, 2, 2, 1, 0, True), index)
+        # Channels-last, 2 channels: pixel (y, x) channel ci is at
+        # 2 * (4y + x) + ci, and a row lists channel 0's window first.
+        index = F.patch_index(2, 3, 4, 2, 2, 1, 0, True)
+        assert index[0].tolist() == [0, 2, 8, 10, 1, 3, 9, 11]
+        assert index[5].tolist() == [12, 14, 20, 22, 13, 15, 21, 23]
+        # BatchNorm's row of whole pixels: for 40 pixels of 3 channels the
+        # largest divisor of 40 with k * 3 <= 512 is k = 40, one row; of
+        # 2 * 173 pixels (173 > 512 // 3) a row holds 2 pixels.
+        assert F.row_channels(3, 40).tolist() == [0, 1, 2] * 40
+        assert F.row_channels(3, 346).tolist() == [0, 1, 2] * 2
 
 
 class TestIm2Col:
@@ -443,11 +488,19 @@ class TestBatchNormMatchesReference:
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("param_dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
+    # Channels-last x is walked in rows for 1 < C < 16 when H, W > 1:
+    # (32, 2, 12, 12) in rows of 256 pixels, (1, 15, 3, 3) in one row
+    # and (1, 3, 2, 173), whose 346 pixels have no divisor between 2 and
+    # 512 // 3, in rows of 2 pixels; (4, 16, 3, 3) and size-1 axes
+    # broadcast.
     @pytest.mark.parametrize("shape", [(8, 4, 12, 12), (3, 16, 6, 6),
-                                       (2, 6, 1, 1), (1, 4, 1, 2)])
-    def test_bytes_dtypes_and_strides(self, rng, shape, x_dtype, param_dtype,
-                                      training):
-        c = shape[1]
+                                       (2, 6, 1, 1), (1, 4, 1, 2),
+                                       (32, 2, 12, 12), (1, 15, 3, 3),
+                                       (4, 16, 3, 3), (1, 3, 2, 173)])
+    def test_bytes_dtypes_and_strides(self, monkeypatch, rng, shape, x_dtype,
+                                      param_dtype, training):
+        walks = record_calls(monkeypatch, "row_channels")
+        n, c, h, w = shape
         images = signed_zero_images(rng, shape, x_dtype) * 2.0 + 0.5
         affine = [rng.normal(size=c).astype(param_dtype) for _ in range(2)]
         stats = (rng.normal(size=c).astype(param_dtype),
@@ -475,27 +528,51 @@ class TestBatchNormMatchesReference:
                     assert actual.dtype == expected.dtype, where
                     assert actual.strides == expected.strides, where
                     assert actual.tobytes() == expected.tobytes(), where
+        # Eval with nothing to differentiate walks channels-last x in
+        # rows when 1 < C < 16 and H, W > 1; C-contiguous x broadcasts.
+        grad_free = sum(not (sc["grad_on"] and (sc.get("x_grad")
+                                                or sc.get("affine_grad")))
+                        for _, sc in scenarios)
+        walked = not training and 1 < c < 16 and h > 1 and w > 1
+        assert walks == [(c, n * h * w)] * (grad_free * walked)
 
     @pytest.mark.parametrize("param_dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
-    def test_eval_into_caller_buffer(self, rng, x_dtype, param_dtype):
-        """The graph executor's path: one output buffer from ``alloc``."""
-        images = signed_zero_images(rng, (3, 16, 6, 6), x_dtype)
-        affine = [rng.normal(size=16).astype(param_dtype) for _ in range(2)]
-        stats = (rng.normal(size=16).astype(param_dtype),
-                 rng.uniform(0.5, 2.0, size=16).astype(param_dtype))
-        for x_data in layouts(images):
-            expected = run_batch_norm(reference_batch_norm2d, x_data, affine,
-                                      stats, training=False, grad_on=False)
-            buffers = []
+    def test_eval_into_caller_buffer(self, monkeypatch, rng, x_dtype,
+                                     param_dtype):
+        """The graph executor's path: one output buffer from ``alloc``,
+        laid out like x (channels-last x with C < 16 is walked in rows
+        of it) or C-contiguous (no row view: broadcast)."""
+        walks = record_calls(monkeypatch, "row_channels")
+        for shape in ((3, 16, 6, 6), (3, 6, 5, 7)):
+            c = shape[1]
+            images = signed_zero_images(rng, shape, x_dtype)
+            affine = [rng.normal(size=c).astype(param_dtype)
+                      for _ in range(2)]
+            stats = (rng.normal(size=c).astype(param_dtype),
+                     rng.uniform(0.5, 2.0, size=c).astype(param_dtype))
+            for x_data in layouts(images):
+                expected = run_batch_norm(reference_batch_norm2d, x_data,
+                                          affine, stats, training=False,
+                                          grad_on=False)
+                for order in ("K", "C"):
+                    buffers = []
 
-            def alloc(dtype):
-                buffers.append(np.empty_like(x_data, dtype=dtype))
-                return buffers[-1]
+                    def alloc(dtype):
+                        buffers.append(np.empty_like(x_data, dtype=dtype,
+                                                     order=order))
+                        return buffers[-1]
 
-            out = F.batch_norm2d_eval(x_data, *stats, *affine, 1e-5, alloc)
-            assert len(buffers) == 1 and out is buffers[0]
-            assert_bitwise_equal(out, expected["out"])
+                    out = F.batch_norm2d_eval(x_data, *stats, *affine, 1e-5,
+                                              alloc)
+                    assert len(buffers) == 1 and out is buffers[0]
+                    assert_bitwise_equal(out, expected["out"])
+                    if order == "K":
+                        assert out.strides == expected["out"].strides
+                    walked = (c < 16 and not x_data.flags.c_contiguous
+                              and order == "K")
+                    assert len(walks) == walked
+                    walks.clear()
 
 
 class TestBatchNormModelsMatchReference:
