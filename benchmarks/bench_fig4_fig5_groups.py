@@ -44,9 +44,10 @@ def _experiment(task):
         TrainConfig(epochs=8, batch_size=32, lr=0.05, seed=0))
 
     agent = BlockHeadStart(
-        deep, task.train.images, task.train.labels,
-        HeadStartConfig(speedup=2.0, max_iterations=40, min_iterations=20,
-                        patience=10, eval_batch=96, seed=11))
+        deep, task.train,
+        config=HeadStartConfig(speedup=2.0, max_iterations=40,
+                               min_iterations=20, patience=10,
+                               eval_batch=96, seed=11))
     result = agent.run()
     agent.apply(result)
     pruned = agent.model

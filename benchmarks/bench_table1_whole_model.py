@@ -13,27 +13,29 @@ post-fine-tune accuracy stays above Li'17's.
 
 import numpy as np
 
-from conftest import INPUT_SHAPE, calibration_of, clone, run_once
+from conftest import INPUT_SHAPE, clone, run_once
 from repro.analysis import ExperimentRecord, Table
-from repro.core import FinetuneConfig, HeadStartConfig, HeadStartPruner
-from repro.pruning import prune_whole_model
-from repro.pruning.baselines import Li17Pruner, PruningContext
-from repro.training import TrainConfig, evaluate_dataset, fit
+from repro.core import FinetuneConfig, HeadStartConfig
+from repro.pruning import build_engine
 
 SPEEDUP = 2.0
 FINETUNE = dict(epochs=2, batch_size=16, lr=0.01, max_grad_norm=5.0)
 
 
-def _headstart_run(original, task):
-    model = clone(original)
-    pruner = HeadStartPruner(
-        model, task.train, task.test,
+def _run(name, original, task):
+    """One arm: the same layer engine protocol for HeadStart and Li'17.
+
+    Both arms decide on the first 96 training images and measure their
+    inception accuracy there (Li'17's L1 ranking reads no data).
+    """
+    engine = build_engine(
+        name, clone(original), task.train,
         config=HeadStartConfig(speedup=SPEEDUP, max_iterations=30,
                                min_iterations=15, patience=8,
                                eval_batch=96, seed=0),
-        finetune_config=FinetuneConfig(**FINETUNE),
+        test_set=task.test, finetune_config=FinetuneConfig(**FINETUNE),
         input_shape=INPUT_SHAPE)
-    result = pruner.run()
+    result = engine.run_steps()
     rows = [{"layer": log.name, "maps_before": log.maps_before,
              "maps_after": log.maps_after,
              "params_m": log.params_m, "flops_b": log.flops_b,
@@ -43,28 +45,11 @@ def _headstart_run(original, task):
     return rows, result.final_accuracy
 
 
-def _li17_run(original, task):
-    model = clone(original)
-    context = PruningContext(*calibration_of(task), np.random.default_rng(0))
-    rows = []
-    result = prune_whole_model(
-        model, model.prune_units(), Li17Pruner(), SPEEDUP, context,
-        evaluate=lambda m: evaluate_dataset(m, task.test),
-        finetune=lambda m: fit(m, task.train, None,
-                               TrainConfig(seed=0, **FINETUNE)))
-    for record in result.records:
-        rows.append({"layer": record.name,
-                     "maps_before": record.maps_before,
-                     "maps_after": record.maps_after,
-                     "inception": record.inception_accuracy,
-                     "finetuned": record.finetuned_accuracy})
-    return rows, evaluate_dataset(model, task.test)
-
-
 def test_table1_whole_model_log(benchmark, cub_vgg, cub_task, record_path):
     def experiment():
-        headstart_rows, headstart_final = _headstart_run(cub_vgg, cub_task)
-        li17_rows, li17_final = _li17_run(cub_vgg, cub_task)
+        headstart_rows, headstart_final = _run("headstart", cub_vgg,
+                                               cub_task)
+        li17_rows, li17_final = _run("li17", cub_vgg, cub_task)
         return headstart_rows, headstart_final, li17_rows, li17_final
 
     headstart_rows, headstart_final, li17_rows, li17_final = \

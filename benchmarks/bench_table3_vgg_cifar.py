@@ -12,13 +12,10 @@ inception.
 
 import numpy as np
 
-from conftest import (INPUT_SHAPE, calibration_of, clone, map_ratio,
-                      run_once)
+from conftest import INPUT_SHAPE, clone, map_ratio, run_once
 from repro.analysis import ExperimentRecord, Table
-from repro.core import (FinetuneConfig, HeadStartConfig, HeadStartPruner,
-                        vgg_like_pruned)
-from repro.pruning import profile_model, prune_whole_model
-from repro.pruning.baselines import PruningContext, build_pruner
+from repro.core import FinetuneConfig, HeadStartConfig, vgg_like_pruned
+from repro.pruning import build_engine, profile_model
 from repro.training import TrainConfig, evaluate_dataset, fit
 
 SPEEDUP = 5.0
@@ -39,14 +36,14 @@ def _experiment(original, task):
         "ratio": 1.0}
 
     def run_baseline(name, seed):
-        model = clone(original)
-        context = PruningContext(*calibration_of(task),
-                                 np.random.default_rng(seed))
-        prune_whole_model(
-            model, model.prune_units(), build_pruner(name), SPEEDUP, context,
-            finetune=lambda m: fit(m, task.train, None,
-                                   TrainConfig(seed=0, **FINETUNE)))
-        return model, evaluate_dataset(model, task.test)
+        # Calibrated on the whole training split; the test split is
+        # scored once, after the last layer.
+        engine = build_engine(name, clone(original), task.train,
+                              speedup=SPEEDUP, eval_batch=len(task.train),
+                              seed=seed,
+                              finetune_config=FinetuneConfig(**FINETUNE))
+        engine.run_steps()
+        return engine.model, evaluate_dataset(engine.model, task.test)
 
     for name in BASELINES:
         if name == "random":
@@ -64,13 +61,14 @@ def _experiment(original, task):
             "accuracy": accuracy,
             "ratio": map_ratio(model, original)}
 
-    headstart_model = clone(original)
-    result = HeadStartPruner(
-        headstart_model, task.train, task.test,
+    engine = build_engine(
+        "headstart", clone(original), task.train,
         config=HeadStartConfig(speedup=SPEEDUP, max_iterations=30,
                                min_iterations=15, patience=8,
                                eval_batch=96, seed=0),
-        finetune_config=FinetuneConfig(**FINETUNE)).run()
+        test_set=task.test, finetune_config=FinetuneConfig(**FINETUNE))
+    result = engine.run_steps()
+    headstart_model = engine.model
     stats = profile_model(headstart_model, INPUT_SHAPE)
     rows["HEADSTART"] = {
         "params_m": stats.params_m, "flops_m": stats.flops / 1e6,

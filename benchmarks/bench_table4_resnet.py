@@ -44,9 +44,10 @@ def _experiment(task):
                             rng=np.random.default_rng(2)), task)
 
     agent = BlockHeadStart(
-        deep, task.train.images, task.train.labels,
-        HeadStartConfig(speedup=2.0, max_iterations=40, min_iterations=20,
-                        patience=10, eval_batch=96, seed=11))
+        deep, task.train,
+        config=HeadStartConfig(speedup=2.0, max_iterations=40,
+                               min_iterations=20, patience=10,
+                               eval_batch=96, seed=11))
     block_result = agent.run()
     agent.apply(block_result)
     pruned = agent.model

@@ -58,9 +58,10 @@ def main():
     print("HeadStart block pruning (sp=2) ...")
     started = time.time()
     agent = BlockHeadStart(
-        deep, task.train.images[:96], task.train.labels[:96],
-        HeadStartConfig(speedup=2.0, max_iterations=40, min_iterations=20,
-                        patience=10, eval_batch=96, seed=11))
+        deep, (task.train.images[:96], task.train.labels[:96]),
+        config=HeadStartConfig(speedup=2.0, max_iterations=40,
+                               min_iterations=20, patience=10,
+                               eval_batch=96, seed=11))
     result = agent.run()
     agent.apply(result)
     pruned = agent.model

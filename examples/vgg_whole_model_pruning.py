@@ -15,14 +15,13 @@ import time
 
 import numpy as np
 
-from repro import (FinetuneConfig, HeadStartConfig, HeadStartPruner,
-                   TrainConfig, evaluate_dataset, fit)
+from repro import (FinetuneConfig, HeadStartConfig, TrainConfig,
+                   evaluate_dataset, fit)
 from repro.analysis import Table
 from repro.core import vgg_like_pruned
 from repro.data import make_cub200_like
 from repro.models import vgg16
-from repro.pruning import profile_model, prune_whole_model
-from repro.pruning.baselines import Li17Pruner, PruningContext
+from repro.pruning import build_engine, profile_model
 
 
 def main():
@@ -53,10 +52,10 @@ def main():
     print("HeadStart whole-model pruning (sp=2) ...")
     headstart_model = copy.deepcopy(original)
     started = time.time()
-    pruner = HeadStartPruner(headstart_model, task.train, task.test,
-                             config=config, finetune_config=finetune,
-                             input_shape=input_shape)
-    result = pruner.run()
+    result = build_engine("headstart", headstart_model, task.train,
+                          config=config, test_set=task.test,
+                          finetune_config=finetune,
+                          input_shape=input_shape).run_steps()
     print(f"done in {time.time() - started:.0f}s\n")
 
     layer_table = Table(
@@ -71,13 +70,9 @@ def main():
     # --- Li'17 under the same protocol ------------------------------------
     print("Li'17 whole-model pruning under the same budget ...")
     li17_model = copy.deepcopy(original)
-    context = PruningContext(task.train.images[:96], task.train.labels[:96],
-                             np.random.default_rng(0))
-    prune_whole_model(
-        li17_model, li17_model.prune_units(), Li17Pruner(), 2.0, context,
-        finetune=lambda m: fit(m, task.train, None,
-                               TrainConfig(epochs=2, batch_size=32, lr=0.02)))
-    li17_accuracy = evaluate_dataset(li17_model, task.test)
+    li17_accuracy = build_engine(
+        "li17", li17_model, task.train, config=config, test_set=task.test,
+        finetune_config=finetune).run_steps().final_accuracy
 
     # --- From scratch: same architecture, fresh weights --------------------
     print("training the HeadStart-pruned architecture from scratch ...")

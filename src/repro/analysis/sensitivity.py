@@ -16,7 +16,7 @@ import numpy as np
 
 from ..nn.modules import Module
 from ..pruning.baselines.common import Pruner, PruningContext
-from ..pruning.pipeline import budget_keep_count
+from ..pruning.engine import budget_keep_count
 from ..pruning.surgery import channel_mask
 from ..training import evaluate
 

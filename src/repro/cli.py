@@ -242,8 +242,7 @@ def _cmd_prune(args) -> int:
             print("block mode requires a model with droppable blocks "
                   "(resnet*)", file=sys.stderr)
             return 2
-        engine = BlockHeadStart(model, task.train.images, task.train.labels,
-                                config)
+        engine = BlockHeadStart(model, task.train, config=config)
         # The block step does not finetune in place, so the
         # accuracy-collapse guard would misfire; disable it.
         result, code = _run_engine(engine, args,

@@ -8,7 +8,8 @@ from .evalcache import EvalCache, mask_key
 from .finetune import FinetuneConfig, finetune
 from .policy import (HeadStartNetwork, bernoulli_log_prob, sample_actions,
                      threshold_action)
-from .pruner import HeadStartPruner, HeadStartResult, LayerLog
+from .pruner import (HeadStartPruner, LayerLog, LayerPruner, MetricEngine,
+                     PruneResult)
 from .reinforce import ReinforceDriver, ReinforceOutcome
 from .reward import acc_term, reward, spd_term
 from .scratch import resnet_like_pruned, vgg_like_pruned
@@ -20,7 +21,8 @@ __all__ = [
     "bernoulli_log_prob",
     "acc_term", "spd_term", "reward",
     "LayerAgent", "AgentResult",
-    "HeadStartPruner", "HeadStartResult", "LayerLog",
+    "LayerPruner", "PruneResult", "LayerLog",
+    "HeadStartPruner", "MetricEngine",
     "ReinforceDriver", "ReinforceOutcome",
     "BlockHeadStart", "BlockAgentResult", "bypass_blocks",
     "FinetuneConfig", "finetune",

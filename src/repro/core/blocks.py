@@ -78,16 +78,13 @@ class BlockHeadStart(SteppedEngineBase):
     ----------
     model:
         The ResNet to compress (e.g. ResNet-110).
-    data / labels:
-        Calibration data for reward evaluation: either a ``Dataset`` /
-        ``(images, labels)`` pair as ``data``, or — the original
-        calling convention, still supported — raw image and label
-        arrays as two positional arguments.  Prefer
-        :func:`repro.pruning.build_engine` for new code.  Rewards use
-        the first ``config.eval_batch`` images; the whole set (usually
-        the training set, so larger than the batch) re-scores the
-        finalist actions.  The inception accuracy is the chosen
-        action's batch accuracy, as the search measured it.
+    data:
+        Calibration data for reward evaluation, a ``Dataset`` or an
+        ``(images, labels)`` pair.  Rewards use the first
+        ``config.eval_batch`` images; the whole set (usually the
+        training set, so larger than the batch) re-scores the finalist
+        actions.  The inception accuracy is the chosen action's batch
+        accuracy, as the search measured it.
     config:
         HeadStart hyper-parameters; ``config.speedup`` is interpreted
         over blocks (sp=2 halves the block count).
@@ -97,13 +94,11 @@ class BlockHeadStart(SteppedEngineBase):
     stays the block count of the model the engine was built with.
     """
 
-    def __init__(self, model: ResNet, data, labels: np.ndarray | None = None,
+    def __init__(self, model: ResNet, data, *,
                  config: HeadStartConfig | None = None):
         self.model = model
         self.config = config = config if config is not None \
             else HeadStartConfig()
-        if labels is not None:
-            data = (data, labels)
         images, labels = as_arrays(data)
         batch = min(config.eval_batch, len(images))
         self.images = images[:batch]

@@ -21,7 +21,7 @@ def vgg_like_pruned(original: VGG, masks: dict[str, np.ndarray],
     """A freshly-initialised VGG with the pruned model's layer widths.
 
     ``masks`` maps conv names (``conv3_1`` ...) to keep masks, as
-    returned by :class:`~repro.core.pruner.HeadStartResult`.  Layers
+    returned by :class:`~repro.core.pruner.PruneResult`.  Layers
     without a mask keep their original width.
     """
     plan: list[list[int]] = []

@@ -1,13 +1,11 @@
 """``repro.pruning`` — structured-pruning substrate and metric baselines."""
 
 from . import baselines
-from .engine import (EngineInfo, MetricEngine, MetricEngineResult,
-                     PruningEngine, StepOutcome, StepSpec, StepState,
-                     SteppedEngine, SteppedEngineBase, SteppedResult,
-                     available_engines, build_engine)
+from .engine import (EngineInfo, PruningEngine, StepOutcome, StepSpec,
+                     StepState, SteppedEngine, SteppedEngineBase,
+                     SteppedResult, available_engines, budget_keep_count,
+                     build_engine)
 from .graph import build_pruning_graph, describe_graph, validate_units
-from .pipeline import (LayerPruneRecord, WholeModelResult, budget_keep_count,
-                       prune_whole_model)
 from .stats import (LayerStats, ModelStats, compression_ratio, layer_cost,
                     profile_model)
 from .surgery import channel_mask, keep_indices, prune_model, prune_unit
@@ -17,16 +15,14 @@ from .units import Consumer, ConvUnit
 
 __all__ = [
     "baselines",
-    "EngineInfo", "PruningEngine", "MetricEngine", "MetricEngineResult",
-    "build_engine", "available_engines",
+    "EngineInfo", "PruningEngine", "build_engine", "available_engines",
+    "budget_keep_count",
     "SteppedEngine", "SteppedEngineBase", "SteppedResult",
     "StepSpec", "StepOutcome", "StepState",
     "Consumer", "ConvUnit",
     "channel_mask", "prune_unit", "prune_model", "keep_indices",
     "LayerStats", "ModelStats", "layer_cost", "profile_model",
     "compression_ratio",
-    "LayerPruneRecord", "WholeModelResult", "budget_keep_count",
-    "prune_whole_model",
     "UnstructuredMasks", "magnitude_prune", "sparsity_of",
     "sparse_execution_time_factor",
     "build_pruning_graph", "validate_units", "describe_graph",

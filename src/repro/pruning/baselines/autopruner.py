@@ -1,18 +1,14 @@
-"""AutoPruner (Luo & Wu, 2018) and Network Slimming (Liu et al., 2017).
+"""AutoPruner (Luo & Wu, 2018): end-to-end trainable channel gates.
 
-Both learn per-channel importance end-to-end instead of computing a
-fixed statistic:
-
-* AutoPruner attaches a sigmoid gate to the unit's output and trains it
-  against the task loss plus a sparsity term that pulls the mean gate to
-  the survivor budget; the learned gate values rank the maps.
-* Network Slimming briefly fine-tunes with an L1 penalty on the unit's
-  batch-norm scaling factors and ranks maps by |gamma|.
+Instead of computing a fixed statistic, AutoPruner attaches a sigmoid
+gate to the unit's output and trains it against the task loss plus a
+sparsity term that pulls the mean gate to the survivor budget; the
+learned gate values rank the maps.
 
 Gates are injected by temporarily instrumenting the unit's batch norm
 forward, which puts the gate tensor in the autograd graph without
-modifying any model topology.  Both pruners snapshot and restore the
-model so ``select`` has no permanent side effects.
+modifying any model topology, and only the gate trains, so ``select``
+has no permanent side effects.
 """
 
 from __future__ import annotations
@@ -23,12 +19,12 @@ import numpy as np
 
 from ...nn import functional as F
 from ...nn.modules import Module, Parameter
-from ...nn.optim import SGD, Adam
+from ...nn.optim import Adam
 from ...nn.tensor import Tensor
 from ..units import ConvUnit
 from .common import Pruner, PruningContext, mask_from_scores, register_pruner
 
-__all__ = ["AutoPrunerPruner", "SlimmingPruner", "inject_gate"]
+__all__ = ["AutoPrunerPruner", "inject_gate"]
 
 
 @contextlib.contextmanager
@@ -102,48 +98,3 @@ class AutoPrunerPruner(Pruner):
         finally:
             model.train(was_training)
         return mask_from_scores(gate.data, keep_count)
-
-
-@register_pruner("slimming")
-class SlimmingPruner(Pruner):
-    """Network Slimming: L1-sparsified batch-norm scaling factors.
-
-    Requires the unit to have a batch norm.  The model is snapshotted
-    before the sparsifying fine-tune and restored afterwards, so only
-    the ranking escapes.
-    """
-
-    def __init__(self, steps: int = 20, lr: float = 0.01,
-                 l1_weight: float = 1e-2, batch_size: int = 32):
-        self.steps = steps
-        self.lr = lr
-        self.l1_weight = l1_weight
-        self.batch_size = batch_size
-
-    def select(self, model: Module, unit: ConvUnit, keep_count: int,
-               context: PruningContext) -> np.ndarray:
-        if unit.bn is None:
-            raise ValueError("network slimming needs a batch-norm unit")
-        snapshot = model.state_dict()
-        images, labels = context.images, context.labels
-        optimizer = SGD(model.parameters(), lr=self.lr, momentum=0.9)
-        was_training = model.training
-        model.train()
-        try:
-            for step in range(self.steps):
-                start = (step * self.batch_size) % max(len(images), 1)
-                batch = images[start:start + self.batch_size]
-                batch_labels = labels[start:start + self.batch_size]
-                if len(batch) == 0:
-                    break
-                optimizer.zero_grad()
-                logits = model(Tensor(batch))
-                loss = F.cross_entropy(logits, batch_labels) \
-                    + self.l1_weight * unit.bn.weight.abs().sum()
-                loss.backward()
-                optimizer.step()
-            scores = np.abs(unit.bn.weight.data.copy())
-        finally:
-            model.load_state_dict(snapshot)
-            model.train(was_training)
-        return mask_from_scores(scores, keep_count)

@@ -5,7 +5,7 @@ Every baseline answers the same question HeadStart answers with RL:
 The :class:`Pruner` interface makes them interchangeable in the
 whole-model pipeline and in the paper's comparison tables.
 
-Activation-based metrics (APoZ, entropy, ThiNet) need the unit's output
+Activation-based metrics (APoZ, ThiNet) need the unit's output
 feature maps on calibration data; :func:`collect_unit_outputs` captures
 them by temporarily instrumenting the unit's normalisation layer.
 """

@@ -1,4 +1,4 @@
-"""Metric-based pruners: Random, Li'17 (L1-norm), APoZ, entropy.
+"""Metric-based pruners: Random, Li'17 (L1-norm), APoZ.
 
 These are the "criticality metric" baselines of the paper's Section II:
 each scores feature maps with a local statistic and keeps the top-ranked
@@ -14,7 +14,7 @@ from ..units import ConvUnit
 from .common import (Pruner, PruningContext, collect_unit_outputs,
                      mask_from_scores, register_pruner)
 
-__all__ = ["RandomPruner", "Li17Pruner", "APoZPruner", "EntropyPruner"]
+__all__ = ["RandomPruner", "Li17Pruner", "APoZPruner"]
 
 
 @register_pruner("random")
@@ -58,30 +58,3 @@ class APoZPruner(Pruner):
         maps = collect_unit_outputs(model, unit, context.images, post_relu=True)
         apoz = (maps <= self.epsilon).mean(axis=(0, 2, 3))
         return mask_from_scores(1.0 - apoz, keep_count)
-
-
-@register_pruner("entropy")
-class EntropyPruner(Pruner):
-    """Luo & Wu, 2017: channels with low activation entropy are pruned.
-
-    Each map's spatially-averaged response over the calibration set is
-    histogrammed; the entropy of that distribution is the keep-score.
-    """
-
-    def __init__(self, bins: int = 16):
-        if bins < 2:
-            raise ValueError("need at least 2 histogram bins")
-        self.bins = bins
-
-    def select(self, model: Module, unit: ConvUnit, keep_count: int,
-               context: PruningContext) -> np.ndarray:
-        maps = collect_unit_outputs(model, unit, context.images, post_relu=True)
-        responses = maps.mean(axis=(2, 3))  # (N, C)
-        scores = np.empty(responses.shape[1])
-        for channel in range(responses.shape[1]):
-            values = responses[:, channel]
-            hist, _ = np.histogram(values, bins=self.bins)
-            prob = hist / max(hist.sum(), 1)
-            nonzero = prob[prob > 0]
-            scores[channel] = float(-(nonzero * np.log(nonzero)).sum())
-        return mask_from_scores(scores, keep_count)

@@ -13,52 +13,49 @@ common surface:
 * :func:`build_engine` — name-based factory replacing the per-class
   constructor zoo.  Calibration data may be a ``Dataset`` or an
   ``(images, labels)`` pair interchangeably.
-* :class:`MetricEngine` — adapter lifting the one-shot metric baselines
-  (``li17``, ``apoz``, ...) into the same protocol.
 * :class:`SteppedEngine` — the *step-oriented* protocol the
   fault-tolerant runtime drives: an engine exposes its work as an
   ordered list of :class:`StepSpec`\\ s, each decided by ``run_step``
   (pure computation, journalable payload) and materialised by
   ``apply_step`` (surgery / fine-tune, mutates ``engine.model``).
   ``replay_step`` re-applies a journaled payload without re-deciding,
-  which is what makes resume bit-for-bit exact.  All three engine kinds
-  implement it (:class:`~repro.core.pruner.HeadStartPruner` per layer,
-  :class:`~repro.core.blocks.BlockHeadStart` as one block-pattern step,
-  :class:`MetricEngine` per unit).
+  which is what makes resume bit-for-bit exact.  Two engine shapes
+  implement it: the layer engines of :mod:`repro.core.pruner`
+  (HeadStart and the metric baselines, one step per layer) and
+  :class:`~repro.core.blocks.BlockHeadStart` (one block-pattern step).
   :meth:`SteppedEngineBase.run_steps` drives the same steps in process
-  without a journal, and every engine's plain ``run()`` is defined
-  through its steps, so a plain run decides what a journaled one does.
+  without a journal, so a plain run decides what a journaled one does.
 
-Old constructors keep working; the factory is the recommended entry
-point for new code.
+The per-class constructors take the same ``(model, data, ...)`` order;
+the factory is the recommended entry point for new code.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from ..data.datasets import as_arrays
 from ..nn.modules import Module
-from ..obs import get_recorder
-from ..runtime import faults
-from .baselines.common import (Pruner, PruningContext, available_pruners,
-                               build_pruner)
-from .pipeline import budget_keep_count
-from .surgery import prune_unit
+from .baselines.common import Pruner, available_pruners
 from .units import ConvUnit
 
-__all__ = ["EngineInfo", "PruningEngine", "MetricEngine",
-           "MetricEngineResult", "build_engine", "available_engines",
+__all__ = ["EngineInfo", "PruningEngine", "build_engine",
+           "available_engines", "budget_keep_count",
            "StepSpec", "StepOutcome", "StepState", "SteppedResult",
            "SteppedEngine", "SteppedEngineBase"]
 
 #: RL engine names accepted by :func:`build_engine` (metric baseline
 #: names from :func:`available_pruners` are accepted too).
 RL_ENGINES = ("headstart", "block")
+
+
+def budget_keep_count(num_maps: int, speedup: float) -> int:
+    """Survivor budget ``C / sp`` for a layer (Eq. 1 constraint)."""
+    if speedup < 1.0:
+        raise ValueError("speedup must be >= 1")
+    return max(1, int(round(num_maps / speedup)))
 
 
 @dataclass(frozen=True)
@@ -102,11 +99,11 @@ class StepSpec:
         Stable identifier journaled with the step (a unit name, or
         ``"blocks"`` for the block pattern).
     index:
-        Position in the engine's plan (0-based); doubles as the seed
-        offset for per-step self-seeding.
+        Position in the engine's plan (0-based); each step self-seeds
+        from it.
     kind:
-        ``"layer"`` (decide + surgery + fine-tune), ``"unit"`` (decide
-        and prune one unit) or ``"blocks"`` (block pattern).
+        ``"layer"`` (decide one unit's mask, surgery, fine-tune) or
+        ``"blocks"`` (block pattern).
     """
 
     name: str
@@ -121,7 +118,7 @@ class StepSpec:
         :class:`~repro.runtime.fallback.FallbackChain` when it is
         exhausted; any other step is skipped instead.
         """
-        return self.kind in ("layer", "unit")
+        return self.kind == "layer"
 
 
 @dataclass
@@ -161,10 +158,9 @@ class StepState:
 
 @dataclass
 class SteppedResult:
-    """Generic accumulated outcome of a stepped run (non-HeadStart engines)."""
+    """Accumulated outcome of a stepped run: each step's journaled log row."""
 
     steps: list[dict] = field(default_factory=list)
-    masks: dict[str, np.ndarray] = field(default_factory=dict)
     final_accuracy: float | None = None
 
 
@@ -173,12 +169,12 @@ class SteppedEngine(Protocol):
     """Step-oriented engine surface the fault-tolerant runtime drives.
 
     Beyond these three methods an engine exposes ``model`` (the object
-    being pruned, replaced wholesale on rollback), plus the bookkeeping
-    hooks :class:`SteppedEngineBase` provides default implementations
-    for (``new_result``/``accumulate``/``finalize``,
-    ``current_accuracy``, ``retry_config``, ``fallback_keep_count``/
-    ``fallback_outcome``, ``fingerprint``, ``calibration_arrays``,
-    ``replay_step``).
+    being pruned, replaced wholesale on rollback), ``replay_step``, the
+    bookkeeping hooks :class:`SteppedEngineBase` provides default
+    implementations for (``new_result``/``accumulate``/``finalize``,
+    ``current_accuracy``, ``retry_config``, ``fingerprint``,
+    ``calibration_arrays``) and, when its steps decide one unit each,
+    ``fallback_keep_count``/``fallback_outcome``.
     """
 
     def steps(self) -> list[StepSpec]: ...
@@ -201,31 +197,14 @@ class SteppedEngineBase:
 
     Subclasses provide ``model``, a
     :class:`~repro.core.config.HeadStartConfig`-shaped ``config``,
-    ``describe()`` and ``run_step``/``apply_step``; this base supplies
-    the in-process driver :meth:`run_steps`, one step per active unit,
-    result accumulation, mask replay (:meth:`apply`), the
-    calibration-batch accuracy used by the collapse guard, retry
-    reseeding and the metric-fallback plumbing.  Everything here
-    re-derives units from ``self.model`` on each call — the harness
-    replaces ``model`` wholesale on rollback, so cached
-    :class:`~repro.pruning.units.ConvUnit` handles would go stale.
+    ``describe()``, ``steps()`` and ``run_step``/``apply_step``/
+    ``replay_step``; this base supplies the in-process driver
+    :meth:`run_steps`, result accumulation, the calibration-batch
+    accuracy used by the collapse guard and retry reseeding.  An engine
+    whose steps decide one unit each also provides the fallback hooks
+    (``fallback_keep_count``/``fallback_outcome``); the layer engines
+    of :mod:`repro.core.pruner` share theirs.
     """
-
-    #: Whether a whole-model run leaves the final prunable unit intact
-    #: (the classifier's feature extractor, paper protocol).
-    skip_last: bool = True
-    #: ``StepSpec.kind`` of the per-unit steps :meth:`steps` plans.
-    step_kind: str = "unit"
-
-    # -- plan ---------------------------------------------------------------
-    def active_units(self) -> list[ConvUnit]:
-        """The units a whole-model run prunes, in forward order."""
-        units = self.model.prune_units()
-        return units[:-1] if (self.skip_last and len(units) > 1) else units
-
-    def steps(self) -> list[StepSpec]:
-        return [StepSpec(name=unit.name, index=index, kind=self.step_kind)
-                for index, unit in enumerate(self.active_units())]
 
     # -- the in-process driver ----------------------------------------------
     def run_steps(self):
@@ -245,28 +224,6 @@ class SteppedEngineBase:
         self.finalize(result)
         return result
 
-    def apply(self, result) -> int:
-        """Physically apply ``result.masks``; returns feature maps removed.
-
-        A unit already at its mask's kept count is skipped, so applying
-        a result whose run did the surgery is a no-op returning 0, and
-        on a fresh copy of the architecture the masks are replayed in
-        order.  A mask that does not fit its unit raises ``ValueError``.
-        Part of the :class:`PruningEngine` protocol.
-        """
-        removed = 0
-        for name, mask in result.masks.items():
-            unit = _unit_by_name(self.model, name)
-            mask = np.asarray(mask, dtype=bool)
-            if unit.num_maps == int(np.count_nonzero(mask)):
-                continue  # already applied
-            if unit.num_maps != mask.size:
-                raise ValueError(
-                    f"mask for {name!r} covers {mask.size} maps but the "
-                    f"unit has {unit.num_maps}")
-            removed += prune_unit(unit, mask)
-        return removed
-
     # -- result bookkeeping -------------------------------------------------
     def new_result(self) -> SteppedResult:
         return SteppedResult()
@@ -275,9 +232,6 @@ class SteppedEngineBase:
                    outcome: StepOutcome) -> None:
         if outcome.log is not None:
             result.steps.append(dict(outcome.log))
-        payload = outcome.payload or {}
-        if "mask" in payload:
-            result.masks[spec.name] = np.asarray(payload["mask"], dtype=bool)
 
     def finalize(self, result) -> None:
         result.final_accuracy = self.current_accuracy()
@@ -291,35 +245,10 @@ class SteppedEngineBase:
         images, labels = self.calibration_arrays()
         return evaluate(self.model, images, labels)
 
-    # -- retry / fallback ---------------------------------------------------
+    # -- retry --------------------------------------------------------------
     def retry_config(self, spec: StepSpec, policy, attempt: int):
         """Config override for retry ``attempt`` (1-based) of ``spec``."""
         return policy.layer_config(self.config, spec.index, attempt)
-
-    def fallback_keep_count(self, name: str) -> int:
-        """The survivor budget a fallback engine must honour for a unit."""
-        unit = _unit_by_name(self.model, name)
-        return budget_keep_count(unit.num_maps, self.config.speedup)
-
-    def fallback_outcome(self, spec: StepSpec, mask: np.ndarray,
-                         engine_name: str) -> StepOutcome:
-        """Wrap a fallback-selected mask as this engine's step outcome."""
-        return StepOutcome(payload={"mask": np.asarray(mask, dtype=bool),
-                                    "engine": engine_name},
-                           log={"name": spec.name, "engine": engine_name})
-
-    # -- resume -------------------------------------------------------------
-    def replay_step(self, spec: StepSpec, payload: dict) -> None:
-        """Re-apply a journaled decision without re-deciding it.
-
-        The default re-runs the surgery of the payload's ``mask``; an
-        engine whose surgery is not per-unit (block bypassing) overrides
-        this.
-        """
-        payload = payload or {}
-        if "mask" in payload:
-            prune_unit(_unit_by_name(self.model, spec.name),
-                       np.asarray(payload["mask"], dtype=bool))
 
     # -- identity -----------------------------------------------------------
     def fingerprint(self) -> dict:
@@ -335,127 +264,21 @@ class SteppedEngineBase:
                 "config": resume_relevant(self.config)}
 
 
-class MetricEngineResult(SteppedResult):
-    """Outcome of a metric-baseline engine run, plain or journaled."""
-
-    @property
-    def keep_counts(self) -> dict[str, int]:
-        return {name: int(np.count_nonzero(mask))
-                for name, mask in self.masks.items()}
-
-
-class MetricEngine(SteppedEngineBase):
-    """One-shot metric baseline (Li'17, APoZ, ...) as a `PruningEngine`.
-
-    Units are pruned one at a time in forward order, each scored on the
-    model that earlier units' surgery left, as in
-    :func:`~repro.pruning.pipeline.prune_whole_model` without
-    fine-tuning.
-
-    Parameters
-    ----------
-    pruner:
-        A registered pruner name or a :class:`Pruner` instance.
-    model:
-        Model exposing ``prune_units()``.
-    data:
-        Calibration data — a ``Dataset`` or ``(images, labels)`` pair.
-    speedup:
-        Per-layer survivor budget ``C / sp`` (Eq. 1 constraint).
-    """
-
-    def __init__(self, pruner: Pruner | str, model: Module, data,
-                 speedup: float = 2.0, eval_batch: int = 128, seed: int = 0,
-                 skip_last: bool = True):
-        self.pruner = build_pruner(pruner) if isinstance(pruner, str) \
-            else pruner
-        self.model = model
-        self.images, self.labels = as_arrays(data, limit=eval_batch)
-        self.speedup = float(speedup)
-        self.seed = int(seed)
-        self.skip_last = bool(skip_last)
-        if not self.active_units():
-            raise ValueError("model exposes no prunable units")
-
-    def run(self) -> MetricEngineResult:
-        """Decide every unit as a journaled run does; no surgery yet.
-
-        The steps run on a copy of the model, so ``self.model`` is left
-        as it was; :meth:`apply` then prunes it with the result's masks.
-        """
-        replica = copy.copy(self)
-        replica.model = copy.deepcopy(self.model)
-        with get_recorder().span("metric_engine.run",
-                                 metric=self.pruner.name):
-            return replica.run_steps()
-
-    def new_result(self) -> MetricEngineResult:
-        return MetricEngineResult()
-
-    # -- stepped protocol ---------------------------------------------------
-    def run_step(self, spec: StepSpec, state: StepState) -> StepOutcome:
-        unit = _unit_by_name(self.model, spec.name)
-        keep_count = budget_keep_count(unit.num_maps, self.speedup)
-        context = PruningContext(
-            self.images, self.labels,
-            np.random.default_rng(self.seed + spec.index
-                                  + 1009 * state.attempt))
-        faults.crash_point("metric.select")
-        with get_recorder().span("prune_layer", layer=unit.name,
-                                 maps_before=unit.num_maps):
-            mask = self.pruner.select(self.model, unit, keep_count, context)
-        mask = np.asarray(mask, dtype=bool)
-        return StepOutcome(
-            payload={"mask": mask},
-            log={"name": spec.name, "maps_before": int(unit.num_maps),
-                 "maps_after": int(np.count_nonzero(mask))})
-
-    def apply_step(self, spec: StepSpec, outcome: StepOutcome,
-                   state: StepState) -> None:
-        unit = _unit_by_name(self.model, spec.name)
-        mask = np.asarray(outcome.payload["mask"], dtype=bool)
-        outcome.removed = prune_unit(unit, mask)
-        get_recorder().counter("pruner/layers_pruned")
-        get_recorder().counter("pruner/maps_removed", outcome.removed)
-        if state.need_accuracy:
-            outcome.accuracy = self.current_accuracy()
-
-    def retry_config(self, spec: StepSpec, policy, attempt: int):
-        # Metric selection has no trainable config; retries reseed the
-        # pruning context through ``state.attempt`` in run_step instead.
-        return None
-
-    def fallback_keep_count(self, name: str) -> int:
-        unit = _unit_by_name(self.model, name)
-        return budget_keep_count(unit.num_maps, self.speedup)
-
-    def fingerprint(self) -> dict:
-        return {"engine": self.describe().name, "speedup": self.speedup,
-                "seed": self.seed, "skip_last": self.skip_last}
-
-    def describe(self) -> EngineInfo:
-        return EngineInfo(
-            name=self.pruner.name or type(self.pruner).__name__,
-            kind="metric",
-            action_space="top-k feature maps per layer by a local score",
-            description=(type(self.pruner).__doc__ or "").strip()
-            .split("\n")[0])
-
-
 def available_engines() -> list[str]:
     """Every name :func:`build_engine` accepts."""
     return sorted([*RL_ENGINES, *available_pruners()])
 
 
-def build_engine(name: str, model: Module, data, config=None,
+def build_engine(name: str | Pruner, model: Module, data, config=None,
                  **kwargs) -> PruningEngine:
     """Construct any pruning engine from one uniform signature.
 
     Parameters
     ----------
     name:
-        ``"headstart"`` (layer-wise RL), ``"block"`` (residual-block RL)
-        or any registered metric baseline name (``li17``, ``apoz``, ...).
+        ``"headstart"`` (layer-wise RL), ``"block"`` (residual-block RL),
+        any registered metric baseline name (``li17``, ``apoz``, ...) or
+        a configured :class:`~repro.pruning.baselines.Pruner` instance.
     model:
         The model to compress.
     data:
@@ -469,13 +292,14 @@ def build_engine(name: str, model: Module, data, config=None,
         as keyword arguments instead).
     kwargs:
         Forwarded to the engine constructor (e.g. ``test_set=``,
-        ``finetune_config=`` for ``headstart``; ``skip_last=``).
+        ``finetune_config=``, ``input_shape=``, ``skip_last=`` for the
+        layer engines).
     """
     # Engines live in repro.core, which imports this module for
     # EngineInfo — resolve them lazily to keep the import graph acyclic.
     from ..core.blocks import BlockHeadStart
     from ..core.config import HeadStartConfig
-    from ..core.pruner import HeadStartPruner
+    from ..core.pruner import HeadStartPruner, MetricEngine
 
     if name == "headstart":
         return HeadStartPruner(model, data,
@@ -483,7 +307,7 @@ def build_engine(name: str, model: Module, data, config=None,
     if name == "block":
         return BlockHeadStart(model, data,
                               config=config or HeadStartConfig(), **kwargs)
-    if name in available_pruners():
+    if isinstance(name, Pruner) or name in available_pruners():
         if config is not None:
             kwargs.setdefault("speedup", config.speedup)
             kwargs.setdefault("eval_batch", config.eval_batch)

@@ -74,7 +74,7 @@ def _make_runner(kind: str, task, seed: int,
     the static-graph executor while its baseline stays dense.
     """
     from ..core import (BlockHeadStart, EvalOptions, FinetuneConfig,
-                        HeadStartConfig, HeadStartPruner)
+                        HeadStartConfig)
     from ..pruning import build_engine
 
     model_name = "resnet20" if kind == "block" else "lenet"
@@ -93,24 +93,19 @@ def _make_runner(kind: str, task, seed: int,
     config = HeadStartConfig(
         speedup=2.0, max_iterations=6, min_iterations=3,
         patience=3, eval_batch=16, seed=seed, mc_samples=2, eval=options)
-    if kind.startswith("headstart"):
-        engine = HeadStartPruner(
-            model, task.train, task.test, config=config,
-            finetune_config=FinetuneConfig(epochs=1, batch_size=24, lr=0.02,
-                                           seed=seed),
-            skip_last=False)
-        return ResumableRunner(engine=engine)
     if kind == "block":
-        engine = BlockHeadStart(model, task.train.images, task.train.labels,
-                                config)
-    else:
-        engine = build_engine(kind, model,
-                              (task.train.images, task.train.labels),
-                              speedup=2.0, eval_batch=16, seed=seed,
-                              skip_last=False)
-    # Block and metric steps do not finetune in place, so the
-    # accuracy-collapse guard has no meaningful baseline; disable it.
-    return ResumableRunner(engine=engine, collapse_ratio=0.0)
+        # The block step does not finetune in place, so the
+        # accuracy-collapse guard has no meaningful baseline; disable it.
+        engine = BlockHeadStart(model, task.train, config=config)
+        return ResumableRunner(engine=engine, collapse_ratio=0.0)
+    # HeadStart and metric layer steps share one tail: surgery, then a
+    # one-epoch fine-tune and the test-split accuracy.
+    tune = FinetuneConfig(epochs=1, batch_size=24, lr=0.02, seed=seed)
+    name = "headstart" if kind.startswith("headstart") else kind
+    engine = build_engine(name, model, task.train, config=config,
+                          test_set=task.test, finetune_config=tune,
+                          skip_last=False)
+    return ResumableRunner(engine=engine)
 
 
 def _payloads(run_dir) -> dict[str, object]:

@@ -8,8 +8,8 @@ that step's unit* with progressively cheaper deterministic engines (the
 metric baselines: ``taylor``, ``thinet``, ``li17``, ...) at the same
 survivor budget, so the paper's Eq. 1 sparsity constraint still holds;
 only the *quality* of the kept set degrades from "RL-searched" to
-"metric-ranked".  Only a step that decides one unit (a layer or unit
-step) can degrade; an exhausted block-pattern step is skipped.
+"metric-ranked".  Only a step that decides one unit (a layer step)
+can degrade; an exhausted block-pattern step is skipped.
 
 The harness journals a ``degraded`` record naming the engine that
 produced the surviving mask, counts degradations in

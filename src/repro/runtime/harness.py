@@ -188,7 +188,7 @@ class ResumableRunner:
     def _degrade(self, journal: RunJournal, spec: StepSpec, backup,
                  pre_accuracy: float, failures: list[dict]
                  ) -> tuple[StepOutcome | None, str | None]:
-        """Finish an exhausted unit step with the fallback chain's engines."""
+        """Finish an exhausted layer step with the fallback chain's engines."""
         images, labels = self.engine.calibration_arrays()
         for engine_name in self.fallback.engines:
             state = StepState(attempt=len(failures),

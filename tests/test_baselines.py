@@ -5,11 +5,11 @@ import pytest
 
 from repro.nn import Parameter, Tensor, no_grad
 from repro.pruning.baselines import (APoZPruner, AutoPrunerPruner,
-                                     EntropyPruner, Li17Pruner, PruningContext,
-                                     RandomPruner, SlimmingPruner,
-                                     ThiNetPruner, available_pruners,
-                                     build_pruner, collect_unit_outputs,
-                                     inject_gate, mask_from_scores)
+                                     Li17Pruner, PruningContext,
+                                     RandomPruner, ThiNetPruner,
+                                     available_pruners, build_pruner,
+                                     collect_unit_outputs, inject_gate,
+                                     mask_from_scores)
 from repro.pruning.surgery import channel_mask
 from repro.training import evaluate
 
@@ -22,8 +22,7 @@ def context(calibration, seed=0):
 class TestRegistry:
     def test_all_registered(self):
         names = available_pruners()
-        for expected in ("random", "li17", "apoz", "entropy", "thinet",
-                         "autopruner", "slimming"):
+        for expected in ("random", "li17", "apoz", "thinet", "autopruner"):
             assert expected in names
 
     def test_build_by_name(self):
@@ -124,25 +123,6 @@ class TestAPoZ:
         assert not mask[2]
 
 
-class TestEntropy:
-    def test_budget(self, lenet_copy, calibration):
-        _respects_budget(EntropyPruner(), lenet_copy, calibration)
-
-    def test_constant_map_has_lowest_priority(self, lenet_copy, calibration):
-        unit = lenet_copy.prune_units()[0]
-        unit.conv.weight.data[1] = 0.0
-        unit.conv.bias.data[1] = 5.0
-        unit.bn.weight.data[1] = 0.0
-        unit.bn.bias.data[1] = 5.0  # constant positive output
-        mask = EntropyPruner().select(lenet_copy, unit, unit.num_maps - 1,
-                                      context(calibration))
-        assert not mask[1]
-
-    def test_invalid_bins(self):
-        with pytest.raises(ValueError):
-            EntropyPruner(bins=1)
-
-
 class TestThiNet:
     def test_budget_conv_consumer(self, lenet_copy, calibration):
         _respects_budget(ThiNetPruner(num_samples=32,
@@ -215,23 +195,3 @@ class TestAutoPruner:
             F.cross_entropy(logits, calibration[1][:8]).backward()
         assert gate.grad is not None
         assert np.any(gate.grad != 0)
-
-
-class TestSlimming:
-    def test_budget(self, lenet_copy, calibration):
-        pruner = SlimmingPruner(steps=3, batch_size=16)
-        _respects_budget(pruner, lenet_copy, calibration)
-
-    def test_model_restored(self, lenet_copy, calibration):
-        state_before = lenet_copy.state_dict()
-        SlimmingPruner(steps=3, batch_size=16).select(
-            lenet_copy, lenet_copy.prune_units()[0], 3, context(calibration))
-        state_after = lenet_copy.state_dict()
-        for key in state_before:
-            assert np.allclose(state_before[key], state_after[key]), key
-
-    def test_requires_batchnorm(self, lenet_copy, calibration):
-        unit = lenet_copy.prune_units()[0]
-        unit.bn = None
-        with pytest.raises(ValueError):
-            SlimmingPruner().select(lenet_copy, unit, 3, context(calibration))

@@ -63,7 +63,7 @@ class TestBypassBlocks:
 
 class TestBlockHeadStart:
     def test_run_produces_valid_pattern(self, resnet_copy, calibration):
-        agent = BlockHeadStart(resnet_copy, *calibration, quick_config())
+        agent = BlockHeadStart(resnet_copy, calibration, config=quick_config())
         result = agent.run()
         assert result.keep_action.shape == (len(agent.droppable),)
         assert all(1 <= n <= 3 for n in result.blocks_per_group)
@@ -71,7 +71,7 @@ class TestBlockHeadStart:
 
     def test_apply_builds_pruned_resnet(self, resnet_copy, calibration):
         total_before = sum(resnet_copy.blocks_per_group)
-        agent = BlockHeadStart(resnet_copy, *calibration, quick_config())
+        agent = BlockHeadStart(resnet_copy, calibration, config=quick_config())
         result = agent.run()
         removed = agent.apply(result)
         pruned = agent.model
@@ -82,7 +82,7 @@ class TestBlockHeadStart:
 
     def test_second_search_reads_the_rebuilt_layout(self, resnet_copy,
                                                      calibration):
-        agent = BlockHeadStart(resnet_copy, *calibration, quick_config())
+        agent = BlockHeadStart(resnet_copy, calibration, config=quick_config())
         total_before = agent.total_blocks
         agent.apply(agent.run(), rng=np.random.default_rng(0))
         rebuilt = sum(agent.model.blocks_per_group)
@@ -96,7 +96,7 @@ class TestBlockHeadStart:
         assert agent.total_blocks == total_before
 
     def test_mismatched_action_raises(self, resnet_copy, calibration):
-        agent = BlockHeadStart(resnet_copy, *calibration, quick_config())
+        agent = BlockHeadStart(resnet_copy, calibration, config=quick_config())
         droppable = len(resnet_copy.droppable_blocks())
         for size in (droppable - 1, droppable + 1):
             with pytest.raises(ValueError, match=f"{size} entries.*"
@@ -106,7 +106,7 @@ class TestBlockHeadStart:
     def test_sparsity_near_block_target(self, resnet_copy, calibration):
         config = quick_config(speedup=2.0, max_iterations=15,
                               min_iterations=10)
-        agent = BlockHeadStart(resnet_copy, *calibration, config)
+        agent = BlockHeadStart(resnet_copy, calibration, config=config)
         result = agent.run()
         total = sum(resnet_copy.blocks_per_group)
         kept = sum(result.blocks_per_group)
@@ -116,13 +116,13 @@ class TestBlockHeadStart:
                                        tiny_task):
         before = evaluate(resnet_copy, tiny_task.test.images,
                           tiny_task.test.labels)
-        BlockHeadStart(resnet_copy, *calibration, quick_config()).run()
+        BlockHeadStart(resnet_copy, calibration, config=quick_config()).run()
         after = evaluate(resnet_copy, tiny_task.test.images,
                          tiny_task.test.labels)
         assert before == after
 
     def test_transition_blocks_always_kept(self, resnet_copy, calibration):
-        agent = BlockHeadStart(resnet_copy, *calibration, quick_config())
+        agent = BlockHeadStart(resnet_copy, calibration, config=quick_config())
         result = agent.run()
         keep = agent.keep_mask_by_group(result.keep_action)
         assert keep[1][0] and keep[2][0]  # group 2/3 transitions survive
@@ -135,25 +135,25 @@ class TestBlockHeadStart:
                        rng=np.random.default_rng(0))
         monkeypatch.setattr(model, "droppable_blocks", lambda: [])
         with pytest.raises(ValueError, match="no droppable residual blocks"):
-            BlockHeadStart(model, *calibration, quick_config())
+            BlockHeadStart(model, calibration, config=quick_config())
 
     def test_deterministic_under_seed(self, resnet_copy, calibration):
-        r1 = BlockHeadStart(resnet_copy, *calibration,
-                            quick_config(seed=4)).run()
-        r2 = BlockHeadStart(resnet_copy, *calibration,
-                            quick_config(seed=4)).run()
+        r1 = BlockHeadStart(resnet_copy, calibration,
+                            config=quick_config(seed=4)).run()
+        r2 = BlockHeadStart(resnet_copy, calibration,
+                            config=quick_config(seed=4)).run()
         assert np.array_equal(r1.keep_action, r2.keep_action)
 
     def test_cache_is_bit_for_bit_neutral(self, resnet_copy, calibration):
         """The driver's eval cache changes nothing the block search does."""
         recorder = Recorder()
         with use_recorder(recorder):
-            cached = BlockHeadStart(resnet_copy, *calibration,
-                                    quick_config(seed=4)).run()
+            cached = BlockHeadStart(resnet_copy, calibration,
+                                    config=quick_config(seed=4)).run()
         assert recorder.counters["evalcache/hits"] > 0
         plain = BlockHeadStart(
-            resnet_copy, *calibration,
-            quick_config(seed=4, eval=EvalOptions(cache=False))).run()
+            resnet_copy, calibration,
+            config=quick_config(seed=4, eval=EvalOptions(cache=False))).run()
         assert np.array_equal(cached.keep_action, plain.keep_action)
         assert cached.reward_history == plain.reward_history
         assert cached.loss_history == plain.loss_history
@@ -161,7 +161,7 @@ class TestBlockHeadStart:
 
     def test_inception_accuracy_is_the_searched_batch_accuracy(
             self, resnet_copy, calibration):
-        agent = BlockHeadStart(resnet_copy, *calibration, quick_config())
+        agent = BlockHeadStart(resnet_copy, calibration, config=quick_config())
         recorder = Recorder()
         with use_recorder(recorder):
             result = agent.run()

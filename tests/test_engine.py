@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 
 from repro.core import (BlockHeadStart, FinetuneConfig, HeadStartConfig,
-                        HeadStartPruner)
+                        HeadStartPruner, MetricEngine, finetune)
 from repro.data import (ArrayDataset, as_arrays, as_dataset,
                         make_cifar100_like)
 from repro.models import build_model
-from repro.pruning import (EngineInfo, MetricEngine, PruningEngine,
-                           StepState, available_engines, build_engine,
-                           prune_whole_model)
+from repro.pruning import (EngineInfo, PruningEngine, StepState,
+                           available_engines, budget_keep_count,
+                           build_engine, prune_unit)
 from repro.pruning.baselines import (PruningContext, available_pruners,
                                      build_pruner)
-from repro.runtime import ResumableRunner, RetryPolicy, RunJournal
+from repro.runtime import (FaultPlan, ResumableRunner, ResumeMismatchError,
+                           RetryPolicy, RunJournal, SimulatedCrash, inject)
 from repro.training import TrainConfig, evaluate, fit
 
 
@@ -56,11 +57,20 @@ class TestFactory:
             assert isinstance(info, EngineInfo)
             assert info.kind == kind
 
+    def test_builds_a_metric_engine_from_a_configured_pruner(
+            self, lenet_copy, tiny_task):
+        pruner = build_pruner("thinet", num_samples=8)
+        engine = build_engine(pruner, lenet_copy, tiny_task.train,
+                              config=tiny_config())
+        assert isinstance(engine, MetricEngine)
+        assert engine.pruner is pruner
+        assert engine.describe().name == "thinet"
+
     def test_metric_engine_inherits_config_knobs(self, lenet_copy, tiny_task):
         engine = build_engine("li17", lenet_copy, tiny_task.train,
                               config=tiny_config(speedup=4.0, eval_batch=24))
         assert engine.speedup == 4.0
-        assert len(engine.images) <= 24
+        assert len(engine.calibration[0]) <= 24
 
     def test_kwargs_forwarded_to_constructor(self, lenet_copy, tiny_task):
         engine = build_engine("headstart", lenet_copy, tiny_task.train,
@@ -71,17 +81,27 @@ class TestFactory:
 
 
 class TestMetricEngineConformance:
-    def test_run_then_apply_prunes_the_model(self, lenet_copy, calibration):
-        engine = build_engine("li17", lenet_copy, calibration, speedup=2.0)
+    def test_run_then_apply_prunes_the_model(self, trained_lenet,
+                                             calibration):
+        engine = build_engine("li17", copy.deepcopy(trained_lenet),
+                              calibration, speedup=2.0)
         result = engine.run()
         assert result.masks
-        removed = engine.apply(result)
-        assert isinstance(removed, int) and removed > 0
+        # run() already performed the surgery layer by layer.
+        assert engine.apply(result) == 0
         # The pruned model still runs and each unit matches its budget.
-        for unit in engine.active_units():
-            assert unit.num_maps == result.keep_counts[unit.name]
+        for log in result.layers:
+            unit = unit_named(engine.model, log.name)
+            assert unit.num_maps == log.maps_after < log.maps_before
         images, labels = calibration
-        assert 0.0 <= evaluate(lenet_copy, images, labels) <= 1.0
+        assert 0.0 <= evaluate(engine.model, images, labels) <= 1.0
+        # On a fresh copy, apply() replays the masks.
+        fresh = build_engine("li17", copy.deepcopy(trained_lenet),
+                             calibration, speedup=2.0)
+        removed = fresh.apply(result)
+        assert removed == sum(log.maps_before - log.maps_after
+                              for log in result.layers)
+        assert_same_state(fresh.model, engine.model)
 
     def test_every_registered_metric_name_builds(self, lenet_copy,
                                                  calibration):
@@ -150,7 +170,7 @@ class TestStepProtocol:
     """The per-step hooks the fault-tolerant runtime calls on an engine."""
 
     @pytest.mark.parametrize("name,kind", [("headstart", "layer"),
-                                           ("li17", "unit"),
+                                           ("li17", "layer"),
                                            ("block", "blocks")])
     def test_only_unit_steps_can_fall_back(self, name, kind, lenet_copy,
                                            resnet_copy, tiny_task):
@@ -234,11 +254,10 @@ class TestStepProtocol:
         engine.accumulate(result, spec, outcome)
         assert list(result.masks) == [spec.name]
         assert np.array_equal(result.masks[spec.name], mask)
-        if name == "headstart":
-            assert result.layers[0].maps_after == keep
-            assert result.layers[0].agent_iterations == 0  # nothing searched
-        else:
-            assert result.steps == [{"name": spec.name, "engine": "taylor"}]
+        [log] = result.layers
+        assert (log.name, log.maps_before, log.maps_after) == \
+            (spec.name, maps, keep)
+        assert log.agent_iterations == 0  # nothing searched
 
 
 class TestDataCoercion:
@@ -268,6 +287,16 @@ class TestDataCoercion:
         assert len(wrapped) == len(calibration[0])
         assert as_dataset(tiny_task.train) is tiny_task.train
 
+    def test_block_engine_takes_labels_with_the_data(self, resnet_copy,
+                                                     calibration):
+        images, labels = calibration
+        with pytest.raises(TypeError):
+            BlockHeadStart(resnet_copy, images, labels)
+        agent = BlockHeadStart(resnet_copy, (images, labels),
+                               config=tiny_config(eval_batch=36))
+        assert np.array_equal(agent.full_images, images)
+        assert np.array_equal(agent.full_labels, labels)
+
     def test_engines_agree_across_data_conventions(self, trained_lenet,
                                                    calibration):
         images, labels = calibration
@@ -283,14 +312,6 @@ class TestDataCoercion:
         assert masks[0].keys() == masks[1].keys()
         for name in masks[0]:
             assert np.array_equal(masks[0][name], masks[1][name])
-
-    def test_legacy_positional_labels_still_supported(self, resnet_copy,
-                                                      calibration):
-        images, labels = calibration
-        agent = BlockHeadStart(resnet_copy, images, labels,
-                               tiny_config(eval_batch=36))
-        assert np.array_equal(agent.full_images, images)
-        assert np.array_equal(agent.full_labels, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -318,20 +339,25 @@ def pretrained(step_task):
     return models
 
 
-def step_engine(kind, model, task):
-    """A fresh ``kind`` engine over a copy of ``model``, at speedup 2."""
+def step_engine(kind, model, task, tuned=False):
+    """A fresh ``kind`` engine over a copy of ``model``, at speedup 2.
+
+    HeadStart always fine-tunes between layers; a metric engine does
+    when ``tuned`` is set.
+    """
     model = copy.deepcopy(model)
     config = HeadStartConfig(speedup=2.0, max_iterations=4, min_iterations=2,
                              patience=2, eval_batch=32, seed=0, mc_samples=2)
+    tune = FinetuneConfig(epochs=1, batch_size=16, lr=0.02, seed=0)
     if kind == "headstart":
-        return HeadStartPruner(
-            model, task.train, task.test, config=config,
-            finetune_config=FinetuneConfig(epochs=1, batch_size=16, lr=0.02,
-                                           seed=0))
+        return HeadStartPruner(model, task.train, task.test, config=config,
+                               finetune_config=tune)
     if kind == "block":
         return BlockHeadStart(model, task.train, config=config)
-    return build_engine(kind, model, task.train, speedup=2.0, eval_batch=32,
-                        seed=0)
+    if tuned:
+        return build_engine(kind, model, task.train, config=config,
+                            test_set=task.test, finetune_config=tune)
+    return build_engine(kind, model, task.train, config=config)
 
 
 def assert_same_masks(a, b):
@@ -348,18 +374,23 @@ def assert_same_state(a, b):
         assert value.tobytes() == state_b[key].tobytes(), key
 
 
-STEP_CASES = [(kind, model) for model in ("vgg11", "resnet20")
+STEP_CASES = [pytest.param(kind, model, False, id=f"{kind}-{model}")
+              for model in ("vgg11", "resnet20")
               for kind in ("headstart", "li17", "apoz", "random")] \
-    + [("block", "resnet20")]
+    + [pytest.param(kind, model, True, id=f"{kind}-finetune-{model}")
+       for model in ("vgg11", "resnet20")
+       for kind in ("li17", "apoz", "random")] \
+    + [pytest.param("block", "resnet20", False, id="block-resnet20")]
 
 
 class TestOneStepLoop:
-    @pytest.mark.parametrize("kind,model_name", STEP_CASES)
-    def test_plain_run_equals_journaled_run(self, kind, model_name,
+    @pytest.mark.parametrize("kind,model_name,tuned", STEP_CASES)
+    def test_plain_run_equals_journaled_run(self, kind, model_name, tuned,
                                             pretrained, step_task, tmp_path):
-        plain_engine = step_engine(kind, pretrained[model_name], step_task)
+        plain_engine = step_engine(kind, pretrained[model_name], step_task,
+                                   tuned)
         journaled_engine = step_engine(kind, pretrained[model_name],
-                                       step_task)
+                                       step_task, tuned)
         plain = plain_engine.run()
         journaled = ResumableRunner(engine=journaled_engine,
                                     collapse_ratio=0.0).run(
@@ -377,69 +408,125 @@ class TestOneStepLoop:
                 "blocks_per_group": list(plain.blocks_per_group),
                 "inception_accuracy": plain.inception_accuracy,
                 "agent_iterations": plain.iterations}]
-        elif kind == "headstart":
+            plain_engine.apply(plain)
+        else:
             assert_same_masks(plain.masks, journaled.masks)
             assert plain.layers == journaled.layers
             assert plain.final_accuracy == journaled.final_accuracy
-        else:
-            assert_same_masks(plain.masks, journaled.masks)
-            assert plain.steps == journaled.steps
-            assert plain.final_accuracy == journaled.final_accuracy
-        if kind != "headstart":
-            plain_engine.apply(plain)
+            if tuned:
+                assert all(log.finetuned_accuracy is not None
+                           for log in plain.layers)
         assert_same_state(plain_engine.model, journaled_engine.model)
 
-    @pytest.mark.parametrize("kind", ["block", "li17", "random"])
-    def test_run_steps_equals_journaled_run(self, kind, pretrained,
-                                            step_task, tmp_path):
-        plain_engine = step_engine(kind, pretrained["resnet20"], step_task)
-        journaled_engine = step_engine(kind, pretrained["resnet20"],
+    def test_run_steps_equals_journaled_run(self, pretrained, step_task,
+                                            tmp_path):
+        plain_engine = step_engine("block", pretrained["resnet20"],
+                                   step_task)
+        journaled_engine = step_engine("block", pretrained["resnet20"],
                                        step_task)
         plain = plain_engine.run_steps()
         journaled = ResumableRunner(engine=journaled_engine,
                                     collapse_ratio=0.0).run(
             tmp_path / "run").result
         assert plain.steps == journaled.steps
-        assert_same_masks(plain.masks, journaled.masks)
         assert plain.final_accuracy == journaled.final_accuracy
         assert_same_state(plain_engine.model, journaled_engine.model)
 
     @pytest.mark.parametrize("kind", ["block", "li17", "apoz", "random"])
     def test_run_twice_equals_once(self, kind, pretrained, step_task):
         engine = step_engine(kind, pretrained["resnet20"], step_task)
-        first, second = engine.run(), engine.run()
+        first = engine.run()
         if kind == "block":
+            second = engine.run()
             assert first.reward_history == second.reward_history
             assert np.array_equal(first.keep_action, second.keep_action)
             assert first.loss_history == second.loss_history
-        else:
-            assert_same_masks(first.masks, second.masks)
-            assert first.steps == second.steps
-            assert first.final_accuracy == second.final_accuracy
-        # run() decides only; the engine's model is left as it was.
-        assert_same_state(engine.model, pretrained["resnet20"])
+            # run() decides only; the engine's model is left as it was.
+            assert_same_state(engine.model, pretrained["resnet20"])
+            return
+        # A layer engine's run() prunes as it goes, as HeadStart's does:
+        # a second engine decides the same, apply() after run() is a
+        # no-op, and apply() replays the masks onto a fresh copy.
+        second = step_engine(kind, pretrained["resnet20"], step_task).run()
+        assert_same_masks(first.masks, second.masks)
+        assert first.layers == second.layers
+        assert first.final_accuracy == second.final_accuracy
+        assert engine.apply(first) == 0
+        fresh = step_engine(kind, pretrained["resnet20"], step_task)
+        assert fresh.apply(first) == sum(log.maps_before - log.maps_after
+                                         for log in first.layers)
+        assert_same_state(fresh.model, engine.model)
 
     @pytest.mark.parametrize("name", ["li17", "apoz"])
-    def test_metric_engine_equals_prune_whole_model(self, name, pretrained,
-                                                    step_task):
-        engine = step_engine(name, pretrained["vgg11"], step_task)
+    def test_metric_engine_equals_reference_loop(self, name, pretrained,
+                                                 step_task):
+        engine = step_engine(name, pretrained["vgg11"], step_task,
+                             tuned=True)
         result = engine.run()
-        engine.apply(result)
 
+        # What the engine's steps amount to: select with the step's own
+        # context, surgery, fine-tune.
         model = copy.deepcopy(pretrained["vgg11"])
-        pruner = build_pruner(name)
-        chosen = {}
-        select = pruner.select
-
-        def recording_select(model, unit, keep_count, context):
-            chosen[unit.name] = select(model, unit, keep_count, context)
-            return chosen[unit.name]
-
-        pruner.select = recording_select
+        pruner, chosen = build_pruner(name), {}
         images, labels = as_arrays(step_task.train, limit=32)
-        prune_whole_model(model, model.prune_units(), pruner, 2.0,
-                          PruningContext(images, labels,
-                                         np.random.default_rng(0)),
-                          evaluate=None, finetune=None)
+        for index, unit in enumerate(model.prune_units()[:-1]):
+            context = PruningContext(images, labels,
+                                     np.random.default_rng((0, index, 0)))
+            chosen[unit.name] = pruner.select(
+                model, unit, budget_keep_count(unit.num_maps, 2.0), context)
+            prune_unit(unit, chosen[unit.name])
+            finetune(model, step_task.train, config=engine.finetune_config)
         assert_same_masks(result.masks, chosen)
         assert_same_state(engine.model, model)
+
+    def test_consecutive_seeds_draw_independent_streams(self, pretrained,
+                                                        step_task):
+        # Seeding step i with seed + i once made seed 1's step i draw
+        # exactly what seed 0's step i + 1 drew.
+        masks = [build_engine("random", copy.deepcopy(pretrained["vgg11"]),
+                              step_task.train, seed=seed).run().masks
+                 for seed in (0, 1)]
+        names = list(masks[0])
+        pairs = [(a, b) for a, b in zip(names, names[1:])
+                 if masks[0][a].size == masks[0][b].size >= 32]
+        assert pairs
+        for a, b in pairs:
+            assert not np.array_equal(masks[0][b], masks[1][a]), (a, b)
+
+    def test_journal_of_the_offset_streams_is_refused(self, pretrained,
+                                                      step_task, tmp_path,
+                                                      monkeypatch):
+        # A metric journal whose header carries the fingerprint metric
+        # engines had while step i drew from seed + i + 1009 * attempt.
+        engine = step_engine("random", pretrained["vgg11"], step_task)
+        monkeypatch.setattr(engine, "fingerprint", lambda: {
+            "engine": "random", "speedup": 2.0, "seed": 0,
+            "skip_last": True})
+        with inject(FaultPlan().crash_at("runtime.layer_complete", 1)), \
+                pytest.raises(SimulatedCrash):
+            ResumableRunner(engine=engine, collapse_ratio=0.0).run(
+                tmp_path / "run")
+        resumed = ResumableRunner(
+            engine=step_engine("random", pretrained["vgg11"], step_task),
+            collapse_ratio=0.0)
+        with pytest.raises(ResumeMismatchError):
+            resumed.run(tmp_path / "run", resume=True)
+
+    def test_pruner_settings_are_part_of_the_resume_digest(self, pretrained,
+                                                           step_task,
+                                                           tmp_path):
+        def thinet(num_samples):
+            return build_engine(build_pruner("thinet",
+                                             num_samples=num_samples),
+                                copy.deepcopy(pretrained["vgg11"]),
+                                step_task.train, eval_batch=32)
+
+        for written, resumed in ((4, 8), (8, 4)):
+            run_dir = tmp_path / f"run-{written}"
+            with inject(FaultPlan().crash_at("runtime.layer_complete", 1)), \
+                    pytest.raises(SimulatedCrash):
+                ResumableRunner(engine=thinet(written),
+                                collapse_ratio=0.0).run(run_dir)
+            with pytest.raises(ResumeMismatchError):
+                ResumableRunner(engine=thinet(resumed),
+                                collapse_ratio=0.0).run(run_dir, resume=True)

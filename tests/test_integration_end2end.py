@@ -4,15 +4,13 @@ fine-tune -> account -> estimate speedup, on a miniature scale."""
 import numpy as np
 import pytest
 
-from repro import (FinetuneConfig, HeadStartConfig, HeadStartPruner,
-                   TrainConfig, evaluate_dataset, fit)
-from repro.core import BlockHeadStart, resnet_like_pruned, vgg_like_pruned
+from repro import (FinetuneConfig, HeadStartConfig, TrainConfig,
+                   evaluate_dataset, fit)
+from repro.core import resnet_like_pruned, vgg_like_pruned
 from repro.data import make_cifar100_like
 from repro.gpusim import GTX_1080TI, speedup_over
 from repro.models import ResNet, lenet
-from repro.pruning import profile_model
-from repro.pruning.baselines import Li17Pruner, PruningContext
-from repro.pruning.pipeline import prune_whole_model
+from repro.pruning import build_engine, profile_model
 
 
 @pytest.fixture(scope="module")
@@ -43,14 +41,14 @@ class TestFullPipeline:
         original_stats = profile_model(model, (3, 12, 12))
         original_accuracy = evaluate_dataset(model, task.test)
 
-        pruner = HeadStartPruner(
-            model, task.train, task.test,
+        result = build_engine(
+            "headstart", model, task.train,
             config=HeadStartConfig(speedup=2.0, max_iterations=12,
                                    min_iterations=6, patience=5,
                                    eval_batch=48, seed=0),
+            test_set=task.test,
             finetune_config=FinetuneConfig(epochs=3, batch_size=24, lr=0.02),
-            input_shape=(3, 12, 12))
-        result = pruner.run()
+            input_shape=(3, 12, 12)).run_steps()
 
         pruned_stats = profile_model(model, (3, 12, 12))
         assert pruned_stats.params < original_stats.params
@@ -69,24 +67,13 @@ class TestFullPipeline:
         results = {}
         for name in ("headstart", "li17"):
             model = clone(trained)
-            if name == "headstart":
-                HeadStartPruner(
-                    model, task.train, None,
-                    config=HeadStartConfig(speedup=2.0, max_iterations=12,
-                                           min_iterations=6, patience=5,
-                                           eval_batch=48, seed=0),
-                    finetune_config=FinetuneConfig(epochs=3, batch_size=24,
-                                                   lr=0.02)).run()
-            else:
-                images = task.train.images[:48]
-                labels = task.train.labels[:48]
-                context = PruningContext(images, labels,
-                                         np.random.default_rng(0))
-                prune_whole_model(
-                    model, model.prune_units(), Li17Pruner(), 2.0, context,
-                    finetune=lambda m: fit(
-                        m, task.train, None,
-                        TrainConfig(epochs=3, batch_size=24, lr=0.02)))
+            build_engine(
+                name, model, task.train,
+                config=HeadStartConfig(speedup=2.0, max_iterations=12,
+                                       min_iterations=6, patience=5,
+                                       eval_batch=48, seed=0),
+                finetune_config=FinetuneConfig(epochs=3, batch_size=24,
+                                               lr=0.02)).run_steps()
             results[name] = {
                 "accuracy": evaluate_dataset(model, task.test),
                 "params": profile_model(model, (3, 12, 12)).params,
@@ -98,12 +85,12 @@ class TestFullPipeline:
 
     def test_from_scratch_control_runs(self, task, trained):
         model = clone(trained)
-        result = HeadStartPruner(
-            model, task.train, None,
+        result = build_engine(
+            "headstart", model, task.train,
             config=HeadStartConfig(speedup=2.0, max_iterations=8,
                                    min_iterations=4, patience=4,
                                    eval_batch=48, seed=0),
-            finetune_config=None).run()
+            finetune_config=None).run_steps()
         # Build the from-scratch twin of the pruned VGG-style model: for
         # LeNet we emulate it by rebuilding with the same surviving maps.
         assert result.masks  # masks recorded for the rebuild
@@ -113,15 +100,14 @@ class TestFullPipeline:
                        rng=np.random.default_rng(5))
         fit(model, task.train, None, TrainConfig(epochs=4, batch_size=24,
                                                  lr=0.05, seed=0))
-        images = task.train.images[:48]
-        labels = task.train.labels[:48]
-        agent = BlockHeadStart(
-            model, images, labels,
-            HeadStartConfig(speedup=2.0, max_iterations=10, min_iterations=5,
-                            patience=4, eval_batch=48, seed=0))
-        result = agent.run()
-        agent.apply(result)
-        pruned = agent.model
+        engine = build_engine(
+            "block", model,
+            (task.train.images[:48], task.train.labels[:48]),
+            config=HeadStartConfig(speedup=2.0, max_iterations=10,
+                                   min_iterations=5, patience=4,
+                                   eval_batch=48, seed=0))
+        engine.run_steps()
+        pruned = engine.model
         fit(pruned, task.train, None, TrainConfig(epochs=2, batch_size=24,
                                                   lr=0.02, seed=0))
         accuracy = evaluate_dataset(pruned, task.test)

@@ -1,4 +1,4 @@
-"""Unit tests for the whole-model pipelines (baseline + HeadStart)."""
+"""Unit tests for the whole-model layer engines (metric + HeadStart)."""
 
 import copy
 
@@ -7,8 +7,7 @@ import pytest
 
 from repro.core import FinetuneConfig, HeadStartConfig, HeadStartPruner
 from repro.core import pruner as pruner_module
-from repro.pruning import budget_keep_count, prune_whole_model
-from repro.pruning.baselines import Li17Pruner, PruningContext
+from repro.pruning import budget_keep_count, build_engine
 from repro.runtime import ResumableRunner
 from repro.training import evaluate, evaluate_dataset
 
@@ -27,41 +26,47 @@ class TestBudget:
 class TestBaselinePipeline:
     def test_prunes_all_but_last(self, lenet_copy, calibration):
         units = lenet_copy.prune_units()
-        context = PruningContext(*calibration, np.random.default_rng(0))
-        result = prune_whole_model(lenet_copy, units, Li17Pruner(), 2.0,
-                                   context)
-        assert len(result.records) == len(units) - 1
-        assert result.records[0].maps_after == result.records[0].maps_before // 2
+        result = build_engine("li17", lenet_copy, calibration,
+                              speedup=2.0).run_steps()
+        assert len(result.layers) == len(units) - 1
+        assert result.layers[0].maps_after == result.layers[0].maps_before // 2
 
     def test_prune_all_units(self, lenet_copy, calibration):
         units = lenet_copy.prune_units()
-        context = PruningContext(*calibration, np.random.default_rng(0))
-        result = prune_whole_model(lenet_copy, units, Li17Pruner(), 2.0,
-                                   context, skip_last=False)
-        assert len(result.records) == len(units)
+        result = build_engine("li17", lenet_copy, calibration, speedup=2.0,
+                              skip_last=False).run_steps()
+        assert len(result.layers) == len(units)
 
-    def test_evaluate_and_finetune_callbacks(self, lenet_copy, calibration,
-                                             tiny_task):
-        units = lenet_copy.prune_units()
-        context = PruningContext(*calibration, np.random.default_rng(0))
-        finetune_calls = []
-        result = prune_whole_model(
-            lenet_copy, units, Li17Pruner(), 2.0, context,
-            evaluate=lambda m: evaluate(m, tiny_task.test.images,
-                                        tiny_task.test.labels),
-            finetune=lambda m: finetune_calls.append(True))
-        assert len(finetune_calls) == len(result.records)
-        for record in result.records:
-            assert record.inception_accuracy is not None
-            assert record.finetuned_accuracy is not None
+    def test_finetune_and_test_set_fill_each_row(self, lenet_copy,
+                                                 calibration, tiny_task,
+                                                 monkeypatch):
+        tuned = []
+
+        def counting(model, train_set, *args, **kwargs):
+            tuned.append(model)
+
+        monkeypatch.setattr(pruner_module, "finetune", counting)
+        result = build_engine(
+            "li17", lenet_copy, calibration, speedup=2.0,
+            test_set=tiny_task.test,
+            finetune_config=FinetuneConfig(epochs=1)).run_steps()
+        assert tuned == [lenet_copy] * len(result.layers)
+        images, labels = calibration
+        for log in result.layers:
+            assert log.inception_accuracy == evaluate(lenet_copy, images,
+                                                      labels)
+            assert log.finetuned_accuracy == evaluate_dataset(
+                lenet_copy, tiny_task.test)
+            assert log.agent_iterations == 0
+        assert result.final_accuracy == result.layers[-1].finetuned_accuracy
 
     def test_total_removed(self, lenet_copy, calibration):
-        units = lenet_copy.prune_units()
-        context = PruningContext(*calibration, np.random.default_rng(0))
-        result = prune_whole_model(lenet_copy, units, Li17Pruner(), 2.0,
-                                   context)
-        assert result.total_removed == sum(
-            r.maps_before - r.maps_after for r in result.records)
+        before = sum(unit.num_maps for unit in lenet_copy.prune_units())
+        engine = build_engine("li17", lenet_copy, calibration, speedup=2.0)
+        result = engine.run_steps()
+        after = sum(unit.num_maps for unit in lenet_copy.prune_units())
+        assert before - after == sum(
+            log.maps_before - log.maps_after for log in result.layers)
 
 
 def quick_headstart(**overrides):

@@ -42,8 +42,7 @@ def make_engine(kind, model, task, seed=0):
                                            seed=seed),
             skip_last=False)
     if kind == "block":
-        return BlockHeadStart(model, task.train.images, task.train.labels,
-                              quick_config(seed))
+        return BlockHeadStart(model, task.train, config=quick_config(seed))
     return build_engine(kind, model, (task.train.images, task.train.labels),
                         speedup=2.0, eval_batch=24, seed=seed,
                         skip_last=False)
