@@ -204,9 +204,7 @@ def _run_engine(engine, args, options: dict):
 
 def _eval_options(args) -> EvalOptions:
     """The ``--eval-*`` group resolved to an :class:`EvalOptions`."""
-    return EvalOptions(cache=args.eval_cache,
-                       cache_size=args.eval_cache_size,
-                       graph=args.eval_mode == "graph",
+    return EvalOptions(graph=args.eval_mode == "graph",
                        fused=args.eval_fused)
 
 
@@ -214,14 +212,24 @@ def _cmd_prune(args) -> int:
     if args.resume and not args.run_dir:
         print("error: --resume requires --run-dir", file=sys.stderr)
         return 2
+    # Every flag is checked here, before the model trains.
     try:
         options = _runtime_options(args)
-        eval_options = _eval_options(args)
+        config = HeadStartConfig(speedup=args.speedup,
+                                 max_iterations=args.iterations,
+                                 min_iterations=max(4, args.iterations // 2),
+                                 patience=max(4, args.iterations // 4),
+                                 eval_batch=args.eval_batch, seed=args.seed,
+                                 eval=_eval_options(args))
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     task = _make_task(args)
     model = _make_model(args)
+    if args.mode == "block" and not hasattr(model, "droppable_blocks"):
+        print("error: block mode requires a model with droppable blocks "
+              "(resnet*)", file=sys.stderr)
+        return 2
     obs.label_modules(model)  # no-op unless --profile-ops installed hooks
     if args.checkpoint:
         load_checkpoint(model, args.checkpoint)
@@ -231,17 +239,7 @@ def _cmd_prune(args) -> int:
             TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                         lr=args.lr, seed=args.seed))
 
-    config = HeadStartConfig(speedup=args.speedup,
-                             max_iterations=args.iterations,
-                             min_iterations=max(4, args.iterations // 2),
-                             patience=max(4, args.iterations // 4),
-                             eval_batch=args.eval_batch, seed=args.seed,
-                             eval=eval_options)
     if args.mode == "block":
-        if not hasattr(model, "droppable_blocks"):
-            print("block mode requires a model with droppable blocks "
-                  "(resnet*)", file=sys.stderr)
-            return 2
         engine = BlockHeadStart(model, task.train, config=config)
         # The block step does not finetune in place, so the
         # accuracy-collapse guard would misfire; disable it.
@@ -522,16 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "dense unless --eval-fused; dense: the eager "
                               "masked forward, graph's reference and "
                               "fallback (default: %(default)s)")
-    evalgrp.add_argument("--eval-cache",
-                         action=argparse.BooleanOptionalAction,
-                         default=defaults.cache,
-                         help="memoize reward evaluations on the exact "
-                              "action mask (bit-for-bit identical results; "
-                              "--no-eval-cache disables)")
-    evalgrp.add_argument("--eval-cache-size", type=int,
-                         default=defaults.cache_size,
-                         help="eval-cache capacity in distinct masks per "
-                              "layer (0 = unbounded; default %(default)s)")
     evalgrp.add_argument("--eval-fused", action="store_true",
                          default=defaults.fused,
                          help="graph mode only: fold BatchNorm into conv "

@@ -7,9 +7,9 @@ per-feature-map keep decisions, the reward is ``R(A) = ACC - SPD``
 batch, and the returned inception is the best candidate: re-scored on
 the full calibration set when that is larger than the batch, otherwise
 chosen by the rewards the search measured.  Each accuracy is measured
-once: the inception accuracy is the chosen mask's batch accuracy from
-the search, and a caller that already measured the unmasked batch
-accuracy passes it to :meth:`LayerAgent.run`.
+once: the inception accuracy is the chosen mask's batch accuracy, which
+the driver's memo already holds, and a caller that already measured the
+unmasked batch accuracy passes it to :meth:`LayerAgent.run`.
 
 The agent picks the driver's evaluator from ``config.eval``: the static
 graph executor's masked scoring (the default), or the eager
@@ -20,6 +20,7 @@ graph executor's masked scoring (the default), or the eager
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from ..pruning.surgery import channel_mask
 from ..pruning.units import ConvUnit
 from ..training import evaluate
 from .config import HeadStartConfig
-from .evalcache import EvalCache, mask_key
 from .policy import HeadStartNetwork
 from .reinforce import ReinforceDriver
 from .reward import reward as compute_reward
@@ -149,28 +149,6 @@ class LayerAgent:
                                                   key=key)[0])
                 for mask in masks]
 
-    def _evaluator(self, original_accuracy: float, full: bool = False,
-                   measured: dict | None = None):
-        """The driver's list-of-masks -> list-of-rewards callable.
-
-        Accuracies come from :meth:`_accuracies` on the batch (or, with
-        ``full``, the whole calibration set); with ``measured``, each
-        accuracy is also recorded there under its
-        :func:`~repro.core.evalcache.mask_key`.
-        """
-        config = self.config
-
-        def rewards(actions: list[np.ndarray]) -> list[float]:
-            accuracies = self._accuracies(actions, full=full)
-            if measured is not None:
-                measured.update(zip(map(mask_key, actions), accuracies))
-            return [compute_reward(accuracy, original_accuracy, action,
-                                   config.speedup,
-                                   acc_weight=config.acc_weight,
-                                   spd_weight=config.spd_weight)
-                    for accuracy, action in zip(accuracies, actions)]
-        return rewards
-
     # -- main loop -----------------------------------------------------------
     def run(self, original_accuracy: float | None = None) -> AgentResult:
         """Train the policy until the reward stabilises; return the inception.
@@ -187,37 +165,29 @@ class LayerAgent:
         if original_accuracy is None:
             original_accuracy = self._accuracies(
                 [np.ones(self.unit.num_maps, dtype=bool)])[0]
+        config = self.config
+
+        def reward(accuracy: float, action: np.ndarray) -> float:
+            return compute_reward(accuracy, original_accuracy, action,
+                                  config.speedup,
+                                  acc_weight=config.acc_weight,
+                                  spd_weight=config.spd_weight)
+
         # Finalists are re-scored only on data the search has not seen.
         rescore = len(self.full_images) > len(self.images)
-        # A fresh cache per run, scoped to this layer's current model
-        # state; finalists (full calibration set) are never cached.
-        cache = None
-        if self.config.eval.cache:
-            cache = EvalCache(maxsize=self.config.eval.cache_size,
-                              scope=self.unit.name)
-        # Batch accuracy of every mask the search scored, by mask key.
-        measured: dict[bytes, float] = {}
-        final = self._evaluator(original_accuracy, full=True) \
-            if rescore else None
         outcome = ReinforceDriver(
-            self.policy,
-            self._evaluator(original_accuracy, measured=measured),
-            self.config, self.rng, final_evaluate=final,
-            cache=cache).run()
-        keep_mask = outcome.action.astype(bool)
-        inception_accuracy = measured.get(mask_key(keep_mask))
-        if inception_accuracy is None:     # no iteration ran
-            inception_accuracy = self._accuracies([keep_mask])[0]
-        if cache is not None:
-            get_recorder().gauge("evalcache/hit_rate", cache.hit_rate,
-                                 layer=self.unit.name)
+            self.policy, self._accuracies, reward, config, self.rng,
+            final_evaluate=partial(self._accuracies, full=True)
+            if rescore else None,
+            scope=self.unit.name).run()
         if self._graph is not None:
             arena = self._graph.arena_stats
             get_recorder().gauge("graph/arena_reuses", arena["reuses"],
                                  operational=True, layer=self.unit.name)
         return AgentResult(
-            keep_mask=keep_mask, probabilities=outcome.probabilities,
+            keep_mask=outcome.action.astype(bool),
+            probabilities=outcome.probabilities,
             iterations=outcome.iterations,
             reward_history=outcome.reward_history,
             loss_history=outcome.loss_history,
-            inception_accuracy=inception_accuracy)
+            inception_accuracy=outcome.accuracy)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -28,10 +29,9 @@ from ..pruning.engine import (EngineInfo, StepOutcome, StepSpec, StepState,
                               SteppedEngineBase)
 from ..training import evaluate
 from .config import HeadStartConfig
-from .evalcache import EvalCache, mask_key
 from .policy import HeadStartNetwork
 from .reinforce import ReinforceDriver
-from .reward import acc_term
+from .reward import acc_term, spd_term
 
 __all__ = ["BlockAgentResult", "BlockHeadStart", "bypass_blocks"]
 
@@ -117,7 +117,12 @@ class BlockHeadStart(SteppedEngineBase):
     # -- reward ----------------------------------------------------------
     def _accuracies(self, actions: list[np.ndarray],
                     full: bool = False) -> list[float]:
-        """Calibration accuracy with each action's blocks bypassed."""
+        """Calibration accuracy with each action's blocks bypassed.
+
+        Graph eval does not apply here: block bypass rewires whole
+        residual blocks, which the traced unit-mask split cannot
+        express, so every accuracy is an eager forward.
+        """
         images = self.full_images if full else self.images
         labels = self.full_labels if full else self.labels
         droppable = self.droppable
@@ -127,32 +132,20 @@ class BlockHeadStart(SteppedEngineBase):
                 accuracies.append(evaluate(self.model, images, labels))
         return accuracies
 
-    def _evaluator(self, config: HeadStartConfig, original_accuracy: float,
-                   full: bool = False, measured: dict | None = None):
-        """The driver's list-of-actions -> list-of-rewards callable.
+    def _reward(self, config: HeadStartConfig, original_accuracy: float):
+        """Eq. 4 over blocks: the driver's ``(accuracy, action)`` reward.
 
-        With ``measured``, each accuracy is also recorded there under
-        its :func:`~repro.core.evalcache.mask_key`.  Graph eval does not
-        apply here: block bypass rewires whole residual blocks, which
-        the traced unit-mask split cannot express, so every reward is an
-        eager forward.
+        Transition blocks count as kept, so Eq. 3's ``C / ||A||_0`` is
+        the current model's block count over the blocks an action keeps.
         """
         total = sum(self.model.blocks_per_group)
         forced_keep = total - len(self.droppable)
 
-        def rewards(actions: list[np.ndarray]) -> list[float]:
-            accuracies = self._accuracies(actions, full)
-            if measured is not None:
-                measured.update(zip(map(mask_key, actions), accuracies))
-            values = []
-            for accuracy, action in zip(accuracies, actions):
-                kept = forced_keep + int(np.count_nonzero(action))
-                spd = abs(total / max(kept, 1) - config.speedup)
-                values.append(config.acc_weight
-                              * acc_term(accuracy, original_accuracy)
-                              - config.spd_weight * spd)
-            return values
-        return rewards
+        def reward(accuracy: float, action: np.ndarray) -> float:
+            kept = forced_keep + int(np.count_nonzero(action))
+            return config.acc_weight * acc_term(accuracy, original_accuracy) \
+                - config.spd_weight * spd_term(total, kept, config.speedup)
+        return reward
 
     # -- keep pattern helpers ----------------------------------------------
     def keep_mask_by_group(self, action: np.ndarray) -> list[list[bool]]:
@@ -200,32 +193,22 @@ class BlockHeadStart(SteppedEngineBase):
                       droppable=len(self.droppable)):
             original_accuracy = evaluate(self.model, self.images,
                                          self.labels)
-            # Block rewards are pure in the action for a fixed model
-            # (bypass_blocks restores the wiring), so the layer agent's
-            # exact-mask memoization applies verbatim.
-            cache = EvalCache(maxsize=config.eval.cache_size,
-                              scope="blocks") if config.eval.cache else None
-            # Batch accuracy of every action the search scored.
-            measured: dict[bytes, float] = {}
+            # Block accuracies are pure in the action for a fixed model
+            # (bypass_blocks restores the wiring), so the driver's
+            # per-run memo applies verbatim.
             outcome = ReinforceDriver(
-                policy,
-                self._evaluator(config, original_accuracy,
-                                measured=measured),
-                config, rng,
-                final_evaluate=self._evaluator(config, original_accuracy,
-                                               full=True),
-                cache=cache).run()
+                policy, self._accuracies,
+                self._reward(config, original_accuracy), config, rng,
+                final_evaluate=partial(self._accuracies, full=True),
+                scope="blocks").run()
             action = outcome.action
-            inception_accuracy = measured.get(mask_key(action))
-            if inception_accuracy is None:     # no iteration ran
-                inception_accuracy = self._accuracies([action])[0]
             result = BlockAgentResult(
                 keep_action=action.astype(bool),
                 probabilities=outcome.probabilities,
                 iterations=outcome.iterations,
                 reward_history=outcome.reward_history,
                 loss_history=outcome.loss_history,
-                inception_accuracy=inception_accuracy,
+                inception_accuracy=outcome.accuracy,
                 blocks_per_group=self.blocks_per_group(action),
                 keep_by_group=self.keep_mask_by_group(action))
             rec.gauge("block/kept_blocks", sum(result.blocks_per_group))

@@ -9,11 +9,10 @@ iterations; the convergence criterion ("nearly constant loss and
 reward") is the paper's.
 
 Evaluation acceleration lives in one place: :class:`EvalOptions` on
-``HeadStartConfig.eval`` holds every reward-eval knob — memoization and
-the static-graph executor of :mod:`repro.nn.graph` (on by default).
-Resume digests ignore all of them:
-:func:`resume_relevant` strips the ``eval`` block, and the flat names
-configs were journaled with before the block existed.
+``HeadStartConfig.eval`` holds every reward-eval knob — the static-graph
+executor of :mod:`repro.nn.graph` (on by default) and its fused mode.
+Resume digests ignore them: :func:`resume_relevant` strips the ``eval``
+block.
 """
 
 from __future__ import annotations
@@ -26,35 +25,22 @@ __all__ = ["EvalOptions", "HeadStartConfig", "PERF_FIELDS",
 
 #: Config fields that accelerate evaluation without changing what a run
 #: computes.  They are excluded from the resume digest
-#: (:func:`resume_relevant`) so a journaled run may be resumed with
-#: caching toggled or resized — the fast path is bit-for-bit equivalent
-#: by contract (``tests/test_evalcache.py``, ``tests/test_graph.py``),
-#: except ``fused`` graph eval (~1e-8 vs dense), which is still
-#: excluded because it rounds identically often enough for
-#: accuracy-based rewards, and flipping it mid-run is an operator
-#: decision, not a config change.  The flat names are the spellings
-#: configs were journaled with before the ``eval`` block existed
-#: (``workers``, ``task_seconds`` and ``task_retries`` configured a
-#: retired evaluation pool); stripping them keeps those journals
-#: hashing equal.
-PERF_FIELDS = ("eval_cache", "cache_size", "compressed_eval",
-               "workers", "task_seconds", "task_retries", "eval")
+#: (:func:`resume_relevant`) so a journaled run may be resumed on another
+#: eval path — unfused graph eval is bit-for-bit equal to dense
+#: (``tests/test_graph.py``).  ``fused`` graph eval (~1e-8 vs dense) is
+#: still excluded: it rounds identically often enough for accuracy-based
+#: rewards, and flipping it mid-run is an operator decision, not a
+#: config change.
+PERF_FIELDS = ("eval",)
 
 
 def resume_relevant(config) -> dict:
-    """A config's fields minus the performance knobs (resume digest view).
+    """A config dataclass's fields minus :data:`PERF_FIELDS`.
 
-    Accepts any dataclass; fields named in :data:`PERF_FIELDS` are
-    dropped so two runs differing only in evaluation acceleration hash
-    equal and may resume each other's journals — including a run
-    journaled before the ``eval`` block existed.
+    Two runs differing only in evaluation acceleration hash equal and
+    may resume each other's journals.
     """
-    if dataclasses.is_dataclass(config) and not isinstance(config, type):
-        fields = dataclasses.asdict(config)
-    elif isinstance(config, dict):
-        fields = dict(config)
-    else:
-        return config
+    fields = dataclasses.asdict(config)
     for name in PERF_FIELDS:
         fields.pop(name, None)
     return fields
@@ -64,20 +50,15 @@ def resume_relevant(config) -> dict:
 class EvalOptions:
     """Every reward-evaluation knob, in one object.
 
-    All options are performance-only (:data:`PERF_FIELDS`): they change
+    Both options are performance-only (:data:`PERF_FIELDS`): they change
     how fast rewards are computed, never which pruning decisions a run
-    makes — exactly (``cache``, unfused ``graph``) or to documented
-    drift (``fused`` ~1e-8).
+    makes — exactly (unfused ``graph``) or to documented drift
+    (``fused`` ~1e-8).  Whatever the path, the REINFORCE driver measures
+    each distinct mask once per search
+    (:class:`~repro.core.reinforce.ReinforceDriver`).
 
     Attributes
     ----------
-    cache:
-        Memoize reward evaluations on the exact binary mask
-        (:class:`~repro.core.evalcache.EvalCache`).  Bit-for-bit
-        neutral.
-    cache_size:
-        LRU bound on distinct masks each per-layer cache retains
-        (0 disables the bound).
     graph:
         Evaluate rewards through the static-graph executor
         (:func:`repro.nn.compile`): the model is traced once per layer
@@ -93,14 +74,10 @@ class EvalOptions:
         (requires ``graph``).  ~1e-8 vs dense, so it defaults off.
     """
 
-    cache: bool = True
-    cache_size: int = 256
     graph: bool = True
     fused: bool = False
 
     def __post_init__(self):
-        if self.cache_size < 0:
-            raise ValueError("cache_size must be >= 0 (0 means unbounded)")
         if self.fused and not self.graph:
             raise ValueError("fused eval requires graph eval")
 
@@ -151,7 +128,8 @@ class HeadStartConfig:
     hidden_channels:
         Width of the policy network's three convolutions.
     eval_batch:
-        Number of calibration images used per reward evaluation.
+        Number of calibration images used per reward evaluation
+        (at least one).
     baseline:
         Variance-reduction baseline: ``"greedy"`` uses R(A^I) (Eq. 9),
         ``"mean"`` uses the batch mean reward, ``"none"`` disables the
@@ -173,9 +151,7 @@ class HeadStartConfig:
     seed:
         Seed for policy initialisation and action sampling.
     eval:
-        Evaluation fast-path settings (:class:`EvalOptions`); accepts
-        an ``EvalOptions`` or an equivalent plain dict (the journaled
-        form).
+        Evaluation fast-path settings (:class:`EvalOptions`).
     """
 
     speedup: float = 2.0
@@ -213,11 +189,8 @@ class HeadStartConfig:
             raise ValueError("optimizer must be 'sgd' or 'rmsprop'")
         if not 0.0 <= self.exploration < 0.5:
             raise ValueError("exploration must lie in [0, 0.5)")
-        # Journal round-trips store the eval block as a plain dict
-        # (dataclasses.asdict); coerce it back so attribute access and
-        # validation behave identically either way.
-        if isinstance(self.eval, dict):
-            object.__setattr__(self, "eval", EvalOptions(**self.eval))
-        elif not isinstance(self.eval, EvalOptions):
-            raise TypeError("eval must be an EvalOptions (or its dict form)")
+        if self.eval_batch < 1:
+            raise ValueError("eval_batch must be >= 1")
+        if not isinstance(self.eval, EvalOptions):
+            raise TypeError("eval must be an EvalOptions")
 

@@ -349,9 +349,9 @@ class HeadStartPruner(LayerPruner):
                            extra={"agent_result": agent_result})
 
     def fingerprint(self) -> dict:
-        # Performance knobs (eval cache, graph eval) do not
-        # change what a step computes, so they stay out of the resume
-        # digest — a journaled run may be resumed with caching toggled.
+        # Performance knobs (graph eval) do not change what a step
+        # computes, so they stay out of the resume digest — a journaled
+        # run may be resumed on another eval path.
         return {"engine": "headstart", "config": resume_relevant(self.config),
                 "finetune": self.finetune_config}
 

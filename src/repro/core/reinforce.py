@@ -5,19 +5,25 @@ agent (actions over residual blocks) run the same loop:
 
 1. sample keep probabilities from the policy conditioned on fresh noise;
 2. draw ``k`` Bernoulli actions plus the greedy thresholded action;
-3. score every action with a caller-supplied evaluator;
+3. reward every action (Eq. 2-4) from its masked accuracy;
 4. step the policy on ``-(1/k) Σ (R(A^s) - b) log p_θ(A^s)``;
 5. stop when the best reward stops improving, and return the best
    candidate: by the reward the search measured, or re-scored by an
    explicit finalist evaluator (e.g. on a larger calibration set).
 
 The driver owns steps 1-2 and 4-5 and the one scoring path of step 3
-(:meth:`ReinforceDriver._score`: dedup, cache, evaluate the misses).
-Callers provide the :data:`Evaluator` — eager masked forwards or the
-graph executor — and optionally the cache.  The
-candidate pool, exploration floor and count-preserving exchange
-proposals are the miniature-scale stabilisers documented in
-:class:`~repro.core.config.HeadStartConfig`.
+(:meth:`ReinforceDriver._score`: dedup, memo, measure the misses).
+Callers provide the :data:`Evaluator` of masked accuracies — eager
+masked forwards or the graph executor — and the :data:`Reward` that
+turns an accuracy into Eq. 4's reward.  The evaluator is pure within a
+run (the model is restored after every masked evaluation and the
+calibration batch is fixed), so each run memoizes one accuracy per
+distinct mask, keyed by :func:`mask_key`.  The memo is created fresh in
+every :meth:`ReinforceDriver.run` and never persisted: surgery changes
+the model between runs, and a resumed run rebuilds it empty and
+reproduces the same floats.  The candidate pool, exploration floor and
+count-preserving exchange proposals are the miniature-scale stabilisers
+documented in :class:`~repro.core.config.HeadStartConfig`.
 """
 
 from __future__ import annotations
@@ -33,24 +39,41 @@ from ..runtime import faults
 from ..runtime.guards import require_all_finite, require_finite
 from ._optim import _policy_optimizer
 from .config import HeadStartConfig
-from .evalcache import EvalCache, mask_key
 from .policy import (HeadStartNetwork, bernoulli_log_prob, sample_actions,
                      threshold_action)
 
-__all__ = ["Evaluator", "ReinforceOutcome", "ReinforceDriver"]
+__all__ = ["Evaluator", "Reward", "ReinforceOutcome", "ReinforceDriver",
+           "mask_key"]
 
-#: Rewards (Eq. 4) of a list of binary actions, in order.  Must be
-#: pure for the lifetime of one driver run: same mask, same reward.
+#: Masked accuracies of a list of binary actions, in order.  Must be
+#: pure for the lifetime of one driver run: same mask, same accuracy.
 Evaluator = Callable[[list[np.ndarray]], list[float]]
+#: Eq. 4's reward of an action, given its measured accuracy.
+Reward = Callable[[float, np.ndarray], float]
+
+
+def mask_key(action: np.ndarray) -> bytes:
+    """Memo key of a binary action: the packed boolean mask.
+
+    Float and boolean encodings of the same mask (``0.0/1.0`` vs
+    ``False/True``) map to the same key; ``np.packbits`` keeps keys
+    8x smaller than raw boolean bytes for wide layers.
+    """
+    return np.packbits(np.asarray(action) > 0.5).tobytes()
 
 
 @dataclass
 class ReinforceOutcome:
-    """What a driver run produced."""
+    """What a driver run produced.
+
+    ``accuracy`` is the chosen action's accuracy as the search measured
+    it, on the :data:`Evaluator`'s data.
+    """
 
     action: np.ndarray
     probabilities: np.ndarray
     iterations: int
+    accuracy: float
     reward_history: list[float] = field(default_factory=list)
     loss_history: list[float] = field(default_factory=list)
 
@@ -63,38 +86,43 @@ class ReinforceDriver:
     policy:
         The head-start network emitting keep probabilities.
     evaluate:
-        The :data:`Evaluator` scoring sampled, greedy and exchange
-        actions (Eq. 4).  It only ever sees masks the cache could not
-        answer, each at most once per call.
+        The :data:`Evaluator` measuring sampled, greedy and exchange
+        actions.  It only ever sees masks the run has not measured yet,
+        each at most once per run.
+    reward:
+        The :data:`Reward` (Eq. 4) of an action from its accuracy.
     config:
         Shared hyper-parameters.
     rng:
         Action-sampling randomness (the policy's own init randomness is
         the caller's concern).
     final_evaluate:
-        Optional re-scoring of the finalist candidates on other data
+        Optional re-measuring of the finalist candidates on other data
         (e.g. a calibration set larger than ``evaluate``'s batch); never
-        cached.  Without it the finalist with the best reward the search
-        already measured is chosen: ``evaluate`` is pure, so re-scoring
-        with it would only repeat those evaluations.
-    cache:
-        Optional :class:`~repro.core.evalcache.EvalCache` answering
-        repeated masks across iterations.  The caller creates it per
-        run: it is only sound while ``evaluate`` is pure.
+        memoized.  Without it the finalist with the best reward the
+        search already measured is chosen: ``evaluate`` is pure, so
+        re-scoring with it would only repeat those evaluations.
+    scope:
+        The ``scope`` attribute of the emitted ``evalcache/*`` counters,
+        so per-layer searches are distinguishable in a metrics stream.
     """
 
     def __init__(self, policy: HeadStartNetwork, evaluate: Evaluator,
-                 config: HeadStartConfig,
+                 reward: Reward, config: HeadStartConfig,
                  rng: np.random.Generator,
                  final_evaluate: Evaluator | None = None,
-                 cache: EvalCache | None = None):
+                 scope: str = ""):
         self.policy = policy
         self.evaluate = evaluate
+        self.reward = reward
         self.final_evaluate = final_evaluate
-        self.cache = cache
+        self.scope = scope
         self.config = config
         self.rng = rng
         self.optimizer = _policy_optimizer(policy, config)
+        #: Accuracy of every mask measured in the current run, by
+        #: :func:`mask_key`; :meth:`run` starts each run with it empty.
+        self.accuracies: dict[bytes, float] = {}
         # run() restarts from this captured state every time, so calling
         # it twice on one driver yields identical outcomes (no policy
         # weights, optimizer momentum or RNG position leaks between
@@ -105,36 +133,36 @@ class ReinforceDriver:
     # -- candidate scoring ---------------------------------------------------
     def _score(self, candidates: list[np.ndarray],
                counter: str = "reinforce/unique_evals") -> np.ndarray:
-        """Rewards for ``candidates``, evaluating each distinct mask once.
+        """Rewards for ``candidates``, measuring each distinct mask once.
 
-        Distinct masks are taken in first-appearance order.  With a
-        cache, each is looked up once (counting its hit or miss); the
-        misses go to :attr:`evaluate` in one call, and their rewards are
-        inserted back in the same order.  Rewards equal the naive
-        one-call-per-candidate loop's, whichever evaluator computes
-        them.  Emits ``reinforce/reward_evals`` (every candidate) and
-        ``counter`` (distinct masks).
+        Distinct masks are taken in first-appearance order, and each is
+        looked up once in :attr:`accuracies`, counting an
+        ``evalcache/hits`` or ``evalcache/misses`` event.  The misses go
+        to :attr:`evaluate` in one call.  Rewards equal the naive
+        one-call-per-candidate loop's, whichever evaluator computes the
+        accuracies.  Emits ``reinforce/reward_evals`` (every candidate)
+        and ``counter`` (distinct masks).
         """
-        unique: dict[bytes, float | None] = {}
-        misses: list[np.ndarray] = []
-        for action in candidates:
-            key = mask_key(action)
-            if key in unique:
-                continue
-            unique[key] = self.cache.lookup(action) \
-                if self.cache is not None else None
-            if unique[key] is None:
-                misses.append(action)
-        if misses:
-            for action, value in zip(misses, self.evaluate(misses)):
-                value = float(value)
-                unique[mask_key(action)] = value
-                if self.cache is not None:
-                    self.cache.insert(action, value)
         rec = get_recorder()
+        keys = [mask_key(action) for action in candidates]
+        unique: dict[bytes, np.ndarray] = {}
+        for key, action in zip(keys, candidates):
+            unique.setdefault(key, action)
+        misses = []
+        for key in unique:
+            hit = key in self.accuracies
+            rec.counter("evalcache/hits" if hit else "evalcache/misses", 1,
+                        scope=self.scope)
+            if not hit:
+                misses.append(key)
+        if misses:
+            measured = self.evaluate([unique[key] for key in misses])
+            self.accuracies.update(zip(misses, map(float, measured)))
         rec.counter("reinforce/reward_evals", len(candidates))
         rec.counter(counter, len(unique))
-        return np.array([unique[mask_key(action)] for action in candidates])
+        rewards = {key: self.reward(self.accuracies[key], action)
+                   for key, action in unique.items()}
+        return np.array([rewards[key] for key in keys])
 
     # -- candidate pool ----------------------------------------------------
     @staticmethod
@@ -177,6 +205,7 @@ class ReinforceDriver:
         self.policy.load_state_dict(self._initial_policy_state)
         self.rng.bit_generator.state = copy.deepcopy(self._initial_rng_state)
         self.optimizer = _policy_optimizer(self.policy, config)
+        self.accuracies = {}
         best_reward = -np.inf
         candidates: dict[bytes, tuple[float, np.ndarray]] = {}
         stall = 0
@@ -261,12 +290,19 @@ class ReinforceDriver:
             if self.final_evaluate is None:
                 final_rewards = [reward for reward, _ in candidates.values()]
             else:
-                final_rewards = self.final_evaluate(finalists)
+                final_rewards = [
+                    self.reward(accuracy, action) for accuracy, action
+                    in zip(self.final_evaluate(finalists), finalists)]
                 rec.counter("reinforce/finalist_evals", len(finalists))
             chosen = finalists[int(np.argmax(final_rewards))]
         else:
             chosen = threshold_action(final_probs, config.threshold)
+        # Every finalist and greedy action was measured by the search;
+        # only a run with no iteration has to measure its choice.
+        accuracy = self.accuracies.get(mask_key(chosen))
+        if accuracy is None:
+            accuracy = float(self.evaluate([chosen])[0])
         return ReinforceOutcome(action=chosen, probabilities=final_probs,
-                                iterations=iterations,
+                                iterations=iterations, accuracy=accuracy,
                                 reward_history=reward_history,
                                 loss_history=loss_history)

@@ -12,7 +12,7 @@ other file from the run:
   finetuned accuracy, attempts, degraded/skip annotations);
 * per-layer reward/accuracy series, attributed by the enclosing
   ``prune_layer`` span and drawn as unicode sparklines;
-* eval-cache hit rates;
+* hit rates of the REINFORCE driver's reward memo;
 * top-N slowest individual spans;
 * per-op forward/backward wall-time attribution from the profiler
   (:mod:`repro.obs.profile`), when the run recorded ``op`` events;
@@ -130,7 +130,6 @@ def _cache_stats(counters: dict) -> dict:
     misses = counters.get("evalcache/misses", 0)
     total = hits + misses
     return {"hits": hits, "misses": misses,
-            "evictions": counters.get("evalcache/evictions", 0),
             "hit_rate": hits / total if total else None}
 
 
@@ -322,8 +321,7 @@ def _headline(data) -> list[str]:
     if cache["hits"] or cache["misses"]:
         lines.append(
             f"Eval cache: {cache['hits']} hits / {cache['misses']} misses "
-            f"({cache['hit_rate']:.1%} hit rate, "
-            f"{cache['evictions']} evictions)")
+            f"({cache['hit_rate']:.1%} hit rate)")
     for mark in data["marks"]:
         attrs = ", ".join(f"{k}={v}" for k, v in mark["attrs"].items())
         lines.append(f"Annotation at +{mark['offset']:.3f}s: "

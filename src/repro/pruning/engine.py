@@ -255,7 +255,7 @@ class SteppedEngineBase:
         """Jsonable identity for the resume digest (config + engine name).
 
         Performance knobs (:data:`~repro.core.config.PERF_FIELDS`) are
-        stripped so a journaled run can resume with caching toggled —
+        stripped so a journaled run can resume on another eval path —
         they change how fast a step computes, never what it computes.
         """
         from ..core.config import resume_relevant

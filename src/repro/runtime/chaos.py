@@ -45,18 +45,14 @@ from .journal import RunJournal
 
 __all__ = ["ENGINE_KINDS", "run_chaos", "main"]
 
-#: Engine kinds the matrix covers: one per stepped-engine implementation,
-#: plus a fast-path column (``headstart-cached``) that reruns the HeadStart
-#: scenario on the default ``EvalOptions()`` (reward eval-cache and graph
-#: eval on) — the kill/resume contract must hold identically on the fast
-#: path — and a graph-executor column (``headstart-graph``) whose
-#: baseline runs the *dense eager* path while the killed and resumed
-#: phases run under ``--eval-mode graph`` (unfused): a crash under graph
-#: eval must resume to the dense baseline's exact journal, accuracy and
-#: weights, which is the executor's bit-exactness contract under fire.
-ENGINE_KINDS = ("headstart", "headstart-cached", "headstart-graph",
-                "block", "li17")
-
+#: Engine kinds the matrix covers: one per stepped-engine implementation
+#: on the eager reference path, plus a graph-executor column
+#: (``headstart-graph``) whose baseline runs the *dense eager* path while
+#: the killed and resumed phases run under ``--eval-mode graph``
+#: (unfused): a crash under graph eval must resume to the dense
+#: baseline's exact journal, accuracy and weights, which is the
+#: executor's bit-exactness contract under fire.
+ENGINE_KINDS = ("headstart", "headstart-graph", "block", "li17")
 
 def _make_task(seed: int):
     return make_cifar100_like(num_classes=4, image_size=12,
@@ -81,15 +77,11 @@ def _make_runner(kind: str, task, seed: int,
     model = build_model(model_name, num_classes=4, input_size=12,
                         width_multiplier=0.25,
                         rng=np.random.default_rng(seed))
-    # The plain column (and every non-HeadStart kind) pins the eager slow
-    # path with no memoization so the matrix keeps covering it; the
-    # -cached column runs the library defaults (cache + graph eval); the
-    # -graph column keeps the cache on and flips only the executor
-    # between phases, from its eager baseline to graph (graph eval is a
-    # PERF_FIELD, so the digest matches).
-    graphed = kind == "headstart-graph"
-    options = EvalOptions() if kind == "headstart-cached" else EvalOptions(
-        cache=graphed, graph=graphed and graph)
+    # The plain column (and every non-HeadStart kind) pins the eager
+    # reward path so the matrix keeps covering it; the -graph column
+    # flips only the executor between phases, from its eager baseline to
+    # graph (graph eval is a PERF_FIELD, so the digest matches).
+    options = EvalOptions(graph=kind == "headstart-graph" and graph)
     config = HeadStartConfig(
         speedup=2.0, max_iterations=6, min_iterations=3,
         patience=3, eval_batch=16, seed=seed, mc_samples=2, eval=options)

@@ -139,10 +139,9 @@ class ResumableRunner:
         # budget / fallback / validate are deliberately excluded: they
         # shape *how* failures are handled, not what a successful step
         # computes, so a resume may tighten or relax them.  Engine
-        # fingerprints likewise strip performance knobs (eval cache,
-        # graph eval — see repro.core.config.PERF_FIELDS): the
-        # reward cache is per-run, in-memory state that never enters the
-        # journal, so a resume may toggle it freely.
+        # fingerprints likewise strip performance knobs (graph eval —
+        # see repro.core.config.PERF_FIELDS); the driver's reward memo is
+        # per-run, in-memory state that never enters the journal.
         return config_digest(self.engine.fingerprint(),
                              self.retry_policy,
                              {"collapse_ratio": self.collapse_ratio,

@@ -133,11 +133,11 @@ class _RescoringDriver(ReinforceDriver):
     """The driver as agents used to wire it: without an explicit
     ``final_evaluate`` the finalists are re-scored by ``evaluate``."""
 
-    def __init__(self, policy, evaluate, config, rng, final_evaluate=None,
-                 cache=None):
-        super().__init__(policy, evaluate, config, rng,
+    def __init__(self, policy, evaluate, reward, config, rng,
+                 final_evaluate=None, scope=""):
+        super().__init__(policy, evaluate, reward, config, rng,
                          final_evaluate=final_evaluate or evaluate,
-                         cache=cache)
+                         scope=scope)
 
 
 def _recorded_run(agent, **kwargs):
@@ -234,6 +234,29 @@ class TestMeasuredOnce:
         np.testing.assert_array_equal(given.keep_mask, measured.keep_mask)
         assert given.reward_history == measured.reward_history
         assert given.inception_accuracy == measured.inception_accuracy
+
+    @pytest.mark.parametrize("options", [EvalOptions(),
+                                         EvalOptions(graph=False)],
+                             ids=["graph", "dense"])
+    def test_accuracies_are_pure(self, scoring_case, options):
+        """A mask measured again after others reads the same float: the
+        property the driver's memo relies on."""
+        model, images, labels = scoring_case
+        units = model.prune_units()
+        unit = units[len(units) // 2]
+        agent = LayerAgent(model, unit, images, labels,
+                           quick_config(eval_batch=16, eval=options))
+        if options.graph:
+            agent._graph = agent._build_graph()
+            assert agent._graph is not None
+        masks = [np.random.default_rng(seed).random(unit.num_maps) > 0.5
+                 for seed in range(4)]
+        first = agent._accuracies(masks[:1])
+        agent._accuracies(masks[1:])
+        agent._accuracies(masks, full=True)
+        assert agent._accuracies(masks[:1]) == first
+        assert agent._accuracies(masks[::-1]) \
+            == agent._accuracies(masks)[::-1]
 
     def test_inception_accuracy_without_iterations(self, lenet_copy,
                                                    calibration):

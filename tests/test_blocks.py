@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import BlockHeadStart, EvalOptions, HeadStartConfig, \
-    bypass_blocks
+from repro.core import BlockHeadStart, HeadStartConfig, bypass_blocks
 from repro.nn import Tensor, no_grad
 from repro.models import ResNet
 from repro.obs import Recorder, use_recorder
@@ -144,20 +143,29 @@ class TestBlockHeadStart:
                             config=quick_config(seed=4)).run()
         assert np.array_equal(r1.keep_action, r2.keep_action)
 
-    def test_cache_is_bit_for_bit_neutral(self, resnet_copy, calibration):
-        """The driver's eval cache changes nothing the block search does."""
-        recorder = Recorder()
-        with use_recorder(recorder):
-            cached = BlockHeadStart(resnet_copy, calibration,
-                                    config=quick_config(seed=4)).run()
-        assert recorder.counters["evalcache/hits"] > 0
-        plain = BlockHeadStart(
-            resnet_copy, calibration,
-            config=quick_config(seed=4, eval=EvalOptions(cache=False))).run()
-        assert np.array_equal(cached.keep_action, plain.keep_action)
-        assert cached.reward_history == plain.reward_history
-        assert cached.loss_history == plain.loss_history
-        assert cached.inception_accuracy == plain.inception_accuracy
+    def test_accuracies_are_pure(self, resnet_copy, calibration):
+        """An action measured again after others reads the same float:
+        the property the driver's memo relies on."""
+        agent = BlockHeadStart(resnet_copy, calibration, config=quick_config())
+        actions = [np.random.default_rng(seed).random(len(agent.droppable))
+                   > 0.5 for seed in range(4)]
+        first = agent._accuracies(actions[:1])
+        agent._accuracies(actions[1:])
+        agent._accuracies(actions, full=True)
+        assert agent._accuracies(actions[:1]) == first
+        assert agent._accuracies(actions[::-1]) \
+            == agent._accuracies(actions)[::-1]
+
+    def test_inception_accuracy_without_iterations(self, resnet_copy,
+                                                   calibration):
+        agent = BlockHeadStart(resnet_copy, calibration,
+                               config=quick_config(max_iterations=0,
+                                                   min_iterations=0))
+        result = agent.run()
+        assert result.iterations == 0
+        with bypass_blocks(resnet_copy, agent.droppable, result.keep_action):
+            direct = evaluate(resnet_copy, agent.images, agent.labels)
+        assert result.inception_accuracy == direct
 
     def test_inception_accuracy_is_the_searched_batch_accuracy(
             self, resnet_copy, calibration):

@@ -127,12 +127,17 @@ class TestCommands:
         assert "pruned accuracy" in out
         assert (tmp_path / "pruned.npz").exists()
 
-    def test_prune_block_mode_requires_resnet(self, capsys):
-        code = main(["prune", "--model", "lenet", "--classes", "4",
-                     "--image-size", "12", "--mode", "block",
-                     "--train-per-class", "4", "--test-per-class", "2",
-                     "--epochs", "1"])
-        assert code == 2
+    @pytest.mark.parametrize("flags", [["--speedup", "0.5"],
+                                       ["--eval-batch", "0"],
+                                       ["--mode", "block"]],
+                             ids=["speedup", "eval-batch", "block-on-lenet"])
+    def test_prune_rejects_bad_flags_before_training(self, flags, capsys):
+        assert main(PRUNE_ARGS + flags) == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1, captured.err
+        assert "training the model first" not in captured.out + captured.err
 
     BLOCK_ARGS = ["prune", "--model", "resnet20", "--classes", "4",
                   "--image-size", "12", "--width", "0.25",

@@ -1,18 +1,17 @@
-"""Fast-path lockdown: eval cache, the driver's one scorer, bit-exactness.
+"""The REINFORCE driver's reward memo, and bit-exactness of the eval paths.
 
 Three contracts, each enforced here:
 
-1. :class:`repro.core.evalcache.EvalCache` memoizes on the exact binary
-   mask with LRU bounds and accurate counters.
-2. :meth:`ReinforceDriver._score` is the one path from masks to
-   rewards: whichever evaluator computes the misses (per-mask eager
-   calls or one batch call), rewards, ``reinforce/*`` and
-   ``evalcache/*`` counters and cache contents are identical.
-3. A cached pruning run is *bit-for-bit* identical to an uncached one
-   at the same seed: same journal payloads, same final accuracy, same
-   state dict — on the eager and the graph path alike, with the cache
-   invoking the evaluator less — and the resume digest ignores the
-   performance knobs.
+1. :func:`repro.core.mask_key` keys a binary mask whatever its dtype.
+2. Unfused graph eval prunes *bit-for-bit* like the dense eager path:
+   same journal payloads, same final accuracy, same state dict — and the
+   resume digest ignores the eval knobs.
+3. :meth:`ReinforceDriver._score` is the one path from masks to
+   rewards, and each :meth:`ReinforceDriver.run` memoizes one accuracy
+   per distinct mask: the evaluator sees each mask at most once per run,
+   exchange proposals included, whichever evaluator shape computes it,
+   and ``evalcache/misses`` counts exactly the masks it saw.  The memo
+   is fresh per run, so a second run repeats the first.
 """
 
 import copy
@@ -20,8 +19,8 @@ import copy
 import numpy as np
 import pytest
 
-from repro.core import (EvalCache, EvalOptions, HeadStartConfig,
-                        HeadStartNetwork, mask_key)
+from repro.core import (EvalOptions, HeadStartConfig, HeadStartNetwork,
+                        mask_key)
 from repro.core.config import PERF_FIELDS, resume_relevant
 from repro.core.reinforce import ReinforceDriver
 from repro.obs import Recorder, use_recorder
@@ -30,7 +29,7 @@ from repro.runtime.journal import RunJournal, config_digest
 
 
 # ---------------------------------------------------------------------------
-# 1. The cache itself
+# 1. The memo key
 # ---------------------------------------------------------------------------
 
 class TestMaskKey:
@@ -47,78 +46,8 @@ class TestMaskKey:
         assert mask_key(np.array([0.51, 0.49])) == mask_key(np.array([1., 0.]))
 
 
-class CountingReward:
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = 0
-
-    def __call__(self, action):
-        self.calls += 1
-        return self.fn(action)
-
-
-def _memoized(cache, fn, action):
-    """One mask through the driver's lookup-then-insert sequence."""
-    value = cache.lookup(action)
-    if value is None:
-        value = fn(action)
-        cache.insert(action, value)
-    return value
-
-
-class TestEvalCache:
-    def test_memoizes_exact_value(self):
-        probe = CountingReward(lambda a: float(a.sum()) * 0.3339214)
-        recorder = Recorder()
-        cache = EvalCache(maxsize=8)
-        action = np.array([1.0, 0.0, 1.0])
-        with use_recorder(recorder):
-            first = _memoized(cache, probe, action)
-            second = _memoized(cache, probe, action)
-        assert probe.calls == 1
-        assert second == first                     # bitwise, not approx
-        assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
-        assert cache.maxsize == 8 and cache.hit_rate == 0.5
-        assert recorder.counters.get("evalcache/evictions", 0) == 0
-
-    def test_lru_eviction_order(self):
-        probe = CountingReward(lambda a: float(a[0]))
-        recorder = Recorder()
-        cache = EvalCache(maxsize=2)
-        a, b, c = (np.eye(3)[i] for i in range(3))
-        with use_recorder(recorder):
-            _memoized(cache, probe, a), _memoized(cache, probe, b)
-            _memoized(cache, probe, a)             # refresh a: b is now LRU
-            _memoized(cache, probe, c)             # evicts b, not a
-        assert mask_key(a) in cache and mask_key(c) in cache
-        assert mask_key(b) not in cache
-        assert recorder.counters["evalcache/evictions"] == 1
-        _memoized(cache, probe, a)
-        assert probe.calls == 3                    # a survived the eviction
-
-    def test_zero_maxsize_is_unbounded(self):
-        recorder = Recorder()
-        cache = EvalCache(maxsize=0)
-        with use_recorder(recorder):
-            for i in range(64):
-                _memoized(cache, lambda a: 0.0, np.arange(8) == i % 8)
-        assert recorder.counters.get("evalcache/evictions", 0) == 0
-        assert len(cache) == 8
-
-    def test_counters_reach_recorder(self):
-        recorder = Recorder()
-        cache = EvalCache(maxsize=1, scope="conv1")
-        with use_recorder(recorder):
-            _memoized(cache, lambda a: 1.0, np.ones(4))
-            _memoized(cache, lambda a: 1.0, np.ones(4))
-            _memoized(cache, lambda a: 1.0, np.zeros(4))
-        assert recorder.counters["evalcache/misses"] == 2
-        assert recorder.counters["evalcache/hits"] == 1
-        assert recorder.counters["evalcache/evictions"] == 1
-
-
 # ---------------------------------------------------------------------------
-# 3. Cached run == uncached run, bit for bit
+# 2. Dense and graph eval prune identically, bit for bit
 # ---------------------------------------------------------------------------
 
 def _pruner(tiny_task, trained_lenet, **config_overrides):
@@ -144,18 +73,20 @@ def _journal_payloads(run_dir):
 class TestCachedRunBitForBit:
     def test_journal_outcome_and_state_identical(self, tmp_path, tiny_task,
                                                  trained_lenet):
+        """A journaled run under graph eval (prefix-cached) equals the
+        dense eager run: journal, final accuracy and weights."""
         runs = {}
-        for label, cached in (("uncached", False), ("cached", True)):
-            pruner = _pruner(tiny_task, trained_lenet,
-                             eval=EvalOptions(cache=cached))
+        for label, options in (("dense", EvalOptions(graph=False)),
+                               ("graph", EvalOptions())):
+            pruner = _pruner(tiny_task, trained_lenet, eval=options)
             runner = ResumableRunner(engine=pruner)
             report = runner.run(tmp_path / label)
             runs[label] = (pruner, report)
 
-        base_pruner, base_report = runs["uncached"]
-        fast_pruner, fast_report = runs["cached"]
-        assert _journal_payloads(tmp_path / "uncached") \
-            == _journal_payloads(tmp_path / "cached")
+        base_pruner, base_report = runs["dense"]
+        fast_pruner, fast_report = runs["graph"]
+        assert _journal_payloads(tmp_path / "dense") \
+            == _journal_payloads(tmp_path / "graph")
         assert base_report.result.final_accuracy \
             == fast_report.result.final_accuracy
         base_state = base_pruner.model.state_dict()
@@ -165,8 +96,8 @@ class TestCachedRunBitForBit:
             assert np.array_equal(base_state[key], fast_state[key]), key
 
     def test_eval_paths_prune_resnet_identically(self):
-        """Uncached eager, cached eager and cached graph eval prune a
-        residual model to the same weights, the cache evaluating less."""
+        """Dense eager and graph eval prune a residual model to the same
+        weights, the memo measuring fewer masks than the search scores."""
         from repro.core import FinetuneConfig, HeadStartPruner
         from repro.data import make_cifar100_like
         from repro.models import build_model
@@ -180,9 +111,7 @@ class TestCachedRunBitForBit:
                                rng=np.random.default_rng(0))
         fit(original, task.train, None,
             TrainConfig(epochs=1, batch_size=24, lr=0.05, seed=0))
-        arms = {"uncached": EvalOptions(cache=False, graph=False),
-                "cached": EvalOptions(graph=False),
-                "graph": EvalOptions()}
+        arms = {"dense": EvalOptions(graph=False), "graph": EvalOptions()}
         runs = {}
         for label, options in arms.items():
             pruner = HeadStartPruner(
@@ -198,27 +127,30 @@ class TestCachedRunBitForBit:
             with use_recorder(recorder):
                 pruner.run()
             runs[label] = (evaluate_dataset(pruner.model, task.test),
-                           pruner.model.state_dict(), recorder.counters)
+                           pruner.model.state_dict(),
+                           {name: value
+                            for name, value in recorder.counters.items()
+                            if name.startswith(("reinforce/", "evalcache/"))})
 
-        accuracy, state, counters = runs["uncached"]
-        # Without the cache, the driver invokes the evaluator once per
-        # distinct mask of a batch plus once per exchange proposal.
-        uncached_calls = (counters["reinforce/unique_evals"]
-                          + counters["reinforce/exchange_evals"])
-        for label in ("cached", "graph"):
-            other_accuracy, other_state, other_counters = runs[label]
-            assert other_accuracy == accuracy, label
-            assert set(other_state) == set(state), label
-            for key in state:
-                assert other_state[key].tobytes() == state[key].tobytes(), \
-                    (label, key)
-            assert other_counters["evalcache/misses"] < uncached_calls, label
+        accuracy, state, counters = runs["dense"]
+        other_accuracy, other_state, other_counters = runs["graph"]
+        assert other_accuracy == accuracy
+        assert set(other_state) == set(state)
+        for key in state:
+            assert other_state[key].tobytes() == state[key].tobytes(), key
+        for label, (_, _, arm) in runs.items():
+            # Without the memo, the driver would measure every distinct
+            # mask of a batch plus every exchange proposal.
+            assert arm["evalcache/misses"] < (
+                arm["reinforce/unique_evals"]
+                + arm["reinforce/exchange_evals"]), label
+        assert other_counters == counters
 
     def test_resume_digest_ignores_perf_knobs(self, tiny_task, trained_lenet):
         plain = _pruner(tiny_task, trained_lenet,
-                        eval=EvalOptions(cache=False, graph=False))
+                        eval=EvalOptions(graph=False))
         tuned = _pruner(tiny_task, trained_lenet,
-                        eval=EvalOptions(cache_size=7, fused=True))
+                        eval=EvalOptions(fused=True))
         assert config_digest(plain.fingerprint()) \
             == config_digest(tuned.fingerprint())
         # ... while semantic fields still change it.
@@ -231,32 +163,41 @@ class TestCachedRunBitForBit:
         for name in PERF_FIELDS:
             assert name not in fields
         assert "seed" in fields and "speedup" in fields
-        # Non-config values pass through untouched.
-        assert resume_relevant(42) == 42
 
 
 # ---------------------------------------------------------------------------
-# The driver's scorer, and repeatable run()
+# 3. The driver's scorer and its per-run memo
 # ---------------------------------------------------------------------------
+
+def _accuracy_is_reward(accuracy, action):
+    """The driver's reward when the evaluator already measures it."""
+    return accuracy
+
 
 def _per_mask(fn):
-    """A per-action reward as the driver's list -> list evaluator."""
+    """A per-action score as the driver's list -> list evaluator."""
     return lambda actions: [fn(action) for action in actions]
 
 
-def _driver(reward_fn, seed=0, cache=None, **overrides):
+def _driver(reward_fn, seed=0, **overrides):
     defaults = dict(speedup=2.0, max_iterations=10, min_iterations=4,
                     patience=4, mc_samples=3, seed=seed)
     defaults.update(overrides)
     config = HeadStartConfig(**defaults)
     rng = np.random.default_rng(config.seed)
     policy = HeadStartNetwork(8, keep_ratio=1.0 / config.speedup, rng=rng)
-    return ReinforceDriver(policy, _per_mask(reward_fn), config, rng,
-                           cache=cache)
+    return ReinforceDriver(policy, _per_mask(reward_fn), _accuracy_is_reward,
+                           config, rng)
 
 
 def _count_reward(action):
     return -abs(int(action.sum()) - action.size / 2)
+
+
+def _distinct_reward(action):
+    # Distinct per mask, so a mis-merged reward would show.
+    return float(np.dot(action, np.arange(1, action.size + 1))
+                 / 37.0) - abs(action.sum() - 4)
 
 
 def _evaluator(kind, fn, seen):
@@ -272,48 +213,100 @@ def _evaluator(kind, fn, seen):
         [fn(action) for action in record(actions)]))
 
 
+def _spied_driver(kind, seen, finals):
+    config = HeadStartConfig(speedup=2.0, max_iterations=10,
+                             min_iterations=10, patience=10,
+                             mc_samples=4, seed=7)
+    rng = np.random.default_rng(config.seed)
+    policy = HeadStartNetwork(8, keep_ratio=0.5, rng=rng)
+    return ReinforceDriver(
+        policy, _evaluator(kind, _distinct_reward, seen),
+        _accuracy_is_reward, config, rng,
+        final_evaluate=_evaluator(kind, _distinct_reward, finals),
+        scope="probe")
+
+
+class _ScopeRecorder(Recorder):
+    """A recorder that also keeps the ``scope`` of each memo event."""
+
+    def __init__(self):
+        super().__init__()
+        self.scopes = set()
+
+    def counter(self, name, value=1, operational=False, **attrs):
+        if name.startswith("evalcache/"):
+            self.scopes.add(attrs.get("scope"))
+        super().counter(name, value, operational, **attrs)
+
+
+def _recorded(driver):
+    recorder = _ScopeRecorder()
+    with use_recorder(recorder):
+        outcome = driver.run()
+    counters = {name: value for name, value in recorder.counters.items()
+                if name.startswith(("reinforce/", "evalcache/"))}
+    return outcome, counters, recorder.scopes
+
+
 class TestScorer:
     @pytest.mark.parametrize("kind", ["eager", "batch"])
     def test_evaluators_score_identically(self, kind):
-        def reward(action):
-            # Distinct per mask, so a mis-merged reward would show.
-            return float(np.dot(action, np.arange(1, action.size + 1))
-                         / 37.0) - abs(action.sum() - 4)
-
-        def run(kind):
-            seen, finals = [], []
-            cache = EvalCache(maxsize=6, scope="probe")
-            config = HeadStartConfig(speedup=2.0, max_iterations=10,
-                                     min_iterations=10, patience=10,
-                                     mc_samples=4, seed=7)
-            rng = np.random.default_rng(config.seed)
-            policy = HeadStartNetwork(8, keep_ratio=0.5, rng=rng)
-            driver = ReinforceDriver(
-                policy, _evaluator(kind, reward, seen), config, rng,
-                final_evaluate=_evaluator(kind, reward, finals),
-                cache=cache)
-            recorder = Recorder()
-            with use_recorder(recorder):
-                outcome = driver.run()
-            counters = {name: value
-                        for name, value in recorder.counters.items()
-                        if name.startswith(("reinforce/", "evalcache/"))}
-            return outcome, counters, cache, seen, finals
-
-        reference, ref_counters, ref_cache, _, _ = run("eager")
-        outcome, counters, cache, seen, finals = run(kind)
+        reference, ref_counters, _ = _recorded(
+            _spied_driver("eager", [], []))
+        seen, finals = [], []
+        outcome, counters, _ = _recorded(_spied_driver(kind, seen, finals))
         assert outcome.reward_history == reference.reward_history
         assert outcome.loss_history == reference.loss_history
         assert np.array_equal(outcome.action, reference.action)
+        assert outcome.accuracy == reference.accuracy
         assert counters == ref_counters
-        assert counters["evalcache/evictions"] > 0    # LRU is exercised
-        assert list(cache._store.items()) == list(ref_cache._store.items())
-        # The evaluator only ever sees cache misses, each once per call;
-        # finalists are scored uncached, in one call.
-        assert all(len(set(call)) == len(call) for call in seen)
-        assert sum(map(len, seen)) == counters["evalcache/misses"]
+        # Finalists are measured outside the memo, in one call.
         assert len(finals) == 1
         assert len(finals[0]) == counters["reinforce/finalist_evals"]
+
+
+class TestMemo:
+    def test_evaluator_sees_each_mask_once_per_run(self):
+        seen, finals = [], []
+        driver = _spied_driver("eager", seen, finals)
+        first, counters, scopes = _recorded(driver)
+        masks = [key for call in seen for key in call]
+        assert len(masks) == len(set(masks))
+        assert counters["evalcache/misses"] == len(masks)
+        # Every distinct mask of every batch, exchange proposals
+        # included, was looked up once: the repeats were hits.
+        assert counters["reinforce/exchange_evals"] > 0
+        assert counters["evalcache/hits"] > 0
+        assert counters["evalcache/hits"] + counters["evalcache/misses"] \
+            == counters["reinforce/unique_evals"] \
+            + counters["reinforce/exchange_evals"]
+        assert scopes == {"probe"}
+        # The outcome's accuracy is the chosen mask's measured one.
+        assert first.accuracy == _distinct_reward(first.action)
+
+        # A second run starts from an empty memo and repeats the first.
+        first_seen = list(seen)
+        seen.clear()
+        second, second_counters, _ = _recorded(driver)
+        assert seen == first_seen
+        assert second_counters == counters
+        assert np.array_equal(second.action, first.action)
+        assert second.reward_history == first.reward_history
+        assert second.loss_history == first.loss_history
+        assert second.accuracy == first.accuracy
+
+    def test_no_iteration_measures_the_choice_once(self):
+        seen = []
+        config = HeadStartConfig(speedup=2.0, max_iterations=0,
+                                 min_iterations=0, seed=3)
+        rng = np.random.default_rng(config.seed)
+        policy = HeadStartNetwork(8, keep_ratio=0.5, rng=rng)
+        outcome = ReinforceDriver(
+            policy, _evaluator("eager", _distinct_reward, seen),
+            _accuracy_is_reward, config, rng).run()
+        assert outcome.iterations == 0
+        assert seen == [[mask_key(outcome.action)]]
+        assert outcome.accuracy == _distinct_reward(outcome.action)
 
 
 class TestDriverRegressions:
@@ -329,6 +322,9 @@ class TestDriverRegressions:
         # One call with the two unique masks, in first-appearance order.
         assert calls == [[mask_key(actions[0]), mask_key(actions[2])]]
         assert list(rewards) == [_count_reward(a) for a in actions]
+        # Measured masks are answered from the memo.
+        assert list(driver._score(actions[::-1])) == list(rewards[::-1])
+        assert len(calls) == 1
 
     def test_run_twice_identical(self):
         # Regression for shared-mutable-state reuse: a second run() on
@@ -341,13 +337,3 @@ class TestDriverRegressions:
         assert first.iterations == second.iterations
         assert first.reward_history == second.reward_history
         assert first.loss_history == second.loss_history
-
-    def test_run_twice_identical_with_cache(self):
-        driver = _driver(_count_reward, seed=11,
-                         cache=EvalCache(maxsize=32))
-        plain = _driver(_count_reward, seed=11)
-        assert np.array_equal(driver.run().action, plain.run().action)
-        first = driver.run()
-        second = driver.run()
-        assert np.array_equal(first.action, second.action)
-        assert first.reward_history == second.reward_history

@@ -246,48 +246,35 @@ class TestEvalOptions:
 
         with pytest.raises(ValueError):
             EvalOptions(graph=False, fused=True)       # fused needs graph
-        with pytest.raises(ValueError):
-            EvalOptions(cache_size=-1)
         assert EvalOptions(fused=True).mode == "graph"
         assert EvalOptions().mode == "graph"
         assert EvalOptions(graph=False).mode == "dense"
 
-    def test_old_and_new_spellings_share_a_resume_digest(self):
+    def test_eval_paths_share_a_resume_digest(self):
         from repro.core import EvalOptions, HeadStartConfig
         from repro.core.config import resume_relevant
 
-        new = HeadStartConfig(speedup=2.0, seed=5,
-                              eval=EvalOptions(cache=False))
-        # A config journaled before the eval block: flat knob names,
-        # including those of the retired evaluation pool.
-        old = dataclasses.asdict(new)
-        del old["eval"]
-        old.update(eval_cache=False, cache_size=256, compressed_eval=False,
-                   workers=4, task_seconds=None, task_retries=2)
         dense = HeadStartConfig(speedup=2.0, seed=5,
                                 eval=EvalOptions(graph=False))
         graph = HeadStartConfig(speedup=2.0, seed=5,
                                 eval=EvalOptions(fused=True))
-        assert resume_relevant(new) == resume_relevant(old)
         # Every eval knob is performance-only: digests ignore all of it.
         assert resume_relevant(dense) == resume_relevant(graph)
 
     def test_replace_round_trips_without_warnings(self):
         from repro.core import EvalOptions, HeadStartConfig
 
-        config = HeadStartConfig(speedup=2.0,
-                                 eval=EvalOptions(cache_size=99))
+        config = HeadStartConfig(speedup=2.0, eval=EvalOptions(fused=True))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             clone = dataclasses.replace(config, seed=9)
-        assert clone.eval.cache_size == 99 and clone.seed == 9
+        assert clone.eval.fused and clone.seed == 9
 
-    def test_journaled_dict_form_is_coerced(self):
+    def test_eval_must_be_eval_options(self):
         from repro.core import HeadStartConfig
 
-        config = HeadStartConfig(speedup=2.0,
-                                 eval={"graph": True, "cache_size": 8})
-        assert config.eval.graph is True and config.eval.cache_size == 8
+        with pytest.raises(TypeError, match="EvalOptions"):
+            HeadStartConfig(speedup=2.0, eval={"graph": True})
 
 
 class TestCliEvalFlags:
@@ -300,10 +287,8 @@ class TestCliEvalFlags:
         return _eval_options(args)
 
     def test_eval_mode_graph_with_perf_knobs(self):
-        options = self._parse(["--eval-mode", "graph", "--eval-fused",
-                               "--eval-cache-size", "7"])
+        options = self._parse(["--eval-mode", "graph", "--eval-fused"])
         assert options.graph and options.fused
-        assert options.cache_size == 7
 
     def test_defaults_come_from_eval_options(self):
         from repro.core import EvalOptions

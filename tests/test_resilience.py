@@ -344,7 +344,7 @@ class TestChaosMatrix:
     @pytest.mark.parametrize("kind", ENGINE_KINDS)
     def test_killed_and_resumed_run_matches_baseline(self, kind, tmp_path):
         # Every column of the chaos matrix CI runs: one per stepped
-        # engine, plus HeadStart on the eval-cache fast path and on the
-        # graph executor.  test_fault_injection covers HeadStart's
-        # kill/resume cases in more depth.
+        # engine, plus HeadStart on the graph executor.
+        # test_fault_injection covers HeadStart's kill/resume cases in
+        # more depth.
         assert run_chaos(kind, seed=1, root=tmp_path) == []
