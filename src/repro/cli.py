@@ -141,13 +141,22 @@ def _make_model(args):
                        rng=np.random.default_rng(args.seed))
 
 
+def _train_config(args) -> TrainConfig:
+    """Pre-training from ``--epochs``/``--batch-size``/``--lr``/``--seed``."""
+    return TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                       lr=args.lr, seed=args.seed)
+
+
 def _cmd_train(args) -> int:
+    try:
+        config = _train_config(args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     task = _make_task(args)
     model = _make_model(args)
     obs.label_modules(model)  # no-op unless --profile-ops installed hooks
-    history = fit(model, task.train, task.test,
-                  TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                              lr=args.lr, seed=args.seed))
+    history = fit(model, task.train, task.test, config)
     print(f"final test accuracy: {history.final_test_accuracy:.4f}")
     if args.out:
         path = save_checkpoint(model, args.out)
@@ -221,6 +230,10 @@ def _cmd_prune(args) -> int:
                                  patience=max(4, args.iterations // 4),
                                  eval_batch=args.eval_batch, seed=args.seed,
                                  eval=_eval_options(args))
+        train_config = _train_config(args)
+        finetune_config = FinetuneConfig(epochs=args.finetune_epochs,
+                                         batch_size=args.batch_size,
+                                         lr=args.lr / 2, seed=args.seed)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -232,12 +245,18 @@ def _cmd_prune(args) -> int:
         return 2
     obs.label_modules(model)  # no-op unless --profile-ops installed hooks
     if args.checkpoint:
-        load_checkpoint(model, args.checkpoint)
+        try:
+            load_checkpoint(model, args.checkpoint)
+        except CheckpointError as error:        # missing or unreadable
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+        except (KeyError, ValueError) as error:  # another architecture's
+            print(f"error: checkpoint {args.checkpoint} does not match "
+                  f"--model {args.model}: {error.args[0]}", file=sys.stderr)
+            return 2
     else:
         print("no checkpoint given; training the model first", file=sys.stderr)
-        fit(model, task.train, None,
-            TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                        lr=args.lr, seed=args.seed))
+        fit(model, task.train, None, train_config)
 
     if args.mode == "block":
         engine = BlockHeadStart(model, task.train, config=config)
@@ -255,13 +274,8 @@ def _cmd_prune(args) -> int:
         if inception is not None:
             pattern += f" (inception accuracy {inception:.4f})"
         print(pattern)
-        fit(model, task.train, None,
-            TrainConfig(epochs=args.finetune_epochs, batch_size=args.batch_size,
-                        lr=args.lr / 2, seed=args.seed))
+        fit(model, task.train, None, finetune_config.as_train_config())
     else:
-        finetune_config = FinetuneConfig(epochs=args.finetune_epochs,
-                                         batch_size=args.batch_size,
-                                         lr=args.lr / 2, seed=args.seed)
         engine = HeadStartPruner(model, task.train, task.test, config=config,
                                  finetune_config=finetune_config)
         result, code = _run_engine(engine, args, options)

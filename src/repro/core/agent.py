@@ -180,10 +180,6 @@ class LayerAgent:
             final_evaluate=partial(self._accuracies, full=True)
             if rescore else None,
             scope=self.unit.name).run()
-        if self._graph is not None:
-            arena = self._graph.arena_stats
-            get_recorder().gauge("graph/arena_reuses", arena["reuses"],
-                                 operational=True, layer=self.unit.name)
         return AgentResult(
             keep_mask=outcome.action.astype(bool),
             probabilities=outcome.probabilities,

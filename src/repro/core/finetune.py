@@ -29,6 +29,9 @@ class FinetuneConfig:
     max_grad_norm: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        self.as_train_config()      # TrainConfig checks the shared fields
+
     def as_train_config(self) -> TrainConfig:
         return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
                            lr=self.lr, momentum=self.momentum,

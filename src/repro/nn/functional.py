@@ -24,9 +24,7 @@ Max pooling copies no windows: :func:`first_max_pool2d` walks the kernel
 offsets over strided slices of the input and keeps each window's first
 maximum, the element ``argmax`` picks.  Its outputs and gradients equal
 those of the window-copy pool it replaced bit for bit, signed zeros and
-NaN payloads included (``docs/PERFORMANCE.md``, "Pooling").  The graph
-executor's BatchNorm and max-pool nodes call :func:`batch_norm2d_eval`
-and :func:`first_max_pool2d`, so each eval expression exists once.
+NaN payloads included (``docs/PERFORMANCE.md``, "Pooling").
 """
 
 from __future__ import annotations
@@ -87,8 +85,8 @@ def patch_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
     return index
 
 
-def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, pad: int,
-           alloc=None) -> np.ndarray:
+def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int,
+           pad: int) -> np.ndarray:
     """Unfold ``x`` of shape (N, C, H, W) into (N*oh*ow, C*kh*kw) patches.
 
     Row ``n*oh*ow + oy*ow + ox`` holds the (C, kh, kw) window under output
@@ -98,10 +96,6 @@ def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, pad: int,
     channels-last ``x`` is padded into a channels-last buffer and
     gathered with the channels-last index, so neither step transposes;
     the matrix is the same.
-
-    ``alloc(shape, dtype)`` returns an empty C-contiguous buffer, for
-    the padded input and for the returned matrix.  Without it numpy
-    allocates both.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
@@ -109,25 +103,14 @@ def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, pad: int,
     if pad:
         hp, wp = h + 2 * pad, w + 2 * pad
         shape = (n, hp, wp, c) if channels_last else (n, c, hp, wp)
-        if alloc is None:
-            padded = np.zeros(shape, dtype=x.dtype)
-        else:
-            padded = alloc(shape, x.dtype)
-            padded.fill(0)
+        padded = np.zeros(shape, dtype=x.dtype)
         if channels_last:
             padded = padded.transpose(0, 3, 1, 2)
         padded[:, :, pad:pad + h, pad:pad + w] = x
         x = padded
     samples = (x.transpose(0, 2, 3, 1) if channels_last else x).reshape(n, -1)
     index = patch_index(c, h, w, kh, kw, stride, pad, channels_last)
-    if alloc is None:
-        return samples.take(index, axis=1).reshape(-1, index.shape[1])
-    cols = alloc((n * index.shape[0], index.shape[1]), x.dtype)
-    # ``clip``: the index is in range by construction, and ``take`` then
-    # fills ``cols`` without an intermediate buffer.
-    samples.take(index, axis=1, mode="clip",
-                 out=cols.reshape(n, *index.shape))
-    return cols
+    return samples.take(index, axis=1).reshape(-1, index.shape[1])
 
 
 def col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int],
@@ -221,7 +204,7 @@ def _window_taps(kernel: int, stride: int, oh: int, ow: int) -> list[tuple]:
 
 
 def first_max_pool2d(x: np.ndarray, kernel: int, stride: int, padding: int,
-                     out: np.ndarray | None = None, return_index: bool = False
+                     return_index: bool = False
                      ) -> tuple[np.ndarray, np.ndarray | None]:
     """Max pooling of an NCHW array in which a window's first maximum wins.
 
@@ -231,8 +214,7 @@ def first_max_pool2d(x: np.ndarray, kernel: int, stride: int, padding: int,
     first NaN, so each output element is a bit copy of the element
     ``argmax`` picks from the flattened window: a ±0 tie keeps the first
     zero's sign and a NaN its payload.  The walk runs in ``x``'s memory
-    order; the result goes to ``out``, a C-contiguous (N, C, oh, ow)
-    array, allocated when not given.
+    order; the result is a fresh C-contiguous (N, C, oh, ow) array.
 
     With ``return_index``, also returns each window's winning offset
     ``i * kernel + j``, laid out like the walk; otherwise ``None``.
@@ -261,8 +243,7 @@ def first_max_pool2d(x: np.ndarray, kernel: int, stride: int, padding: int,
             # q exceeds every offset recorded so far, so this writes q
             # exactly where ``take`` holds.
             np.maximum(index, take * index.dtype.type(q), out=index)
-    if out is None:
-        out = np.empty((n, c, oh, ow), dtype=best.dtype)
+    out = np.empty((n, c, oh, ow), dtype=best.dtype)
     np.copyto(out, best)
     return out, index
 
@@ -369,8 +350,7 @@ def row_channels(c: int, pixels: int) -> np.ndarray:
 
 def batch_norm2d_eval(x: np.ndarray, running_mean: np.ndarray,
                       running_var: np.ndarray, weight: np.ndarray,
-                      bias: np.ndarray, eps: float,
-                      alloc=None) -> np.ndarray:
+                      bias: np.ndarray, eps: float) -> np.ndarray:
     """Eval-mode BatchNorm of an NCHW array, computed in its output buffer.
 
     Computes ``(x - mean) * inv_std * weight + bias`` with ``inv_std =
@@ -386,41 +366,31 @@ def batch_norm2d_eval(x: np.ndarray, running_mean: np.ndarray,
     per-channel vector expanded to one row.  Every element sees the
     same operands, so the result is the same bytes.
 
-    ``alloc(dtype)`` returns the empty output buffer, shaped and strided
-    like ``x``.  Without it numpy allocates the output (and, when ``x -
-    mean`` is narrower, that difference first), so the result is
-    strided exactly as with gradients on (size-1 axes included).
+    Numpy allocates the output (and, when ``x - mean`` is narrower, that
+    difference first), so the result is strided exactly as with
+    gradients on (size-1 axes included).
     """
     inv_std = (running_var + np.asarray(eps)) ** -0.5
     centred_dtype = np.result_type(x, running_mean)
     dtype = np.result_type(centred_dtype, inv_std)
-    out = None if alloc is None else alloc(dtype)
     vectors = (running_mean, inv_std, weight, bias)
     n, c, h, w = x.shape
-    rows = (1 < c < _ROW_CHANNELS and h > 1 and w > 1 and _channels_last(x)
-            and (out is None or _channels_last(out)))
+    rows = 1 < c < _ROW_CHANNELS and h > 1 and w > 1 and _channels_last(x)
     if rows:
         index = row_channels(c, n * h * w)
         src = x.transpose(0, 2, 3, 1).reshape(-1, index.size)
-        dst = None if out is None else \
-            out.transpose(0, 2, 3, 1).reshape(src.shape)
         mean, inv_std, weight, bias = (v.take(index) for v in vectors)
     else:
-        src, dst = x, out
+        src = x
         mean, inv_std, weight, bias = (_column(v) for v in vectors)
-    if dst is not None:
-        np.subtract(src, mean, out=dst, dtype=centred_dtype)
-        np.multiply(dst, inv_std, out=dst)
-    elif centred_dtype == dtype:
-        dst = np.subtract(src, mean)
-        np.multiply(dst, inv_std, out=dst)
+    if centred_dtype == dtype:
+        out = np.subtract(src, mean)
+        np.multiply(out, inv_std, out=out)
     else:
-        dst = np.subtract(src, mean) * inv_std
-    np.multiply(dst, weight, out=dst)
-    np.add(dst, bias, out=dst)
-    if out is not None:
-        return out
-    return dst.reshape(n, h, w, c).transpose(0, 3, 1, 2) if rows else dst
+        out = np.subtract(src, mean) * inv_std
+    np.multiply(out, weight, out=out)
+    np.add(out, bias, out=out)
+    return out.reshape(n, h, w, c).transpose(0, 3, 1, 2) if rows else out
 
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,

@@ -4,30 +4,15 @@
 by patching the leaf layer classes and the two tensor methods model
 forwards use directly (``+`` and ``.relu()``) — into a flat,
 topologically ordered op list, then returns a :class:`GraphExecutor`
-that replays it without any Python module dispatch.
+that replays it.
 
-Three properties make it the reward-evaluation fast path:
+Three properties make it the reward-evaluation path:
 
-* **Buffer reuse.**  Every intermediate (padded inputs, im2col patches,
-  GEMM outputs, activations) lives in a shape-keyed :class:`_Arena`;
-  buffers are recycled the moment their last consumer has run and
-  persist across calls, so steady-state evaluation allocates nothing.
-  Patches are gathered into their arena buffer by the eager
-  :func:`~repro.nn.functional.im2col` itself, so the conv GEMM operand
-  is byte-identical to the eager one.
-* **Bit-exact by default.**  With ``fuse=False`` every node replays the
-  eager op's exact numpy expression (same operands, same order, same
-  dtype promotion, same memory layout where reductions could care), so
-  executor logits are bit-for-bit identical to ``model(x)``, signed
-  zeros included.  BatchNorm and max pooling do so by calling the eager
-  op's own function with an arena output buffer
-  (:func:`~repro.nn.functional.batch_norm2d_eval`,
-  :func:`~repro.nn.functional.first_max_pool2d`).  With
-  ``fuse=True`` BatchNorm folds into the preceding convolution's
-  weights (the fold and the fused GEMM accumulate in float64, then
-  round once to the eager dtype) and a trailing ReLU joins the conv /
-  linear epilogue — approximate, but within ~1e-8 of an eager float64
-  forward; see ``docs/PERFORMANCE.md`` for the float32 story.
+* **Replay.**  Each node calls the leaf module it traced, or
+  ``Tensor.__add__`` / ``Tensor.relu``, in eval mode without gradients,
+  and each value is dropped after its last consumer.  Unfused, the
+  executor runs the eager forward's own code on its own arrays: its
+  logits are ``model(x)``'s bit for bit, signed zeros included.
 * **Mask-aware splitting.**  :meth:`GraphExecutor.set_mask_unit` splits
   the op list at a prunable unit's output.  All candidate masks share
   the prefix (cached per calibration slice), each mask re-runs only the
@@ -35,20 +20,29 @@ Three properties make it the reward-evaluation fast path:
   dense masked forward of :func:`repro.pruning.surgery.channel_mask`,
   because a zeroed filter row plus zeroed BN affine produces exact
   ``+0.0`` in the eager path too.
+* **Opt-in fusion.**  With ``fuse=True`` BatchNorm folds into the
+  preceding convolution's weights (the fold and the fused GEMM
+  accumulate in float64, then round once to the eager dtype) and a
+  trailing ReLU joins the conv / linear epilogue, the executor's one
+  kernel — approximate, but within ~1e-8 of an eager float64 forward;
+  see ``docs/PERFORMANCE.md`` for the float32 story.
 
-The executor captures *references* to module parameters (unfused nodes
-read weights live) but folds fused constants at compile time: recompile
-after mutating weights when ``fuse=True``.
+Replayed nodes read weights live through their modules, but fused
+constants are folded at compile time: recompile after mutating weights
+when ``fuse=True``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import operator
 import time
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .functional import batch_norm2d_eval, first_max_pool2d, im2col
+from ..obs.profile import record_graph_op
+from .functional import im2col
 from .modules import (AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten,
                       GlobalAvgPool2d, Identity, Linear, MaxPool2d, Module,
                       ReLU, Sigmoid, Tanh)
@@ -66,59 +60,20 @@ class GraphTraceError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Arena
-# ----------------------------------------------------------------------
-class _Arena:
-    """Shape/dtype-keyed free lists of reusable numpy buffers.
-
-    ``get`` pops a previously released buffer of the exact shape and
-    dtype or allocates a fresh one; ``put`` returns a buffer to its
-    free list.  The executor releases every intermediate as soon as its
-    last consumer has run, so across calls the arena converges on the
-    peak working set and steady-state evaluation allocates nothing.
-    """
-
-    def __init__(self):
-        self._free: dict[tuple, list[np.ndarray]] = {}
-        self.allocations = 0
-        self.reuses = 0
-
-    def get(self, shape: tuple, dtype) -> np.ndarray:
-        key = (tuple(shape), np.dtype(dtype))
-        stack = self._free.get(key)
-        if stack:
-            self.reuses += 1
-            return stack.pop()
-        self.allocations += 1
-        return np.empty(key[0], dtype=key[1])
-
-    def put(self, array: np.ndarray) -> None:
-        # Kernels assume buffers from ``get`` are C-contiguous; arrays
-        # with another base layout (ufunc outputs tracking channels-last
-        # inputs) are simply dropped to the allocator.
-        if not array.flags.c_contiguous:
-            return
-        self._free.setdefault((array.shape, array.dtype), []).append(array)
-
-
-# ----------------------------------------------------------------------
 # Trace
 # ----------------------------------------------------------------------
+@dataclass(eq=False, slots=True)
 class _Node:
-    """One traced op: ``kind`` + producing module + value ids."""
+    """One traced op: ``kind`` + producing module + value ids, and what
+    fusion folded into it."""
 
-    __slots__ = ("kind", "module", "inputs", "out",
-                 "fused_weight", "fused_bias", "fused_relu")
-
-    def __init__(self, kind: str, module: Module | None,
-                 inputs: list[int], out: int):
-        self.kind = kind
-        self.module = module
-        self.inputs = inputs
-        self.out = out
-        self.fused_weight = None
-        self.fused_bias = None
-        self.fused_relu = False
+    kind: str
+    module: Module | None
+    inputs: list[int]
+    out: int
+    fused_weight: np.ndarray | None = None
+    fused_bias: np.ndarray | None = None
+    fused_relu: bool = False
 
 
 #: Leaf module classes the tracer hooks; anything else (containers,
@@ -130,6 +85,10 @@ _LEAF_KINDS: dict[type, str] = {
     AvgPool2d: "avgpool", GlobalAvgPool2d: "gap",
     Flatten: "flatten", Dropout: "dropout", Identity: "identity",
 }
+
+#: The tensor-method nodes (``module is None``), looked up on the
+#: operands at call time as the eager forward does.
+_METHODS = {"add": operator.add, "relu": operator.methodcaller("relu")}
 
 #: The active tracer (at most one; class-level hooks are global).
 _TRACE: "_Tracer | None" = None
@@ -143,18 +102,16 @@ class _Tracer:
         self.nodes: list[_Node] = []
         self._vids: dict[int, int] = {}
         self._refs: list[Tensor] = []          # keep ids stable
-        self.shapes: list[tuple] = []
         self.suspended = 0
 
     def register(self, tensor: Tensor) -> int:
-        vid = len(self.shapes)
+        vid = len(self._refs)
         if tensor.ndim < 1 or tensor.shape[0] != self.batch:
             raise GraphTraceError(
                 "traced values must keep the batch as their leading "
                 f"axis; got shape {tensor.shape}")
         self._vids[id(tensor)] = vid
         self._refs.append(tensor)
-        self.shapes.append(tensor.shape)
         return vid
 
     def vid_of(self, tensor) -> int | None:
@@ -196,34 +153,17 @@ def _traced_module_forward(original, kind):
     return forward
 
 
-def _traced_binary(original, kind):
-    def method(self, other):
+def _traced_method(original, kind):
+    def method(*operands):
         tracer = _TRACE
         if tracer is None or tracer.suspended:
-            return original(self, other)
-        a = tracer.vid_of(self)
-        b = tracer.vid_of(other)
-        if a is None or b is None:       # constants stay untraced; a later
-            return original(self, other)  # consumer raises GraphTraceError
+            return original(*operands)
+        vids = [tracer.vid_of(operand) for operand in operands]
+        if None in vids:                 # constants stay untraced; a later
+            return original(*operands)   # consumer raises GraphTraceError
         with _suspend_trace():
-            out = original(self, other)
-        tracer.record(kind, None, [a, b], out)
-        return out
-    method._repro_tracer = True
-    return method
-
-
-def _traced_unary(original, kind):
-    def method(self):
-        tracer = _TRACE
-        if tracer is None or tracer.suspended:
-            return original(self)
-        vin = tracer.vid_of(self)
-        if vin is None:
-            return original(self)
-        with _suspend_trace():
-            out = original(self)
-        tracer.record(kind, None, [vin], out)
+            out = original(*operands)
+        tracer.record(kind, None, vids, out)
         return out
     method._repro_tracer = True
     return method
@@ -243,8 +183,8 @@ def _trace(model: Module, example: Tensor) -> tuple[_Tracer, int, int]:
     try:
         for cls, kind in _LEAF_KINDS.items():
             cls.forward = _traced_module_forward(saved_forwards[cls], kind)
-        Tensor.__add__ = _traced_binary(saved_add, "add")
-        Tensor.relu = _traced_unary(saved_relu, "relu")
+        Tensor.__add__ = _traced_method(saved_add, "add")
+        Tensor.relu = _traced_method(saved_relu, "relu")
         model.eval()
         input_vid = tracer.register(example)
         with no_grad():
@@ -324,17 +264,15 @@ def _fuse(nodes: list[_Node], input_vid: int, output_vid: int,
             continue
         vin = resolve(node.inputs[0])
         j = producer.get(vin)
-        if j is None or j in removed:
-            continue
-        prod = nodes[j]
-        if prod.kind not in ("conv", "linear"):
+        if j is None or j in removed \
+                or nodes[j].kind not in ("conv", "linear"):
             continue
         users = [k for k in range(len(nodes)) if k not in removed
                  and k != i and vin in [resolve(v) for v in nodes[k].inputs]]
         if users or vin == output_vid:
             continue
-        prod.fused_relu = True
-        alias[node.out] = prod.out
+        nodes[j].fused_relu = True
+        alias[node.out] = nodes[j].out
         removed.add(i)
 
     kept = [node for i, node in enumerate(nodes) if i not in removed]
@@ -343,359 +281,117 @@ def _fuse(nodes: list[_Node], input_vid: int, output_vid: int,
     return kept
 
 
+def _epilogue(node: _Node, x: Tensor) -> Tensor:
+    """A fused conv or linear node, the executor's one kernel.
+
+    A conv with a folded BatchNorm stays float64, as the eager BatchNorm
+    output is (``var + eps`` promotes through a 0-d float64 scalar).
+    The module's forward is not called, so the node reports itself to
+    an installed profiler, as one op of the module's kind.
+    """
+    start = time.perf_counter()
+    layer = node.module
+    data = x.data
+    rows = data
+    if node.kind == "conv":
+        k, s, p = layer.kernel_size, layer.stride, layer.padding
+        rows = im2col(data, (k, k), s, p)
+    if node.fused_weight is not None:
+        weight, bias = node.fused_weight, node.fused_bias
+    else:
+        weight = layer.weight.data.reshape(layer.weight.data.shape[0], -1)
+        bias = None if layer.bias is None else layer.bias.data
+    out = rows @ weight.T
+    if bias is not None:
+        out += bias
+    if node.fused_relu:
+        np.maximum(out, 0, out=out)
+    if node.kind == "conv":
+        n, _, h, w = data.shape
+        out = out.reshape(n, (h + 2 * p - k) // s + 1,
+                          (w + 2 * p - k) // s + 1, -1).transpose(0, 3, 1, 2)
+    record_graph_op(layer, type(layer).__name__, data.shape, out.shape,
+                    time.perf_counter() - start)
+    return Tensor(out)
+
+
 # ----------------------------------------------------------------------
 # Executor
 # ----------------------------------------------------------------------
-def _conv_geometry(conv: Conv2d, x: np.ndarray) -> tuple:
-    n, c, h, w = x.shape
-    k, s, p = conv.kernel_size, conv.stride, conv.padding
-    oh = (h + 2 * p - k) // s + 1
-    ow = (w + 2 * p - k) // s + 1
-    return n, c, h, w, k, s, p, oh, ow
+def _last_uses(nodes: list[_Node], keep) -> list[list[int]]:
+    """Per node, the values it is the last consumer of, bar ``keep``."""
+    last = {vid: i for i, node in enumerate(nodes) for vid in node.inputs}
+    dead: list[list[int]] = [[] for _ in nodes]
+    for vid, i in last.items():
+        if vid not in keep:
+            dead[i].append(vid)
+    return dead
 
 
 class GraphExecutor:
-    """Replays a traced op list with arena-backed buffers.
+    """Replays a traced op list through the modules it traced.
 
     Produced by :func:`compile`; see the module docstring for the
-    trace / fuse / arena lifecycle and the numeric contract.  Arrays
-    returned by :meth:`run` are arena buffers that stay valid until the
-    next call on this executor — copy them to keep them longer.
+    trace / fuse / split lifecycle and the numeric contract.
     """
 
-    def __init__(self, model: Module, nodes: list[_Node], shapes: list[tuple],
-                 input_vid: int, output_vid: int, *, fused: bool):
-        self.model = model
+    def __init__(self, nodes: list[_Node], input_vid: int, output_vid: int):
         self.nodes = nodes
-        self.fused = fused
-        self._shapes = shapes
         self._input_vid = input_vid
         self._output_vid = output_vid
-        self._arena = _Arena()
-        self._producer = {node.out: i for i, node in enumerate(nodes)}
+        self._dead = _last_uses(nodes, {output_vid})
+        # The replay calls no container, and BatchNorm is the one traced
+        # leaf whose forward reads the training flag (an eval-mode
+        # Dropout returns its input, so it is never a node).
+        self._batchnorms = list(dict.fromkeys(
+            node.module for node in nodes
+            if isinstance(node.module, BatchNorm2d)))
         self._module_vid: dict[int, int] = {}
-        self._full_pending = self._pending_template(nodes)
-        self._deferred_release: list[np.ndarray] = []
-        # Mask split state (set_mask_unit)
-        self._mask_vid: int | None = None
-        self._prefix: list[_Node] = []
-        self._suffix: list[_Node] = []
-        self._boundary: list[int] = []
-        self._prefix_pending: dict[int, int] = {}
-        self._suffix_pending: dict[int, int] = {}
-        self._prefix_cache: dict[tuple, dict[int, np.ndarray]] = {}
-        # _alloc_like's layout plans, by (shape, strides)
-        self._layouts: dict[tuple, tuple] = {}
-
-    # -- plumbing ----------------------------------------------------------
-    def _pending_template(self, nodes: list[_Node]) -> dict[int, int]:
-        pending: dict[int, int] = {}
-        for node in nodes:
-            for vid in node.inputs:
-                pending[vid] = pending.get(vid, 0) + 1
-        return pending
+        self._mask_vid: int | None = None    # set_mask_unit sets the split
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
-    def arena_stats(self) -> dict:
-        return {"allocations": self._arena.allocations,
-                "reuses": self._arena.reuses}
+    @contextlib.contextmanager
+    def _replaying(self):
+        """Eval mode without gradients; training flags are restored."""
+        training = [bn for bn in self._batchnorms if bn.training]
+        for bn in training:
+            bn.train(False)
+        try:
+            with no_grad():
+                yield
+        finally:
+            for bn in training:
+                bn.train(True)
 
-    def clear_cache(self) -> None:
-        """Drop cached mask-split prefixes (e.g. after weight updates)."""
-        self._prefix_cache.clear()
-
-    # -- node kernels --------------------------------------------------------
-    # Each kernel returns (out_array, backing) where ``backing`` is the
-    # arena allocation that owns the output's memory (None when the
-    # output aliases an input's storage).  Bit-exact kernels replay the
-    # eager expressions operand-for-operand; see tests/test_graph.py.
-    #
-    # Layout matters: numpy ufuncs allocate results in K order, so the
-    # eager path propagates the conv GEMM's channels-last transpose view
-    # through BN/ReLU/add — and reductions downstream (global average
-    # pooling) sum pairwise in *that* memory order.  Elementwise kernels
-    # therefore allocate their buffers with the input's memory order
-    # (:meth:`_alloc_like`), keeping every reduction bit-identical.
-
-    def _alloc_like(self, ref: np.ndarray, dtype):
-        """Arena buffer matching ``ref``'s shape *and* memory order.
-
-        Returns ``(view, base)``: ``view`` has ``ref.shape`` with axes
-        strided like ``ref`` (numpy's K order), ``base`` is the arena
-        allocation backing it.  The stride order is planned once per
-        (shape, strides): a forward meets the same few layouts on every
-        call.
-        """
-        if ref.flags.c_contiguous or ref.ndim < 2:
-            base = self._arena.get(ref.shape, dtype)
-            return base, base
-        key = (ref.shape, ref.strides)
-        plan = self._layouts.get(key)
-        if plan is None:
-            order = sorted(range(ref.ndim),
-                           key=lambda i: (-ref.strides[i], i))
-            plan = self._layouts[key] = (
-                tuple(ref.shape[i] for i in order),
-                tuple(int(i) for i in np.argsort(order)))
-        shape, axes = plan
-        base = self._arena.get(shape, dtype)
-        return base.transpose(axes), base
-
-    def _run_conv(self, node: _Node, x: np.ndarray):
-        # The eager gather, into arena buffers.
-        conv = node.module
-        arena = self._arena
-        n, c, h, w, k, s, p, oh, ow = _conv_geometry(conv, x)
-        buffers = []
-
-        def alloc(shape, dtype):
-            buffers.append(arena.get(shape, dtype))
-            return buffers[-1]
-
-        cols = im2col(x, (k, k), s, p, alloc)
-        for buf in buffers:
-            if buf is not cols:         # the padded input
-                arena.put(buf)
-        if node.fused_weight is not None:
-            return self._conv_epilogue_fused(node, cols, n, oh, ow)
-        w_mat = conv.weight.data.reshape(conv.weight.data.shape[0], -1)
-        f = w_mat.shape[0]
-        gemm = arena.get((n * oh * ow, f), np.result_type(cols, w_mat))
-        np.matmul(cols, w_mat.T, out=gemm)
-        arena.put(cols)
-        if conv.bias is not None:
-            np.add(gemm, conv.bias.data, out=gemm)
-        if node.fused_relu:          # fuse=True only; approximate mode
-            np.maximum(gemm, 0, out=gemm)
-        out = gemm.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
-        return out, gemm
-
-    def _conv_epilogue_fused(self, node: _Node, cols: np.ndarray,
-                             n: int, oh: int, ow: int):
-        # Folded conv+BN stays float64: the unfused BN output is float64
-        # too (``var + eps`` promotes through a 0-d float64 scalar), so
-        # this matches the eager dtype while accumulating exactly.
-        arena = self._arena
-        f = node.fused_weight.shape[0]
-        acc = arena.get((n * oh * ow, f), np.float64)
-        np.matmul(cols, node.fused_weight.T, out=acc)
-        arena.put(cols)
-        acc += node.fused_bias
-        if node.fused_relu:
-            np.maximum(acc, 0.0, out=acc)
-        out = acc.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
-        return out, acc
-
-    def _run_linear(self, node: _Node, x: np.ndarray):
-        layer = node.module
-        w = layer.weight.data
-        buf = self._arena.get((x.shape[0], w.shape[0]),
-                              np.result_type(x, w))
-        np.matmul(x, w.T, out=buf)
-        if layer.bias is not None:
-            np.add(buf, layer.bias.data, out=buf)
-        if node.fused_relu:
-            np.maximum(buf, 0, out=buf)
-        return buf, buf
-
-    def _run_bn(self, node: _Node, x: np.ndarray):
-        # The eager eval-mode expression, written into an arena buffer.
-        bn = node.module
-        bases = []
-
-        def alloc(dtype):
-            buf, base = self._alloc_like(x, dtype)
-            bases.append(base)
-            return buf
-
-        buf = batch_norm2d_eval(x, bn.running_mean, bn.running_var,
-                                bn.weight.data, bn.bias.data, bn.eps, alloc)
-        return buf, bases[0]
-
-    def _run_relu(self, node: _Node, x: np.ndarray):
-        mask, mask_base = self._alloc_like(x, bool)
-        np.greater(x, 0, out=mask)
-        buf, base = self._alloc_like(x, x.dtype)
-        np.multiply(x, mask, out=buf)       # eager relu is data * (data > 0)
-        self._arena.put(mask_base)
-        return buf, base
-
-    def _run_sigmoid(self, node: _Node, x: np.ndarray):
-        out = np.where(x >= 0,
-                       1.0 / (1.0 + np.exp(-np.clip(x, 0, None))),
-                       np.exp(np.clip(x, None, 0))
-                       / (1.0 + np.exp(np.clip(x, None, 0))))
-        return out, out
-
-    def _run_tanh(self, node: _Node, x: np.ndarray):
-        out = np.tanh(x)
-        return out, out
-
-    def _run_maxpool(self, node: _Node, x: np.ndarray):
-        # The eager forward's own kernel, written into an arena buffer.
-        pool = node.module
-        k, s, p = pool.kernel_size, pool.stride, pool.padding
-        n, c, h, w = x.shape
-        buf = self._arena.get((n, c, (h + 2 * p - k) // s + 1,
-                               (w + 2 * p - k) // s + 1), x.dtype)
-        first_max_pool2d(x, k, s, p, out=buf)
-        return buf, buf
-
-    def _run_avgpool(self, node: _Node, x: np.ndarray):
-        pool = node.module
-        k, s = pool.kernel_size, pool.stride
-        n, c, h, w = x.shape
-        oh = (h - k) // s + 1
-        ow = (w - k) // s + 1
-        windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-        buf = self._arena.get((n, c, oh, ow), x.dtype)
-        np.mean(windows, axis=(-2, -1), out=buf)
-        return buf, buf
-
-    def _run_gap(self, node: _Node, x: np.ndarray):
-        arena = self._arena
-        n, c, h, w = x.shape
-        total = arena.get((n, c), x.dtype)
-        np.sum(x, axis=(2, 3), out=total)
-        count = np.asarray(float(h * w))    # eager mean divides by a 0-d
-        buf = arena.get((n, c), np.result_type(x, count))  # float64 array
-        np.divide(total, count, out=buf)
-        arena.put(total)
-        return buf, buf
-
-    def _run_flatten(self, node: _Node, x: np.ndarray):
-        out = x.reshape(x.shape[0], -1)
-        backing = None if np.may_share_memory(out, x) else out
-        return out, backing
-
-    def _run_add(self, node: _Node, a: np.ndarray, b: np.ndarray):
-        dtype = np.result_type(a, b)
-        if a.shape == b.shape and a.strides == b.strides:
-            buf, base = self._alloc_like(a, dtype)
-        else:
-            base = self._arena.get(np.broadcast_shapes(a.shape, b.shape),
-                                   dtype)
-            buf = base
-        np.add(a, b, out=buf)
-        return buf, base
-
-    _KERNELS = {
-        "conv": _run_conv, "linear": _run_linear, "bn": _run_bn,
-        "relu": _run_relu, "sigmoid": _run_sigmoid, "tanh": _run_tanh,
-        "maxpool": _run_maxpool, "avgpool": _run_avgpool, "gap": _run_gap,
-        "flatten": _run_flatten, "add": _run_add,
-    }
-
-    _PROFILED = {"conv": "Conv2d", "linear": "Linear", "bn": "BatchNorm2d"}
-
-    # -- execution engine ----------------------------------------------------
-    def _execute(self, nodes: list[_Node], template: dict[int, int],
-                 seeds: dict[int, np.ndarray], want: tuple[int, ...],
-                 keep: tuple[int, ...] = ()) -> dict[int, np.ndarray]:
-        """Run ``nodes`` over ``seeds``; return the ``want`` + ``keep`` values.
-
-        Arena buffers are recycled once their last consumer has run.
-        Values in ``keep`` (and ``want``) keep their storage out of the
-        arena for this call; ``keep`` transfers ownership to the caller
-        permanently (prefix caching), ``want`` storages are re-armed for
-        recycling at the start of the next call.
-        """
-        from ..obs.profile import profiler_active, record_graph_op
-
-        arena = self._arena
-        for buf in self._deferred_release:
-            arena.put(buf)
-        self._deferred_release = []
-
-        pending = dict(template)
-        for vid in (*want, *keep):
-            pending[vid] = pending.get(vid, 0) + 1
-        values: dict[int, np.ndarray] = dict(seeds)
-        backing: dict[int, np.ndarray | None] = {vid: None for vid in seeds}
-        alias_count: dict[int, int] = {}
-        storages: dict[int, np.ndarray] = {}
-        profiled = profiler_active()
-
-        for node in nodes:
+    @staticmethod
+    def _execute(nodes: list[_Node], dead: list[list[int]],
+                 values: dict[int, Tensor]) -> dict[int, Tensor]:
+        """Run ``nodes`` over ``values``, dropping each value after its
+        last consumer (``dead``); returns what is left."""
+        for node, done in zip(nodes, dead):
             args = [values[vid] for vid in node.inputs]
-            kernel = self._KERNELS[node.kind]
-            if profiled and node.kind in self._PROFILED \
-                    and node.module is not None:
-                start = time.perf_counter()
-                out, base = kernel(self, node, *args)
-                record_graph_op(node.module, self._PROFILED[node.kind],
-                                args[0].shape, out.shape,
-                                time.perf_counter() - start)
+            if node.fused_weight is not None or node.fused_relu:
+                values[node.out] = _epilogue(node, *args)
+            elif node.module is not None:
+                values[node.out] = node.module(*args)
             else:
-                out, base = kernel(self, node, *args)
-            values[node.out] = out
-            if base is None:            # view of the (sole) input's storage
-                base = backing.get(node.inputs[0])
-            backing[node.out] = base
-            if base is not None:
-                sid = id(base)
-                if sid in alias_count:
-                    alias_count[sid] += 1
-                else:
-                    alias_count[sid] = 1
-                    storages[sid] = base
-            for vid in dict.fromkeys(node.inputs):
-                pending[vid] = pending.get(vid, 1) - 1
-                if pending[vid] == 0:
-                    self._release(vid, backing, alias_count, storages)
-        result = {vid: values[vid] for vid in (*want, *keep)}
-        # Re-arm the wanted outputs' storages for the next call.
-        seen: set[int] = set()
-        for vid in want:
-            base = backing.get(vid)
-            if base is not None and vid not in keep and id(base) not in seen:
-                seen.add(id(base))
-                self._deferred_release.append(base)
-        return result
+                values[node.out] = _METHODS[node.kind](*args)
+            for vid in done:
+                del values[vid]
+        return values
 
-    def _release(self, vid: int, backing: dict, alias_count: dict,
-                 storages: dict) -> None:
-        base = backing.get(vid)
-        if base is None:
-            return
-        sid = id(base)
-        alias_count[sid] -= 1
-        if alias_count[sid] == 0:
-            # Drop the counter too: the arena may hand this buffer out
-            # again later in the same call, with the same id().
-            del alias_count[sid]
-            self._arena.put(storages.pop(sid))
-
-    # -- public API ------------------------------------------------------------
     def run(self, x) -> np.ndarray:
-        """One forward pass; returns the output logits array.
-
-        The returned array is an arena buffer: valid until the next call
-        on this executor (copy it to keep it).
-        """
-        x = np.asarray(x.data if isinstance(x, Tensor) else x)
-        out = self._execute(self.nodes, self._full_pending,
-                            {self._input_vid: x}, (self._output_vid,))
-        return out[self._output_vid]
+        """One forward pass; returns the output logits array."""
+        with self._replaying():
+            values = self._execute(self.nodes, self._dead,
+                                   {self._input_vid: Tensor(x)})
+        return values[self._output_vid].data
 
     __call__ = run
 
-    def accuracy(self, images: np.ndarray, labels: np.ndarray,
-                 batch_size: int = 64) -> float:
-        """Top-1 accuracy, batched exactly like :func:`repro.training.evaluate`."""
-        correct = 0
-        for start in range(0, len(images), batch_size):
-            logits = self.run(images[start:start + batch_size])
-            predictions = logits.argmax(axis=1)
-            correct += int(
-                (predictions == labels[start:start + batch_size]).sum())
-        return correct / max(len(labels), 1)
-
-    # -- mask splitting ----------------------------------------------------
     def set_mask_unit(self, conv: Conv2d,
                       bn: BatchNorm2d | None = None) -> None:
         """Split the graph at a prunable unit's (post-BN) output.
@@ -705,83 +401,65 @@ class GraphExecutor:
         the suffix per candidate mask, zeroing dropped channels at the
         split — bitwise equivalent to the dense masked forward.
         """
-        vid = None
-        for module in (bn, conv):
-            if module is not None and id(module) in self._module_vid:
-                vid = self._module_vid[id(module)]
-                break
+        vid = next((self._module_vid[id(module)] for module in (bn, conv)
+                    if id(module) in self._module_vid), None)
         if vid is None:
             raise GraphTraceError(
                 "mask unit's conv/bn was not traced into this graph")
-        split = self._producer[vid]
+        split = next(i for i, node in enumerate(self.nodes)
+                     if node.out == vid)
         self._mask_vid = vid
         self._prefix = self.nodes[:split + 1]
         self._suffix = self.nodes[split + 1:]
-        prefix_produced = {node.out for node in self._prefix}
-        prefix_produced.add(self._input_vid)
-        boundary = []
-        for node in self._suffix:
-            for v in node.inputs:
-                if v in prefix_produced and v not in boundary:
-                    boundary.append(v)
+        produced = {self._input_vid, *(node.out for node in self._prefix)}
+        boundary = list(dict.fromkeys(v for node in self._suffix
+                                      for v in node.inputs if v in produced))
         if vid not in boundary:
             raise GraphTraceError("mask unit's output has no consumers "
                                   "in the traced graph suffix")
         self._boundary = boundary
-        self._prefix_pending = self._pending_template(self._prefix)
-        self._suffix_pending = self._pending_template(self._suffix)
-        self._prefix_cache.clear()
+        self._prefix_dead = _last_uses(self._prefix, set(boundary))
+        self._suffix_dead = _last_uses(self._suffix, {self._output_vid})
+        self._prefix_cache: dict[tuple, dict[int, Tensor]] = {}
 
     def _prefix_values(self, x: np.ndarray, start: int,
-                       key) -> dict[int, np.ndarray]:
+                       key) -> dict[int, Tensor]:
+        """The boundary values of one slice, cached per (key, slice)."""
         cache_key = (key, start, x.shape[0])
+        hit = self._prefix_cache.get(cache_key)
+        if hit is not None:
+            return hit
+        values = self._execute(self._prefix, self._prefix_dead,
+                               {self._input_vid: Tensor(x)})
+        boundary = {vid: values[vid] for vid in self._boundary}
         if key is not None:
-            hit = self._prefix_cache.get(cache_key)
-            if hit is not None:
-                return hit
-        values = self._execute(self._prefix, self._prefix_pending,
-                               {self._input_vid: x}, (),
-                               keep=tuple(self._boundary))
-        self._prefix_cache[cache_key] = values
-        if key is None:                    # unkeyed: keep only until next call
-            self._prefix_cache = {cache_key: values}
-        return values
+            self._prefix_cache[cache_key] = boundary
+        return boundary
 
     def _masked_slice_logits(self, x: np.ndarray, masks: list[np.ndarray],
                              start: int, key):
-        """Yield per-mask logits for one input slice.
-
-        A generator on purpose: each yielded array is an arena buffer
-        that the *next* suffix execution may recycle, so consume (or
-        copy) each one before advancing.
-        """
+        """Yield per-mask logits for one input slice."""
         if self._mask_vid is None:
             raise RuntimeError("call set_mask_unit() before masked evaluation")
-        bvals = self._prefix_values(x, start, key)
-        masked_ref = bvals[self._mask_vid]
+        boundary = self._prefix_values(x, start, key)
+        masked = boundary[self._mask_vid].data
         for mask in masks:
             drop = np.flatnonzero(~np.asarray(mask, dtype=bool))
-            seeds = dict(bvals)
+            values = dict(boundary)
             if drop.size:
-                # The clone keeps the boundary value's memory order so
+                # The copy keeps the boundary value's memory order so
                 # downstream reductions sum exactly like the dense pass.
-                clone, clone_base = self._alloc_like(masked_ref,
-                                                     masked_ref.dtype)
-                np.copyto(clone, masked_ref)
+                clone = masked.copy(order="K")
                 clone[:, drop] = 0.0
-                seeds[self._mask_vid] = clone
-            result = self._execute(self._suffix, self._suffix_pending,
-                                   seeds, (self._output_vid,))
-            if drop.size:
-                self._arena.put(clone_base)
-            yield result[self._output_vid]
+                values[self._mask_vid] = Tensor(clone)
+            values = self._execute(self._suffix, self._suffix_dead, values)
+            yield values[self._output_vid].data
 
     def masked_logits(self, x, masks, key=None) -> np.ndarray:
-        """Logits for each candidate mask on one batch (stacked copies)."""
-        x = np.asarray(x.data if isinstance(x, Tensor) else x)
-        masks = [np.asarray(m) for m in masks]
-        outs = self._masked_slice_logits(x, masks, 0, key)
-        return np.stack([np.array(o, copy=True) for o in outs])
+        """Logits for each candidate mask on one batch, stacked."""
+        with self._replaying():
+            return np.stack(list(self._masked_slice_logits(x, masks, 0,
+                                                           key)))
 
     def masked_accuracy(self, images: np.ndarray, labels: np.ndarray,
                         masks, batch_size: int = 64, key=None) -> np.ndarray:
@@ -792,14 +470,15 @@ class GraphExecutor:
         ``key`` the shared prefix is cached per (key, slice) across
         calls — pass a stable name per calibration set.
         """
-        masks = [np.asarray(m) for m in masks]
+        masks = list(masks)
         correct = np.zeros(len(masks), dtype=np.int64)
-        for start in range(0, len(images), batch_size):
-            x = images[start:start + batch_size]
-            y = labels[start:start + batch_size]
-            for m, logits in enumerate(
-                    self._masked_slice_logits(x, masks, start, key)):
-                correct[m] += int((logits.argmax(axis=1) == y).sum())
+        with self._replaying():
+            for start in range(0, len(images), batch_size):
+                x = images[start:start + batch_size]
+                y = labels[start:start + batch_size]
+                for m, logits in enumerate(
+                        self._masked_slice_logits(x, masks, start, key)):
+                    correct[m] += int((logits.argmax(axis=1) == y).sum())
         return correct / max(len(labels), 1)
 
 
@@ -813,24 +492,19 @@ def compile(model: Module, example_input, *,
     Parameters
     ----------
     model:
-        Any module tree built from the ``repro.nn`` layer set.  The
-        model is traced in eval mode (its training flag is restored)
-        and is not mutated.
+        Any module tree built from the ``repro.nn`` layer set; traced
+        in eval mode (its training flag is restored), not mutated.
     example_input:
-        A representative input batch (any batch size; the executor
-        generalises over the leading axis but the remaining geometry is
-        baked in).
+        A representative input batch.  The executor generalises over
+        the leading axis; the remaining geometry is baked in.
     fuse:
         Fold BatchNorm into the preceding convolution and absorb
         trailing ReLUs into conv/linear epilogues.  Fused execution is
         *approximate* (float64-accumulated, one rounding step); pass
         ``fuse=False`` for bit-exact replay of the eager forward.
 
-    Raises
-    ------
-    GraphTraceError
-        When the forward uses an operation the tracer cannot record;
-        fall back to eager evaluation.
+    Raises :class:`GraphTraceError` when the forward uses an operation
+    the tracer cannot record; fall back to eager evaluation.
     """
     if isinstance(example_input, np.ndarray):
         example_input = Tensor(example_input)
@@ -841,8 +515,7 @@ def compile(model: Module, example_input, *,
         nodes = _fuse(nodes, input_vid, output_vid, alias)
         while output_vid in alias:
             output_vid = alias[output_vid]
-    executor = GraphExecutor(model, nodes, tracer.shapes, input_vid,
-                             output_vid, fused=fuse)
+    executor = GraphExecutor(nodes, input_vid, output_vid)
     # Map every traced module (including folded BN / fused ReLU modules)
     # to the value that now carries its output.  A module traced more
     # than once (a shared ReLU instance) maps to its first occurrence —

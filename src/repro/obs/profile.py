@@ -82,15 +82,16 @@ def module_name(module) -> str:
 
 def record_graph_op(module, kind: str, in_shape, out_shape,
                     dur: float) -> None:
-    """Report one graph-executor node as an ``op`` event.
+    """Report one fused graph-executor node as an ``op`` event.
 
-    The static-graph executor (:mod:`repro.nn.graph`) bypasses module
-    ``forward`` calls entirely, so the class-level hooks never fire for
-    it; instead the executor times each compute node and reports it here
-    when a profiler is installed.  Attribution matches the eager hooks:
-    the module's label (or repr), the layer-kind string, and the same
-    deterministic FLOP/byte accounting.  A fused conv+BN node reports as
-    its ``Conv2d`` module.  No-op when no profiler is installed.
+    The static-graph executor (:mod:`repro.nn.graph`) replays the traced
+    modules, so the class-level hooks time its nodes as they time an
+    eager forward.  Its fused conv / linear epilogue alone computes
+    without calling the module; it times itself and reports here.
+    Attribution matches the eager hooks: the module's label (or repr),
+    the layer-kind string, and the same deterministic FLOP/byte
+    accounting.  A fused conv+BN node reports once, as its ``Conv2d``
+    module.  No-op when no profiler is installed.
     """
     profiler = _ACTIVE
     if profiler is None:

@@ -21,7 +21,7 @@ values.  Wall-clock fields are confined to the ``t``/``dur`` keys of
 span events plus any event flagged ``timing=True`` (e.g. throughput);
 :func:`repro.obs.schema.deterministic_view` strips exactly those.
 Events flagged ``operational=True`` (the ``graph/*`` executor counters:
-compilations, fallbacks, arena reuses) describe *how* a value was
+compilations and fallbacks) describe *how* a value was
 computed rather than the value itself — they too are excluded from
 determinism comparisons, since a graph-executor run must still diff
 clean against an eager one.

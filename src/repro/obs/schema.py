@@ -29,8 +29,8 @@ Wall-clock data lives only in ``t``/``dur`` and in events flagged
 two identically-seeded runs compare equal on the stripped stream (an
 ``op`` event keeps its deterministic ``flops``/``bytes`` accounting but
 loses its timings).  Events may additionally carry ``operational: true``
-— evaluator bookkeeping (the ``graph/*`` counters: compilations,
-fallbacks, arena reuses) whose occurrence depends on how rewards were
+— evaluator bookkeeping (the ``graph/*`` counters: compilations and
+fallbacks) whose occurrence depends on how rewards were
 computed, not on what the run computed; the deterministic view drops
 those too, which is what lets a graph-executor run diff clean against
 an eager one.

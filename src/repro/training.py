@@ -44,6 +44,12 @@ class TrainConfig:
     max_grad_norm: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+
 
 def clip_grad_norm(params, max_norm: float) -> float:
     """Scale gradients so their global L2 norm is at most ``max_norm``.

@@ -6,6 +6,8 @@ import pytest
 
 from repro import obs
 from repro.cli import build_parser, main
+from repro.models import build_model
+from repro.utils import save_checkpoint
 
 PRUNE_ARGS = ["prune", "--model", "lenet", "--classes", "4",
               "--image-size", "12", "--train-per-class", "6",
@@ -129,15 +131,36 @@ class TestCommands:
 
     @pytest.mark.parametrize("flags", [["--speedup", "0.5"],
                                        ["--eval-batch", "0"],
-                                       ["--mode", "block"]],
-                             ids=["speedup", "eval-batch", "block-on-lenet"])
-    def test_prune_rejects_bad_flags_before_training(self, flags, capsys):
+                                       ["--mode", "block"],
+                                       ["--batch-size", "0"],
+                                       ["--finetune-epochs", "-1"],
+                                       ["--checkpoint", "{tmp}/missing.npz"],
+                                       ["--checkpoint", "{tmp}/alexnet.npz"]],
+                             ids=["speedup", "eval-batch", "block-on-lenet",
+                                  "batch-size", "finetune-epochs",
+                                  "missing-checkpoint", "wrong-architecture"])
+    def test_prune_rejects_bad_flags_before_training(self, flags, tmp_path,
+                                                     capsys):
+        save_checkpoint(build_model("alexnet", num_classes=4, input_size=12,
+                                    width_multiplier=0.25),
+                        tmp_path / "alexnet.npz")
+        flags = [flag.format(tmp=tmp_path) for flag in flags]
         assert main(PRUNE_ARGS + flags) == 2
+        self._assert_one_error_and_no_training(capsys)
+
+    def test_train_rejects_bad_flags_before_training(self, capsys):
+        assert main(["train", "--model", "lenet", "--batch-size", "0"]) == 2
+        self._assert_one_error_and_no_training(capsys)
+
+    @staticmethod
+    def _assert_one_error_and_no_training(capsys):
         captured = capsys.readouterr()
         errors = [line for line in captured.err.splitlines()
                   if line.startswith("error:")]
         assert len(errors) == 1, captured.err
+        assert "Traceback" not in captured.err
         assert "training the model first" not in captured.out + captured.err
+        assert "final test accuracy" not in captured.out
 
     BLOCK_ARGS = ["prune", "--model", "resnet20", "--classes", "4",
                   "--image-size", "12", "--width", "0.25",

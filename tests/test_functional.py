@@ -536,44 +536,6 @@ class TestBatchNormMatchesReference:
         walked = not training and 1 < c < 16 and h > 1 and w > 1
         assert walks == [(c, n * h * w)] * (grad_free * walked)
 
-    @pytest.mark.parametrize("param_dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
-    def test_eval_into_caller_buffer(self, monkeypatch, rng, x_dtype,
-                                     param_dtype):
-        """The graph executor's path: one output buffer from ``alloc``,
-        laid out like x (channels-last x with C < 16 is walked in rows
-        of it) or C-contiguous (no row view: broadcast)."""
-        walks = record_calls(monkeypatch, "row_channels")
-        for shape in ((3, 16, 6, 6), (3, 6, 5, 7)):
-            c = shape[1]
-            images = signed_zero_images(rng, shape, x_dtype)
-            affine = [rng.normal(size=c).astype(param_dtype)
-                      for _ in range(2)]
-            stats = (rng.normal(size=c).astype(param_dtype),
-                     rng.uniform(0.5, 2.0, size=c).astype(param_dtype))
-            for x_data in layouts(images):
-                expected = run_batch_norm(reference_batch_norm2d, x_data,
-                                          affine, stats, training=False,
-                                          grad_on=False)
-                for order in ("K", "C"):
-                    buffers = []
-
-                    def alloc(dtype):
-                        buffers.append(np.empty_like(x_data, dtype=dtype,
-                                                     order=order))
-                        return buffers[-1]
-
-                    out = F.batch_norm2d_eval(x_data, *stats, *affine, 1e-5,
-                                              alloc)
-                    assert len(buffers) == 1 and out is buffers[0]
-                    assert_bitwise_equal(out, expected["out"])
-                    if order == "K":
-                        assert out.strides == expected["out"].strides
-                    walked = (c < 16 and not x_data.flags.c_contiguous
-                              and order == "K")
-                    assert len(walks) == walked
-                    walks.clear()
-
 
 class TestBatchNormModelsMatchReference:
     """Training and eval through whole models, fused vs composed chain."""
@@ -696,19 +658,6 @@ class TestMaxPoolMatchesReference:
     def test_size_one_axes(self, rng, shape, geometry):
         """Gradient strides on size-1 axes follow ``np.zeros_like(x)``."""
         assert_max_pools_match(rng, shape, geometry, np.float64)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_into_caller_buffer(self, rng, dtype):
-        """The graph executor's path: the output written into ``out``."""
-        for kind, images in pool_inputs(rng, (2, 3, 7, 5), dtype).items():
-            for x_data in layouts(images):
-                expected = run_max_pool(reference_max_pool2d, x_data,
-                                        (3, 1, 1), grad_on=False)["out"]
-                buffer = np.empty(expected.shape, dtype)
-                out, index = F.first_max_pool2d(x_data, 3, 1, 1, out=buffer)
-                assert out is buffer and index is None, kind
-                assert out.strides == expected.strides, kind
-                assert out.tobytes() == expected.tobytes(), kind
 
 
 def models_with_max_pool():

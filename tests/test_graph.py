@@ -3,8 +3,9 @@
 The graph executor's whole contract is *it changes nothing but speed*:
 
 * unfused ``compile()`` output is bit-for-bit the eager forward, for
-  every registered model, across repeat calls (arena buffer reuse must
-  not leak state between runs);
+  every registered model, across repeat calls and on a model left in
+  training mode (the replay runs eval mode and restores the flag), and
+  the op profiler sees the eager forward's ops;
 * fused (BN-fold + ReLU-epilogue) output stays within 1e-8 on float64
   inputs;
 * masked execution through ``set_mask_unit`` matches the dense
@@ -18,19 +19,23 @@ The graph executor's whole contract is *it changes nothing but speed*:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.models import available_models, build_model
-from repro.nn import (BatchNorm2d, Flatten, MaxPool2d, Sequential, Tensor,
-                      no_grad)
+from repro.nn import (BatchNorm2d, Conv2d, Flatten, GlobalAvgPool2d,
+                      MaxPool2d, Sequential, Tensor, no_grad)
 from repro.nn import functional as F
 from repro.nn.graph import GraphTraceError
 from repro.nn.graph import compile as graph_compile
 from repro.pruning.surgery import channel_mask, prune_unit
+from repro.pruning.units import ConvUnit
+from repro.training import evaluate
 
 #: Small enough to keep resnet110/vgg19 cheap, big enough to exercise
 #: every stage transition.
@@ -83,9 +88,8 @@ class TestRegistryEquivalence:
         reference = _eager(model, images)
         first = executor.run(images)
         assert np.array_equal(first, reference)
-        # Second call reuses arena buffers; it must not see stale data.
+        # A second call must not see state the first one left.
         assert np.array_equal(executor.run(images), reference)
-        assert executor.arena_stats["reuses"] > 0
 
     def test_fused_within_1e8_on_float64(self, compiled_case):
         _, model, images = compiled_case
@@ -108,6 +112,35 @@ class TestRegistryEquivalence:
             reference = _eager(model, images)
         got = executor.masked_logits(images, [mask])[0]
         assert np.array_equal(got, reference)
+
+    def test_profiler_sees_the_eager_ops(self, compiled_case):
+        """An unfused run reports, through the replayed modules' own
+        hooks, the ops the eager forward reports; a fused run reports
+        each folded conv once and no folded BatchNorm."""
+        _, model, images = compiled_case
+        model = copy.deepcopy(model)
+
+        def ops(forward):
+            recorder = obs.Recorder()
+            with obs.use_recorder(recorder):
+                forward(images)
+            return {name: (stats["forward"]["kind"],
+                           stats["forward"]["count"],
+                           stats["forward"]["flops"],
+                           stats["forward"]["bytes"])
+                    for name, stats in recorder.op_stats.items()}
+
+        with obs.ModuleProfiler():
+            obs.label_modules(model)
+            unfused = graph_compile(model, Tensor(images[:1]), fuse=False)
+            fused = graph_compile(model, Tensor(images[:1]), fuse=True)
+            eager = ops(lambda x: _eager(model, x))
+            replayed = ops(unfused.run)
+            folded = ops(fused.run)
+        assert eager and replayed == eager
+        assert folded == {name: op for name, op in eager.items()
+                          if op[0] != "BatchNorm2d"}
+        assert all(op[1] == 1 for op in folded.values() if op[0] == "Conv2d")
 
 
 #: Depth-diverse subset for the heavier masked/surgered scenarios.
@@ -156,27 +189,6 @@ class TestSignedZeros:
             assert executor.run(ties).tobytes() == expected.tobytes(), geometry
 
 
-class TestLayoutPlans:
-    """``_alloc_like`` gives elementwise nodes buffers in their input's
-    memory order, planning each (shape, strides) once."""
-
-    def test_buffer_follows_the_input_layout(self):
-        executor = graph_compile(Sequential(Flatten()),
-                                 Tensor(np.zeros((1, 2, 2, 2))), fuse=False)
-        shape = (2, 3, 4, 5)
-        # C order, channels-last, and a scrambled order, all one shape.
-        for storage_axes in [(0, 1, 2, 3), (0, 2, 3, 1), (3, 1, 0, 2)] * 2:
-            storage = np.zeros(tuple(shape[axis] for axis in storage_axes))
-            ref = storage.transpose(np.argsort(storage_axes))
-            assert ref.shape == shape
-            view, base = executor._alloc_like(ref, np.float32)
-            assert view.shape == shape and view.dtype == np.float32
-            assert view.strides == np.empty_like(ref, np.float32).strides
-            assert np.shares_memory(view, base)
-            executor._arena.put(base)
-        assert len(executor._layouts) == 2      # C order needs no plan
-
-
 class TestMaskedScenarios:
     @pytest.mark.parametrize("name", _SUBSET)
     def test_surgered_model_recompiles_and_matches(self, name):
@@ -223,8 +235,6 @@ class TestMaskedScenarios:
 
     def test_masked_accuracy_matches_dense_evaluation(self, tiny_task,
                                                       trained_lenet):
-        from repro.training import evaluate
-
         model = trained_lenet
         model.eval()
         unit = model.prune_units()[0]
@@ -238,6 +248,57 @@ class TestMaskedScenarios:
             dense = evaluate(model, images, labels)
         got = executor.masked_accuracy(images, labels, [mask], key="t")
         assert float(got[0]) == dense
+
+    @pytest.mark.parametrize("name", _SUBSET)
+    def test_training_mode_model_replays_in_eval_mode(self, name):
+        """A model left in training mode is replayed as eager evaluation
+        runs it: in eval mode, BatchNorm reading (and keeping) its running
+        statistics, with every training flag restored afterwards."""
+        rng = np.random.default_rng(13)
+        model = build_model(name, width_multiplier=_width(name), rng=rng,
+                            **_GEOMETRY)
+        _randomize_batchnorms(model, rng)
+        unit = model.prune_units()[-1]
+        mask = np.ones(unit.num_maps, dtype=bool)
+        mask[1::2] = False
+        images = rng.standard_normal((4, 3, 12, 12)).astype(np.float32)
+        labels = rng.integers(0, _GEOMETRY["num_classes"], size=4)
+        model.eval()
+        reference = _eager(model, images)
+        with channel_mask(unit, mask):
+            masked = _eager(model, images)
+            dense = evaluate(model, images, labels)
+        model.train()
+        state = model.state_dict()
+        executor = graph_compile(model, Tensor(images[:1]), fuse=False)
+        executor.set_mask_unit(unit.conv, unit.bn)
+        assert executor.run(images).tobytes() == reference.tobytes()
+        got = executor.masked_logits(images, [mask])[0]
+        assert got.tobytes() == masked.tobytes()
+        accuracy = executor.masked_accuracy(images, labels, [mask], key="t")
+        assert float(accuracy[0]) == dense
+        assert all(module.training for module in model.modules())
+        for key, value in model.state_dict().items():
+            assert value.tobytes() == state[key].tobytes(), key
+
+    def test_masked_copy_keeps_the_boundary_layout(self):
+        """The masked boundary is copied in its own (channels-last)
+        memory order, so a reduction right after the unit sums in the
+        dense pass's order."""
+        rng = np.random.default_rng(17)
+        conv = Conv2d(3, 6, 3, padding=1, rng=rng)
+        bn = BatchNorm2d(6)
+        model = Sequential(conv, bn, GlobalAvgPool2d())
+        model.eval()
+        _randomize_batchnorms(model, rng)
+        mask = np.array([True, False] * 3)
+        images = rng.standard_normal((4, 3, 16, 16))
+        executor = graph_compile(model, Tensor(images[:1]), fuse=False)
+        executor.set_mask_unit(conv, bn)
+        with channel_mask(ConvUnit("conv", conv, bn), mask):
+            reference = _eager(model, images)
+        got = executor.masked_logits(images, [mask])[0]
+        assert got.tobytes() == reference.tobytes()
 
 
 class TestEvalOptions:
