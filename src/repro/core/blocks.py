@@ -12,22 +12,31 @@ pattern (the paper learns ``<10, 10, 7>`` from ResNet-110's
 The speedup term counts whole blocks: ``SPD = |B / ||A||_0 - sp|`` where
 ``B`` is the total block count and ``||A||_0`` the surviving blocks
 (transition blocks always count as kept).
+
+Masks are scored along shared block prefixes (:class:`_PrefixWalk`): a
+mask reuses the activations of an earlier forward up to the first block
+where their keep flags differ, so only its remaining kept blocks and the
+head run.  Every logit equals the per-mask :func:`bypass_blocks` forward
+under :func:`repro.training.evaluate` bit for bit.
 """
 
 from __future__ import annotations
 
 import contextlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
 from ..data.datasets import as_arrays
 from ..models.resnet import ResNet
+from ..nn import Tensor, no_grad
 from ..obs import get_recorder
 from ..pruning.engine import (EngineInfo, StepOutcome, StepSpec, StepState,
                               SteppedEngineBase)
-from ..training import evaluate
+from ..training import EVAL_BATCH_SIZE, evaluate
 from .config import HeadStartConfig
 from .policy import HeadStartNetwork
 from .reinforce import ReinforceDriver
@@ -53,6 +62,93 @@ def bypass_blocks(model: ResNet, droppable: list[tuple[int, int]],
     finally:
         for block in patched:
             object.__delattr__(block, "forward")
+
+
+def _shared_prefix(a: tuple[bool, ...], b: tuple[bool, ...]) -> int:
+    """The number of leading keep flags ``a`` and ``b`` agree on."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), len(a))
+
+
+class _PrefixWalk:
+    """Accuracies of block keep patterns on one image set, computed along
+    shared block prefixes.
+
+    ``keep`` expands an action to the model's layout (one flag list per
+    group, transition blocks kept).  The images are sliced as
+    :func:`repro.training.evaluate` slices them.  A *path* is one
+    pattern's forward on one slice: its flags, then the stem output and
+    the activation after every block, where a bypassed block's entry is
+    its input.  A call scores its masks in descending lexicographic
+    order of their flags, a trie's depth-first order.  Each mask starts
+    from the stored path that shares its longest flag prefix and runs
+    only its remaining kept blocks and the head.  The modules are the
+    ones the per-mask forward calls, on the same arrays and in eval
+    mode, so each logit is that forward's bit for bit.
+
+    Per slice the walk stores the last scored mask's path and, with
+    ``keep_unmasked``, the first all-ones path it scores.
+    """
+
+    def __init__(self, model: ResNet, images: np.ndarray, labels: np.ndarray,
+                 keep: Callable[[np.ndarray], list[list[bool]]], *,
+                 keep_unmasked: bool = False):
+        self.model = model
+        self.blocks = [block for group in model.groups() for block in group]
+        self.images = images
+        self.labels = labels
+        self.keep = keep
+        self.slices = [slice(start, start + EVAL_BATCH_SIZE)
+                       for start in range(0, len(images), EVAL_BATCH_SIZE)]
+        self.last: list[tuple | None] = [None] * len(self.slices)
+        self.unmasked: list[tuple | None] = [None] * len(self.slices)
+        self.keep_unmasked = keep_unmasked
+
+    def accuracies(self, actions: list[np.ndarray]) -> list[float]:
+        """Top-1 accuracy with each action's blocks bypassed."""
+        flags = [tuple(chain.from_iterable(self.keep(action)))
+                 for action in actions]
+        order = sorted(range(len(flags)), key=flags.__getitem__,
+                       reverse=True)
+        correct = [0] * len(flags)
+        was_training = self.model.training
+        self.model.eval()
+        try:
+            with no_grad():
+                for s, rows in enumerate(self.slices):
+                    labels = self.labels[rows]
+                    for i in order:
+                        predictions = self._logits(s, flags[i]).argmax(axis=1)
+                        correct[i] += int((predictions == labels).sum())
+        finally:
+            self.model.train(was_training)
+        return [count / max(len(self.labels), 1) for count in correct]
+
+    def _logits(self, s: int, flags: tuple[bool, ...]) -> np.ndarray:
+        """One pattern's logits on slice ``s``; stores its path as the
+        slice's last."""
+        shared, path = -1, None
+        for stored in (self.unmasked[s], self.last[s]):
+            if stored is not None:
+                n = _shared_prefix(stored[0], flags)
+                if n > shared:
+                    shared, path = n, stored[1]
+        if path is None:
+            shared = 0
+            path = [self.model.stem(Tensor(self.images[self.slices[s]]))]
+        else:
+            path = path[:shared + 1]
+        # Drop the previous last path before extending this one, so at
+        # most the unmasked path and one other are alive.
+        self.last[s] = None
+        out = path[-1]
+        for block, keep in zip(self.blocks[shared:], flags[shared:]):
+            if keep:
+                out = block(out)
+            path.append(out)
+        self.last[s] = (flags, path)
+        if self.keep_unmasked and self.unmasked[s] is None and all(flags):
+            self.unmasked[s] = self.last[s]
+        return self.model.head(out).data
 
 
 @dataclass
@@ -94,6 +190,10 @@ class BlockHeadStart(SteppedEngineBase):
     stays the block count of the model the engine was built with.
     """
 
+    #: The calibration batch's :class:`_PrefixWalk` while :meth:`_search`
+    #: runs; ``None`` otherwise, so no stored path outlives a search.
+    _batch_walk: _PrefixWalk | None = None
+
     def __init__(self, model: ResNet, data, *,
                  config: HeadStartConfig | None = None):
         self.model = model
@@ -119,18 +219,18 @@ class BlockHeadStart(SteppedEngineBase):
                     full: bool = False) -> list[float]:
         """Calibration accuracy with each action's blocks bypassed.
 
-        Graph eval does not apply here: block bypass rewires whole
-        residual blocks, which the traced unit-mask split cannot
-        express, so every accuracy is an eager forward.
+        Scored along shared block prefixes (:class:`_PrefixWalk`), equal
+        bit for bit to :func:`bypass_blocks` plus ``evaluate`` per
+        action.  While :meth:`_search` runs, batch scores share its
+        walk, whose paths outlive a call; any other call builds a walk
+        of its own, so the full set keeps one running path per slice.
         """
+        if not full and self._batch_walk is not None:
+            return self._batch_walk.accuracies(actions)
         images = self.full_images if full else self.images
         labels = self.full_labels if full else self.labels
-        droppable = self.droppable
-        accuracies = []
-        for action in actions:
-            with bypass_blocks(self.model, droppable, action):
-                accuracies.append(evaluate(self.model, images, labels))
-        return accuracies
+        return _PrefixWalk(self.model, images, labels,
+                           self.keep_mask_by_group).accuracies(actions)
 
     def _reward(self, config: HeadStartConfig, original_accuracy: float):
         """Eq. 4 over blocks: the driver's ``(accuracy, action)`` reward.
@@ -191,16 +291,24 @@ class BlockHeadStart(SteppedEngineBase):
         rec = get_recorder()
         with rec.span("pruner.run", engine="block",
                       droppable=len(self.droppable)):
-            original_accuracy = evaluate(self.model, self.images,
-                                         self.labels)
-            # Block accuracies are pure in the action for a fixed model
-            # (bypass_blocks restores the wiring), so the driver's
-            # per-run memo applies verbatim.
-            outcome = ReinforceDriver(
-                policy, self._accuracies,
-                self._reward(config, original_accuracy), config, rng,
-                final_evaluate=partial(self._accuracies, full=True),
-                scope="blocks").run()
+            # The unmasked forward is the walk's first path, kept for
+            # the whole search: a mask shares its blocks up to its first
+            # bypassed one.
+            self._batch_walk = _PrefixWalk(
+                self.model, self.images, self.labels,
+                self.keep_mask_by_group, keep_unmasked=True)
+            try:
+                original_accuracy = self._accuracies(
+                    [np.ones(len(self.droppable))])[0]
+                # Block accuracies are pure in the action for a fixed
+                # model, so the driver's per-run memo applies verbatim.
+                outcome = ReinforceDriver(
+                    policy, self._accuracies,
+                    self._reward(config, original_accuracy), config, rng,
+                    final_evaluate=partial(self._accuracies, full=True),
+                    scope="blocks").run()
+            finally:
+                self._batch_walk = None
             action = outcome.action
             result = BlockAgentResult(
                 keep_action=action.astype(bool),

@@ -125,10 +125,17 @@ class ResNet(Module):
     def groups(self) -> tuple[Sequential, Sequential, Sequential]:
         return self.group1, self.group2, self.group3
 
+    def stem(self, x):
+        """The first convolution, its BatchNorm and ReLU: group 1's input."""
+        return self.relu(self.bn1(self.conv1(x)))
+
+    def head(self, x):
+        """Global average pooling and the classifier: group 3's output to
+        logits."""
+        return self.fc(self.pool(x))
+
     def forward(self, x):
-        out = self.relu(self.bn1(self.conv1(x)))
-        out = self.group3(self.group2(self.group1(out)))
-        return self.fc(self.pool(out))
+        return self.head(self.group3(self.group2(self.group1(self.stem(x)))))
 
     # -- block-level pruning ----------------------------------------------
     def droppable_blocks(self) -> list[tuple[int, int]]:

@@ -390,8 +390,6 @@ class GraphExecutor:
                                    {self._input_vid: Tensor(x)})
         return values[self._output_vid].data
 
-    __call__ = run
-
     def set_mask_unit(self, conv: Conv2d,
                       bn: BatchNorm2d | None = None) -> None:
         """Split the graph at a prunable unit's (post-BN) output.

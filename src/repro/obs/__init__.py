@@ -40,8 +40,7 @@ from .report import (collect_report_data, render_html, render_markdown,
                      write_run_report)
 from .diff import DiffResult, diff_metrics_dirs
 # Imported last: profile depends on .recorder being fully initialised.
-from .profile import (ModuleProfiler, label_modules, module_name,
-                      profiler_active)
+from .profile import ModuleProfiler, label_modules, module_name
 
 __all__ = [
     "Recorder", "NullRecorder", "NULL_RECORDER", "SpanStats",
@@ -56,5 +55,5 @@ __all__ = [
     "collect_report_data", "render_markdown", "render_html",
     "write_run_report",
     "DiffResult", "diff_metrics_dirs",
-    "ModuleProfiler", "label_modules", "module_name", "profiler_active",
+    "ModuleProfiler", "label_modules", "module_name",
 ]

@@ -40,18 +40,13 @@ import time
 from .recorder import get_recorder
 
 __all__ = ["ModuleProfiler", "label_modules", "module_name",
-           "profiler_active", "record_graph_op"]
+           "record_graph_op"]
 
 #: The active profiler (at most one; class-level hooks are global).
 _ACTIVE: "ModuleProfiler | None" = None
 
 #: Attribute :func:`label_modules` stores a module's dotted name under.
 _LABEL = "_op_label"
-
-
-def profiler_active() -> bool:
-    """Whether a :class:`ModuleProfiler` is currently installed."""
-    return _ACTIVE is not None
 
 
 def label_modules(model, prefix: str = "") -> int:

@@ -77,10 +77,11 @@ def _make_runner(kind: str, task, seed: int,
     model = build_model(model_name, num_classes=4, input_size=12,
                         width_multiplier=0.25,
                         rng=np.random.default_rng(seed))
-    # The plain column (and every non-HeadStart kind) pins the eager
-    # reward path so the matrix keeps covering it; the -graph column
-    # flips only the executor between phases, from its eager baseline to
-    # graph (graph eval is a PERF_FIELD, so the digest matches).
+    # The plain headstart column (and li17) pins the eager reward path
+    # so the matrix keeps covering it; block masks have one scorer, the
+    # prefix walk, whatever the options.  The -graph column flips only
+    # the executor between phases, from its eager baseline to graph
+    # (graph eval is a PERF_FIELD, so the digest matches).
     options = EvalOptions(graph=kind == "headstart-graph" and graph)
     config = HeadStartConfig(
         speedup=2.0, max_iterations=6, min_iterations=3,

@@ -23,8 +23,13 @@ from .nn.tensor import Tensor, no_grad
 from .runtime import faults
 from .runtime.guards import require_finite
 
-__all__ = ["TrainConfig", "History", "evaluate", "evaluate_dataset",
-           "train_epoch", "fit", "clip_grad_norm"]
+__all__ = ["EVAL_BATCH_SIZE", "TrainConfig", "History", "evaluate",
+           "evaluate_dataset", "train_epoch", "fit", "clip_grad_norm"]
+
+#: Images per forward in :func:`evaluate` and :func:`evaluate_dataset`.
+#: The batch size is part of the arithmetic (it shapes every GEMM), so a
+#: scorer that must match these loops bit for bit slices by it too.
+EVAL_BATCH_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,7 @@ class History:
 
 
 def evaluate(model: Module, images: np.ndarray, labels: np.ndarray,
-             batch_size: int = 64) -> float:
+             batch_size: int = EVAL_BATCH_SIZE) -> float:
     """Top-1 accuracy of ``model`` on stacked arrays (eval mode, no grad).
 
     ``labels`` holds one class per image; the logits are (N, classes).
@@ -108,7 +113,8 @@ def evaluate(model: Module, images: np.ndarray, labels: np.ndarray,
     return correct / max(len(labels), 1)
 
 
-def evaluate_dataset(model: Module, dataset: Dataset, batch_size: int = 64) -> float:
+def evaluate_dataset(model: Module, dataset: Dataset,
+                     batch_size: int = EVAL_BATCH_SIZE) -> float:
     """Top-1 accuracy over a dataset."""
     loader = DataLoader(dataset, batch_size=batch_size, shuffle=False)
     was_training = model.training

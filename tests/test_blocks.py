@@ -1,5 +1,8 @@
 """Unit tests for block-level HeadStart on ResNets."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from repro.core import BlockHeadStart, HeadStartConfig, bypass_blocks
 from repro.nn import Tensor, no_grad
 from repro.models import ResNet
 from repro.obs import Recorder, use_recorder
-from repro.training import evaluate
+from repro.training import EVAL_BATCH_SIZE, evaluate
 
 
 def quick_config(**overrides):
@@ -179,3 +182,168 @@ class TestBlockHeadStart:
         with bypass_blocks(resnet_copy, agent.droppable, result.keep_action):
             fresh = evaluate(resnet_copy, agent.images, agent.labels)
         assert result.inception_accuracy == fresh
+
+
+def per_mask_accuracies(agent, actions, full=False):
+    """The reference scorer: one ``bypass_blocks`` forward per action."""
+    images = agent.full_images if full else agent.images
+    labels = agent.full_labels if full else agent.labels
+    accuracies = []
+    for action in actions:
+        with bypass_blocks(agent.model, agent.droppable, action):
+            accuracies.append(evaluate(agent.model, images, labels))
+    return accuracies
+
+
+def per_mask_logits(model, droppable, action, images):
+    """Each ``evaluate`` slice's logits under one action, as bytes."""
+    model.eval()
+    with bypass_blocks(model, droppable, action), no_grad():
+        return [model(Tensor(images[start:start + EVAL_BATCH_SIZE]))
+                .data.tobytes()
+                for start in range(0, len(images), EVAL_BATCH_SIZE)]
+
+
+@pytest.fixture
+def set_150(tiny_task):
+    """150 images: three evaluate slices, the last one partial."""
+    train, test = tiny_task.train, tiny_task.test
+    images = np.concatenate([train.images, test.images,
+                             train.images[:42, :, :, ::-1]])
+    labels = np.concatenate([train.labels, test.labels, train.labels[:42]])
+    return images, labels
+
+
+def walk_actions(count, seed=0):
+    """All-ones, all-zeros, random and duplicate actions, unsorted."""
+    rng = np.random.default_rng(seed)
+    ones, zeros = np.ones(count), np.zeros(count)
+    random = [(rng.random(count) > 0.5).astype(float) for _ in range(14)]
+    return [random[0], zeros, *random[1:7], ones, random[3], *random[7:],
+            zeros, random[0]]
+
+
+class TestPrefixWalk:
+    """The walk scores exactly what one bypassed forward per mask does."""
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_accuracies_equal_per_mask_forward(self, resnet_copy, set_150,
+                                               full):
+        agent = BlockHeadStart(resnet_copy, set_150,
+                               config=quick_config(eval_batch=32))
+        assert (len(agent.images), len(agent.full_images)) == (32, 150)
+        actions = walk_actions(len(agent.droppable))
+        expected = per_mask_accuracies(agent, actions, full)
+        assert len(set(expected)) > 3     # the masks disagree
+        assert agent._accuracies(actions, full=full) == expected
+        # Any order, and a call after others, reads the same floats.
+        order = np.random.default_rng(1).permutation(len(actions))
+        assert agent._accuracies([actions[i] for i in order], full=full) \
+            == [expected[i] for i in order]
+
+    def test_logits_equal_per_mask_forward(self, resnet_copy, set_150,
+                                           monkeypatch):
+        agent = BlockHeadStart(resnet_copy, set_150,
+                               config=quick_config(eval_batch=32))
+        actions = walk_actions(len(agent.droppable), seed=2)
+        seen = []
+        head = resnet_copy.head
+
+        def spy(x):
+            logits = head(x)
+            seen.append(logits.data.tobytes())
+            return logits
+
+        monkeypatch.setattr(resnet_copy, "head", spy)
+        agent._accuracies(actions, full=True)
+        monkeypatch.undo()
+        expected = [logits for action in actions
+                    for logits in per_mask_logits(
+                        resnet_copy, agent.droppable, action,
+                        agent.full_images)]
+        assert sorted(seen) == sorted(expected)
+
+    def test_each_call_of_a_search_equals_per_mask_forward(
+            self, resnet_copy, set_150, monkeypatch):
+        """Paths kept across the calls of one search change no score."""
+        agent = BlockHeadStart(resnet_copy, set_150,
+                               config=quick_config(eval_batch=32,
+                                                   mc_samples=4))
+        calls = []
+        walk = agent._accuracies
+
+        def recording(actions, full=False):
+            accuracies = walk(actions, full)
+            calls.append(([a.copy() for a in actions], full, accuracies))
+            return accuracies
+
+        monkeypatch.setattr(agent, "_accuracies", recording)
+        agent.run()
+        monkeypatch.undo()
+        assert sum(not full for _, full, _ in calls) > 5
+        assert any(full for _, full, _ in calls)
+        for actions, full, accuracies in calls:
+            assert accuracies == per_mask_accuracies(agent, actions, full)
+
+    def test_run_equals_per_mask_reference_run(self, resnet_copy, set_150,
+                                               monkeypatch):
+        config = quick_config(eval_batch=32, mc_samples=3, seed=5)
+
+        def run(reference):
+            agent = BlockHeadStart(resnet_copy, set_150, config=config)
+            if reference:
+                monkeypatch.setattr(
+                    agent, "_accuracies",
+                    lambda actions, full=False:
+                    per_mask_accuracies(agent, actions, full))
+            recorder = Recorder()
+            with use_recorder(recorder):
+                result = agent.run()
+            counters = {name: value
+                        for name, value in recorder.counters.items()
+                        if name.startswith(("evalcache/", "reinforce/"))}
+            return result, counters
+
+        (walked, walked_counters), (reference, reference_counters) = \
+            run(False), run(True)
+        assert np.array_equal(walked.keep_action, reference.keep_action)
+        assert walked.probabilities.tobytes() \
+            == reference.probabilities.tobytes()
+        assert walked.reward_history == reference.reward_history
+        assert walked.loss_history == reference.loss_history
+        assert walked.inception_accuracy == reference.inception_accuracy
+        assert walked_counters == reference_counters
+        assert walked_counters["reinforce/finalist_evals"] > 0
+
+    def test_search_after_apply_equals_fresh_engine(self, resnet_copy,
+                                                    set_150):
+        config = quick_config(eval_batch=32, mc_samples=3)
+        agent = BlockHeadStart(resnet_copy, set_150, config=config)
+        agent.apply(agent.run(), rng=np.random.default_rng(0))
+        again = agent.run()
+        fresh = BlockHeadStart(agent.model, set_150, config=config).run()
+        assert np.array_equal(again.keep_action, fresh.keep_action)
+        assert again.probabilities.tobytes() == fresh.probabilities.tobytes()
+        assert again.reward_history == fresh.reward_history
+        assert again.loss_history == fresh.loss_history
+        assert again.inception_accuracy == fresh.inception_accuracy
+
+    def test_paths_are_freed_when_the_search_returns(self, resnet_copy,
+                                                     set_150, monkeypatch):
+        agent = BlockHeadStart(resnet_copy, set_150,
+                               config=quick_config(eval_batch=32))
+        stems = []
+        stem = resnet_copy.stem
+
+        def spy(x):
+            out = stem(x)
+            stems.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(resnet_copy, "stem", spy)
+        agent.run()
+        # One stem per slice: the batch's once, each full slice's once.
+        assert len(stems) == 1 + 3
+        assert agent._batch_walk is None
+        gc.collect()
+        assert all(ref() is None for ref in stems)

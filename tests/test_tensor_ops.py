@@ -1,5 +1,7 @@
 """Unit tests for the autograd engine's primitive operations."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,38 @@ class TestElementwise:
     def test_relu_zeroes_negatives(self):
         x = Tensor(np.array([-1.0, 2.0]))
         assert np.allclose(x.relu().data, [0.0, 2.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(32, 8, 12, 12), (4, 3, 1, 5),
+                                       (6, 5, 7, 1), (8, 16, 1, 1)])
+    def test_relu_backward_is_the_bool_mask_product(self, dtype, shape):
+        """The gradient is ``g * (x > 0)`` in bytes, dtype and strides, for
+        every C / channels-last pairing of gradient and activation: a
+        later reduction sums in memory order."""
+        rng = np.random.default_rng(0)
+
+        def laid_out(a, channels_last):
+            if not channels_last:
+                return a
+            return np.ascontiguousarray(
+                a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+        specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, -2.5, 3.0])
+        for g_last, x_last in itertools.product([False, True], repeat=2):
+            g = rng.normal(size=shape).astype(dtype)
+            g.flat[:2 * specials.size] = np.tile(specials, 2)
+            x = rng.normal(size=shape).astype(dtype)
+            # Each special gradient meets a kept and a dropped activation.
+            x.flat[:2 * specials.size] = np.repeat([1.0, -1.0], specials.size)
+            x.flat[-3:] = [0.0, -0.0, np.nan]
+            g, x = laid_out(g, g_last), laid_out(x, x_last)
+            leaf = Tensor(x, requires_grad=True)
+            with np.errstate(invalid="ignore"):     # inf * 0 is NaN
+                expected = g * (x > 0)
+                leaf.relu().backward(g)
+            assert leaf.grad.dtype == expected.dtype == dtype
+            assert leaf.grad.strides == expected.strides
+            assert leaf.grad.tobytes() == expected.tobytes()
 
     def test_sigmoid(self, rng):
         check_gradients(lambda a: a.sigmoid(), [t((5,), rng)])
