@@ -1,15 +1,14 @@
 """Terminal charts: render figure-style results as ASCII.
 
-The paper's Figures 3-6 are bar/line charts; these helpers render the
-same series in plain text so examples and benchmark logs can show the
-*shape* of a figure, not just its numbers.
+:func:`bar_chart` renders a label -> value series in plain text, so a
+benchmark log can show the *shape* of a figure, not just its numbers.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
-__all__ = ["bar_chart", "grouped_bar_chart", "line_chart"]
+__all__ = ["bar_chart"]
 
 
 def _scaled(value: float, maximum: float, width: int) -> int:
@@ -35,55 +34,4 @@ def bar_chart(values: Mapping[str, float], width: int = 40,
         bar = "#" * _scaled(value, maximum, width)
         lines.append(f"{str(label).ljust(label_width)}  {bar.ljust(width)} "
                      f"{value:.2f}{unit}")
-    return "\n".join(lines)
-
-
-def grouped_bar_chart(groups: Mapping[str, Mapping[str, float]],
-                      width: int = 30, title: str = "") -> str:
-    """Bars grouped by an outer key (e.g. layer -> method -> accuracy)."""
-    if not groups:
-        raise ValueError("grouped_bar_chart needs at least one group")
-    maximum = max(value for series in groups.values()
-                  for value in series.values())
-    label_width = max(len(str(label)) for series in groups.values()
-                      for label in series)
-    lines = [title] if title else []
-    for group, series in groups.items():
-        lines.append(f"{group}:")
-        for label, value in series.items():
-            bar = "#" * _scaled(value, maximum, width)
-            lines.append(f"  {str(label).ljust(label_width)}  "
-                         f"{bar.ljust(width)} {value:.2f}")
-    return "\n".join(lines)
-
-
-def line_chart(series: Mapping[str, Sequence[float]], height: int = 10,
-               title: str = "") -> str:
-    """Multi-series line chart over a shared integer x-axis.
-
-    Each series is drawn with its own marker (first letter of its name);
-    collisions show the later series' marker.
-    """
-    if not series:
-        raise ValueError("line_chart needs at least one series")
-    length = max(len(values) for values in series.values())
-    if length == 0:
-        raise ValueError("series are empty")
-    low = min(min(values) for values in series.values() if len(values))
-    high = max(max(values) for values in series.values() if len(values))
-    span = high - low or 1.0
-
-    grid = [[" "] * length for _ in range(height)]
-    for name, values in series.items():
-        marker = str(name)[0]
-        for x, value in enumerate(values):
-            y = int(round((value - low) / span * (height - 1)))
-            grid[height - 1 - y][x] = marker
-    lines = [title] if title else []
-    lines.append(f"{high:.2f} ┐")
-    for row in grid:
-        lines.append("       " + "".join(row))
-    lines.append(f"{low:.2f} ┘" + " (x: 0..{})".format(length - 1))
-    legend = ", ".join(f"{str(name)[0]}={name}" for name in series)
-    lines.append("legend: " + legend)
     return "\n".join(lines)

@@ -6,9 +6,8 @@ Subcommands cover the experiment lifecycle on synthetic tasks:
   checkpoint;
 * ``prune``   — prune a trained checkpoint (HeadStart layer-wise, or
   block-wise for ResNets) and save the pruned weights;
-  ``--run-dir`` journals any mode for crash-safe resume, ``--fallback``
-  and ``--step-seconds``/``--step-evals`` add graceful degradation and
-  watchdog budgets (see ``docs/ROBUSTNESS.md``);
+  ``--run-dir`` journals any mode for crash-safe resume (see
+  ``docs/ROBUSTNESS.md``);
 * ``profile`` — per-layer parameter/FLOP table of a model;
 * ``fps``     — estimated frames-per-second on the modelled devices;
 * ``metrics`` — summarise (and validate) a ``--metrics-dir`` stream,
@@ -46,8 +45,7 @@ from .analysis.report import write_experiments_markdown
 from .gpusim import available_devices, estimate_fps, get_device
 from .models import available_models, build_model
 from .pruning import profile_model
-from .runtime import (FallbackChain, JournalError, ResumableRunner,
-                      ResumeMismatchError, StepBudget)
+from .runtime import JournalError, ResumableRunner, ResumeMismatchError
 from .training import TrainConfig, evaluate_dataset, fit
 from .utils import CheckpointError, save_checkpoint, load_checkpoint
 
@@ -164,37 +162,19 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _runtime_options(args) -> dict:
-    """``budget``/``fallback`` runner kwargs from the robustness flags.
-
-    Raises :class:`ValueError` on an invalid budget or an unknown
-    fallback engine name (surfaced as exit code 2 by ``_cmd_prune``).
-    """
-    budget = None
-    if args.step_seconds is not None or args.step_evals is not None:
-        budget = StepBudget(max_seconds=args.step_seconds,
-                            max_evals=args.step_evals)
-    fallback = None
-    if args.fallback:
-        engines = tuple(name.strip() for name in args.fallback.split(",")
-                        if name.strip())
-        fallback = FallbackChain(engines=engines, seed=args.seed)
-    return {"budget": budget, "fallback": fallback}
-
-
-def _run_engine(engine, args, options: dict):
+def _run_engine(engine, args, **runner_options):
     """Run every step of ``engine``; returns ``(result, exit_code)``.
 
     With ``--run-dir`` the steps run journaled; ``result`` is ``None``
     when that run failed to start (bad journal, config mismatch,
-    unreadable checkpoint), and resumed/degraded/skipped reporting is
-    shared here so every mode prints identically.  Without it the same
-    steps run in process (``engine.run_steps()``), deciding and
-    applying exactly what the journaled run does.
+    unreadable checkpoint), and resumed/skipped reporting is shared here
+    so every mode prints identically.  Without it the same steps run in
+    process (``engine.run_steps()``), deciding and applying exactly what
+    the journaled run does.
     """
     if not args.run_dir:
         return engine.run_steps(), 0
-    runner = ResumableRunner(engine=engine, **options)
+    runner = ResumableRunner(engine=engine, **runner_options)
     try:
         report = runner.run(args.run_dir, resume=args.resume)
     except (JournalError, ResumeMismatchError, CheckpointError) as error:
@@ -203,6 +183,8 @@ def _run_engine(engine, args, options: dict):
     if report.resumed_layers:
         print(f"resumed after {report.resumed_layers} journaled "
               f"step(s) from {report.journal_path}")
+    # Older versions' fallback chain could journal a step another
+    # engine decided; replay applies its mask all the same.
     for name, engine_name in sorted(report.degraded_steps.items()):
         print(f"step {name} completed by fallback engine {engine_name}")
     for name in report.skipped_layers:
@@ -223,7 +205,6 @@ def _cmd_prune(args) -> int:
         return 2
     # Every flag is checked here, before the model trains.
     try:
-        options = _runtime_options(args)
         config = HeadStartConfig(speedup=args.speedup,
                                  max_iterations=args.iterations,
                                  min_iterations=max(4, args.iterations // 2),
@@ -262,8 +243,7 @@ def _cmd_prune(args) -> int:
         engine = BlockHeadStart(model, task.train, config=config)
         # The block step does not finetune in place, so the
         # accuracy-collapse guard would misfire; disable it.
-        result, code = _run_engine(engine, args,
-                                   {**options, "collapse_ratio": 0.0})
+        result, code = _run_engine(engine, args, collapse_ratio=0.0)
         if result is None:
             return code
         # The one "blocks" log row; absent when the step was skipped.
@@ -278,7 +258,7 @@ def _cmd_prune(args) -> int:
     else:
         engine = HeadStartPruner(model, task.train, task.test, config=config,
                                  finetune_config=finetune_config)
-        result, code = _run_engine(engine, args, options)
+        result, code = _run_engine(engine, args)
         if result is None:
             return code
         model = engine.model
@@ -512,15 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     prune.add_argument("--resume", action="store_true",
                        help="continue the run journaled in --run-dir from "
                             "its first incomplete step")
-    prune.add_argument("--fallback", default=None, metavar="ENGINES",
-                       help="comma-separated baseline engines (e.g. "
-                            "'taylor,thinet') that complete a step whose "
-                            "primary engine exhausts its retries (journaled "
-                            "runs only; degradations are reported)")
-    prune.add_argument("--step-seconds", type=float, default=None,
-                       help="wall-clock watchdog budget per pruning step")
-    prune.add_argument("--step-evals", type=int, default=None,
-                       help="reward/loss evaluation budget per pruning step")
     evalgrp = prune.add_argument_group(
         "evaluation fast path",
         "how candidate-mask rewards are computed; every knob is "

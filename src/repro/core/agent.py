@@ -31,7 +31,7 @@ from ..nn.tensor import Tensor
 from ..obs import get_recorder
 from ..pruning.surgery import channel_mask
 from ..pruning.units import ConvUnit
-from ..training import evaluate
+from ..training import EVAL_BATCH_SIZE, evaluate
 from .config import HeadStartConfig
 from .policy import HeadStartNetwork
 from .reinforce import ReinforceDriver
@@ -145,8 +145,8 @@ class LayerAgent:
         # Distinct prefix-cache keys: the batch and full calibration sets
         # feed different boundary activations.
         key = f"{self.unit.name}@{'full' if full else 'batch'}"
-        return [float(self._graph.masked_accuracy(images, labels, [mask],
-                                                  key=key)[0])
+        return [float(self._graph.masked_accuracy(
+                    images, labels, [mask], EVAL_BATCH_SIZE, key=key)[0])
                 for mask in masks]
 
     # -- main loop -----------------------------------------------------------

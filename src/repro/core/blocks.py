@@ -333,9 +333,8 @@ class BlockHeadStart(SteppedEngineBase):
 
     # -- stepped protocol (driven by repro.runtime.harness) -----------------
     def steps(self) -> list[StepSpec]:
-        # One all-or-nothing step; no per-unit fallback exists for block
-        # bypassing, so an exhausted step is skipped rather than degraded.
-        return [StepSpec(name="blocks", index=0, kind="blocks")]
+        # One all-or-nothing step: an exhausted one leaves every block.
+        return [StepSpec(name="blocks", index=0)]
 
     def run_step(self, spec: StepSpec, state: StepState) -> StepOutcome:
         result = self._search(state.config_override or self.config)

@@ -29,7 +29,6 @@ from ..pruning.graph import validate_units
 from ..pruning.stats import ModelStats, profile_model
 from ..pruning.surgery import prune_unit
 from ..pruning.units import ConvUnit
-from ..runtime import faults
 from ..training import evaluate_dataset
 from .agent import AgentResult, LayerAgent
 from .config import HeadStartConfig, resume_relevant
@@ -83,11 +82,10 @@ class LayerPruner(SteppedEngineBase):
 
     A subclass decides each step's keep mask in ``run_step``; this base
     does the rest of the step (surgery, inception accuracy, fine-tuning,
-    test accuracy, the :class:`LayerLog` row), the final accuracy, mask
-    replay on resume and the fallback plumbing.  Units are re-derived
-    from ``self.model`` on each call — the harness replaces ``model``
-    wholesale on rollback, so cached
-    :class:`~repro.pruning.units.ConvUnit` handles would go stale.
+    test accuracy, the :class:`LayerLog` row), the final accuracy and
+    mask replay on resume.  Units are re-derived from ``self.model`` on
+    each call — the harness replaces ``model`` wholesale on rollback, so
+    cached :class:`~repro.pruning.units.ConvUnit` handles would go stale.
 
     Parameters
     ----------
@@ -185,8 +183,8 @@ class LayerPruner(SteppedEngineBase):
             inception = float(agent_result.inception_accuracy)
             iterations = int(agent_result.iterations)
         else:
-            # A metric- or fallback-selected mask: no agent ran, so the
-            # "inception" accuracy is the post-surgery calibration one.
+            # A metric-selected mask: no agent ran, so the "inception"
+            # accuracy is the post-surgery calibration one.
             inception = self.current_accuracy()
             iterations = 0
         if self.finetune_config is not None:
@@ -241,18 +239,6 @@ class LayerPruner(SteppedEngineBase):
                     f"unit has {unit.num_maps}")
             removed += prune_unit(unit, mask)
         return removed
-
-    # -- fallback -----------------------------------------------------------
-    def fallback_keep_count(self, name: str) -> int:
-        """The survivor budget a fallback engine must honour for a unit."""
-        unit = _unit_by_name(self.model, name)
-        return budget_keep_count(unit.num_maps, self.speedup)
-
-    def fallback_outcome(self, spec: StepSpec, mask: np.ndarray,
-                         engine_name: str) -> StepOutcome:
-        """Wrap a fallback-selected mask as this engine's step outcome."""
-        return StepOutcome(payload={"mask": np.asarray(mask, dtype=bool),
-                                    "engine": engine_name})
 
     # -- result bookkeeping -------------------------------------------------
     def calibration_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -409,7 +395,6 @@ class MetricEngine(LayerPruner):
         context = PruningContext(
             *self.calibration,
             np.random.default_rng((self.seed, spec.index, state.attempt)))
-        faults.crash_point("metric.select")
         with get_recorder().span("prune_layer", layer=unit.name,
                                  maps_before=unit.num_maps):
             mask = self.pruner.select(self.model, unit, keep_count, context)

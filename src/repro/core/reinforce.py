@@ -208,7 +208,7 @@ class ReinforceDriver:
         self.accuracies = {}
         best_reward = -np.inf
         candidates: dict[bytes, tuple[float, np.ndarray]] = {}
-        stall = 0
+        flat = 0
         reward_history: list[float] = []
         loss_history: list[float] = []
         iterations = 0
@@ -267,9 +267,9 @@ class ReinforceDriver:
 
             if iteration_reward > best_reward + config.tolerance:
                 best_reward = iteration_reward
-                stall = 0
+                flat = 0
             else:
-                stall += 1
+                flat += 1
 
             self._remember(candidates, greedy, greedy_reward)
             for action, action_reward in zip(actions, rewards):
@@ -282,7 +282,7 @@ class ReinforceDriver:
                                          counter="reinforce/exchange_evals")
                     self._remember(candidates, exchange, float(reward[0]))
 
-            if iterations >= config.min_iterations and stall >= config.patience:
+            if iterations >= config.min_iterations and flat >= config.patience:
                 break
 
         if config.use_best_action and candidates:

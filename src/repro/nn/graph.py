@@ -460,13 +460,15 @@ class GraphExecutor:
                                                            key)))
 
     def masked_accuracy(self, images: np.ndarray, labels: np.ndarray,
-                        masks, batch_size: int = 64, key=None) -> np.ndarray:
+                        masks, batch_size: int, key=None) -> np.ndarray:
         """Top-1 accuracy per candidate mask over stacked arrays.
 
-        Batched identically to :func:`repro.training.evaluate`, so the
-        unfused result is bit-for-bit the dense masked accuracy.  With a
-        ``key`` the shared prefix is cached per (key, slice) across
-        calls — pass a stable name per calibration set.
+        Images run in slices of ``batch_size``.  The slice size shapes
+        every GEMM, so the unfused result is bit-for-bit the dense masked
+        accuracy only at :data:`repro.training.EVAL_BATCH_SIZE`, the
+        slice :func:`repro.training.evaluate` runs.  With a ``key`` the
+        shared prefix is cached per (key, slice) across calls — pass a
+        stable name per calibration set.
         """
         masks = list(masks)
         correct = np.zeros(len(masks), dtype=np.int64)

@@ -245,9 +245,9 @@ class Recorder:
     def mark(self, name: str, operational: bool = False, **attrs) -> None:
         """Record a point-in-time annotation with no value attached.
 
-        Marks flag notable run events (a degraded step, a rollback) so
-        they are visible on a timeline without abusing counters; the
-        aggregate view only keeps per-name occurrence counts.
+        Marks flag notable run events so they are visible on a timeline
+        without abusing counters; the aggregate view only keeps per-name
+        occurrence counts.
         """
         self.marks[name] = self.marks.get(name, 0) + 1
         record = {"event": "mark", "name": name, "t": time.time()}

@@ -8,15 +8,15 @@ records into one structure; :func:`render_markdown` /
 other file from the run:
 
 * phase timeline (top-level spans, with start offset and duration);
-* per-layer outcome table from the journal (maps kept, inception and
-  finetuned accuracy, attempts, degraded/skip annotations);
+* per-layer outcome table from the journal (producing engine, maps
+  kept, inception and finetuned accuracy, attempts, skip annotations);
 * per-layer reward/accuracy series, attributed by the enclosing
   ``prune_layer`` span and drawn as unicode sparklines;
 * hit rates of the REINFORCE driver's reward memo;
 * top-N slowest individual spans;
 * per-op forward/backward wall-time attribution from the profiler
   (:mod:`repro.obs.profile`), when the run recorded ``op`` events;
-* mark annotations (degradations, rollbacks) on the timeline.
+* mark annotations on the timeline.
 
 CLI: ``repro report <run-dir> [--format html|md] [--out FILE]``.
 """
@@ -186,8 +186,6 @@ def _layer_rows(journal) -> list[list[str]]:
         notes = []
         if layer["status"] == "skipped":
             notes.append("SKIPPED")
-        if layer.get("degraded"):
-            notes.append(f"degraded→{layer.get('degraded_engine')}")
         if layer.get("failures"):
             notes.append(f"{len(layer['failures'])} failed attempt(s)"
                          " (rolled back)")
@@ -312,11 +310,8 @@ def _headline(data) -> list[str]:
                          "crashed or still running)")
         skipped = [l["name"] for l in journal["layers"]
                    if l["status"] == "skipped"]
-        degraded = [l["name"] for l in journal["layers"] if l["degraded"]]
         if skipped:
             lines.append(f"Skipped layers: {', '.join(skipped)}")
-        if degraded:
-            lines.append(f"Degraded layers: {', '.join(degraded)}")
     cache = data["cache"]
     if cache["hits"] or cache["misses"]:
         lines.append(

@@ -15,8 +15,7 @@ event                   required fields
 ``series``              ``name`` (str), ``step`` (int), ``value`` (number);
                         optional ``attrs``, optional ``timing`` (bool)
 ``mark``                ``name`` (str), ``t`` (number); optional ``attrs`` —
-                        a point-in-time annotation (e.g. a runtime
-                        degradation), no value attached
+                        a point-in-time annotation, no value attached
 ``op``                  ``name`` (str), ``kind`` (str), ``phase``
                         (``"forward"`` or ``"backward"``), ``dur`` (number),
                         ``t`` (number); optional ``flops``/``bytes`` (int),

@@ -4,12 +4,11 @@ from .autopruner import AutoPrunerPruner, inject_gate
 from .common import (Pruner, PruningContext, available_pruners, build_pruner,
                      collect_unit_outputs, mask_from_scores, register_pruner)
 from .simple import APoZPruner, Li17Pruner, RandomPruner
-from .taylor import TaylorPruner
 from .thinet import ThiNetPruner
 
 __all__ = [
     "Pruner", "PruningContext", "register_pruner", "build_pruner",
     "available_pruners", "collect_unit_outputs", "mask_from_scores",
     "RandomPruner", "Li17Pruner", "APoZPruner", "ThiNetPruner",
-    "TaylorPruner", "AutoPrunerPruner", "inject_gate",
+    "AutoPrunerPruner", "inject_gate",
 ]

@@ -101,24 +101,10 @@ class StepSpec:
     index:
         Position in the engine's plan (0-based); each step self-seeds
         from it.
-    kind:
-        ``"layer"`` (decide one unit's mask, surgery, fine-tune) or
-        ``"blocks"`` (block pattern).
     """
 
     name: str
     index: int
-    kind: str = "layer"
-
-    @property
-    def decides_unit(self) -> bool:
-        """Whether the step decides one unit's mask.
-
-        Only such a step can be re-decided by a
-        :class:`~repro.runtime.fallback.FallbackChain` when it is
-        exhausted; any other step is skipped instead.
-        """
-        return self.kind == "layer"
 
 
 @dataclass
@@ -173,8 +159,7 @@ class SteppedEngine(Protocol):
     bookkeeping hooks :class:`SteppedEngineBase` provides default
     implementations for (``new_result``/``accumulate``/``finalize``,
     ``current_accuracy``, ``retry_config``, ``fingerprint``,
-    ``calibration_arrays``) and, when its steps decide one unit each,
-    ``fallback_keep_count``/``fallback_outcome``.
+    ``calibration_arrays``).
     """
 
     def steps(self) -> list[StepSpec]: ...
@@ -200,10 +185,7 @@ class SteppedEngineBase:
     ``describe()``, ``steps()`` and ``run_step``/``apply_step``/
     ``replay_step``; this base supplies the in-process driver
     :meth:`run_steps`, result accumulation, the calibration-batch
-    accuracy used by the collapse guard and retry reseeding.  An engine
-    whose steps decide one unit each also provides the fallback hooks
-    (``fallback_keep_count``/``fallback_outcome``); the layer engines
-    of :mod:`repro.core.pruner` share theirs.
+    accuracy used by the collapse guard and retry reseeding.
     """
 
     # -- the in-process driver ----------------------------------------------
@@ -211,9 +193,9 @@ class SteppedEngineBase:
         """Decide, apply and accumulate every step in order; the result.
 
         This is :class:`~repro.runtime.harness.ResumableRunner`'s loop
-        without journal, checkpoints, collapse guard, retries or
-        fallback, so a journaled run with ``collapse_ratio=0`` returns
-        the same result and leaves the same model.
+        without journal, checkpoints, collapse guard or retries, so a
+        journaled run with ``collapse_ratio=0`` returns the same result
+        and leaves the same model.
         """
         result = self.new_result()
         for spec in self.steps():

@@ -11,14 +11,7 @@ Both are no-ops unless a :class:`FaultPlan` has been installed with
 :func:`inject`, so the hooks cost one global lookup on the happy path.
 A plan triggers by *site name* and *call count*, which makes "kill the
 run right after layer 2 completes" or "poison the loss on the fifth
-REINFORCE iteration" deterministic and repeatable.  A third action,
-``stall``, advances the :mod:`repro.runtime.watchdog` virtual clock by
-``seconds`` — simulating a hung step without sleeping, so budget
-timeouts are testable offline.
-
-Every hook visit also ticks the armed step watchdog, which is how
-:class:`~repro.runtime.watchdog.StepBudget` deadlines are enforced
-cooperatively at these same sites.
+REINFORCE iteration" deterministic and repeatable.
 
 Sites currently wired in:
 
@@ -27,11 +20,10 @@ Sites currently wired in:
 ``reinforce.loss``          REINFORCE loss value, once per iteration
 ``reinforce.reward``        greedy-action reward, once per iteration
 ``training.loss``           fine-tune minibatch loss, once per step
-``metric.select``           metric engine, before each unit's selection
 ==========================  ====================================================
 
-Any action can be planted at any wired site: ``crash`` and ``stall``
-fire from both hooks, ``nan`` only matters at ``corrupt`` sites (a
+Either action can be planted at any wired site: ``crash`` fires from
+both hooks, ``nan`` only matters at ``corrupt`` sites (a
 ``crash_point`` has no value to poison).
 """
 
@@ -41,8 +33,6 @@ import math
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-
-from . import watchdog
 
 __all__ = ["SimulatedCrash", "FaultSpec", "FaultPlan", "inject",
            "crash_point", "corrupt", "active_plan"]
@@ -67,21 +57,16 @@ class FaultSpec:
     """One injection rule: at which calls of a site, do what.
 
     ``at`` is the set of 1-based call counts that trigger; an empty set
-    means "every call".  ``action`` is ``"crash"``, ``"nan"`` or
-    ``"stall"`` (advances the step watchdog's virtual clock by
-    ``seconds``).
+    means "every call".  ``action`` is ``"crash"`` or ``"nan"``.
     """
 
     site: str
     action: str = "crash"
     at: frozenset[int] = frozenset()
-    seconds: float = 0.0
 
     def __post_init__(self):
-        if self.action not in ("crash", "nan", "stall"):
-            raise ValueError("action must be 'crash', 'nan' or 'stall'")
-        if self.action == "stall" and self.seconds <= 0:
-            raise ValueError("a stall spec needs positive seconds")
+        if self.action not in ("crash", "nan"):
+            raise ValueError("action must be 'crash' or 'nan'")
 
     def triggers(self, count: int) -> bool:
         return not self.at or count in self.at
@@ -103,38 +88,17 @@ class FaultPlan:
         self.specs.append(FaultSpec(site, "nan", frozenset(counts)))
         return self
 
-    def stall_at(self, site: str, *counts: int,
-                 seconds: float = 3600.0) -> "FaultPlan":
-        """Simulate the site hanging for ``seconds`` at the given calls.
-
-        The stall advances the armed watchdog's virtual clock, so a
-        :class:`~repro.runtime.watchdog.StepBudget` with
-        ``max_seconds < seconds`` raises at this very site — no real
-        time passes.
-        """
-        self.specs.append(FaultSpec(site, "stall", frozenset(counts),
-                                    seconds=seconds))
-        return self
-
     def _visit(self, site: str, value: float | None = None) -> float | None:
-        """Advance the site counter once and apply every matching spec.
-
-        Stalls are applied before crash/nan so a delayed call registers
-        its time even when it also dies.
-        """
+        """Advance the site counter once and apply every matching spec."""
         self._counts[site] += 1
         count = self._counts[site]
-        matched = [spec for spec in self.specs
-                   if spec.site == site and spec.triggers(count)]
-        matched.sort(key=lambda spec: spec.action != "stall")
-        for spec in matched:
+        for spec in self.specs:
+            if spec.site != site or not spec.triggers(count):
+                continue
             self.fired.append((site, count, spec.action))
-            if spec.action == "stall":
-                watchdog.advance(spec.seconds)
-            elif spec.action == "crash":
+            if spec.action == "crash":
                 raise SimulatedCrash(site, count)
-            elif spec.action == "nan":
-                value = math.nan
+            value = math.nan
         return value
 
     def visit_crash(self, site: str) -> None:
@@ -165,15 +129,13 @@ def inject(plan: FaultPlan):
 
 
 def crash_point(site: str) -> None:
-    """Fault hook: apply the active plan, then tick the step watchdog."""
+    """Fault hook: apply the active plan, if any."""
     if _ACTIVE is not None:
         _ACTIVE.visit_crash(site)
-    watchdog.tick(site)
 
 
 def corrupt(site: str, value: float) -> float:
-    """Return ``value`` (possibly poisoned), ticking the step watchdog."""
+    """Return ``value``, poisoned if the active plan says so."""
     if _ACTIVE is not None:
         value = _ACTIVE.visit_corrupt(site, value)
-    watchdog.tick(site)
     return value

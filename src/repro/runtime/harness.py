@@ -10,17 +10,12 @@ full fault-tolerant protocol:
   killed at step ``k`` resumes from step ``k`` with results bit-for-bit
   identical to an uninterrupted run;
 * divergence (:class:`~repro.runtime.errors.DivergenceError`, non-finite
-  gradients), post-surgery accuracy collapse, structural invariant
-  violations (:mod:`repro.runtime.validate`) and watchdog budget
-  overruns (:mod:`repro.runtime.watchdog`) all trigger rollback to the
+  gradients), post-surgery accuracy collapse and structural invariant
+  violations (:mod:`repro.runtime.validate`) all trigger rollback to the
   pre-step model and a retry with a reseeded, more conservative config
   (:class:`~repro.runtime.retry.RetryPolicy`);
-* when retries are exhausted, a :class:`~repro.runtime.fallback
-  .FallbackChain` (if configured) re-decides a step that decides one
-  unit with a cheaper metric engine at the same survivor budget and
-  journals a ``degraded`` record; only when that too fails (or no chain
-  is given, or the step is the block pattern) is the step skipped, and
-  the run continues — degraded, not dead.
+* when retries are exhausted the step is journaled as skipped, its
+  model left as it was before the step, and the run continues.
 
 Per-step determinism is what makes resume exact: each step self-seeds
 from its config and step index, so a step's outcome depends only on
@@ -42,14 +37,12 @@ from ..nn.numeric import NonFiniteError
 from ..obs import get_recorder
 from ..pruning.engine import StepOutcome, StepSpec, StepState
 from ..utils.serialization import load_checkpoint, save_checkpoint
-from . import faults, watchdog
+from . import faults
 from .errors import DivergenceError, JournalError, ResumeMismatchError
-from .fallback import FallbackChain
 from .guards import check_accuracy_collapse
 from .journal import FORMAT_VERSION, RunJournal, config_digest
 from .retry import RetryPolicy
 from .validate import check_masks, check_model
-from .watchdog import StepBudget
 
 __all__ = ["RunReport", "ResumableRunner", "resume"]
 
@@ -58,7 +51,13 @@ INITIAL_CHECKPOINT = "initial.npz"
 
 @dataclass
 class RunReport:
-    """What a fault-tolerant run produced, beyond the core result."""
+    """What a fault-tolerant run produced, beyond the core result.
+
+    ``degraded_steps`` maps a replayed step to the engine that decided
+    it, when that is not the run's own engine.  Only a journal written
+    by an older version, whose fallback chain could finish an exhausted
+    step with a metric engine, holds such a step.
+    """
 
     result: object
     run_dir: Path
@@ -85,13 +84,8 @@ class ResumableRunner:
     Robustness knobs: ``collapse_ratio`` is the accuracy floor after a
     step relative to the pre-step calibration accuracy (0 disables the
     check; the pre-step accuracy is the previous step's post-step one,
-    measured afresh after a resume, rollback or fallback);
-    ``retry_policy`` governs rollback/reseed behaviour; ``budget`` arms a
-    per-step :class:`~repro.runtime.watchdog.StepBudget`; ``fallback``
-    degrades exhausted steps to metric baselines instead of skipping
-    them; ``validate=False`` disables the post-surgery structural
-    invariant checks.  None of these enter the resume digest — they are
-    operational knobs a resume may legitimately tune.
+    measured afresh after a resume, rollback or skip); ``retry_policy``
+    governs rollback/reseed behaviour.  Both enter the resume digest.
     """
 
     def __init__(self, model=None, train_set=None, test_set=None, *,
@@ -99,10 +93,7 @@ class ResumableRunner:
                  calibration=None, input_shape=None,
                  retry_policy: RetryPolicy | None = None,
                  collapse_ratio: float = 0.5,
-                 skip_last: bool = True,
-                 budget: StepBudget | None = None,
-                 fallback: FallbackChain | None = None,
-                 validate: bool = True):
+                 skip_last: bool = True):
         if engine is None and hasattr(model, "run_step"):
             engine, model = model, None
         if engine is None:
@@ -116,9 +107,6 @@ class ResumableRunner:
         self.engine = engine
         self.retry_policy = retry_policy or RetryPolicy()
         self.collapse_ratio = float(collapse_ratio)
-        self.budget = budget
-        self.fallback = fallback
-        self.validate = bool(validate)
 
     @property
     def model(self):
@@ -136,11 +124,8 @@ class ResumableRunner:
         return digest.hexdigest()[:16]
 
     def _digest(self, names: list[str]) -> str:
-        # budget / fallback / validate are deliberately excluded: they
-        # shape *how* failures are handled, not what a successful step
-        # computes, so a resume may tighten or relax them.  Engine
-        # fingerprints likewise strip performance knobs (graph eval —
-        # see repro.core.config.PERF_FIELDS); the driver's reward memo is
+        # Engine fingerprints strip performance knobs (graph eval — see
+        # repro.core.config.PERF_FIELDS); the driver's reward memo is
         # per-run, in-memory state that never enters the journal.
         return config_digest(self.engine.fingerprint(),
                              self.retry_policy,
@@ -157,24 +142,20 @@ class ResumableRunner:
     def _check(self, spec: StepSpec, outcome: StepOutcome,
                pre_accuracy: float) -> None:
         """Post-apply invariants: masks, model wiring, accuracy floor."""
-        if self.validate:
-            payload = outcome.payload or {}
-            if "mask" in payload:
-                check_masks({spec.name: payload["mask"]}, layer=spec.name)
-            check_model(self.engine.model, layer=spec.name)
+        payload = outcome.payload or {}
+        if "mask" in payload:
+            check_masks({spec.name: payload["mask"]}, layer=spec.name)
+        check_model(self.engine.model, layer=spec.name)
         after = outcome.accuracy if outcome.accuracy is not None else math.nan
         check_accuracy_collapse(pre_accuracy, after, self.collapse_ratio,
                                 layer=spec.name)
 
     def _journal_failure(self, journal: RunJournal, index: int, name: str,
-                         attempt: int, error: Exception,
-                         engine_name: str | None = None) -> dict:
+                         attempt: int, error: Exception) -> dict:
         failure = {"attempt": attempt, "kind": type(error).__name__,
                    "message": str(error)}
         if isinstance(error, DivergenceError):
             failure.update(error.as_record())
-        if engine_name is not None:
-            failure["engine"] = engine_name
         journal.append({"record": "layer_attempt_failed",
                         "index": index, "name": name, **failure})
         # Mirror the journal's failure record into the metrics stream so
@@ -182,41 +163,6 @@ class ResumableRunner:
         get_recorder().counter("runtime/layer_retries", 1, layer=name,
                                kind=failure["kind"])
         return failure
-
-    # -- graceful degradation ----------------------------------------------
-    def _degrade(self, journal: RunJournal, spec: StepSpec, backup,
-                 pre_accuracy: float, failures: list[dict]
-                 ) -> tuple[StepOutcome | None, str | None]:
-        """Finish an exhausted layer step with the fallback chain's engines."""
-        images, labels = self.engine.calibration_arrays()
-        for engine_name in self.fallback.engines:
-            state = StepState(attempt=len(failures),
-                              need_accuracy=self.collapse_ratio > 0.0)
-            try:
-                keep_count = self.engine.fallback_keep_count(spec.name)
-                with watchdog.watch(self.budget, spec.name):
-                    mask = self.fallback.mask_for(
-                        engine_name, self.engine.model, spec.name,
-                        keep_count, images, labels, step_index=spec.index)
-                    outcome = self.engine.fallback_outcome(spec, mask,
-                                                           engine_name)
-                    self.engine.apply_step(spec, outcome, state)
-                self._check(spec, outcome, pre_accuracy)
-            except (DivergenceError, NonFiniteError) as error:
-                failures.append(self._journal_failure(
-                    journal, spec.index, spec.name, len(failures), error,
-                    engine_name=engine_name))
-                self._restore(backup)
-                continue
-            journal.append({"record": "degraded", "index": spec.index,
-                            "name": spec.name, "engine": engine_name,
-                            "attempts": len(failures)})
-            rec = get_recorder()
-            rec.counter("runtime/steps_degraded", 1, layer=spec.name,
-                        engine=engine_name)
-            rec.mark("runtime/degraded", step=spec.name, engine=engine_name)
-            return outcome, engine_name
-        return None, None
 
     # -- resume rebuild ----------------------------------------------------
     def _rebuild(self, journal: RunJournal, specs: list[StepSpec],
@@ -301,7 +247,7 @@ class ResumableRunner:
         guarded = self.collapse_ratio > 0.0
         # The previous step's post-step calibration accuracy, while it
         # still describes the model: None after a resume, a rollback or
-        # a fallback, and then the next baseline is measured afresh.
+        # a skip, and then the next baseline is measured afresh.
         carried: float | None = None
         for index in range(start, len(specs)):
             spec = specs[index]
@@ -318,7 +264,6 @@ class ResumableRunner:
             pre_accuracy = math.nan if baseline is None else baseline
             backup = copy.deepcopy(self.engine.model)
             outcome: StepOutcome | None = None
-            used_engine: str | None = None
             for attempt in range(self.retry_policy.max_retries + 1):
                 override = None if attempt == 0 else self.engine.retry_config(
                     spec, self.retry_policy, attempt)
@@ -326,9 +271,8 @@ class ResumableRunner:
                                   need_accuracy=guarded,
                                   baseline_accuracy=baseline)
                 try:
-                    with watchdog.watch(self.budget, name):
-                        out = self.engine.run_step(spec, state)
-                        self.engine.apply_step(spec, out, state)
+                    out = self.engine.run_step(spec, state)
+                    self.engine.apply_step(spec, out, state)
                     self._check(spec, out, pre_accuracy)
                     outcome = out
                     break
@@ -336,10 +280,6 @@ class ResumableRunner:
                     failures.append(self._journal_failure(
                         journal, index, name, attempt, error))
                     self._restore(backup)
-            if outcome is None and self.fallback is not None \
-                    and spec.decides_unit:
-                outcome, used_engine = self._degrade(
-                    journal, spec, backup, pre_accuracy, failures)
             if outcome is None:
                 journal.append({"record": "layer_skipped", "index": index,
                                 "name": name, "failures": failures})
@@ -349,15 +289,13 @@ class ResumableRunner:
                 continue
             if failures:
                 report.retried_layers[name] = len(failures)
-            if used_engine is not None:
-                report.degraded_steps[name] = used_engine
-            if not failures:        # neither rolled back nor degraded
+            else:
                 carried = outcome.accuracy
             checkpoint = save_checkpoint(self.engine.model,
                                          run_dir / f"layer_{index:02d}")
             journal.append({"record": "layer_complete", "index": index,
                             "name": name,
-                            "engine": used_engine or self._primary_name(),
+                            "engine": self._primary_name(),
                             "payload": outcome.payload,
                             "log": outcome.log,
                             "checkpoint": checkpoint.name,
@@ -373,10 +311,6 @@ class ResumableRunner:
                             "skipped": report.skipped_layers,
                             "degraded": report.degraded_steps})
         return report
-
-    def resume(self, run_dir: str | Path) -> RunReport:
-        """Continue an interrupted run (alias for ``run(resume=True)``)."""
-        return self.run(run_dir, resume=True)
 
 
 def resume(run_dir: str | Path, model, train_set=None, test_set=None,

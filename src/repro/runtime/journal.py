@@ -48,8 +48,8 @@ __all__ = ["FORMAT_VERSION", "RunJournal", "config_digest", "run_overview"]
 # Version 2 (engine-generic stepped runs) renamed the per-layer record
 # bodies: the journal stores each step's engine payload/log instead of
 # the HeadStart-specific mask/LayerLog pair, plus the producing engine
-# name and optional ``degraded`` records.  Version-1 journals cannot be
-# replayed through a stepped engine, so resume refuses them.
+# name.  Version-1 journals cannot be replayed through a stepped engine,
+# so resume refuses them.
 FORMAT_VERSION = 2
 
 
@@ -197,15 +197,15 @@ def run_overview(records: Iterable[dict]) -> dict:
 
     Groups the raw record stream by concern: the ``run_start`` header,
     per-layer outcomes in index order (each annotated with any
-    ``degraded`` / ``layer_attempt_failed`` records for that index), and
-    the ``run_complete`` footer when the run finished.  Used by
+    ``layer_attempt_failed`` records for that index), and the
+    ``run_complete`` footer when the run finished.  Records of other
+    types, which older versions wrote, are ignored.  Used by
     :mod:`repro.obs.report` to annotate the metrics timeline; tolerant
     of partial journals from crashed runs.
     """
     header: dict | None = None
     final: dict | None = None
     layers: dict[int, dict] = {}
-    degraded: list[dict] = []
     failures: list[dict] = []
     for record in records:
         kind = record.get("record")
@@ -221,20 +221,12 @@ def run_overview(records: Iterable[dict]) -> dict:
                 "engine": record.get("engine"),
                 "attempts": record.get("attempts"),
                 "log": record.get("log"),
-                "degraded": False,
                 "failures": [],
             }
-        elif kind == "degraded":
-            degraded.append(record)
         elif kind == "layer_attempt_failed":
             failures.append(record)
         elif kind == "run_complete":
             final = record
-    for record in degraded:
-        layer = layers.get(int(record.get("index", -1)))
-        if layer is not None:
-            layer["degraded"] = True
-            layer["degraded_engine"] = record.get("engine")
     for record in failures:
         layer = layers.get(int(record.get("index", -1)))
         if layer is not None:
@@ -245,7 +237,6 @@ def run_overview(records: Iterable[dict]) -> dict:
     return {
         "header": header,
         "layers": [layers[i] for i in sorted(layers)],
-        "degraded": degraded,
         "attempt_failures": failures,
         "final": final,
         "complete": final is not None,

@@ -6,8 +6,8 @@ policy and progressively more conservative hyper-parameters: the policy
 learning rate backs off exponentially while the exploration floor grows,
 which is the standard recipe for escaping an unlucky REINFORCE seed.
 After ``max_retries`` failed attempts the layer is skipped (recorded in
-the journal) and the run continues — a degraded-but-complete run beats a
-dead one.
+the journal) and the run continues — a complete run with an unpruned
+layer beats a dead one.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ therefore validates the whole model after every ``apply_step``:
 
 A violation raises :class:`SurgeryInvariantError` — a
 :class:`~repro.runtime.errors.DivergenceError` subclass, so the harness
-journals it and takes the usual rollback/retry/degrade path with the
+journals it and takes the usual rollback/retry/skip path with the
 pre-step model restored.
 """
 

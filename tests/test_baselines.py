@@ -5,7 +5,7 @@ import pytest
 
 from repro.nn import Parameter, Tensor, no_grad
 from repro.pruning.baselines import (APoZPruner, AutoPrunerPruner,
-                                     Li17Pruner, PruningContext,
+                                     Li17Pruner, Pruner, PruningContext,
                                      RandomPruner, ThiNetPruner,
                                      available_pruners, build_pruner,
                                      collect_unit_outputs, inject_gate,
@@ -32,6 +32,65 @@ class TestRegistry:
     def test_unknown_raises(self):
         with pytest.raises(ValueError):
             build_pruner("magic")
+
+
+#: Settings that keep each registered pruner quick on the tiny task.
+#: ThiNet's least-squares rescale edits batch-norm scales by design
+#: (``TestThiNet.test_rescale_modifies_bn``), so it is off here.
+QUICK_SETTINGS = {"thinet": {"num_samples": 32,
+                             "least_squares_rescale": False},
+                  "autopruner": {"steps": 3, "batch_size": 16}}
+
+
+def quick_pruner(name):
+    return build_pruner(name, **QUICK_SETTINGS.get(name, {}))
+
+
+class TestPrunerContract:
+    """What every registered pruner's ``select`` promises its caller."""
+
+    @pytest.mark.parametrize("name", available_pruners())
+    def test_registered_under_its_name(self, name):
+        pruner = quick_pruner(name)
+        assert isinstance(pruner, Pruner)
+        assert pruner.name == name
+
+    @pytest.mark.parametrize("name", available_pruners())
+    def test_budget_on_every_unit(self, name, lenet_copy, calibration):
+        # LeNet's first unit feeds a conv, its second the classifier.
+        pruner = quick_pruner(name)
+        for unit in lenet_copy.prune_units():
+            for keep in (1, unit.num_maps - 1):
+                mask = pruner.select(lenet_copy, unit, keep,
+                                     context(calibration))
+                assert mask.dtype == bool
+                assert mask.shape == (unit.num_maps,)
+                assert mask.sum() == keep, (unit.name, keep)
+
+    @pytest.mark.parametrize("name", available_pruners())
+    def test_select_leaves_the_model_as_it_found_it(self, name, lenet_copy,
+                                                    calibration):
+        # Selecting decides only; the caller does the surgery.
+        lenet_copy.train()
+        state = lenet_copy.state_dict()
+        unit = lenet_copy.prune_units()[1]
+        maps = unit.num_maps
+        quick_pruner(name).select(lenet_copy, unit, 3, context(calibration))
+        assert lenet_copy.training
+        assert unit.num_maps == maps
+        after = lenet_copy.state_dict()
+        assert list(after) == list(state)
+        for key, value in after.items():
+            assert value.tobytes() == state[key].tobytes(), key
+
+    @pytest.mark.parametrize("name", available_pruners())
+    def test_same_seed_same_mask(self, name, lenet_copy, calibration):
+        unit = lenet_copy.prune_units()[1]
+        first, second = (
+            quick_pruner(name).select(lenet_copy, unit, 5,
+                                      context(calibration, seed=3))
+            for _ in range(2))
+        assert np.array_equal(first, second)
 
 
 class TestMaskFromScores:
@@ -150,6 +209,21 @@ class TestThiNet:
         with channel_mask(unit, complement):
             rejected = evaluate(vgg_copy, images, labels)
         assert chosen >= rejected - 0.05
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["conv-consumer",
+                                                   "linear-consumer"])
+    def test_prunes_dead_map(self, index, lenet_copy, calibration):
+        unit = lenet_copy.prune_units()[index]
+        # A map whose output is zero contributes nothing to the
+        # consumer, so removing it costs no reconstruction error.
+        unit.conv.weight.data[1] = 0.0
+        unit.conv.bias.data[1] = 0.0
+        unit.bn.weight.data[1] = 0.0
+        unit.bn.bias.data[1] = 0.0
+        mask = ThiNetPruner(num_samples=32, least_squares_rescale=False) \
+            .select(lenet_copy, unit, unit.num_maps - 1,
+                    context(calibration))
+        assert not mask[1]
 
     def test_rescale_modifies_bn(self, lenet_copy, calibration):
         unit = lenet_copy.prune_units()[0]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import bar_chart, grouped_bar_chart, line_chart
+from repro.analysis import bar_chart
 
 
 class TestBarChart:
@@ -24,44 +24,3 @@ class TestBarChart:
     def test_zero_values(self):
         chart = bar_chart({"a": 0.0, "b": 0.0}, width=5)
         assert "#" not in chart
-
-
-class TestGroupedBarChart:
-    def test_groups_rendered(self):
-        chart = grouped_bar_chart({"conv1": {"hs": 2.0, "li": 1.0},
-                                   "conv2": {"hs": 1.5, "li": 0.5}})
-        assert "conv1:" in chart
-        assert "conv2:" in chart
-
-    def test_shared_scale(self):
-        chart = grouped_bar_chart({"g1": {"a": 4.0}, "g2": {"a": 2.0}},
-                                  width=8)
-        lines = [l for l in chart.splitlines() if "#" in l]
-        assert lines[0].count("#") == 8
-        assert lines[1].count("#") == 4
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            grouped_bar_chart({})
-
-
-class TestLineChart:
-    def test_markers_and_legend(self):
-        chart = line_chart({"headstart": [0.1, 0.5, 0.9],
-                            "random": [0.1, 0.2, 0.3]}, height=5)
-        assert "h" in chart
-        assert "r" in chart
-        assert "legend: h=headstart, r=random" in chart
-
-    def test_bounds_printed(self):
-        chart = line_chart({"a": [1.0, 3.0]}, height=4)
-        assert "3.00" in chart
-        assert "1.00" in chart
-
-    def test_constant_series(self):
-        chart = line_chart({"c": [2.0, 2.0, 2.0]}, height=3)
-        assert "c" in chart  # no division-by-zero on flat data
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            line_chart({})

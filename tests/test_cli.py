@@ -35,6 +35,16 @@ class TestParser:
                 build_parser().parse_args(["prune", "--mode", mode])
             assert info.value.code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--fallback", "li17"),
+                                            ("--step-seconds", "60"),
+                                            ("--step-evals", "8")])
+    def test_prune_rejects_retired_robustness_flags(self, flag, value,
+                                                    capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["prune", flag, value])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_prune_help_offers_layer_and_block_modes(self, capsys):
         with pytest.raises(SystemExit) as info:
             build_parser().parse_args(["prune", "--help"])
@@ -197,11 +207,6 @@ class TestCommands:
         code = main(["prune", "--model", "lenet", "--resume"])
         assert code == 2
         assert "--run-dir" in capsys.readouterr().err
-
-    def test_prune_rejects_unknown_fallback_engine(self, capsys):
-        code = main(PRUNE_ARGS + ["--fallback", "magic"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
 
 
 class TestMetricsCommand:

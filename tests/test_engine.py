@@ -169,24 +169,19 @@ def unit_named(model, name):
 class TestStepProtocol:
     """The per-step hooks the fault-tolerant runtime calls on an engine."""
 
-    @pytest.mark.parametrize("name,kind", [("headstart", "layer"),
-                                           ("li17", "layer"),
-                                           ("block", "blocks")])
-    def test_only_unit_steps_can_fall_back(self, name, kind, lenet_copy,
-                                           resnet_copy, tiny_task):
+    @pytest.mark.parametrize("name", ["headstart", "li17", "block"])
+    def test_steps_are_indexed_and_named(self, name, lenet_copy, resnet_copy,
+                                         tiny_task):
         model = resnet_copy if name == "block" else lenet_copy
         engine = build_engine(name, model, tiny_task.train,
                               config=tiny_config())
         specs = engine.steps()
         assert [spec.index for spec in specs] == list(range(len(specs)))
-        assert {spec.kind for spec in specs} == {kind}
         if name == "block":
             assert [spec.name for spec in specs] == ["blocks"]
-            assert not specs[0].decides_unit
         else:
             assert [spec.name for spec in specs] == \
                 [unit.name for unit in engine.active_units()]
-            assert all(spec.decides_unit for spec in specs)
 
     @pytest.mark.parametrize("name", ["headstart", "block", "li17"])
     def test_retry_config_is_the_policys_layer_config(self, name, lenet_copy,
@@ -228,36 +223,6 @@ class TestStepProtocol:
         for spec in replayed.steps():
             replayed.replay_step(spec, {})
         assert_same_state(pruned, replayed.model)
-
-    @pytest.mark.parametrize("name", ["headstart", "li17"])
-    def test_fallback_outcome_is_one_mask_for_one_unit(self, name,
-                                                       lenet_copy,
-                                                       tiny_task):
-        kwargs = {"finetune_config": None} if name == "headstart" else {}
-        engine = build_engine(name, lenet_copy, tiny_task.train,
-                              config=tiny_config(), skip_last=False,
-                              **kwargs)
-        spec = engine.steps()[1]
-        maps = unit_named(engine.model, spec.name).num_maps
-        keep = engine.fallback_keep_count(spec.name)
-        assert 0 < keep < maps
-        mask = np.arange(maps) < keep
-        outcome = engine.fallback_outcome(spec, mask, "taylor")
-        assert set(outcome.payload) == {"mask", "engine"}
-        assert outcome.payload["engine"] == "taylor"
-        assert np.array_equal(outcome.payload["mask"], mask)
-
-        engine.apply_step(spec, outcome, StepState())
-        assert outcome.removed == maps - keep
-        assert unit_named(engine.model, spec.name).num_maps == keep
-        result = engine.new_result()
-        engine.accumulate(result, spec, outcome)
-        assert list(result.masks) == [spec.name]
-        assert np.array_equal(result.masks[spec.name], mask)
-        [log] = result.layers
-        assert (log.name, log.maps_before, log.maps_after) == \
-            (spec.name, maps, keep)
-        assert log.agent_iterations == 0  # nothing searched
 
 
 class TestDataCoercion:

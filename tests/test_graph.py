@@ -35,7 +35,7 @@ from repro.nn.graph import GraphTraceError
 from repro.nn.graph import compile as graph_compile
 from repro.pruning.surgery import channel_mask, prune_unit
 from repro.pruning.units import ConvUnit
-from repro.training import evaluate
+from repro.training import EVAL_BATCH_SIZE, evaluate
 
 #: Small enough to keep resnet110/vgg19 cheap, big enough to exercise
 #: every stage transition.
@@ -246,7 +246,8 @@ class TestMaskedScenarios:
         executor.set_mask_unit(unit.conv, unit.bn)
         with channel_mask(unit, mask):
             dense = evaluate(model, images, labels)
-        got = executor.masked_accuracy(images, labels, [mask], key="t")
+        got = executor.masked_accuracy(images, labels, [mask],
+                                       EVAL_BATCH_SIZE, key="t")
         assert float(got[0]) == dense
 
     @pytest.mark.parametrize("name", _SUBSET)
@@ -275,7 +276,8 @@ class TestMaskedScenarios:
         assert executor.run(images).tobytes() == reference.tobytes()
         got = executor.masked_logits(images, [mask])[0]
         assert got.tobytes() == masked.tobytes()
-        accuracy = executor.masked_accuracy(images, labels, [mask], key="t")
+        accuracy = executor.masked_accuracy(images, labels, [mask],
+                                            EVAL_BATCH_SIZE, key="t")
         assert float(accuracy[0]) == dense
         assert all(module.training for module in model.modules())
         for key, value in model.state_dict().items():

@@ -1,28 +1,28 @@
-"""Watchdog budgets, graceful degradation and cross-engine resume.
+"""Skip on exhaustion, structural checks, older journals and resume.
 
-Covers the engine-generic robustness layer: :class:`StepBudget`
-deadlines enforced at the fault-hook sites (with virtual-clock stalls,
-so nothing sleeps), :class:`FallbackChain` degradation of exhausted
-steps to metric baselines, the collapse guard's "cannot judge" rule,
-duplicate-free journals across kill/resume, and the chaos scenario
-(kill, resume, bit-for-bit diff) for every stepped engine kind.
+Covers the engine-generic robustness layer: an exhausted step is
+journaled and skipped with its model left whole, the collapse guard's
+"cannot judge" rule, rollback and retry on the always-on structural
+checks, resuming a journal whose step another engine decided (as an
+older version's fallback chain wrote them), duplicate-free journals
+across kill/resume, and the chaos scenario (kill, resume, bit-for-bit
+diff) for every stepped engine kind.
 """
 
 import copy
+import json
 import math
+import shutil
 
-import numpy as np
 import pytest
 
 from repro import obs
+from repro.cli import main
 from repro.core import (BlockHeadStart, FinetuneConfig, HeadStartConfig,
                         HeadStartPruner)
 from repro.pruning import build_engine
-from repro.runtime import (BudgetExceededError, DivergenceError,
-                           FallbackChain, FaultPlan, ResumableRunner,
-                           RetryPolicy, RunJournal, SimulatedCrash,
-                           StepBudget, inject, model_problems)
-from repro.runtime import watchdog
+from repro.runtime import (DivergenceError, FaultPlan, ResumableRunner,
+                           RetryPolicy, RunJournal, SimulatedCrash, inject)
 from repro.runtime.chaos import ENGINE_KINDS, run_chaos
 from repro.runtime.guards import check_accuracy_collapse
 
@@ -33,7 +33,7 @@ def quick_config(seed=0):
                            mc_samples=2)
 
 
-def make_engine(kind, model, task, seed=0):
+def make_engine(kind, model, task, seed=0, **kwargs):
     """One stepped engine of each kind over the tiny task."""
     if kind == "headstart":
         return HeadStartPruner(
@@ -45,13 +45,7 @@ def make_engine(kind, model, task, seed=0):
         return BlockHeadStart(model, task.train, config=quick_config(seed))
     return build_engine(kind, model, (task.train.images, task.train.labels),
                         speedup=2.0, eval_batch=24, seed=seed,
-                        skip_last=False)
-
-
-#: Fault-hook site each engine's inner loop passes through every
-#: iteration — where a planted stall registers on the watchdog clock.
-STALL_SITES = {"headstart": "reinforce.loss", "block": "reinforce.loss",
-               "li17": "metric.select"}
+                        skip_last=False, **kwargs)
 
 
 def journal_records(run_dir, kind):
@@ -66,49 +60,29 @@ def assert_same_state(a, b):
         assert value.tobytes() == state_b[key].tobytes(), key
 
 
-class TestWatchdog:
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            StepBudget(max_seconds=0.0)
-        with pytest.raises(ValueError):
-            StepBudget(max_evals=0)
-        StepBudget()  # both limits optional
-
-    def test_eval_budget_trips_on_excess_ticks(self):
-        with watchdog.watch(StepBudget(max_evals=2), "conv1"):
-            watchdog.tick("reinforce.loss")
-            watchdog.tick("reinforce.loss")
-            with pytest.raises(BudgetExceededError) as info:
-                watchdog.tick("reinforce.loss")
-        error = info.value
-        assert isinstance(error, DivergenceError)
-        assert error.stage == "watchdog.budget"
-        assert error.layer == "conv1"
-        assert error.what == "evals"
-        assert error.site == "reinforce.loss"
-
-    def test_virtual_stall_trips_seconds_budget_without_sleeping(self):
-        with watchdog.watch(StepBudget(max_seconds=60.0), "conv1") as dog:
-            watchdog.tick()  # within budget
-            watchdog.advance(3600.0)
-            assert dog.elapsed() >= 3600.0
-            with pytest.raises(BudgetExceededError) as info:
-                watchdog.tick("reinforce.reward")
-        assert info.value.what == "seconds"
-        assert info.value.elapsed >= 3600.0
-
-    def test_no_budget_is_a_noop(self):
-        with watchdog.watch(None, "conv1") as dog:
-            assert dog is None
-            watchdog.tick()
-            watchdog.advance(1e9)  # nothing armed, nothing trips
-
-    def test_watch_restores_previous_watchdog(self):
-        with watchdog.watch(StepBudget(max_evals=100), "outer") as outer:
-            with watchdog.watch(StepBudget(max_evals=100), "inner"):
-                assert watchdog.active().step == "inner"
-            assert watchdog.active() is outer
-        assert watchdog.active() is None
+def journal_first_step_as_degraded(run_dir, engine="taylor"):
+    """Rewrite the first completed step of the journal in ``run_dir`` as
+    an older version's fallback chain journaled a degraded step: its
+    primary attempt blew a watchdog budget, then ``engine`` decided it.
+    Returns the step's name."""
+    journal = run_dir / "journal.jsonl"
+    records = [json.loads(line)
+               for line in journal.read_text().splitlines()]
+    at = next(i for i, r in enumerate(records)
+              if r["record"] == "layer_complete")
+    name = records[at]["name"]
+    failure = {"attempt": 0, "kind": "BudgetExceededError",
+               "message": "1 evals > budget 1", "stage": "watchdog.budget",
+               "value": "1", "layer": name, "iteration": None,
+               "detail": "1 evals > budget 1"}
+    records[at].update(engine=engine, attempts=2, failures=[failure])
+    records[at:at] = [
+        {"record": "layer_attempt_failed", "index": 0, "name": name,
+         **failure},
+        {"record": "degraded", "index": 0, "name": name, "engine": engine,
+         "attempts": 1}]
+    journal.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return name
 
 
 class TestCollapseGuard:
@@ -127,181 +101,147 @@ class TestCollapseGuard:
             check_accuracy_collapse(0.8, 0.1, 0.5, layer="conv1")
 
 
-class TestStallBudgets:
-    @pytest.mark.parametrize("kind", ["headstart", "block", "li17"])
-    def test_stalled_step_is_journaled_and_skipped(self, kind, tiny_task,
-                                                   lenet_copy, resnet_copy,
-                                                   tmp_path):
-        model = resnet_copy if kind == "block" else lenet_copy
-        engine = make_engine(kind, model, tiny_task)
-        runner = ResumableRunner(engine=engine, collapse_ratio=0.0,
-                                 retry_policy=RetryPolicy(max_retries=0),
-                                 budget=StepBudget(max_seconds=60.0))
-        with inject(FaultPlan().stall_at(STALL_SITES[kind], seconds=3600.0)):
-            report = runner.run(tmp_path / "run")
-        failed = journal_records(tmp_path / "run", "layer_attempt_failed")
-        budget_failures = [f for f in failed
-                           if f["stage"] == "watchdog.budget"]
-        assert budget_failures, "stall never tripped the budget"
-        # Without a fallback chain the exhausted step is skipped, and
-        # the run still terminates with a journaled completion record.
-        assert report.skipped_layers
-        assert journal_records(tmp_path / "run", "run_complete")
-
-    def test_budget_failure_can_degrade_to_fallback(self, tiny_task,
-                                                    lenet_copy, tmp_path):
-        engine = make_engine("li17", lenet_copy, tiny_task)
-        runner = ResumableRunner(engine=engine, collapse_ratio=0.0,
-                                 retry_policy=RetryPolicy(max_retries=0),
-                                 budget=StepBudget(max_seconds=60.0),
-                                 fallback=FallbackChain(engines=("taylor",)))
-        with inject(FaultPlan().stall_at("metric.select", seconds=3600.0)):
-            report = runner.run(tmp_path / "run")
-        assert not report.skipped_layers
-        assert set(report.degraded_steps.values()) == {"taylor"}
-        degraded = journal_records(tmp_path / "run", "degraded")
-        assert [r["engine"] for r in degraded] == \
-            ["taylor"] * len(report.degraded_steps)
-
-
-class TestGracefulDegradation:
-    def test_exhausted_headstart_step_is_completed_by_metric_engine(
-            self, tiny_task, lenet_copy, tmp_path):
-        engine = make_engine("headstart", lenet_copy, tiny_task)
-        runner = ResumableRunner(engine=engine,
-                                 retry_policy=RetryPolicy(max_retries=1),
-                                 fallback=FallbackChain(
-                                     engines=("taylor", "thinet")))
-        recorder = obs.Recorder()
-        # Poison every REINFORCE loss: the primary engine can never
-        # finish a step, so each one must be rescued by the chain.
-        with obs.use_recorder(recorder), \
-                inject(FaultPlan().nan_at("reinforce.loss")):
-            report = runner.run(tmp_path / "run")
-
-        names = [spec.name for spec in engine.steps()]
-        assert report.skipped_layers == []
-        assert report.degraded_steps == {name: "taylor" for name in names}
-        degraded = journal_records(tmp_path / "run", "degraded")
-        assert [(r["name"], r["engine"]) for r in degraded] == \
-            [(name, "taylor") for name in names]
-        # Same survivor budget as the primary engine was aiming for, and
-        # a structurally sound pruned model.
-        for log in report.result.layers:
-            assert log.maps_after < log.maps_before
-            assert log.agent_iterations == 0  # metric-ranked, not searched
-        assert model_problems(runner.model) == []
-        # Degradations are observable: counter + mark per rescued step.
-        summary = recorder.aggregate()
-        assert summary["counters"]["runtime/steps_degraded"] == len(names)
-        assert summary["marks"]["runtime/degraded"] == len(names)
-        complete = journal_records(tmp_path / "run", "run_complete")[0]
-        assert complete["degraded"] == report.degraded_steps
-
-    def test_degraded_steps_survive_resume(self, tiny_task, lenet_copy,
-                                           tmp_path):
-        engine = make_engine("headstart", lenet_copy, tiny_task)
-        runner = ResumableRunner(engine=engine,
-                                 retry_policy=RetryPolicy(max_retries=0),
-                                 fallback=FallbackChain(engines=("taylor",)))
-        plan = (FaultPlan().nan_at("reinforce.loss")
-                .crash_at("runtime.layer_complete", 1))
-        with inject(plan):
-            with pytest.raises(SimulatedCrash):
-                runner.run(tmp_path / "run")
-
-        fresh = ResumableRunner(
-            engine=make_engine("headstart", copy.deepcopy(lenet_copy),
-                               tiny_task),
-            retry_policy=RetryPolicy(max_retries=0),
-            fallback=FallbackChain(engines=("taylor",)))
-        with inject(FaultPlan().nan_at("reinforce.loss")):
-            report = fresh.run(tmp_path / "run", resume=True)
-        # The replayed prefix keeps its degraded attribution.
-        names = [spec.name for spec in fresh.engine.steps()]
-        assert report.degraded_steps == {name: "taylor" for name in names}
-        assert report.resumed_layers == 1
-
-    def test_degraded_metric_run_resumes_bit_for_bit(self, tiny_task,
-                                                     lenet_copy, tmp_path):
-        def runner_for(model):
-            return ResumableRunner(
-                engine=make_engine("li17", model, tiny_task),
-                collapse_ratio=0.0, retry_policy=RetryPolicy(max_retries=0),
-                budget=StepBudget(max_seconds=60.0),
-                fallback=FallbackChain(engines=("taylor",)))
-
-        def stalled():
-            return FaultPlan().stall_at("metric.select", seconds=3600.0)
-
-        baseline = runner_for(copy.deepcopy(lenet_copy))
-        with inject(stalled()):
-            expected = baseline.run(tmp_path / "baseline")
-        with inject(stalled().crash_at("runtime.layer_complete", 1)):
-            with pytest.raises(SimulatedCrash):
-                runner_for(copy.deepcopy(lenet_copy)).run(tmp_path / "run")
-        resumed = runner_for(copy.deepcopy(lenet_copy))
-        with inject(stalled()):
-            report = resumed.run(tmp_path / "run", resume=True)
-
-        # The replayed step applies the fallback's journaled mask, and
-        # the step after it degrades exactly as in the uninterrupted run.
-        assert report.resumed_layers == 1
-        assert report.degraded_steps == expected.degraded_steps == \
-            {"conv1": "taylor", "conv2": "taylor"}
-        strip = [{key: r[key] for key in ("name", "engine", "payload")}
-                 for r in journal_records(tmp_path / "baseline",
-                                          "layer_complete")]
-        assert [{key: r[key] for key in ("name", "engine", "payload")}
-                for r in journal_records(tmp_path / "run",
-                                         "layer_complete")] == strip
-        assert list(report.result.masks) == list(expected.result.masks)
-        for name, mask in expected.result.masks.items():
-            assert np.array_equal(report.result.masks[name], mask)
-        assert_same_state(resumed.model, baseline.model)
-
-    def test_exhausted_block_step_is_skipped_not_degraded(
-            self, tiny_task, resnet_copy, tmp_path):
+class TestSkipOnExhaustion:
+    # test_fault_injection covers HeadStart's exhausted layer step.
+    def test_exhausted_block_step_is_skipped(self, tiny_task, resnet_copy,
+                                             tmp_path):
         engine = make_engine("block", resnet_copy, tiny_task)
         before = copy.deepcopy(engine.model)
         runner = ResumableRunner(engine=engine,
-                                 retry_policy=RetryPolicy(max_retries=0),
-                                 fallback=FallbackChain(engines=("taylor",)))
+                                 retry_policy=RetryPolicy(max_retries=0))
         with inject(FaultPlan().nan_at("reinforce.loss")):
             report = runner.run(tmp_path / "run")
-        # The block pattern decides no unit's mask, so no metric engine
-        # can finish it: the step is skipped and the model kept whole.
+        # The block pattern is one all-or-nothing step: skipped, and the
+        # model kept whole.
         assert report.skipped_layers == ["blocks"]
-        assert report.degraded_steps == {}
-        assert journal_records(tmp_path / "run", "degraded") == []
         assert journal_records(tmp_path / "run", "layer_attempt_failed")
         assert runner.model.blocks_per_group == before.blocks_per_group
         assert_same_state(runner.model, before)
 
+    def test_exhausted_metric_step_is_skipped(self, tiny_task, lenet_copy,
+                                              tmp_path):
+        # The chaos matrix's li17 column: a one-epoch fine-tune after
+        # each step's surgery, whose every loss is poisoned here.
+        engine = make_engine(
+            "li17", lenet_copy, tiny_task, test_set=tiny_task.test,
+            finetune_config=FinetuneConfig(epochs=1, batch_size=24,
+                                           lr=0.02, seed=0))
+        before = copy.deepcopy(engine.model)
+        runner = ResumableRunner(engine=engine,
+                                 retry_policy=RetryPolicy(max_retries=1))
+        with inject(FaultPlan().nan_at("training.loss")):
+            report = runner.run(tmp_path / "run")
 
-class TestFallbackChain:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="at least one engine"):
-            FallbackChain(engines=())
-        with pytest.raises(ValueError, match="unknown fallback engine"):
-            FallbackChain(engines=("taylor", "magic"))
+        names = [spec.name for spec in engine.steps()]
+        assert report.skipped_layers == names
+        failed = journal_records(tmp_path / "run", "layer_attempt_failed")
+        assert [(f["name"], f["attempt"]) for f in failed] == \
+            [(name, attempt) for name in names for attempt in (0, 1)]
+        assert {f["stage"] for f in failed} == {"training.loss"}
+        [complete] = journal_records(tmp_path / "run", "run_complete")
+        assert complete["skipped"] == names
+        # Each rollback restored the surgery too: nothing was pruned.
+        assert_same_state(runner.model, before)
 
-    @pytest.mark.parametrize("engine_name", FallbackChain().engines)
-    def test_mask_for_is_one_mask_at_the_budget(self, engine_name,
-                                                lenet_copy, calibration):
-        images, labels = calibration
-        unit = lenet_copy.prune_units()[1]
-        maps = unit.num_maps
-        chain = FallbackChain()
-        mask = chain.mask_for(engine_name, lenet_copy, unit.name, 5,
-                              images, labels, step_index=1)
-        assert mask.dtype == np.bool_ and mask.shape == (maps,)
-        assert np.count_nonzero(mask) == 5
-        again = chain.mask_for(engine_name, lenet_copy, unit.name, 5,
-                               images, labels, step_index=1)
-        assert np.array_equal(mask, again)
-        # Selecting decides only; the harness does the surgery.
-        assert lenet_copy.prune_units()[1].num_maps == maps
+
+class TestStructuralChecks:
+    def test_invalid_surgery_is_rolled_back_and_retried(self, tiny_task,
+                                                        lenet_copy,
+                                                        tmp_path):
+        """The post-step invariant checks always run: a step whose
+        surgery leaves a non-finite weight is journaled at stage
+        ``surgery.invariants`` and rolled back, and its retry lands
+        where an unpoisoned run does."""
+        clean = ResumableRunner(
+            engine=make_engine("li17", copy.deepcopy(lenet_copy), tiny_task),
+            collapse_ratio=0.0)
+        clean.run(tmp_path / "clean")
+
+        engine = make_engine("li17", lenet_copy, tiny_task)
+        apply_step = engine.apply_step
+
+        def poisoned_on_first_attempt(spec, outcome, state):
+            apply_step(spec, outcome, state)
+            if state.attempt == 0:
+                engine.model.conv1.weight.data[0, 0, 0, 0] = math.nan
+
+        engine.apply_step = poisoned_on_first_attempt
+        runner = ResumableRunner(engine=engine, collapse_ratio=0.0,
+                                 retry_policy=RetryPolicy(max_retries=1))
+        report = runner.run(tmp_path / "run")
+
+        names = [spec.name for spec in engine.steps()]
+        failed = journal_records(tmp_path / "run", "layer_attempt_failed")
+        assert [(f["name"], f["attempt"], f["stage"], f["kind"])
+                for f in failed] == \
+            [(name, 0, "surgery.invariants", "SurgeryInvariantError")
+             for name in names]
+        assert all("conv1.weight: 1/" in f["detail"] for f in failed)
+        assert report.retried_layers == {name: 1 for name in names}
+        assert report.skipped_layers == []
+        assert_same_state(runner.model, clean.model)
+
+
+class TestOlderJournal:
+    def test_step_decided_by_a_fallback_engine_resumes(self, tiny_task,
+                                                       lenet_copy, tmp_path):
+        """A journal whose first step an older version's fallback chain
+        finished resumes: replay applies the journaled mask, the step
+        is reported under the engine its record names, and the run
+        ends as an uninterrupted one does."""
+        def runner_for(model):
+            return ResumableRunner(engine=make_engine("li17", model,
+                                                      tiny_task),
+                                   collapse_ratio=0.0)
+
+        baseline = runner_for(copy.deepcopy(lenet_copy))
+        baseline.run(tmp_path / "baseline")
+        run_dir = tmp_path / "run"
+        with inject(FaultPlan().crash_at("runtime.layer_complete", 1)):
+            with pytest.raises(SimulatedCrash):
+                runner_for(copy.deepcopy(lenet_copy)).run(run_dir)
+
+        assert journal_first_step_as_degraded(run_dir) == "conv1"
+
+        resumed = runner_for(copy.deepcopy(lenet_copy))
+        report = resumed.run(run_dir, resume=True)
+        assert report.resumed_layers == 1
+        assert report.degraded_steps == {"conv1": "taylor"}
+        # Journal format v2 is unchanged: the footer still maps each
+        # step another engine decided to that engine.
+        [complete] = journal_records(run_dir, "run_complete")
+        assert complete["degraded"] == {"conv1": "taylor"}
+        payloads = [(r["name"], r["payload"])
+                    for r in journal_records(run_dir, "layer_complete")]
+        assert payloads == [(r["name"], r["payload"]) for r in
+                            journal_records(tmp_path / "baseline",
+                                            "layer_complete")]
+        assert_same_state(resumed.model, baseline.model)
+
+        out = tmp_path / "report.md"
+        assert main(["report", str(run_dir), "--format", "md",
+                     "--out", str(out)]) == 0
+        [row] = [line for line in out.read_text().splitlines()
+                 if "| conv1 |" in line]
+        assert [cell.strip() for cell in row.split("|")][3] == "taylor"
+
+    def test_prune_names_the_engine_of_a_replayed_step(self, journaled_run,
+                                                       tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(journaled_run, run_dir)
+        name = journal_first_step_as_degraded(run_dir, engine="thinet")
+        assert main(["prune", "--model", "lenet", "--classes", "4",
+                     "--image-size", "12", "--train-per-class", "6",
+                     "--test-per-class", "3", "--epochs", "1",
+                     "--iterations", "6", "--finetune-epochs", "1",
+                     "--eval-batch", "16", "--run-dir", str(run_dir),
+                     "--resume"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert any(line.startswith("resumed after 1 journaled step(s)")
+                   for line in lines)
+        assert f"step {name} completed by fallback engine thinet" in lines
+        assert "skipped" not in captured.err
 
 
 class TestJournalHygiene:

@@ -1,5 +1,6 @@
 """Unit tests for the fault-tolerant runtime building blocks."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,9 +12,12 @@ import pytest
 
 from repro.nn import NonFiniteError, Parameter, any_nonfinite
 from repro.nn.optim import SGD, Adam, RMSprop
+from repro.pruning import prune_unit
 from repro.runtime import (AccuracyCollapseError, DivergenceError, FaultPlan,
-                           JournalError, RetryPolicy, RunJournal,
-                           SimulatedCrash, config_digest, inject)
+                           FaultSpec, JournalError, RetryPolicy, RunJournal,
+                           SimulatedCrash, SurgeryInvariantError,
+                           check_masks, check_model, config_digest, inject,
+                           mask_problems, model_problems)
 from repro.runtime import faults
 from repro.runtime.guards import (check_accuracy_collapse, require_all_finite,
                                   require_finite)
@@ -125,6 +129,27 @@ class TestFaultPlan:
             assert np.isnan(faults.corrupt("s", 1.0))
         assert faults.active_plan() is None
 
+    def test_crash_and_nan_are_the_only_actions(self):
+        assert FaultSpec("site").action == "crash"
+        assert FaultSpec("site", "nan").action == "nan"
+        with pytest.raises(ValueError, match="'crash' or 'nan'"):
+            FaultSpec("site", "stall")
+
+    def test_crash_fires_at_a_corrupt_site(self):
+        plan = FaultPlan().crash_at("loss", 1)
+        with inject(plan):
+            with pytest.raises(SimulatedCrash):
+                faults.corrupt("loss", 1.0)
+        assert plan.fired == [("loss", 1, "crash")]
+
+    def test_nan_at_a_crash_point_poisons_nothing(self):
+        plan = FaultPlan().nan_at("step")
+        with inject(plan):
+            faults.crash_point("step")  # no value to poison, no raise
+            assert np.isnan(faults.corrupt("step", 1.0))
+        # Both hooks advance the one per-site counter.
+        assert plan.fired == [("step", 1, "nan"), ("step", 2, "nan")]
+
 
 class TestImportFootprint:
     def test_import_starts_no_multiprocessing(self):
@@ -164,6 +189,56 @@ class TestGuards:
         check_accuracy_collapse(float("nan"), 0.1, ratio=0.5)  # no baseline
         with pytest.raises(AccuracyCollapseError):
             check_accuracy_collapse(0.8, 0.3, ratio=0.5, layer="conv2")
+
+
+class TestStructuralValidation:
+    """The post-surgery invariants the harness checks after every step."""
+
+    def test_healthy_model_passes(self, lenet_copy):
+        assert model_problems(lenet_copy) == []
+        check_model(lenet_copy, layer="conv1")
+
+    @pytest.mark.parametrize("mask,problem", [
+        (np.ones((2, 3), dtype=bool), "is not one-dimensional"),
+        (np.zeros(0, dtype=bool), "is empty"),
+        (np.array([0, 2, 1]), "is not boolean"),
+        (np.zeros(4, dtype=bool), "keeps no feature maps"),
+    ], ids=["two-dimensional", "empty", "not-boolean", "keeps-none"])
+    def test_bad_mask_is_named(self, mask, problem):
+        [message] = mask_problems({"conv1": mask})
+        assert message.startswith("mask for 'conv1' " + problem)
+
+    def test_boolean_and_binary_masks_pass(self):
+        assert mask_problems({"a": np.array([True, False]),
+                              "b": np.array([0, 1, 1])}) == []
+
+    def test_non_finite_entries_are_counted_per_tensor(self, lenet_copy):
+        lenet_copy.conv1.weight.data[0, 0, 0, :2] = [np.nan, np.inf]
+        size = lenet_copy.conv1.weight.data.size
+        assert model_problems(lenet_copy) == \
+            [f"conv1.weight: 2/{size} non-finite entries"]
+
+    def test_surgery_that_skips_a_consumer_is_caught(self, lenet_copy):
+        # Narrow conv1 and its batch norm but not conv2, which reads it.
+        unit = lenet_copy.prune_units()[0]
+        maps = unit.num_maps
+        prune_unit(dataclasses.replace(unit, consumers=[]),
+                   np.arange(maps) < 3)
+        assert model_problems(lenet_copy) == \
+            [f"conv1: conv consumer expects {maps} channels, producer has 3"]
+
+    def test_violation_is_a_divergence_the_harness_rolls_back(self):
+        masks = {f"conv{i}": np.zeros(3, dtype=bool) for i in range(5)}
+        with pytest.raises(SurgeryInvariantError) as info:
+            check_masks(masks, layer="conv2")
+        error = info.value
+        assert isinstance(error, DivergenceError)
+        assert (error.stage, error.layer) == ("surgery.invariants", "conv2")
+        assert len(error.problems) == 5
+        # The journaled detail names the first three and counts the rest.
+        assert error.detail.count("keeps no feature maps") == 3
+        assert error.detail.endswith("(+2 more)")
+        assert error.as_record()["kind"] == "SurgeryInvariantError"
 
 
 class TestRetryPolicy:
